@@ -8,6 +8,7 @@ nine significant digits so regression diffs reflect the model, not rounding.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from typing import IO, Any, Iterable
 
 from .explore import SpanCurvePoint, SweepGrid
@@ -41,11 +42,14 @@ def write_grid_csv(grid: SweepGrid, config_values: dict, fh: IO[str]) -> None:
     for line in config_echo_lines(config_values):
         fh.write(line + "\n")
     fh.write(GRID_CSV_HEADER + "\n")
-    for i, loss in enumerate(grid.loss_db_per_km):
-        for j, power in enumerate(grid.edfa_power_dbm):
-            row = (float(loss), float(power), float(grid.gsnr_db[i, j]),
-                   float(grid.throughput_tbps[i, j]))
-            fh.write(",".join(FLOAT_FMT.format(v) for v in row) + "\n")
+    # Axes are formatted once; each loss row is one write.
+    row = ",".join(("{}", "{}", FLOAT_FMT, FLOAT_FMT)) + "\n"
+    powers = [FLOAT_FMT.format(v) for v in grid.edfa_power_dbm.tolist()]
+    for i, loss in enumerate(grid.loss_db_per_km.tolist()):
+        fh.write("".join(map(
+            row.format, repeat(FLOAT_FMT.format(loss)), powers,
+            grid.gsnr_db[i].tolist(), grid.throughput_tbps[i].tolist(),
+        )))
 
 
 def write_span_curve_csv(points: Iterable[SpanCurvePoint], config_values: dict,

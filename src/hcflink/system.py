@@ -8,7 +8,7 @@ electrical power feed and propagation latency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Union
 
@@ -25,7 +25,8 @@ from .impairments import (
     nli_inv_snr,
     rbs_inv_snr,
 )
-from .units import PhysicalConstants, db_to_linear, dbm_to_watt
+from .units import PhysicalConstants, dbm_to_watt
+from .units import db_to_linear  # noqa: F401  (perfbench's traced run patches system.db_to_linear)
 
 DEFAULT_CONSTANTS = PhysicalConstants()
 
@@ -157,9 +158,12 @@ class ShannonGapTransceiver:
         if not self.max_rate_gbps > 0:
             raise ValueError(f"max_rate_gbps must be > 0, got {self.max_rate_gbps}")
 
-    def net_rate_gbps(self, gsnr_db: float, symbol_rate_hz: float) -> float:
-        rate = 2.0 * symbol_rate_hz * math.log2(1.0 + db_to_linear(gsnr_db - self.gap_db)) / 1e9
-        return min(rate, self.max_rate_gbps)
+    def net_rate_gbps(self, gsnr_db: float | np.ndarray, symbol_rate_hz: float) -> np.ndarray:
+        """Rate at a finite GSNR or at every element of an array of them."""
+        snr = 10.0 ** ((gsnr_db - self.gap_db) / 10.0)
+        rate = 2.0 * symbol_rate_hz * np.log2(1.0 + snr) / 1e9
+        # np.minimum costs more than the rest on a scalar; skip it when uncapped.
+        return np.minimum(rate, self.max_rate_gbps) if self.max_rate_gbps < math.inf else rate
 
 
 @dataclass(frozen=True)
@@ -167,22 +171,28 @@ class TabulatedTransceiver:
     """Piecewise-linear (gsnr_db, net_rate_gbps) curve, clamped at the ends."""
 
     points: tuple[tuple[float, float], ...]
+    _gsnr_db: np.ndarray = field(init=False, repr=False, compare=False)
+    _rate_gbps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         points = tuple((float(g), float(r)) for g, r in self.points)
         if not points:
             raise ValueError("transceiver table needs at least one point")
+        for row, (g, r) in enumerate(points, 1):
+            if not (math.isfinite(g) and math.isfinite(r)):
+                raise ValueError(f"table row {row} ({g}, {r}) must be finite")
         for (g0, r0), (g1, r1) in zip(points, points[1:]):
             if not g1 > g0:
                 raise ValueError(f"table gsnr_db must be strictly increasing: {g0} then {g1}")
             if r1 < r0:
                 raise ValueError(f"table net_rate_gbps must be nondecreasing: {r0} then {r1}")
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_gsnr_db", np.array([g for g, _ in points]))
+        object.__setattr__(self, "_rate_gbps", np.array([r for _, r in points]))
 
-    def net_rate_gbps(self, gsnr_db: float, symbol_rate_hz: float) -> float:
-        xs = [p[0] for p in self.points]
-        ys = [p[1] for p in self.points]
-        return float(np.interp(gsnr_db, xs, ys))
+    def net_rate_gbps(self, gsnr_db: float | np.ndarray, symbol_rate_hz: float) -> np.ndarray:
+        """Rate at a finite GSNR or at every element of an array of them."""
+        return np.interp(gsnr_db, self._gsnr_db, self._rate_gbps)
 
 
 TransceiverModel = Union[ShannonGapTransceiver, TabulatedTransceiver]
@@ -200,9 +210,12 @@ def load_transceiver_table(path: str | Path) -> TabulatedTransceiver:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'gsnr_db,net_rate_gbps'")
             try:
-                points.append((float(parts[0]), float(parts[1])))
+                row = (float(parts[0]), float(parts[1]))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric entry {line!r}") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: non-finite entry {line!r}")
+            points.append(row)
     if not points:
         raise ValueError(f"{path}: empty transceiver table")
     return TabulatedTransceiver(tuple(points))
@@ -265,7 +278,7 @@ def channel_net_rate(trx: TransceiverModel, gsnr_db: float, symbol_rate_hz: floa
     """Net information rate (Gb/s) of one channel at the given GSNR."""
     if not math.isfinite(gsnr_db):
         raise ValueError(f"gsnr_db must be finite, got {gsnr_db}")
-    return trx.net_rate_gbps(gsnr_db, symbol_rate_hz)
+    return float(trx.net_rate_gbps(gsnr_db, symbol_rate_hz))
 
 
 def cable_throughput(

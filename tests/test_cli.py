@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
+from hcflink import explore
 from hcflink.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -164,3 +166,45 @@ def test_run_command_format_guard():
     cfg = parse_config("")
     with pytest.raises(ValueError, match="format"):
         run_command("latency", cfg, fmt="csv")
+
+
+@pytest.mark.parametrize("key", ["loss_min", "loss_max", "power_min", "power_max"])
+@pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_sweep_bound_named(capsys, tmp_path, key, bad):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(f'{{"sweep": {{"{key}": {bad}}}}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be stray stderr text
+        assert main(["contour", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["code"] == "config"
+    assert f"sweep.{key}" in err["message"]
+
+
+def test_grid_size_bounded_before_allocation(capsys, tmp_path, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("an oversized grid must be refused before the sweep runs")
+
+    monkeypatch.setattr(explore, "sweep_grid", no_sweep)
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"sweep": {"loss_steps": 100000, "power_steps": 100000}}')
+    assert main(["contour", "--config", str(cfg)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert "sweep.loss_steps" in message and "sweep.power_steps" in message
+
+
+def test_extreme_sweep_power_is_a_config_error(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"sweep": {"power_max": 5000}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["contour", "--config", str(cfg)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["message"] == "grid contains non-finite cells"

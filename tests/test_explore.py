@@ -7,16 +7,25 @@ import numpy as np
 import pytest
 
 from hcflink.explore import (
+    MAX_GRID_POINTS,
     GridSpec,
     SolverSettings,
     SweepGrid,
+    _cell_cases,
     extract_contour,
     required_edfa_power,
     sensitivity_delta,
     span_length_curve,
     sweep_grid,
 )
-from hcflink.system import InfeasibleError, OperatingPoint, cable_throughput
+from hcflink.system import (
+    InfeasibleError,
+    OperatingPoint,
+    TabulatedTransceiver,
+    cable_throughput,
+    channel_net_rate,
+    link_gsnr,
+)
 
 
 def test_grid_spec_validation():
@@ -27,6 +36,23 @@ def test_grid_spec_validation():
         GridSpec(0.045, 0.085, 1, 14.0, 25.0, 111)
     with pytest.raises(ValueError):
         GridSpec(0.0, 0.085, 81, 14.0, 25.0, 111)
+
+
+@pytest.mark.parametrize("key", ["loss_min", "loss_max", "power_min", "power_max"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_grid_spec_rejects_non_finite_bounds(key, bad):
+    bounds = {"loss_min": 0.045, "loss_max": 0.085, "power_min": 14.0, "power_max": 25.0}
+    bounds[key] = bad
+    with pytest.raises(ValueError, match=f"sweep.{key}"):
+        GridSpec(bounds["loss_min"], bounds["loss_max"], 81,
+                 bounds["power_min"], bounds["power_max"], 111)
+
+
+def test_grid_spec_bounds_point_count():
+    GridSpec(0.045, 0.085, 1001, 14.0, 25.0, 1001)
+    GridSpec(0.045, 0.085, 2, 14.0, 25.0, MAX_GRID_POINTS // 2)
+    with pytest.raises(ValueError, match="sweep.loss_steps \\* sweep.power_steps"):
+        GridSpec(0.045, 0.085, 2, 14.0, 25.0, MAX_GRID_POINTS // 2 + 1)
 
 
 def test_solver_settings_validation():
@@ -55,6 +81,30 @@ def test_sweep_cells_match_direct_evaluation(reference_plan, calibrated_trx):
                 reference_plan, calibrated_trx, OperatingPoint(float(loss), float(power))
             )
             assert grid.throughput_tbps[i, j] == pytest.approx(direct, rel=1e-12)
+
+
+_TABLE_TRX = TabulatedTransceiver(((6.0, 200.0), (10.0, 400.0), (14.0, 560.0), (18.0, 680.0)))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05])
+@pytest.mark.parametrize("include_rbs", [False, True])
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_sweep_matches_scalar_budget_at_every_point(
+    reference_plan, calibrated_trx, gamma, include_rbs, tabulated
+):
+    # The sweep evaluates 1/GSNR = A/p + B*p^2 + C per row; the reference is
+    # the per-point scalar budget and rate, which the sweep must track to
+    # within the documented 1e-12 bounds.
+    plan = replace(reference_plan, fiber=replace(reference_plan.fiber, gamma_per_w_km=gamma))
+    trx = _TABLE_TRX if tabulated else calibrated_trx
+    grid = sweep_grid(plan, trx, GridSpec(0.045, 0.085, 9, 5.0, 30.0, 26), include_rbs)
+    scale = plan.n_fibers_per_direction * plan.n_channels / 1e3
+    for i, loss in enumerate(grid.loss_db_per_km):
+        for j, power in enumerate(grid.edfa_power_dbm):
+            budget = link_gsnr(plan, OperatingPoint(float(loss), float(power)), include_rbs)
+            rate = channel_net_rate(trx, budget.gsnr_db, plan.symbol_rate_hz)
+            assert abs(grid.gsnr_db[i, j] - budget.gsnr_db) <= 1e-12
+            assert abs(grid.throughput_tbps[i, j] / (scale * rate) - 1.0) <= 1e-12
 
 
 def test_sweep_monotone_along_power_axis(reference_plan, calibrated_trx):
@@ -96,6 +146,38 @@ def test_contour_simple_midline():
     assert len(points) == 2
     assert all(y == pytest.approx(0.5, abs=1e-12) for _, y in points)
     assert sorted(x for x, _ in points) == [0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "values, level, expected",
+    [
+        # case 5 (corners 00 and 11 above), center above / below the level
+        ([[1.0, 0.0], [0.0, 1.0]], 0.25,
+         [[(0.75, 0.0), (1.0, 0.25)], [(0.25, 1.0), (0.0, 0.75)]]),
+        ([[1.0, 0.0], [0.0, 1.0]], 0.75,
+         [[(0.0, 0.25), (0.25, 0.0)], [(1.0, 0.75), (0.75, 1.0)]]),
+        # case 10 (corners 10 and 01 above), center above / below the level
+        ([[0.0, 1.0], [1.0, 0.0]], 0.25,
+         [[(0.0, 0.25), (0.25, 0.0)], [(1.0, 0.75), (0.75, 1.0)]]),
+        ([[0.0, 1.0], [1.0, 0.0]], 0.75,
+         [[(0.75, 0.0), (1.0, 0.25)], [(0.25, 1.0), (0.0, 0.75)]]),
+    ],
+)
+def test_contour_saddle_cells(values, level, expected):
+    assert extract_contour(_toy_grid(values), "gsnr", level) == expected
+
+
+def test_cell_cases_match_per_cell_classification():
+    rng = np.random.default_rng(7)
+    values = rng.integers(0, 4, size=(9, 7)).astype(float)  # many ties at the level
+    level = 2.0
+    cases = _cell_cases(values, level)
+    assert cases.shape == (8, 6)
+    for i in range(8):
+        for j in range(6):
+            corners = (values[i, j], values[i + 1, j], values[i + 1, j + 1], values[i, j + 1])
+            expected = sum(1 << bit for bit, v in enumerate(corners) if v >= level)
+            assert cases[i, j] == expected
 
 
 def test_contour_rejects_nan_cells():

@@ -10,6 +10,7 @@ import pytest
 from hcflink.config import DEFAULTS
 from hcflink.explore import SpanCurvePoint, SweepGrid
 from hcflink.outputs import (
+    FLOAT_FMT,
     GRID_CSV_HEADER,
     config_echo_lines,
     grid_document,
@@ -49,6 +50,28 @@ def test_csv_keeps_nine_significant_digits():
     assert rows[0].split(",")[3] == "983.260595693"
     parsed = float(rows[0].split(",")[2])
     assert parsed == pytest.approx(16.0722837, rel=1e-9)
+
+
+def test_grid_csv_matches_per_cell_format():
+    xs = np.array([1e-7, 0.0625, 123456789012345.0])
+    ys = np.array([-3.5e-5, 14.0, 2.5e21, 7.0])
+    gsnr = np.array([[1.0 / 3.0, -1e-300, 6.02214076e23, 1e100],
+                     [16.0722837, 5e-324, -0.0, 1234567.890123456],
+                     [math.pi, -math.e, 1e16, 99999999999.95]])
+    thr = gsnr[::-1] * 7.0
+    grid = SweepGrid(xs, ys, gsnr, thr)
+    buf = io.StringIO()
+    write_grid_csv(grid, DEFAULTS, buf)
+    expected = io.StringIO()
+    for line in config_echo_lines(DEFAULTS):
+        expected.write(line + "\n")
+    expected.write(GRID_CSV_HEADER + "\n")
+    for i, loss in enumerate(xs):
+        for j, power in enumerate(ys):
+            row = (float(loss), float(power), float(gsnr[i, j]), float(thr[i, j]))
+            expected.write(",".join(FLOAT_FMT.format(v) for v in row) + "\n")
+    assert buf.getvalue() == expected.getvalue()
+    assert "e+21" in buf.getvalue() and "e-07" in buf.getvalue()
 
 
 def test_span_curve_csv():

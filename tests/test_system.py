@@ -122,6 +122,34 @@ def test_tabulated_validation():
         TabulatedTransceiver(())
 
 
+@pytest.mark.parametrize(
+    "points, row",
+    [
+        (((math.nan, 5.0),), 1),
+        (((10.0, 400.0), (20.0, math.nan)), 2),
+        (((10.0, math.inf),), 1),
+        (((-math.inf, 100.0), (10.0, 400.0)), 1),
+    ],
+)
+def test_tabulated_rejects_non_finite_rows(points, row):
+    with pytest.raises(ValueError, match=f"table row {row} .* must be finite"):
+        TabulatedTransceiver(points)
+
+
+def test_rate_models_accept_arrays():
+    gsnr = np.linspace(-10.0, 30.0, 81)
+    for trx in (
+        ShannonGapTransceiver(gap_db=4.5, max_rate_gbps=900.0),
+        TabulatedTransceiver(((0.0, 100.0), (10.0, 400.0), (20.0, 700.0))),
+    ):
+        rates = trx.net_rate_gbps(gsnr, 73.5e9)
+        assert rates.shape == gsnr.shape
+        # numpy's vectorised power/log2 may differ from the scalar path by an ulp
+        scalar = [channel_net_rate(trx, g, 73.5e9) for g in gsnr.tolist()]
+        np.testing.assert_allclose(rates, scalar, rtol=1e-14, atol=0.0)
+        assert type(channel_net_rate(trx, 15.0, 73.5e9)) is float
+
+
 def test_rate_monotone_in_gsnr_both_variants():
     shannon = ShannonGapTransceiver(gap_db=4.5)
     table = TabulatedTransceiver(((0.0, 100.0), (10.0, 400.0), (20.0, 700.0)))
@@ -155,6 +183,9 @@ def test_load_transceiver_table_errors(tmp_path):
         load_transceiver_table(bad)
     bad.write_text("10.0, abc\n")
     with pytest.raises(ValueError):
+        load_transceiver_table(bad)
+    bad.write_text("# rate curve\n10.0, 400.0\n20.0, inf\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite entry"):
         load_transceiver_table(bad)
     bad.write_text("# only comments\n")
     with pytest.raises(ValueError):
