@@ -19,7 +19,7 @@ from .system import (
     LinkPlan,
     OperatingPoint,
     TransceiverModel,
-    cable_throughput,
+    cable_throughput,  # noqa: F401  (perfbench's traced run patches explore.cable_throughput)
     link_gsnr,
     span_count,
 )
@@ -51,15 +51,17 @@ class GridSpec:
                 f"exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}"
             )
         if not self.loss_min > 0:
-            raise ValueError(f"loss_min must be > 0, got {self.loss_min}")
+            raise ValueError(f"sweep.loss_min must be > 0, got {self.loss_min}")
         if not self.loss_min < self.loss_max:
-            raise ValueError(f"loss_min must be < loss_max, got {self.loss_min}..{self.loss_max}")
+            raise ValueError(
+                f"sweep.loss_min={self.loss_min} must be < sweep.loss_max={self.loss_max}"
+            )
         if not self.power_min < self.power_max:
             raise ValueError(
-                f"power_min must be < power_max, got {self.power_min}..{self.power_max}"
+                f"sweep.power_min={self.power_min} must be < sweep.power_max={self.power_max}"
             )
         if self.loss_steps < 2 or self.power_steps < 2:
-            raise ValueError("loss_steps and power_steps must be >= 2")
+            raise ValueError("sweep.loss_steps and sweep.power_steps must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,11 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Bracket and stopping rule for the power bisection."""
+    """Admissible EDFA power window of the required-power solve, and the accuracy
+    (dB) its returned power guarantees; the closed form holds it above ~1e-12 dB."""
 
     power_bracket_dbm: tuple[float, float] = (5.0, 30.0)
     tolerance_db: float = 0.01
-    max_iterations: int = 100
 
     def __post_init__(self) -> None:
         low, high = self.power_bracket_dbm
@@ -93,8 +95,6 @@ class SolverSettings:
             raise ValueError(f"power bracket must satisfy low < high, got {low}..{high}")
         if not self.tolerance_db > 0:
             raise ValueError(f"tolerance_db must be > 0, got {self.tolerance_db}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 DEFAULT_SOLVER = SolverSettings()
@@ -113,6 +113,15 @@ class SpanCurvePoint:
     feasible: bool
 
 
+def _gsnr_coefficients(plan: LinkPlan, loss_db_per_km: float, include_rbs: bool,
+                       const: PhysicalConstants) -> tuple[float, float, float]:
+    """(A, B, C) of 1/GSNR(p) = A/p + B*p^2 + C at one loss, p the EDFA power in mW:
+    the ASE, NLI and IMI + RBS terms of one link_gsnr call at 0 dBm. The form is
+    exact because the incoherent GN model's NLI PSD scales as P^3."""
+    ref = link_gsnr(plan, OperatingPoint(loss_db_per_km, 0.0), include_rbs, const)
+    return ref.inv_snr_ase, ref.inv_snr_nli, ref.inv_snr_imi + ref.inv_snr_rbs
+
+
 def sweep_grid(
     plan: LinkPlan,
     trx: TransceiverModel,
@@ -122,10 +131,7 @@ def sweep_grid(
 ) -> SweepGrid:
     """Evaluate GSNR and throughput at every lattice point.
 
-    In the incoherent GN model the NLI PSD scales as P^3, so at a fixed loss
-    1/GSNR(p) = A/p + B*p^2 + C exactly, with p the EDFA power in mW, A the
-    ASE term, B the NLI term and C = IMI + RBS. One link_gsnr call per loss
-    row at 0 dBm gives A, B and C; the row then follows as arrays, and the
+    Each loss row follows as arrays from its _gsnr_coefficients, and the
     whole grid goes through one array call of the transceiver rate.
 
     Cells match per-point link_gsnr + channel_net_rate to within 1e-12 dB of
@@ -142,9 +148,9 @@ def sweep_grid(
         inv_power_mw = 1.0 / power_mw
         power_mw_sq = power_mw * power_mw
         for i, loss in enumerate(losses.tolist()):
-            ref = link_gsnr(plan, OperatingPoint(loss, 0.0), include_rbs, const)
-            inv = ref.inv_snr_ase * inv_power_mw + ref.inv_snr_nli * power_mw_sq
-            inv += ref.inv_snr_imi + ref.inv_snr_rbs
+            a, b, c = _gsnr_coefficients(plan, loss, include_rbs, const)
+            inv = a * inv_power_mw + b * power_mw_sq
+            inv += c
             gsnr[i] = 10.0 * np.log10(1.0 / inv)
         throughput = trx.net_rate_gbps(gsnr, plan.symbol_rate_hz)
     throughput *= plan.n_fibers_per_direction * plan.n_channels / 1e3
@@ -287,30 +293,45 @@ def required_edfa_power(
     settings: SolverSettings = DEFAULT_SOLVER,
     const: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
-    """EDFA output power (dBm) reaching target_tbps, by monotone bisection."""
+    """Least EDFA output power (dBm) at which throughput reaches target_tbps.
+
+    Closed form: with g* the least GSNR carrying the target, A/p + B*p^2 =
+    D = 1/g* - C (see _gsnr_coefficients) becomes eps*x^3 - x + 1 = 0 for
+    p = (A/D)*x, eps = B*A^2/D^3. It has a root iff eps <= 4/27, i.e. D >=
+    1.5*A/P_opt with P_opt = (A/2B)^(1/3) the peak-GSNR power; the smaller
+    root, x in [1, 1.5], is on the rising branch. A target is infeasible only
+    above the throughput peak or outside the window settings.power_bracket_dbm.
+    """
     working = replace(plan, span_length_km=span_km)
-
-    def throughput(power_dbm: float) -> float:
-        return cable_throughput(
-            working, trx, OperatingPoint(loss_db_per_km, power_dbm), include_rbs, const
-        )
-
-    lo, hi = settings.power_bracket_dbm
-    t_lo, t_hi = throughput(lo), throughput(hi)
-    if not t_lo <= target_tbps <= t_hi:
+    what = f"target {target_tbps:g} Tb/s at {loss_db_per_km:g} dB/km, {span_km:g} km spans"
+    n_carriers = working.n_fibers_per_direction * working.n_channels
+    a, b, c = _gsnr_coefficients(working, loss_db_per_km, include_rbs, const)
+    # numpy scalars carry the limits: no fibers ask an infinite rate, and a
+    # GSNR that any power reaches gives D = inf and p = 0 mW.
+    with np.errstate(all="ignore"):
+        rate_gbps = np.divide(target_tbps * 1e3, n_carriers)
+        gsnr_db = trx.required_gsnr_db(rate_gbps, working.symbol_rate_hz)
+        d = np.power(10.0, -gsnr_db / 10.0) - c
+        r = a / d  # the root without NLI
+        eps = b * r * r * r / a
+        if not (d > 0 and eps <= 4.0 / 27.0):
+            p_opt_mw = np.cbrt(np.divide(a, 2.0 * b))
+            peak_db = -10.0 * np.log10(1.5 * a / p_opt_mw + c)
+            peak = n_carriers * float(trx.net_rate_gbps(peak_db, working.symbol_rate_hz)) / 1e3
+            raise InfeasibleError(f"{what} is above the throughput peak {peak:.6g} Tb/s "
+                                  f"(at {10.0 * np.log10(p_opt_mw):.4g} dBm)")
+        # u = sqrt(eps) * (largest root), by the trigonometric formula; Vieta's
+        # product then gives the smallest root without the cancellation the
+        # direct trigonometric middle root suffers at small eps.
+        s = np.sqrt(eps)
+        u = 2.0 / np.sqrt(3.0) * np.cos(np.arccos(max(-1.0, -1.5 * np.sqrt(3.0) * s)) / 3.0)
+        power_dbm = float(10.0 * np.log10(2.0 * r / (u * u + u * np.sqrt(u * u + 4.0 * s / u))))
+    low, high = settings.power_bracket_dbm
+    if not low <= power_dbm <= high:
         raise InfeasibleError(
-            f"target {target_tbps:g} Tb/s not bracketed: {t_lo:.6g} Tb/s at "
-            f"{lo:g} dBm and {t_hi:.6g} Tb/s at {hi:g} dBm"
+            f"{what} needs {power_dbm:.6g} dBm, outside the window {low:g}..{high:g} dBm"
         )
-    for _ in range(settings.max_iterations):
-        if hi - lo <= settings.tolerance_db:
-            break
-        mid = 0.5 * (lo + hi)
-        if throughput(mid) < target_tbps:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return power_dbm
 
 
 def span_length_curve(

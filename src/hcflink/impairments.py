@@ -42,17 +42,19 @@ class FiberSpec:
 
     def __post_init__(self) -> None:
         if not self.loss_db_per_km > 0:
-            raise ValueError(f"loss_db_per_km must be > 0, got {self.loss_db_per_km}")
+            raise ValueError(f"fiber.loss_db_per_km must be > 0, got {self.loss_db_per_km}")
         if self.dispersion_ps_nm_km == 0:
-            raise ValueError("dispersion_ps_nm_km must be nonzero")
+            raise ValueError("fiber.dispersion_ps_nm_km must be nonzero")
         if self.gamma_per_w_km < 0:
-            raise ValueError(f"gamma_per_w_km must be >= 0, got {self.gamma_per_w_km}")
+            raise ValueError(f"fiber.gamma_per_w_km must be >= 0, got {self.gamma_per_w_km}")
         if self.imi_db_per_km > 0:
-            raise ValueError(f"imi_db_per_km must be <= 0, got {self.imi_db_per_km}")
+            raise ValueError(f"fiber.imi_db_per_km must be <= 0, got {self.imi_db_per_km}")
         if self.backscatter_db_per_km > 0:
             raise ValueError(
-                f"backscatter_db_per_km must be <= 0, got {self.backscatter_db_per_km}"
+                f"fiber.backscatter_db_per_km must be <= 0, got {self.backscatter_db_per_km}"
             )
+        if not self.group_index >= 1:
+            raise ValueError(f"fiber.group_index must be >= 1, got {self.group_index}")
 
 
 @dataclass(frozen=True)
@@ -66,11 +68,15 @@ class AmplifierSpec:
 
     def __post_init__(self) -> None:
         if not self.noise_figure_db > 0:
-            raise ValueError(f"noise_figure_db must be > 0, got {self.noise_figure_db}")
-        if not math.isfinite(self.total_output_power_dbm):
-            raise ValueError("total_output_power_dbm must be finite")
+            raise ValueError(f"amplifier.noise_figure_db must be > 0, got {self.noise_figure_db}")
+        # Within +/-3000 dBm the wattage is a finite float > 0.
+        if not abs(self.total_output_power_dbm) < 3000:
+            raise ValueError("amplifier.total_output_power_dbm must lie within +/-3000 dBm, "
+                             f"got {self.total_output_power_dbm}")
         if self.pre_input_loss_db < 0 or self.post_output_loss_db < 0:
-            raise ValueError("amplifier lumped losses must be >= 0 dB")
+            raise ValueError(
+                "amplifier.pre_input_loss_db and amplifier.post_output_loss_db must be >= 0 dB"
+            )
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ electrical power feed and propagation latency.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Union
@@ -35,7 +36,7 @@ SOLID_CORE_GROUP_INDEX = 1.468
 
 
 class InfeasibleError(RuntimeError):
-    """The requested target cannot be reached inside the search bracket."""
+    """The requested target cannot be reached inside the admissible power window."""
 
 
 def span_count(total_length_km: float, span_length_km: float) -> int:
@@ -76,17 +77,22 @@ class LinkPlan:
                 f"in total_length_km={self.total_length_km}"
             )
         if not self.symbol_rate_hz > 0:
-            raise ValueError(f"symbol_rate_hz must be > 0, got {self.symbol_rate_hz}")
+            raise ValueError(f"link.symbol_rate_hz must be > 0, got {self.symbol_rate_hz}")
         if self.channel_spacing_hz < self.symbol_rate_hz:
             raise ValueError(
-                f"channel_spacing_hz={self.channel_spacing_hz} must be >= "
-                f"symbol_rate_hz={self.symbol_rate_hz} (no spectral overlap)"
+                f"link.channel_spacing_hz={self.channel_spacing_hz} must be >= "
+                f"link.symbol_rate_hz={self.symbol_rate_hz} (no spectral overlap)"
             )
         if not self.band_hz > 0:
-            raise ValueError(f"band_hz must be > 0, got {self.band_hz}")
+            raise ValueError(f"link.band_hz must be > 0, got {self.band_hz}")
         if self.n_fibers_per_direction < 0:
             raise ValueError(
-                f"n_fibers_per_direction must be >= 0, got {self.n_fibers_per_direction}"
+                f"link.n_fibers_per_direction must be >= 0, got {self.n_fibers_per_direction}"
+            )
+        if self.n_channels < 1:
+            raise ValueError(
+                f"link.band_hz={self.band_hz} holds no channel at "
+                f"link.channel_spacing_hz={self.channel_spacing_hz}"
             )
 
     @property
@@ -134,7 +140,7 @@ class PowerFeedSpec:
             "supply_limit_w",
         ):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+                raise ValueError(f"powerfeed.{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,15 @@ class ShannonGapTransceiver:
         # np.minimum costs more than the rest on a scalar; skip it when uncapped.
         return np.minimum(rate, self.max_rate_gbps) if self.max_rate_gbps < math.inf else rate
 
+    def required_gsnr_db(self, rate_gbps: float, symbol_rate_hz: float) -> float:
+        """Least GSNR (dB) whose rate reaches rate_gbps, SNR = gap * (2^(R/2Rs) - 1):
+        +inf above the cap or beyond float range, -inf for a rate <= 0."""
+        bits = rate_gbps * 1e9 / (2.0 * symbol_rate_hz)
+        if rate_gbps > self.max_rate_gbps or bits >= sys.float_info.max_exp - 1:
+            return math.inf
+        snr = math.expm1(bits * math.log(2.0))
+        return self.gap_db + 10.0 * math.log10(snr) if snr > 0 else -math.inf
+
 
 @dataclass(frozen=True)
 class TabulatedTransceiver:
@@ -193,6 +208,16 @@ class TabulatedTransceiver:
     def net_rate_gbps(self, gsnr_db: float | np.ndarray, symbol_rate_hz: float) -> np.ndarray:
         """Rate at a finite GSNR or at every element of an array of them."""
         return np.interp(gsnr_db, self._gsnr_db, self._rate_gbps)
+
+    def required_gsnr_db(self, rate_gbps: float, symbol_rate_hz: float) -> float:
+        """Least GSNR (dB) whose rate reaches rate_gbps: the left end of a flat
+        segment; -inf at or below the first rate, +inf above the last."""
+        gsnr, rate = self._gsnr_db, self._rate_gbps
+        k = int(np.searchsorted(rate, rate_gbps))  # rate[k-1] < rate_gbps <= rate[k]
+        if k in (0, len(rate)):
+            return -math.inf if k == 0 else math.inf
+        share = (rate[k] - rate_gbps) / (rate[k] - rate[k - 1])
+        return float(gsnr[k] - share * (gsnr[k] - gsnr[k - 1]))
 
 
 TransceiverModel = Union[ShannonGapTransceiver, TabulatedTransceiver]
@@ -343,15 +368,16 @@ def calibrate_trx_gap(
 ) -> float:
     """Shannon gap (dB) that pins the plan to target_tbps at the reference point.
 
-    Bisection on the gap; throughput is strictly decreasing in it.
+    Closed form: gap = SNR / (2^(R/2Rs) - 1) at the reference GSNR, with R the
+    per-channel rate the target asks for. A target within 1e-6 of the zero-gap
+    throughput gives a gap of exactly 0.
     """
     if not target_tbps > 0:
         raise ValueError(f"target_tbps must be > 0, got {target_tbps}")
-
-    def throughput(gap_db: float) -> float:
-        return cable_throughput(plan, ShannonGapTransceiver(gap_db), reference, include_rbs, const)
-
-    zero_gap = throughput(0.0)
+    gsnr_db = link_gsnr(plan, reference, include_rbs, const).gsnr_db
+    zero_gap_trx = ShannonGapTransceiver(0.0)
+    n_carriers = plan.n_fibers_per_direction * plan.n_channels
+    zero_gap = n_carriers * channel_net_rate(zero_gap_trx, gsnr_db, plan.symbol_rate_hz) / 1e3
     if target_tbps > zero_gap:
         raise InfeasibleError(
             f"target {target_tbps:g} Tb/s exceeds the zero-gap Shannon throughput "
@@ -359,20 +385,8 @@ def calibrate_trx_gap(
         )
     if abs(zero_gap - target_tbps) <= 1e-6 * target_tbps:
         return 0.0
-    lo, hi = 0.0, 15.0
-    while throughput(hi) > target_tbps:
-        hi *= 2.0
-        if hi > 60.0:
-            raise InfeasibleError(
-                f"target {target_tbps:g} Tb/s would need a shaping gap above 60 dB"
-            )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        t = throughput(mid)
-        if abs(t - target_tbps) <= 1e-6 * target_tbps:
-            return mid
-        if t > target_tbps:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    rate_gbps = target_tbps * 1e3 / n_carriers
+    gap_db = gsnr_db - zero_gap_trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz)
+    if gap_db > 60.0:
+        raise InfeasibleError(f"target {target_tbps:g} Tb/s would need a shaping gap above 60 dB")
+    return gap_db

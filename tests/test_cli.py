@@ -14,7 +14,7 @@ from hcflink.cli import (
     main,
     run_command,
 )
-from hcflink.config import parse_config
+from hcflink.config import DEFAULTS, _kind, parse_config
 
 
 def _run_json(capsys, argv):
@@ -208,3 +208,51 @@ def test_extreme_sweep_power_is_a_config_error(capsys, tmp_path):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["message"] == "grid contains non-finite cells"
+
+
+def test_span_curve_reaches_targets_past_the_nli_bend(capsys, tmp_path):
+    # gamma = 0.05 /W/km bends throughput back down: the peak is ~1250 Tb/s at
+    # ~25.7 dBm, yet 30 dBm, the top of the window, falls short of 1125 Tb/s.
+    cfg = tmp_path / "hot.json"
+    cfg.write_text('{"fiber": {"gamma_per_w_km": 0.05}, "transceiver": {"gap_db": 4.64}}')
+    doc = _run_json(capsys, ["span-curve", "--config", str(cfg), "--target-tbps", "1125",
+                             "--format", "json"])
+    assert all(point["feasible"] for point in doc["points"])
+    at_200 = next(point for point in doc["points"] if point["span_km"] == 200.0)
+    assert at_200["required_edfa_dbm"] == pytest.approx(22.2693134502, abs=1e-9)
+
+
+# The sweep section's non-finite bounds are covered by test_non_finite_sweep_bound_named.
+_NON_FINITE = [
+    (f'{{"{section}": {{"{key}": {bad}}}}}', [f"{section}.{key}"])
+    for section, keys in DEFAULTS.items()
+    if section != "sweep"
+    for key in keys
+    if _kind(section, key).startswith("float")
+    for bad in ("NaN", "Infinity", "-Infinity")
+]
+
+
+@pytest.mark.parametrize(
+    "document,keys",
+    _NON_FINITE
+    + [
+        ('{"amplifier": {"total_output_power_dbm": 5000}}', ["amplifier.total_output_power_dbm"]),
+        ('{"amplifier": {"total_output_power_dbm": -5000}}', ["amplifier.total_output_power_dbm"]),
+        ('{"link": {"band_hz": 5e10}}', ["link.band_hz", "link.channel_spacing_hz"]),
+        ('{"sweep": {"power_min": 30, "power_max": 20}}', ["sweep.power_min", "sweep.power_max"]),
+        ('{"sweep": {"loss_min": 0.09}}', ["sweep.loss_min", "sweep.loss_max"]),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_bad_config_value_is_named_on_one_line(capsys, tmp_path, document, keys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(document)
+    assert main(["budget", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["code"] == "config"
+    assert all(key in err["message"] for key in keys)

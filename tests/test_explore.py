@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcflink.explore import (
     MAX_GRID_POINTS,
@@ -261,6 +263,65 @@ def test_required_power_bracket_failure(reference_plan, calibrated_trx):
         required_edfa_power(reference_plan, calibrated_trx, 0.06, 200.0, 1e6)
 
 
+# Staircase, flat from 8 to 10 dB and clamped at 600 Gb/s: 1716 carriers top out at 1030 Tb/s.
+_STAIRCASE = TabulatedTransceiver(
+    ((5.0, 100.0), (8.0, 300.0), (10.0, 300.0), (14.0, 500.0), (20.0, 600.0))
+)
+
+
+def test_required_power_infeasible_reasons(reference_plan, calibrated_trx):
+    with pytest.raises(InfeasibleError, match="above the throughput peak"):
+        required_edfa_power(reference_plan, calibrated_trx, 0.06, 200.0, 1e6)
+    narrow = SolverSettings(power_bracket_dbm=(5.0, 18.0))
+    with pytest.raises(InfeasibleError, match="needs 20.3.* outside the window 5..18 dBm"):
+        required_edfa_power(reference_plan, calibrated_trx, 0.06, 200.0, 1000.0, settings=narrow)
+    with pytest.raises(InfeasibleError, match="outside the window"):
+        required_edfa_power(reference_plan, calibrated_trx, 0.06, 200.0, 1.0)
+    no_fibers = replace(reference_plan, n_fibers_per_direction=0)
+    with pytest.raises(InfeasibleError, match="above the throughput peak 0 Tb/s"):
+        required_edfa_power(no_fibers, calibrated_trx, 0.06, 200.0, 1000.0)
+    for trx in (calibrated_trx, _STAIRCASE):
+        for target in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InfeasibleError, match="Tb/s at"):
+                required_edfa_power(reference_plan, trx, 0.06, 200.0, target)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    gamma=st.floats(0.0, 1.0),
+    loss=st.floats(0.03, 0.1),
+    span=st.floats(100.0, 300.0),
+    share=st.floats(0.3, 1.15),
+    include_rbs=st.booleans(),
+    tabulated=st.booleans(),
+)
+def test_required_power_agrees_with_a_dense_scan(
+    reference_plan, calibrated_trx, gamma, loss, span, share, include_rbs, tabulated
+):
+    """A feasible power reproduces the target and nothing below it in the window
+    reaches it; an infeasible verdict means no power in the window is the least
+    one reaching the target."""
+    plan = replace(reference_plan, fiber=replace(reference_plan.fiber, gamma_per_w_km=gamma))
+    working = replace(plan, span_length_km=span)
+    trx = _STAIRCASE if tabulated else calibrated_trx
+    low, high = SolverSettings().power_bracket_dbm
+
+    def throughput(power_dbm):
+        return cable_throughput(working, trx, OperatingPoint(loss, power_dbm), include_rbs)
+
+    scan = [(p, throughput(p)) for p in np.linspace(low, high, 251).tolist()]
+    target = share * max(t for _, t in scan)
+    try:
+        power = required_edfa_power(plan, trx, loss, span, target, include_rbs)
+    except InfeasibleError:
+        reached_below = throughput(low) >= target * (1 - 1e-9)
+        assert reached_below or all(t < target * (1 + 1e-9) for _, t in scan)
+        return
+    assert low <= power <= high
+    assert abs(throughput(power) - target) <= 1e-9 * target
+    assert all(t < target for p, t in scan if p < power - 1e-6)
+
+
 def test_span_curve_increasing(reference_plan, calibrated_trx):
     points = span_length_curve(
         reference_plan, calibrated_trx, 0.06, 150.0, 250.0, 21, 1000.0
@@ -322,3 +383,18 @@ def test_sensitivity_rbs_activation(reference_plan, calibrated_trx):
         reference_plan, calibrated_trx, base, reference_plan, 1000.0, include_rbs=True
     )
     assert delta == pytest.approx(0.30, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "args,keys",
+    [
+        ((0.0, 0.085, 81, 14.0, 25.0, 111), ["sweep.loss_min"]),
+        ((0.085, 0.045, 81, 14.0, 25.0, 111), ["sweep.loss_min", "sweep.loss_max"]),
+        ((0.045, 0.085, 81, 25.0, 14.0, 111), ["sweep.power_min", "sweep.power_max"]),
+        ((0.045, 0.085, 1, 14.0, 25.0, 111), ["sweep.loss_steps", "sweep.power_steps"]),
+    ],
+)
+def test_grid_spec_errors_name_sweep_keys(args, keys):
+    with pytest.raises(ValueError) as info:
+        GridSpec(*args)
+    assert all(key in str(info.value) for key in keys)

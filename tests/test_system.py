@@ -270,6 +270,29 @@ def test_calibration_zero_gap_target(reference_plan, reference_op):
     assert calibrate_trx_gap(reference_plan, reference_op, zero_gap) == 0.0
 
 
+def test_calibrated_gap_is_the_closed_form(reference_plan, reference_op, calibrated_trx):
+    # gap = SNR / (2^(R/2Rs) - 1): exact, not a bisection's 1e-6 stopping rule
+    assert calibrated_trx.gap_db == pytest.approx(4.640121712601395, abs=1e-9)
+    thr = cable_throughput(reference_plan, calibrated_trx, reference_op)
+    assert thr == pytest.approx(1000.0, rel=1e-12)
+
+
+def test_required_gsnr_inverts_the_rate():
+    shannon = ShannonGapTransceiver(4.64, max_rate_gbps=800.0)
+    for rate in (1e-3, 300.0, 799.9, 800.0):
+        gsnr_db = shannon.required_gsnr_db(rate, 73.5e9)
+        assert channel_net_rate(shannon, gsnr_db, 73.5e9) == pytest.approx(rate, rel=1e-12)
+    assert shannon.required_gsnr_db(800.1, 73.5e9) == math.inf
+    assert shannon.required_gsnr_db(0.0, 73.5e9) == -math.inf
+    assert ShannonGapTransceiver(0.0).required_gsnr_db(1e300, 73.5e9) == math.inf
+    table = TabulatedTransceiver(((5.0, 100.0), (8.0, 300.0), (10.0, 300.0), (14.0, 500.0)))
+    assert table.required_gsnr_db(200.0, 73.5e9) == pytest.approx(6.5, abs=1e-12)
+    assert table.required_gsnr_db(300.0, 73.5e9) == 8.0  # left end of the flat segment
+    assert table.required_gsnr_db(500.0, 73.5e9) == 14.0
+    assert table.required_gsnr_db(100.0, 73.5e9) == -math.inf
+    assert table.required_gsnr_db(500.1, 73.5e9) == math.inf
+
+
 def test_calibration_infeasible_target(reference_plan, reference_op):
     zero_gap = cable_throughput(reference_plan, ShannonGapTransceiver(0.0), reference_op)
     with pytest.raises(InfeasibleError):
