@@ -41,6 +41,7 @@ from .system import (
     calibrate_trx_gap,
     channel_net_rate,
     channels_in_band,
+    gsnr_terms,
     link_gsnr,
     load_transceiver_table,
     per_channel_launch,

@@ -14,6 +14,7 @@ import argparse
 import copy
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -55,17 +56,9 @@ def run_command(
         "powerfeed": _run_powerfeed,
         "latency": _run_latency,
     }[command]
-    return handler(
-        cfg,
-        fmt=fmt,
-        include_rbs=include_rbs,
-        target_tbps=target_tbps,
-        levels=levels,
-        field=field,
-        span_range=span_range,
-        losses=losses,
-        trx_table=trx_table,
-    )
+    return handler(cfg, fmt=fmt, include_rbs=include_rbs, target_tbps=target_tbps,
+                   levels=levels, field=field, span_range=span_range, losses=losses,
+                   trx_table=trx_table)
 
 
 def _echo(cfg: RunConfig, trx_values: dict | None = None) -> dict:
@@ -102,14 +95,8 @@ def _run_budget(cfg: RunConfig, *, fmt, include_rbs, trx_table, **_) -> str:
         "n_spans": plan.n_spans,
         "effective_span_km": plan.effective_span_km,
         "budget": {
-            "inv_snr_ase": budget.inv_snr_ase,
-            "inv_snr_nli": budget.inv_snr_nli,
-            "inv_snr_imi": budget.inv_snr_imi,
-            "inv_snr_rbs": budget.inv_snr_rbs,
-            "snr_ase_db": budget.component_snr_db("ase"),
-            "snr_nli_db": budget.component_snr_db("nli"),
-            "snr_imi_db": budget.component_snr_db("imi"),
-            "snr_rbs_db": budget.component_snr_db("rbs"),
+            **{f"inv_snr_{c}": getattr(budget, f"inv_snr_{c}") for c in impairments.COMPONENTS},
+            **{f"snr_{c}_db": budget.component_snr_db(c) for c in impairments.COMPONENTS},
             "gsnr_linear": budget.gsnr_linear,
             "gsnr_db": budget.gsnr_db,
         },
@@ -159,15 +146,9 @@ def _run_span_curve(cfg: RunConfig, *, fmt, include_rbs, target_tbps, span_range
     plan = cfg.plan()
     trx, trx_values = resolve_transceiver(cfg, plan, trx_table)
     span_min, span_max, n_points = span_range
+    loss = cfg.values["fiber"]["loss_db_per_km"]
     points = explore.span_length_curve(
-        plan,
-        trx,
-        cfg.values["fiber"]["loss_db_per_km"],
-        span_min,
-        span_max,
-        n_points,
-        target_tbps,
-        include_rbs,
+        plan, trx, loss, span_min, span_max, n_points, target_tbps, include_rbs
     )
     echo = _echo(cfg, trx_values)
     if fmt == "csv":
@@ -181,13 +162,10 @@ def _run_span_curve(cfg: RunConfig, *, fmt, include_rbs, target_tbps, span_range
         "config": echo,
         "include_rbs": include_rbs,
         "target_tbps": target_tbps,
-        "loss_db_per_km": cfg.values["fiber"]["loss_db_per_km"],
+        "loss_db_per_km": loss,
         "points": [
-            {
-                "span_km": p.span_km,
-                "required_edfa_dbm": p.required_dbm if p.feasible else None,
-                "feasible": p.feasible,
-            }
+            {"span_km": p.span_km, "required_edfa_dbm": p.required_dbm if p.feasible else None,
+             "feasible": p.feasible}
             for p in points
         ],
     }
@@ -198,33 +176,26 @@ def _run_rbs(cfg: RunConfig, *, fmt, losses, **_) -> str:
     _require_json("rbs", fmt)
     plan = cfg.plan()
     launch_w = system.per_channel_launch(
-        cfg.values["amplifier"]["total_output_power_dbm"],
-        plan.n_channels,
-        plan.amp.post_output_loss_db,
+        plan.amp.total_output_power_dbm, plan.n_channels, plan.amp.post_output_loss_db
     )
+    backscatter_db, total_km = plan.fiber.backscatter_db_per_km, plan.total_length_km
     rows = []
     for loss in losses:
+        plan.span_gain_db(loss, name="--losses")
         span_loss_db = loss * plan.effective_span_km
-        inv = impairments.rbs_inv_snr(
-            plan.fiber.backscatter_db_per_km, plan.total_length_km, span_loss_db
-        )
-        rows.append(
-            {
-                "loss_db_per_km": loss,
-                "span_loss_db": span_loss_db,
-                "enhancement": impairments.rbs_enhancement(span_loss_db),
-                "rbs_power_w": impairments.rbs_power(
-                    launch_w, plan.fiber.backscatter_db_per_km,
-                    plan.total_length_km, span_loss_db,
-                ),
-                "gsnr_rbs_db": -linear_to_db(inv),
-            }
-        )
+        inv = impairments.rbs_inv_snr(backscatter_db, total_km, span_loss_db)
+        rows.append({
+            "loss_db_per_km": loss,
+            "span_loss_db": span_loss_db,
+            "enhancement": impairments.rbs_enhancement(span_loss_db),
+            "rbs_power_w": impairments.rbs_power(launch_w, backscatter_db, total_km, span_loss_db),
+            "gsnr_rbs_db": -linear_to_db(inv),
+        })
     doc = {
         "command": "rbs",
         "config": _echo(cfg),
         "launch_power_w": launch_w,
-        "backscatter_db_per_km": plan.fiber.backscatter_db_per_km,
+        "backscatter_db_per_km": backscatter_db,
         "rows": rows,
     }
     return _json_text(doc)
@@ -327,6 +298,33 @@ def _parse_float_list(raw: str, flag: str) -> tuple[float, ...]:
     return values
 
 
+def _flag_kwargs(args: argparse.Namespace) -> dict:
+    """run_command keywords from the parsed flags; every float must be finite."""
+    kwargs = {
+        "fmt": args.format,
+        "include_rbs": args.include_rbs == "true",
+        "target_tbps": args.target_tbps,
+        "trx_table": str(args.trx_table) if args.trx_table else None,
+    }
+    floats = {"--target-tbps": (args.target_tbps,)}
+    if args.command == "contour":
+        kwargs["levels"] = floats["--levels"] = _parse_float_list(args.levels, "--levels")
+        kwargs["field"] = args.field
+    if args.command == "span-curve":
+        if not 1 <= args.span_points <= explore.MAX_SPAN_POINTS:
+            raise ConfigError(f"--span-points must lie in 1..{explore.MAX_SPAN_POINTS}, "
+                              f"got {args.span_points}")
+        floats["--span-min"], floats["--span-max"] = (args.span_min,), (args.span_max,)
+        kwargs["span_range"] = (args.span_min, args.span_max, args.span_points)
+    if args.command == "rbs":
+        kwargs["losses"] = floats["--losses"] = _parse_float_list(args.losses, "--losses")
+    for flag, values in floats.items():
+        for value in values:
+            if not math.isfinite(value):
+                raise ConfigError(f"{flag} must be finite, got {value}")
+    return kwargs
+
+
 def _emit_error(code: str, exc: Exception) -> None:
     sys.stderr.write(json.dumps({"error": {"code": code, "message": str(exc)}}) + "\n")
 
@@ -334,21 +332,8 @@ def _emit_error(code: str, exc: Exception) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        kwargs = {
-            "fmt": args.format,
-            "include_rbs": args.include_rbs == "true",
-            "target_tbps": args.target_tbps,
-            "trx_table": str(args.trx_table) if args.trx_table else None,
-        }
-        if args.command == "contour":
-            kwargs["levels"] = _parse_float_list(args.levels, "--levels")
-            kwargs["field"] = args.field
-        if args.command == "span-curve":
-            kwargs["span_range"] = (args.span_min, args.span_max, args.span_points)
-        if args.command == "rbs":
-            kwargs["losses"] = _parse_float_list(args.losses, "--losses")
-        text = run_command(args.command, cfg, **kwargs)
+        kwargs = _flag_kwargs(args)
+        text = run_command(args.command, _load_config(args.config), **kwargs)
         if args.output is None:
             sys.stdout.write(text)
         else:

@@ -17,7 +17,6 @@ from typing import Any
 from .explore import GridSpec
 from .impairments import AmplifierSpec, FiberSpec
 from .system import (
-    DEFAULT_CONSTANTS,
     LinkPlan,
     OperatingPoint,
     PowerFeedSpec,
@@ -26,7 +25,6 @@ from .system import (
     calibrate_trx_gap,
     load_transceiver_table,
 )
-from .units import PhysicalConstants
 
 
 class ConfigError(ValueError):
@@ -91,11 +89,9 @@ def _kind(section: str, key: str) -> str:
     return _OPTIONAL_KINDS[key] if default is None else type(default).__name__
 
 
-# Checks the section dataclasses built in parse_config cannot name by key:
-# span_count checks both lengths generically, and the transceiver is built later.
+# Checks the section dataclasses built in parse_config cannot make: the
+# transceiver is built later, by resolve_transceiver.
 _RULES: tuple[tuple[str, str, Any, str], ...] = (
-    ("span", "span_length_km", lambda v: v > 0, "must be > 0"),
-    ("link", "total_length_km", lambda v: v > 0, "must be > 0"),
     ("transceiver", "variant", lambda v: v in ("shannon_gap", "tabulated"),
      "must be 'shannon_gap' or 'tabulated'"),
     ("transceiver", "gap_db", lambda v: v >= 0, "must be >= 0"),
@@ -156,10 +152,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{section}.{key} {message} (got {value!r})")
     cfg = RunConfig(values)
     try:
-        cfg.fiber()
-        cfg.amplifier()
-        cfg.plan()
-        cfg.grid()
+        cfg.plan().span_gain_db(cfg.grid().loss_max, name="sweep.loss_max")
         cfg.power_feed()
         cfg.operating_point()
     except ValueError as exc:
@@ -171,7 +164,6 @@ def resolve_transceiver(
     cfg: RunConfig,
     plan: LinkPlan,
     table_path: str | None = None,
-    const: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> tuple[TransceiverModel, dict[str, Any]]:
     """Build the transceiver model, calibrating the default gap when needed.
 
@@ -195,11 +187,7 @@ def resolve_transceiver(
     gap_db = resolved["gap_db"]
     if gap_db is None:
         gap_db = calibrate_trx_gap(
-            plan,
-            cfg.operating_point(),
-            resolved["calibration_target_tbps"],
-            include_rbs=False,
-            const=const,
+            plan, cfg.operating_point(), resolved["calibration_target_tbps"], include_rbs=False
         )
     max_rate = resolved["max_rate_gbps"]
     model = ShannonGapTransceiver(gap_db, math.inf if max_rate is None else max_rate)

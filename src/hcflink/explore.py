@@ -9,25 +9,27 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .system import (
-    DEFAULT_CONSTANTS,
     InfeasibleError,
     LinkPlan,
     OperatingPoint,
     TransceiverModel,
-    cable_throughput,  # noqa: F401  (perfbench's traced run patches explore.cable_throughput)
-    link_gsnr,
+    gsnr_terms,
     span_count,
 )
-from .units import PhysicalConstants
+# perfbench's traced run patches these two names here.
+from .system import cable_throughput, link_gsnr  # noqa: F401
 
 
 # Largest lattice a sweep may evaluate; 4e6 cells hold 64 MB of float64 fields.
 MAX_GRID_POINTS = 4_000_000
+
+# Most samples a span trade-off curve may take.
+MAX_SPAN_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -113,26 +115,13 @@ class SpanCurvePoint:
     feasible: bool
 
 
-def _gsnr_coefficients(plan: LinkPlan, loss_db_per_km: float, include_rbs: bool,
-                       const: PhysicalConstants) -> tuple[float, float, float]:
-    """(A, B, C) of 1/GSNR(p) = A/p + B*p^2 + C at one loss, p the EDFA power in mW:
-    the ASE, NLI and IMI + RBS terms of one link_gsnr call at 0 dBm. The form is
-    exact because the incoherent GN model's NLI PSD scales as P^3."""
-    ref = link_gsnr(plan, OperatingPoint(loss_db_per_km, 0.0), include_rbs, const)
-    return ref.inv_snr_ase, ref.inv_snr_nli, ref.inv_snr_imi + ref.inv_snr_rbs
-
-
-def sweep_grid(
-    plan: LinkPlan,
-    trx: TransceiverModel,
-    grid: GridSpec,
-    include_rbs: bool = False,
-    const: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> SweepGrid:
+def sweep_grid(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
+               include_rbs: bool = False) -> SweepGrid:
     """Evaluate GSNR and throughput at every lattice point.
 
-    Each loss row follows as arrays from its _gsnr_coefficients, and the
-    whole grid goes through one array call of the transceiver rate.
+    Each loss row follows as arrays from its gsnr_terms, 1/GSNR = ASE/p +
+    NLI*p^2 + IMI + RBS at p mW, and the whole grid goes through one array
+    call of the transceiver rate.
 
     Cells match per-point link_gsnr + channel_net_rate to within 1e-12 dB of
     GSNR and 1e-12 relative throughput, not bit for bit: numpy's vectorised
@@ -141,6 +130,7 @@ def sweep_grid(
     losses = np.linspace(grid.loss_min, grid.loss_max, grid.loss_steps)
     powers = np.linspace(grid.power_min, grid.power_max, grid.power_steps)
     gsnr = np.empty((grid.loss_steps, grid.power_steps))
+    n_spans = plan.n_spans
     # Powers beyond float range overflow to non-finite cells, which SweepGrid
     # rejects; numpy's warnings about them would only be stray stderr text.
     with np.errstate(all="ignore"):
@@ -148,9 +138,9 @@ def sweep_grid(
         inv_power_mw = 1.0 / power_mw
         power_mw_sq = power_mw * power_mw
         for i, loss in enumerate(losses.tolist()):
-            a, b, c = _gsnr_coefficients(plan, loss, include_rbs, const)
-            inv = a * inv_power_mw + b * power_mw_sq
-            inv += c
+            ase, nli, imi, rbs = gsnr_terms(plan, loss, n_spans, include_rbs)
+            inv = ase * inv_power_mw + nli * power_mw_sq
+            inv += imi + rbs
             gsnr[i] = 10.0 * np.log10(1.0 / inv)
         throughput = trx.net_rate_gbps(gsnr, plan.symbol_rate_hz)
     throughput *= plan.n_fibers_per_direction * plan.n_channels / 1e3
@@ -203,18 +193,7 @@ def extract_contour(
         if pairs is None:
             # Saddle: connect around the corners that match the center.
             center_inside = (v00 + v10 + v01 + v11) / 4.0 >= level
-            if case == 5:
-                pairs = (
-                    (("bottom", "right"), ("top", "left"))
-                    if center_inside
-                    else (("left", "bottom"), ("right", "top"))
-                )
-            else:
-                pairs = (
-                    (("left", "bottom"), ("right", "top"))
-                    if center_inside
-                    else (("bottom", "right"), ("top", "left"))
-                )
+            pairs = _SADDLE_PAIRS[(case == 5) == center_inside]
         for edge_a, edge_b in pairs:
             a, b = edges[edge_a](), edges[edge_b]()
             if a != b:
@@ -247,6 +226,9 @@ _SEGMENT_TABLE: dict[int, tuple[tuple[str, str], ...]] = {
     13: (("bottom", "right"),),
     14: (("left", "bottom"),),
 }
+
+# Saddle cases 5 and 10: [True] when case 5 has its center inside or case 10 not.
+_SADDLE_PAIRS = ((("left", "bottom"), ("right", "top")), (("bottom", "right"), ("top", "left")))
 
 
 def _chain_segments(
@@ -283,6 +265,44 @@ def _chain_segments(
     return polylines
 
 
+def _solve_power_dbm(plan: LinkPlan, trx: TransceiverModel, loss_db_per_km: float,
+                     span_counts: list[int], target_tbps: float,
+                     include_rbs: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least EDFA output power (dBm) reaching target_tbps for each span count,
+    NaN above the throughput peak; also the peak-GSNR power P_opt (dBm) and
+    the peak throughput (Tb/s).
+
+    Closed form: with g* the least GSNR carrying the target and A, B, C the
+    ASE, NLI and IMI + RBS terms of gsnr_terms, A/p + B*p^2 = D = 1/g* - C
+    becomes eps*x^3 - x + 1 = 0 for p = (A/D)*x, eps = B*A^2/D^3. It has a
+    root iff eps <= 4/27, i.e. D >= 1.5*A/P_opt with P_opt = (A/2B)^(1/3);
+    the smaller root, x in [1, 1.5], is on the rising branch.
+    """
+    terms = [gsnr_terms(plan, loss_db_per_km, n, include_rbs) for n in span_counts]
+    a, b, imi, rbs = np.reshape(terms, (-1, 4)).T
+    c = imi + rbs
+    n_carriers = plan.n_fibers_per_direction * plan.n_channels
+    # numpy carries the limits: no fibers ask an infinite rate, and a GSNR
+    # that any power reaches gives D = inf and p = 0 mW.
+    with np.errstate(all="ignore"):
+        rate_gbps = np.divide(target_tbps * 1e3, n_carriers)
+        gsnr_db = trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz)
+        d = np.power(10.0, -gsnr_db / 10.0) - c
+        r = a / d  # the root without NLI
+        eps = b * r * r * r / a
+        # u = sqrt(eps) * (largest root), by the trigonometric formula; Vieta's
+        # product then gives the smallest root without the cancellation the
+        # direct trigonometric middle root suffers at small eps.
+        s = np.sqrt(eps)
+        u = 2.0 / np.sqrt(3.0) * np.cos(np.arccos(np.maximum(-1.0, -1.5 * np.sqrt(3.0) * s)) / 3.0)
+        power_dbm = 10.0 * np.log10(2.0 * r / (u * u + u * np.sqrt(u * u + 4.0 * s / u)))
+        p_opt_mw = np.cbrt(np.divide(a, 2.0 * b))
+        peak_db = -10.0 * np.log10(1.5 * a / p_opt_mw + c)
+        peak_tbps = n_carriers * trx.net_rate_gbps(peak_db, plan.symbol_rate_hz) / 1e3
+        feasible = (d > 0) & (eps <= 4.0 / 27.0)
+        return np.where(feasible, power_dbm, np.nan), 10.0 * np.log10(p_opt_mw), peak_tbps
+
+
 def required_edfa_power(
     plan: LinkPlan,
     trx: TransceiverModel,
@@ -291,41 +311,22 @@ def required_edfa_power(
     target_tbps: float,
     include_rbs: bool = False,
     settings: SolverSettings = DEFAULT_SOLVER,
-    const: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
-    """Least EDFA output power (dBm) at which throughput reaches target_tbps.
+    """Least EDFA output power (dBm) at which throughput reaches target_tbps,
+    with the link cut into span_km spans (snapped to a whole count).
 
-    Closed form: with g* the least GSNR carrying the target, A/p + B*p^2 =
-    D = 1/g* - C (see _gsnr_coefficients) becomes eps*x^3 - x + 1 = 0 for
-    p = (A/D)*x, eps = B*A^2/D^3. It has a root iff eps <= 4/27, i.e. D >=
-    1.5*A/P_opt with P_opt = (A/2B)^(1/3) the peak-GSNR power; the smaller
-    root, x in [1, 1.5], is on the rising branch. A target is infeasible only
-    above the throughput peak or outside the window settings.power_bracket_dbm.
+    A target is infeasible only above the throughput peak or outside the
+    window settings.power_bracket_dbm; see _solve_power_dbm.
     """
-    working = replace(plan, span_length_km=span_km)
+    if not 0 < span_km <= plan.total_length_km:
+        raise ValueError(f"span_km={span_km} must lie in (0, {plan.total_length_km:g}] km")
     what = f"target {target_tbps:g} Tb/s at {loss_db_per_km:g} dB/km, {span_km:g} km spans"
-    n_carriers = working.n_fibers_per_direction * working.n_channels
-    a, b, c = _gsnr_coefficients(working, loss_db_per_km, include_rbs, const)
-    # numpy scalars carry the limits: no fibers ask an infinite rate, and a
-    # GSNR that any power reaches gives D = inf and p = 0 mW.
-    with np.errstate(all="ignore"):
-        rate_gbps = np.divide(target_tbps * 1e3, n_carriers)
-        gsnr_db = trx.required_gsnr_db(rate_gbps, working.symbol_rate_hz)
-        d = np.power(10.0, -gsnr_db / 10.0) - c
-        r = a / d  # the root without NLI
-        eps = b * r * r * r / a
-        if not (d > 0 and eps <= 4.0 / 27.0):
-            p_opt_mw = np.cbrt(np.divide(a, 2.0 * b))
-            peak_db = -10.0 * np.log10(1.5 * a / p_opt_mw + c)
-            peak = n_carriers * float(trx.net_rate_gbps(peak_db, working.symbol_rate_hz)) / 1e3
-            raise InfeasibleError(f"{what} is above the throughput peak {peak:.6g} Tb/s "
-                                  f"(at {10.0 * np.log10(p_opt_mw):.4g} dBm)")
-        # u = sqrt(eps) * (largest root), by the trigonometric formula; Vieta's
-        # product then gives the smallest root without the cancellation the
-        # direct trigonometric middle root suffers at small eps.
-        s = np.sqrt(eps)
-        u = 2.0 / np.sqrt(3.0) * np.cos(np.arccos(max(-1.0, -1.5 * np.sqrt(3.0) * s)) / 3.0)
-        power_dbm = float(10.0 * np.log10(2.0 * r / (u * u + u * np.sqrt(u * u + 4.0 * s / u))))
+    n = span_count(plan.total_length_km, span_km)
+    power, p_opt, peak = _solve_power_dbm(plan, trx, loss_db_per_km, [n], target_tbps, include_rbs)
+    power_dbm = float(power[0])
+    if math.isnan(power_dbm):
+        raise InfeasibleError(f"{what} is above the throughput peak {float(peak[0]):.6g} Tb/s "
+                              f"(at {float(p_opt[0]):.4g} dBm)")
     low, high = settings.power_bracket_dbm
     if not low <= power_dbm <= high:
         raise InfeasibleError(
@@ -344,35 +345,31 @@ def span_length_curve(
     target_tbps: float,
     include_rbs: bool = False,
     settings: SolverSettings = DEFAULT_SOLVER,
-    const: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> list[SpanCurvePoint]:
-    """Required EDFA power across span lengths.
+    """Required EDFA power across span lengths, in one solve.
 
-    Samples snap to integer partitions of the link, so consecutive samples
-    landing on the same span count collapse to one point. Infeasible solves
-    are kept as flagged gaps rather than aborting the curve.
+    Samples snap to integer partitions of the link, so samples landing on
+    the same span count collapse to one point. A point is feasible when its power lies inside the
+    window settings.power_bracket_dbm; infeasible points are kept as
+    flagged gaps rather than aborting the curve.
     """
     if not span_min_km > 0:
         raise ValueError(f"span_min_km must be > 0, got {span_min_km}")
     if span_min_km > span_max_km:
         raise ValueError(f"span range is empty: {span_min_km}..{span_max_km}")
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
-    points: list[SpanCurvePoint] = []
-    seen: set[int] = set()
-    for span in np.linspace(span_min_km, span_max_km, n_points):
-        n = span_count(plan.total_length_km, float(span))
-        if n < 1 or n in seen:
-            continue
-        seen.add(n)
-        effective = plan.total_length_km / n
-        try:
-            power = required_edfa_power(
-                plan, trx, loss_db_per_km, effective, target_tbps, include_rbs, settings, const
-            )
-            points.append(SpanCurvePoint(effective, power, True))
-        except InfeasibleError:
-            points.append(SpanCurvePoint(effective, math.nan, False))
+    if not 1 <= n_points <= MAX_SPAN_POINTS:
+        raise ValueError(f"n_points must lie in 1..{MAX_SPAN_POINTS}, got {n_points}")
+    spans = np.linspace(span_min_km, span_max_km, n_points).tolist()
+    counts = dict.fromkeys(span_count(plan.total_length_km, s) for s in spans)
+    counts.pop(0, None)  # samples over twice the link length leave no full span
+    power, _, _ = _solve_power_dbm(plan, trx, loss_db_per_km, list(counts), target_tbps,
+                                   include_rbs)
+    low, high = settings.power_bracket_dbm
+    points = []
+    for n, p in zip(counts, power.tolist()):
+        feasible = low <= p <= high
+        points.append(SpanCurvePoint(plan.total_length_km / n, p if feasible else math.nan,
+                                     feasible))
     return points
 
 
@@ -384,7 +381,6 @@ def sensitivity_delta(
     target_tbps: float,
     include_rbs: bool = False,
     settings: SolverSettings = DEFAULT_SOLVER,
-    const: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """Extra EDFA power (dB) the modified plan needs for the same target.
 
@@ -392,17 +388,9 @@ def sensitivity_delta(
     to the modified solve only, so switching backscatter on is itself a
     sensitivity that can be measured with identical plans.
     """
-    base_dbm = required_edfa_power(
-        plan, trx, base.loss_db_per_km, plan.span_length_km, target_tbps, False, settings, const
-    )
+    loss, span_km = base.loss_db_per_km, plan.span_length_km
+    base_dbm = required_edfa_power(plan, trx, loss, span_km, target_tbps, False, settings)
     modified_dbm = required_edfa_power(
-        modified_plan,
-        trx,
-        base.loss_db_per_km,
-        modified_plan.span_length_km,
-        target_tbps,
-        include_rbs,
-        settings,
-        const,
+        modified_plan, trx, loss, modified_plan.span_length_km, target_tbps, include_rbs, settings
     )
     return modified_dbm - base_dbm

@@ -22,7 +22,16 @@ from .units import (
     sinhc,
 )
 
-_COMPONENT_ORDER = ("ase", "nli", "imi", "rbs")
+# The 1/SNR components of a budget, in SnrBudget field order.
+COMPONENTS = ("ase", "nli", "imi", "rbs")
+
+# Bounds, far beyond any real component, that keep every 1/SNR term finite:
+# beta2 underflows near |D| = 1e-280, gamma^2 overflows near 1e154, a dB value
+# near 3000, and the NLI term, cubic in power, near 1500 dBm.
+MIN_ABS_DISPERSION_PS_NM_KM = 1e-6
+MAX_GAMMA_PER_W_KM = 1e6
+MAX_AMPLIFIER_DB = 100.0
+MAX_ABS_POWER_DBM = 300.0
 
 
 @dataclass(frozen=True)
@@ -43,10 +52,12 @@ class FiberSpec:
     def __post_init__(self) -> None:
         if not self.loss_db_per_km > 0:
             raise ValueError(f"fiber.loss_db_per_km must be > 0, got {self.loss_db_per_km}")
-        if self.dispersion_ps_nm_km == 0:
-            raise ValueError("fiber.dispersion_ps_nm_km must be nonzero")
-        if self.gamma_per_w_km < 0:
-            raise ValueError(f"fiber.gamma_per_w_km must be >= 0, got {self.gamma_per_w_km}")
+        if not abs(self.dispersion_ps_nm_km) >= MIN_ABS_DISPERSION_PS_NM_KM:
+            raise ValueError(f"fiber.dispersion_ps_nm_km must have magnitude >= "
+                             f"{MIN_ABS_DISPERSION_PS_NM_KM:g}, got {self.dispersion_ps_nm_km}")
+        if not 0 <= self.gamma_per_w_km <= MAX_GAMMA_PER_W_KM:
+            raise ValueError(f"fiber.gamma_per_w_km must lie in [0, {MAX_GAMMA_PER_W_KM:g}], "
+                             f"got {self.gamma_per_w_km}")
         if self.imi_db_per_km > 0:
             raise ValueError(f"fiber.imi_db_per_km must be <= 0, got {self.imi_db_per_km}")
         if self.backscatter_db_per_km > 0:
@@ -67,16 +78,16 @@ class AmplifierSpec:
     post_output_loss_db: float = 2.0
 
     def __post_init__(self) -> None:
-        if not self.noise_figure_db > 0:
-            raise ValueError(f"amplifier.noise_figure_db must be > 0, got {self.noise_figure_db}")
-        # Within +/-3000 dBm the wattage is a finite float > 0.
-        if not abs(self.total_output_power_dbm) < 3000:
-            raise ValueError("amplifier.total_output_power_dbm must lie within +/-3000 dBm, "
-                             f"got {self.total_output_power_dbm}")
-        if self.pre_input_loss_db < 0 or self.post_output_loss_db < 0:
-            raise ValueError(
-                "amplifier.pre_input_loss_db and amplifier.post_output_loss_db must be >= 0 dB"
-            )
+        if not 0 < self.noise_figure_db <= MAX_AMPLIFIER_DB:
+            raise ValueError(f"amplifier.noise_figure_db must lie in (0, {MAX_AMPLIFIER_DB:g}] "
+                             f"dB, got {self.noise_figure_db}")
+        if not abs(self.total_output_power_dbm) <= MAX_ABS_POWER_DBM:
+            raise ValueError(f"amplifier.total_output_power_dbm must lie within "
+                             f"+/-{MAX_ABS_POWER_DBM:g} dBm, got {self.total_output_power_dbm}")
+        for name in ("pre_input_loss_db", "post_output_loss_db"):
+            if not 0 <= getattr(self, name) <= MAX_AMPLIFIER_DB:
+                raise ValueError(f"amplifier.{name} must lie in [0, {MAX_AMPLIFIER_DB:g}] dB, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +103,7 @@ class SnrBudget:
 
     def component_snr_db(self, component: str) -> float | None:
         """SNR of one component in dB, or None when the component is absent."""
-        if component not in _COMPONENT_ORDER:
+        if component not in COMPONENTS:
             raise ValueError(f"unknown component {component!r}")
         inv = getattr(self, f"inv_snr_{component}")
         if inv == 0:
@@ -305,12 +316,12 @@ def combine_gsnr(components: Sequence[float]) -> SnrBudget:
     values = [float(v) for v in components]
     if not values:
         raise ValueError("at least one 1/SNR component is required")
-    if len(values) > len(_COMPONENT_ORDER):
-        raise ValueError(f"at most {len(_COMPONENT_ORDER)} components (ase, nli, imi, rbs)")
+    if len(values) > len(COMPONENTS):
+        raise ValueError(f"at most {len(COMPONENTS)} components (ase, nli, imi, rbs)")
     for v in values:
         if not (math.isfinite(v) and v >= 0):
             raise ValueError(f"1/SNR components must be finite and >= 0, got {v}")
-    values += [0.0] * (len(_COMPONENT_ORDER) - len(values))
+    values += [0.0] * (len(COMPONENTS) - len(values))
     total = sum(values)
     if total == 0:
         raise ValueError("all components are zero: infinite GSNR is not an operating point")

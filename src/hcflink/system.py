@@ -34,6 +34,14 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 # Group index used for the solid-core latency comparison output.
 SOLID_CORE_GROUP_INDEX = 1.468
 
+# Most spans a link may be cut into; it also keeps total/span from reaching
+# float overflow before the count is rounded to an int.
+MAX_SPANS = 100_000
+
+# Largest span gain: fiber span loss plus the lumped losses around the EDFA.
+# The linear gain and the backscatter build-up sinh(x)/x overflow near 3000 dB.
+MAX_SPAN_GAIN_DB = 1000.0
+
 
 class InfeasibleError(RuntimeError):
     """The requested target cannot be reached inside the admissible power window."""
@@ -45,7 +53,11 @@ def span_count(total_length_km: float, span_length_km: float) -> int:
         raise ValueError(f"total_length_km must be > 0, got {total_length_km}")
     if not span_length_km > 0:
         raise ValueError(f"span_length_km must be > 0, got {span_length_km}")
-    return int(total_length_km / span_length_km + 0.5)
+    ratio = total_length_km / span_length_km
+    if ratio > MAX_SPANS:
+        raise ValueError(f"{total_length_km:g} km in {span_length_km:g} km spans exceeds "
+                         f"MAX_SPANS = {MAX_SPANS}")
+    return int(ratio + 0.5)
 
 
 def channels_in_band(band_hz: float, spacing_hz: float) -> int:
@@ -71,11 +83,16 @@ class LinkPlan:
     n_fibers_per_direction: int = 26
 
     def __post_init__(self) -> None:
-        if span_count(self.total_length_km, self.span_length_km) < 1:
-            raise ValueError(
-                f"span_length_km={self.span_length_km} leaves no full span "
-                f"in total_length_km={self.total_length_km}"
-            )
+        if not self.total_length_km > 0:
+            raise ValueError(f"link.total_length_km must be > 0, got {self.total_length_km}")
+        if not 0 < self.span_length_km <= self.total_length_km:
+            raise ValueError(f"span.span_length_km={self.span_length_km} must lie in "
+                             f"(0, link.total_length_km={self.total_length_km}]")
+        ratio = self.total_length_km / self.span_length_km
+        if ratio > MAX_SPANS:
+            raise ValueError(f"link.total_length_km / span.span_length_km = {ratio:g} "
+                             f"exceeds MAX_SPANS = {MAX_SPANS}")
+        self.span_gain_db(self.fiber.loss_db_per_km)
         if not self.symbol_rate_hz > 0:
             raise ValueError(f"link.symbol_rate_hz must be > 0, got {self.symbol_rate_hz}")
         if self.channel_spacing_hz < self.symbol_rate_hz:
@@ -83,8 +100,9 @@ class LinkPlan:
                 f"link.channel_spacing_hz={self.channel_spacing_hz} must be >= "
                 f"link.symbol_rate_hz={self.symbol_rate_hz} (no spectral overlap)"
             )
-        if not self.band_hz > 0:
-            raise ValueError(f"link.band_hz must be > 0, got {self.band_hz}")
+        if not 0 < self.band_hz < DEFAULT_CONSTANTS.reference_frequency_hz:
+            raise ValueError(f"link.band_hz must lie between 0 and the carrier frequency "
+                             f"{DEFAULT_CONSTANTS.reference_frequency_hz:g} Hz, got {self.band_hz}")
         if self.n_fibers_per_direction < 0:
             raise ValueError(
                 f"link.n_fibers_per_direction must be >= 0, got {self.n_fibers_per_direction}"
@@ -107,6 +125,20 @@ class LinkPlan:
     @property
     def n_channels(self) -> int:
         return channels_in_band(self.band_hz, self.channel_spacing_hz)
+
+    def span_gain_db(self, loss_db_per_km: float, n_spans: int | None = None,
+                     name: str = "fiber.loss_db_per_km") -> float:
+        """Gain (dB) of one of n_spans equal spans (default: the plan's) at this
+        loss: fiber span loss plus lumped losses. Raises, naming `name`, for a
+        negative loss or a gain above MAX_SPAN_GAIN_DB."""
+        span_km = self.total_length_km / (self.n_spans if n_spans is None else n_spans)
+        amp = self.amp
+        gain_db = loss_db_per_km * span_km + amp.pre_input_loss_db + amp.post_output_loss_db
+        if not (loss_db_per_km >= 0 and gain_db <= MAX_SPAN_GAIN_DB):
+            raise ValueError(f"{name}={loss_db_per_km} must be >= 0 and keep the span gain (loss x "
+                             f"{span_km:g} km + amplifier.pre_input_loss_db + amplifier."
+                             f"post_output_loss_db = {gain_db:g} dB) <= {MAX_SPAN_GAIN_DB:g} dB")
+        return gain_db
 
 
 @dataclass(frozen=True)
@@ -141,6 +173,8 @@ class PowerFeedSpec:
         ):
             if not getattr(self, name) > 0:
                 raise ValueError(f"powerfeed.{name} must be > 0, got {getattr(self, name)}")
+        if self.feed_current_a > 1e6:  # far beyond any real feed; I^2 stays a finite float
+            raise ValueError(f"powerfeed.feed_current_a must be <= 1e6, got {self.feed_current_a}")
 
 
 @dataclass(frozen=True)
@@ -261,42 +295,44 @@ def per_channel_launch(
     )
 
 
-def link_gsnr(
-    plan: LinkPlan,
-    op: OperatingPoint,
-    include_rbs: bool = False,
-    const: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> SnrBudget:
-    """Assemble the four-impairment budget at one operating point.
+def gsnr_terms(plan: LinkPlan, loss_db_per_km: float, n_spans: int,
+               include_rbs: bool = False) -> tuple[float, float, float, float]:
+    """ASE, NLI, IMI and RBS 1/SNR at a total EDFA output of 1 mW, the link
+    cut into n_spans equal spans.
 
-    The amplifier gain restores the fiber loss of one effective span plus the
-    lumped pre/post losses; there is one gain block per span. The backscatter
-    term uses the fiber-only span loss and enters only when include_rbs is set.
+    At a total output of p mW, 1/GSNR = ASE/p + NLI*p^2 + IMI + RBS: the
+    incoherent GN model's NLI PSD scales as the launch power cubed. Each span
+    has one gain block restoring its fiber loss plus the lumped pre/post
+    losses. The backscatter term uses the fiber-only span loss and is 0
+    unless include_rbs is set.
     """
-    fiber = replace(plan.fiber, loss_db_per_km=op.loss_db_per_km)
+    fiber = replace(plan.fiber, loss_db_per_km=loss_db_per_km)
     n_channels = plan.n_channels
-    n_spans = plan.n_spans
-    eff_span_km = plan.effective_span_km
-    fiber_span_loss_db = op.loss_db_per_km * eff_span_km
-    gain_db = fiber_span_loss_db + plan.amp.pre_input_loss_db + plan.amp.post_output_loss_db
-
-    p_out_w = dbm_to_watt(op.edfa_total_output_dbm - 10.0 * math.log10(n_channels))
-    p_launch_w = per_channel_launch(
-        op.edfa_total_output_dbm, n_channels, plan.amp.post_output_loss_db
-    )
-
-    inv_ase = ase_inv_snr(plan.amp, p_out_w, gain_db, n_spans, plan.symbol_rate_hz, const)
+    span_km = plan.total_length_km / n_spans
+    gain_db = plan.span_gain_db(loss_db_per_km, n_spans, "loss_db_per_km")
+    p_out_w = dbm_to_watt(-10.0 * math.log10(n_channels))
+    p_launch_w = per_channel_launch(0.0, n_channels, plan.amp.post_output_loss_db)
     psd = gn_nli_psd_per_span(
-        fiber, p_launch_w / plan.channel_spacing_hz, eff_span_km, plan.band_hz, const
+        fiber, p_launch_w / plan.channel_spacing_hz, span_km, plan.band_hz, DEFAULT_CONSTANTS
     )
-    inv_nli = nli_inv_snr(psd, n_spans, plan.symbol_rate_hz, p_launch_w)
-    inv_imi = imi_inv_snr(fiber.imi_db_per_km, plan.total_length_km)
     inv_rbs = (
-        rbs_inv_snr(fiber.backscatter_db_per_km, plan.total_length_km, fiber_span_loss_db)
+        rbs_inv_snr(fiber.backscatter_db_per_km, plan.total_length_km, loss_db_per_km * span_km)
         if include_rbs
         else 0.0
     )
-    return combine_gsnr([inv_ase, inv_nli, inv_imi, inv_rbs])
+    return (
+        ase_inv_snr(plan.amp, p_out_w, gain_db, n_spans, plan.symbol_rate_hz, DEFAULT_CONSTANTS),
+        nli_inv_snr(psd, n_spans, plan.symbol_rate_hz, p_launch_w),
+        imi_inv_snr(fiber.imi_db_per_km, plan.total_length_km),
+        inv_rbs,
+    )
+
+
+def link_gsnr(plan: LinkPlan, op: OperatingPoint, include_rbs: bool = False) -> SnrBudget:
+    """The four-impairment budget at one operating point, from gsnr_terms."""
+    ase, nli, imi, rbs = gsnr_terms(plan, op.loss_db_per_km, plan.n_spans, include_rbs)
+    p_mw = 10.0 ** (op.edfa_total_output_dbm / 10.0)
+    return combine_gsnr([ase / p_mw, nli * p_mw * p_mw, imi, rbs])
 
 
 def channel_net_rate(trx: TransceiverModel, gsnr_db: float, symbol_rate_hz: float) -> float:
@@ -306,17 +342,12 @@ def channel_net_rate(trx: TransceiverModel, gsnr_db: float, symbol_rate_hz: floa
     return float(trx.net_rate_gbps(gsnr_db, symbol_rate_hz))
 
 
-def cable_throughput(
-    plan: LinkPlan,
-    trx: TransceiverModel,
-    op: OperatingPoint,
-    include_rbs: bool = False,
-    const: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
+def cable_throughput(plan: LinkPlan, trx: TransceiverModel, op: OperatingPoint,
+                     include_rbs: bool = False) -> float:
     """Net cable throughput in one direction, in Tb/s."""
     if plan.n_fibers_per_direction == 0:
         return 0.0
-    budget = link_gsnr(plan, op, include_rbs, const)
+    budget = link_gsnr(plan, op, include_rbs)
     rate_gbps = channel_net_rate(trx, budget.gsnr_db, plan.symbol_rate_hz)
     return plan.n_fibers_per_direction * plan.n_channels * rate_gbps / 1e3
 
@@ -346,26 +377,17 @@ def power_feed(
     return PowerFeedResult(cable_w, repeaters_w, total_w, total_w <= feed.supply_limit_w)
 
 
-def propagation_latency(
-    total_length_km: float,
-    group_index: float,
-    const: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
+def propagation_latency(total_length_km: float, group_index: float) -> float:
     """One-way propagation time in milliseconds."""
     if group_index < 1:
         raise ValueError(f"group_index must be >= 1, got {group_index}")
     if total_length_km < 0:
         raise ValueError(f"total_length_km must be >= 0, got {total_length_km}")
-    return total_length_km * group_index / const.light_speed_km_s * 1e3
+    return total_length_km * group_index / DEFAULT_CONSTANTS.light_speed_km_s * 1e3
 
 
-def calibrate_trx_gap(
-    plan: LinkPlan,
-    reference: OperatingPoint,
-    target_tbps: float,
-    include_rbs: bool = False,
-    const: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
+def calibrate_trx_gap(plan: LinkPlan, reference: OperatingPoint, target_tbps: float,
+                      include_rbs: bool = False) -> float:
     """Shannon gap (dB) that pins the plan to target_tbps at the reference point.
 
     Closed form: gap = SNR / (2^(R/2Rs) - 1) at the reference GSNR, with R the
@@ -374,7 +396,7 @@ def calibrate_trx_gap(
     """
     if not target_tbps > 0:
         raise ValueError(f"target_tbps must be > 0, got {target_tbps}")
-    gsnr_db = link_gsnr(plan, reference, include_rbs, const).gsnr_db
+    gsnr_db = link_gsnr(plan, reference, include_rbs).gsnr_db
     zero_gap_trx = ShannonGapTransceiver(0.0)
     n_carriers = plan.n_fibers_per_direction * plan.n_channels
     zero_gap = n_carriers * channel_net_rate(zero_gap_trx, gsnr_db, plan.symbol_rate_hz) / 1e3

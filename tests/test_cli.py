@@ -256,3 +256,83 @@ def test_bad_config_value_is_named_on_one_line(capsys, tmp_path, document, keys)
     err = json.loads(lines[0])["error"]
     assert err["code"] == "config"
     assert all(key in err["message"] for key in keys)
+
+
+def _one_config_error(capsys) -> str:
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["code"] == "config"
+    return err["message"]
+
+
+@pytest.mark.parametrize(
+    "command,document,keys",
+    [
+        ("budget", {"amplifier": {"noise_figure_db": 5000}}, ["amplifier.noise_figure_db"]),
+        ("budget", {"amplifier": {"pre_input_loss_db": 5000}}, ["amplifier.pre_input_loss_db"]),
+        ("budget", {"fiber": {"loss_db_per_km": 1000}}, ["fiber.loss_db_per_km"]),
+        ("budget", {"amplifier": {"total_output_power_dbm": 1500}},
+         ["amplifier.total_output_power_dbm"]),
+        ("budget", {"link": {"total_length_km": 1e300}, "span": {"span_length_km": 1e-10}},
+         ["link.total_length_km", "span.span_length_km"]),
+        ("budget", {"span": {"span_length_km": 8000}},
+         ["span.span_length_km", "link.total_length_km"]),
+        ("powerfeed", {"span": {"span_length_km": 8000}},
+         ["span.span_length_km", "link.total_length_km"]),
+        ("contour", {"sweep": {"loss_max": 1000}}, ["sweep.loss_max"]),
+        ("powerfeed", {"powerfeed": {"feed_current_a": 1e300}}, ["powerfeed.feed_current_a"]),
+    ],
+)
+def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document, keys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(document))
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    message = _one_config_error(capsys)
+    assert all(key in message for key in keys)
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["span-curve", "--target-tbps", "nan", "--format", "json"], "--target-tbps"),
+        (["span-curve", "--target-tbps", "nan", "--format", "csv"], "--target-tbps"),
+        (["contour", "--format", "json", "--levels", "nan"], "--levels"),
+        (["rbs", "--losses", "nan"], "--losses"),
+        (["rbs", "--losses", "5000"], "--losses"),
+        (["rbs", "--losses", "-0.01"], "--losses"),
+        (["span-curve", "--span-min=-inf"], "--span-min"),
+        (["span-curve", "--span-max", "inf"], "--span-max"),
+        (["span-curve", "--span-points", "0"], "--span-points"),
+        (["span-curve", "--span-points", str(explore.MAX_SPAN_POINTS + 1)], "--span-points"),
+    ],
+)
+def test_bad_flag_value_is_named(capsys, argv, flag):
+    assert main(argv) == EXIT_CONFIG
+    assert flag in _one_config_error(capsys)
+
+
+_FLOAT_KEYS = [
+    (section, key)
+    for section, keys in DEFAULTS.items()
+    for key in keys
+    if _kind(section, key).startswith("float")
+]
+
+
+@pytest.mark.parametrize("section,key", _FLOAT_KEYS)
+def test_budget_survives_extreme_finite_values(capsys, tmp_path, section, key):
+    """No finite value ends in a traceback: budget succeeds or reports one error line."""
+    cfg = tmp_path / "run.json"
+    for value in (1e300, -1e300, 5000.0, -5000.0, 1e-300):
+        cfg.write_text(json.dumps({section: {key: value}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["budget", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE), (value, code)
+        if code != EXIT_OK:
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert json.loads(captured.err)["error"]["code"] in ("config", "infeasible")

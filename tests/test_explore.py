@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hcflink.explore import (
     MAX_GRID_POINTS,
+    MAX_SPAN_POINTS,
     GridSpec,
     SolverSettings,
     SweepGrid,
@@ -398,3 +399,57 @@ def test_grid_spec_errors_name_sweep_keys(args, keys):
     with pytest.raises(ValueError) as info:
         GridSpec(*args)
     assert all(key in str(info.value) for key in keys)
+
+
+@pytest.mark.parametrize("gamma", [5e-4, 0.05])
+@pytest.mark.parametrize("tabulated", [False, True])
+@pytest.mark.parametrize("include_rbs", [False, True])
+@pytest.mark.parametrize("window", [(5.0, 30.0), (18.0, 21.0)])
+def test_span_curve_equals_per_span_solves(
+    reference_plan, calibrated_trx, gamma, tabulated, include_rbs, window
+):
+    """The one-solve curve gives each span count the power (exactly) and the
+    verdict of required_edfa_power at that snapped span."""
+    plan = replace(reference_plan, fiber=replace(reference_plan.fiber, gamma_per_w_km=gamma))
+    trx = _STAIRCASE if tabulated else calibrated_trx
+    solver = SolverSettings(power_bracket_dbm=window)
+    target = 900.0 if tabulated else 1125.0
+    points = span_length_curve(plan, trx, 0.06, 100.0, 330.0, 101, target, include_rbs, solver)
+    assert len(points) > 10 and any(p.feasible for p in points)
+    if window == (18.0, 21.0):
+        assert any(not p.feasible for p in points)
+    for point in points:
+        try:
+            power = required_edfa_power(
+                plan, trx, 0.06, point.span_km, target, include_rbs, solver
+            )
+        except InfeasibleError:
+            assert not point.feasible and math.isnan(point.required_dbm)
+        else:
+            assert point.feasible and point.required_dbm == power
+
+
+def test_span_curve_without_a_full_span_is_empty(reference_plan, calibrated_trx):
+    # Spans longer than twice the link round to zero spans: no point is left.
+    assert span_length_curve(
+        reference_plan, calibrated_trx, 0.06, 14000.0, 20000.0, 5, 1000.0
+    ) == []
+
+
+def test_span_points_bounded_before_allocation(reference_plan, calibrated_trx, monkeypatch):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("an oversized curve must be refused before sampling")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    with pytest.raises(ValueError, match="n_points"):
+        span_length_curve(
+            reference_plan, calibrated_trx, 0.06, 150.0, 250.0, MAX_SPAN_POINTS + 1, 1000.0
+        )
+
+
+def test_span_curve_window_is_inclusive(reference_plan, calibrated_trx):
+    power = required_edfa_power(reference_plan, calibrated_trx, 0.06, 200.0, 1000.0)
+    for window in ((power - 1.0, power), (power, power + 1.0)):
+        [point] = span_length_curve(reference_plan, calibrated_trx, 0.06, 200.0, 200.0, 1,
+                                    1000.0, settings=SolverSettings(power_bracket_dbm=window))
+        assert point.feasible and point.required_dbm == power

@@ -17,6 +17,7 @@ from hcflink.system import (
     calibrate_trx_gap,
     channel_net_rate,
     channels_in_band,
+    gsnr_terms,
     link_gsnr,
     load_transceiver_table,
     per_channel_launch,
@@ -297,3 +298,41 @@ def test_calibration_infeasible_target(reference_plan, reference_op):
     zero_gap = cable_throughput(reference_plan, ShannonGapTransceiver(0.0), reference_op)
     with pytest.raises(InfeasibleError):
         calibrate_trx_gap(reference_plan, reference_op, 10.0 * zero_gap)
+
+
+@pytest.mark.parametrize("include_rbs", [False, True])
+def test_gsnr_terms_scale_to_the_operating_point(reference_plan, include_rbs):
+    """At p mW the budget is ASE/p + NLI*p^2 + IMI + RBS of the 1 mW terms."""
+    ase, nli, imi, rbs = gsnr_terms(reference_plan, 0.06, reference_plan.n_spans, include_rbs)
+    assert (rbs > 0) == include_rbs
+    budget = link_gsnr(reference_plan, OperatingPoint(0.06, 20.3), include_rbs)
+    p_mw = 10.0 ** 2.03
+    assert budget.inv_snr_ase == pytest.approx(ase / p_mw, rel=1e-15)
+    assert budget.inv_snr_nli == pytest.approx(nli * p_mw * p_mw, rel=1e-15)
+    assert (budget.inv_snr_imi, budget.inv_snr_rbs) == (imi, rbs)
+
+
+def test_gsnr_terms_follow_the_span_count(reference_plan):
+    """Fewer, longer spans: more gain per block, so more ASE in total."""
+    short = gsnr_terms(reference_plan, 0.06, 40)
+    long = gsnr_terms(reference_plan, 0.06, 20)
+    assert long[0] > short[0]
+    assert long[2] == short[2]  # crosstalk depends on the length only
+    with pytest.raises(ValueError, match="span gain"):
+        gsnr_terms(reference_plan, 0.5, 1)  # 3300 dB in one span
+
+
+@pytest.mark.parametrize(
+    "kwargs,keys",
+    [
+        ({"span_length_km": 8000.0}, ["span.span_length_km", "link.total_length_km"]),
+        ({"span_length_km": -1.0}, ["span.span_length_km"]),
+        ({"total_length_km": 1e300, "span_length_km": 1e-10},
+         ["link.total_length_km", "span.span_length_km"]),
+        ({"band_hz": 1e300}, ["link.band_hz"]),
+    ],
+)
+def test_link_plan_names_its_keys(reference_fiber, reference_amp, kwargs, keys):
+    with pytest.raises(ValueError) as info:
+        LinkPlan(fiber=reference_fiber, amp=reference_amp, **kwargs)
+    assert all(key in str(info.value) for key in keys)
