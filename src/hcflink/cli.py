@@ -298,8 +298,9 @@ def _parse_float_list(raw: str, flag: str) -> tuple[float, ...]:
     return values
 
 
-def _flag_kwargs(args: argparse.Namespace) -> dict:
-    """run_command keywords from the parsed flags; every float must be finite."""
+def _flag_kwargs(args: argparse.Namespace, cfg: RunConfig) -> dict:
+    """run_command keywords from the parsed flags; every float must be finite,
+    and the span range positive, ordered and at most MAX_SPANS spans of cfg's link."""
     kwargs = {
         "fmt": args.format,
         "include_rbs": args.include_rbs == "true",
@@ -322,6 +323,16 @@ def _flag_kwargs(args: argparse.Namespace) -> dict:
         for value in values:
             if not math.isfinite(value):
                 raise ConfigError(f"{flag} must be finite, got {value}")
+    if args.command == "span-curve":
+        if not args.span_min > 0:
+            raise ConfigError(f"--span-min must be > 0, got {args.span_min}")
+        if args.span_min > args.span_max:
+            raise ConfigError(f"--span-min={args.span_min} must not exceed "
+                              f"--span-max={args.span_max}")
+        total = cfg.values["link"]["total_length_km"]
+        if total / args.span_min > system.MAX_SPANS:
+            raise ConfigError(f"--span-min={args.span_min} cuts link.total_length_km={total:g} "
+                              f"into more than MAX_SPANS = {system.MAX_SPANS} spans")
     return kwargs
 
 
@@ -332,8 +343,8 @@ def _emit_error(code: str, exc: Exception) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        kwargs = _flag_kwargs(args)
-        text = run_command(args.command, _load_config(args.config), **kwargs)
+        cfg = _load_config(args.config)
+        text = run_command(args.command, cfg, **_flag_kwargs(args, cfg))
         if args.output is None:
             sys.stdout.write(text)
         else:

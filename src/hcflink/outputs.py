@@ -8,8 +8,9 @@ nine significant digits so regression diffs reflect the model, not rounding.
 from __future__ import annotations
 
 import json
-from itertools import repeat
 from typing import IO, Any, Iterable
+
+import numpy as np
 
 from .explore import SpanCurvePoint, SweepGrid
 
@@ -42,14 +43,17 @@ def write_grid_csv(grid: SweepGrid, config_values: dict, fh: IO[str]) -> None:
     for line in config_echo_lines(config_values):
         fh.write(line + "\n")
     fh.write(GRID_CSV_HEADER + "\n")
-    # Axes are formatted once; each loss row is one write.
-    row = ",".join(("{}", "{}", FLOAT_FMT, FLOAT_FMT)) + "\n"
-    powers = [FLOAT_FMT.format(v) for v in grid.edfa_power_dbm.tolist()]
-    for i, loss in enumerate(grid.loss_db_per_km.tolist()):
-        fh.write("".join(map(
-            row.format, repeat(FLOAT_FMT.format(loss)), powers,
-            grid.gsnr_db[i].tolist(), grid.throughput_tbps[i].tolist(),
-        )))
+    # One %-template per grid holds every power of a row; each loss row is one
+    # % over its interleaved (gsnr, throughput) cells. "%.12g" and FLOAT_FMT
+    # round through the same dtoa, so the bytes match per-cell formatting.
+    template = "".join(f"\0,{FLOAT_FMT.format(p)},%.12g,%.12g\n"
+                       for p in grid.edfa_power_dbm.tolist())
+    cells = np.empty(2 * grid.edfa_power_dbm.size)
+    for loss, gsnr, tput in zip(grid.loss_db_per_km.tolist(), grid.gsnr_db,
+                                grid.throughput_tbps):
+        cells[0::2] = gsnr
+        cells[1::2] = tput
+        fh.write(template.replace("\0", FLOAT_FMT.format(loss)) % tuple(cells.tolist()))
 
 
 def write_span_curve_csv(points: Iterable[SpanCurvePoint], config_values: dict,

@@ -16,6 +16,7 @@ from typing import Union
 import numpy as np
 
 from .impairments import (
+    MAX_ABS_POWER_DBM,
     AmplifierSpec,
     FiberSpec,
     SnrBudget,
@@ -151,8 +152,9 @@ class OperatingPoint:
     def __post_init__(self) -> None:
         if not self.loss_db_per_km > 0:
             raise ValueError(f"loss_db_per_km must be > 0, got {self.loss_db_per_km}")
-        if not math.isfinite(self.edfa_total_output_dbm):
-            raise ValueError("edfa_total_output_dbm must be finite")
+        if not abs(self.edfa_total_output_dbm) <= MAX_ABS_POWER_DBM:
+            raise ValueError(f"edfa_total_output_dbm must lie within +/-{MAX_ABS_POWER_DBM:g} "
+                             f"dBm, got {self.edfa_total_output_dbm}")
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,11 @@ class ShannonGapTransceiver:
 
     def net_rate_gbps(self, gsnr_db: float | np.ndarray, symbol_rate_hz: float) -> np.ndarray:
         """Rate at a finite GSNR or at every element of an array of them."""
-        snr = 10.0 ** ((gsnr_db - self.gap_db) / 10.0)
+        try:
+            snr = 10.0 ** ((gsnr_db - self.gap_db) / 10.0)
+        except OverflowError:  # a Python float past 10^308; arrays give inf
+            raise ValueError(f"gsnr_db = {gsnr_db} puts SNR/gap beyond float range "
+                             f"(gap_db = {self.gap_db})") from None
         rate = 2.0 * symbol_rate_hz * np.log2(1.0 + snr) / 1e9
         # np.minimum costs more than the rest on a scalar; skip it when uncapped.
         return np.minimum(rate, self.max_rate_gbps) if self.max_rate_gbps < math.inf else rate

@@ -313,6 +313,29 @@ def test_bad_flag_value_is_named(capsys, argv, flag):
     assert flag in _one_config_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--span-min", "300", "--span-max", "200"], ("--span-min", "--span-max")),
+        (["--span-min", "0"], ("--span-min",)),
+        (["--span-min", "-5"], ("--span-min",)),
+        (["--span-min", "1e-300"], ("--span-min", "link.total_length_km")),
+        (["--span-min", "0.0659"], ("--span-min", "link.total_length_km")),
+    ],
+)
+def test_bad_span_range_names_its_flags(capsys, flags, named):
+    assert main(["span-curve", *flags]) == EXIT_CONFIG
+    message = _one_config_error(capsys)
+    assert all(name in message for name in named)
+
+
+def test_span_min_at_max_spans_runs(capsys):
+    # 6600 km / 0.066 km is exactly MAX_SPANS spans, the most allowed.
+    assert main(["span-curve", "--span-min", "0.066", "--span-max", "0.066",
+                 "--span-points", "1"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 _FLOAT_KEYS = [
     (section, key)
     for section, keys in DEFAULTS.items()

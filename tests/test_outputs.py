@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcflink.config import DEFAULTS
 from hcflink.explore import SpanCurvePoint, SweepGrid
@@ -72,6 +74,42 @@ def test_grid_csv_matches_per_cell_format():
             expected.write(",".join(FLOAT_FMT.format(v) for v in row) + "\n")
     assert buf.getvalue() == expected.getvalue()
     assert "e+21" in buf.getvalue() and "e-07" in buf.getvalue()
+
+
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e16, -2.5e21, 1e-7, 1.0 / 3.0]),
+)
+
+
+@st.composite
+def _grids(draw):
+    n_loss, n_power = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = st.lists(_CELL, min_size=n_loss * n_power, max_size=n_loss * n_power)
+    return SweepGrid(
+        np.array(draw(st.lists(_CELL, min_size=n_loss, max_size=n_loss))),
+        np.array(draw(st.lists(_CELL, min_size=n_power, max_size=n_power))),
+        np.array(draw(cells)).reshape(n_loss, n_power),
+        np.array(draw(cells)).reshape(n_loss, n_power),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_grids())
+def test_grid_csv_template_matches_per_cell_format(grid):
+    buf = io.StringIO()
+    write_grid_csv(grid, DEFAULTS, buf)
+    expected = io.StringIO()
+    for line in config_echo_lines(DEFAULTS):
+        expected.write(line + "\n")
+    expected.write(GRID_CSV_HEADER + "\n")
+    for i, loss in enumerate(grid.loss_db_per_km):
+        for j, power in enumerate(grid.edfa_power_dbm):
+            row = (float(loss), float(power), float(grid.gsnr_db[i, j]),
+                   float(grid.throughput_tbps[i, j]))
+            expected.write(",".join(FLOAT_FMT.format(v) for v in row) + "\n")
+    assert buf.getvalue() == expected.getvalue()
+    assert "\0" not in buf.getvalue() and "%" not in buf.getvalue()
 
 
 def test_span_curve_csv():

@@ -336,3 +336,25 @@ def test_link_plan_names_its_keys(reference_fiber, reference_amp, kwargs, keys):
     with pytest.raises(ValueError) as info:
         LinkPlan(fiber=reference_fiber, amp=reference_amp, **kwargs)
     assert all(key in str(info.value) for key in keys)
+
+
+@pytest.mark.parametrize("power", [300.5, -300.5, 4000.0, math.nan])
+def test_operating_point_power_is_bounded(power):
+    with pytest.raises(ValueError, match="edfa_total_output_dbm"):
+        OperatingPoint(0.06, power)
+
+
+def test_link_gsnr_at_power_bound_is_finite(reference_plan):
+    for power in (-300.0, 300.0):
+        budget = link_gsnr(reference_plan, OperatingPoint(0.06, power))
+        assert math.isfinite(budget.gsnr_db)
+
+
+def test_shannon_rate_beyond_float_range_is_a_value_error():
+    trx = ShannonGapTransceiver(0.0)
+    with pytest.raises(ValueError, match="gsnr_db"):
+        channel_net_rate(trx, 4000.0, 73.5e9)
+    assert math.isfinite(channel_net_rate(trx, 3000.0, 73.5e9))
+    # Arrays keep numpy's overflow to inf; only the scalar path raises.
+    with np.errstate(over="ignore"):
+        assert trx.net_rate_gbps(np.array([20.0, 4000.0]), 73.5e9)[1] == math.inf
