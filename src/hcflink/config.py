@@ -3,15 +3,15 @@
 A single document (sectioned ``key = value`` text or the equivalent JSON
 object) carries every model parameter. Missing keys fall back to the default
 system: 6600 km link of 200 km spans, 0.06 dB/km fiber, NF 4.6 dB amplifiers,
-26 fibers per direction over 5 THz of 75 GHz channels.
+26 fibers per direction over 5 THz of 75 GHz channels. Those values are the
+field defaults of each section's dataclass, which also checks the section.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Any
 
 from .explore import GridSpec
@@ -31,73 +31,56 @@ class ConfigError(ValueError):
     """Invalid configuration document or parameter value."""
 
 
-DEFAULTS: dict[str, dict[str, Any]] = {
-    "fiber": {
-        "loss_db_per_km": 0.06,
-        "dispersion_ps_nm_km": 3.0,
-        "gamma_per_w_km": 5e-4,
-        "imi_db_per_km": -65.0,
-        "backscatter_db_per_km": -70.0,
-        "group_index": 1.0003,
-    },
-    "span": {
-        "span_length_km": 200.0,
-    },
-    "link": {
-        "total_length_km": 6600.0,
-        "band_hz": 5e12,
-        "channel_spacing_hz": 75e9,
-        "symbol_rate_hz": 73.5e9,
-        "n_fibers_per_direction": 26,
-    },
-    "amplifier": {
-        "noise_figure_db": 4.6,
-        "total_output_power_dbm": 20.3,
-        "pre_input_loss_db": 2.0,
-        "post_output_loss_db": 2.0,
-    },
-    "transceiver": {
-        "variant": "shannon_gap",
-        "gap_db": None,
-        "max_rate_gbps": None,
-        "table_path": None,
-        "calibration_target_tbps": 1000.0,
-    },
-    "powerfeed": {
-        "feed_current_a": 1.0,
-        "cable_resistance_ohm_per_km": 1.0,
-        "repeater_power_w": 180.0,
-        "supply_limit_w": 18000.0,
-    },
-    "sweep": {
-        "loss_min": 0.045,
-        "loss_max": 0.085,
-        "loss_steps": 81,
-        "power_min": 14.0,
-        "power_max": 25.0,
-        "power_steps": 111,
-    },
-}
+@dataclass(frozen=True)
+class TransceiverSpec:
+    """The config's transceiver section: a Shannon-gap model (gap_db, calibrated
+    to calibration_target_tbps when None, capped at max_rate_gbps when set) or
+    a tabulated curve read from table_path."""
 
-# Every key takes the kind of its default ("float", "int" or "str"). Keys that
-# default to None are optional: their kind is named here and marked with '?'.
-_OPTIONAL_KINDS = {"gap_db": "float?", "max_rate_gbps": "float?", "table_path": "str?"}
+    variant: str = "shannon_gap"
+    gap_db: float | None = None
+    max_rate_gbps: float | None = None
+    table_path: str | None = None
+    calibration_target_tbps: float = 1000.0
+
+    def __post_init__(self) -> None:
+        if self.variant not in ("shannon_gap", "tabulated"):
+            raise ValueError(f"transceiver.variant must be 'shannon_gap' or 'tabulated' "
+                             f"(got {self.variant!r})")
+        if self.gap_db is not None and not self.gap_db >= 0:
+            raise ValueError(f"transceiver.gap_db must be >= 0 (got {self.gap_db!r})")
+        if self.max_rate_gbps is not None and not self.max_rate_gbps > 0:
+            raise ValueError(f"transceiver.max_rate_gbps must be > 0 (got {self.max_rate_gbps!r})")
+        if not self.calibration_target_tbps > 0:
+            raise ValueError(f"transceiver.calibration_target_tbps must be > 0 "
+                             f"(got {self.calibration_target_tbps!r})")
+
+
+# Each section's keys, in echo order, are fields of the dataclass that holds
+# their defaults and checks; span and link share LinkPlan.
+_LINK_FIELDS = [f for f in fields(LinkPlan) if f.default is not MISSING]
+_SECTIONS = {
+    "fiber": fields(FiberSpec),
+    "span": [f for f in _LINK_FIELDS if f.name == "span_length_km"],
+    "link": [f for f in _LINK_FIELDS if f.name != "span_length_km"],
+    "amplifier": fields(AmplifierSpec),
+    "transceiver": fields(TransceiverSpec),
+    "powerfeed": fields(PowerFeedSpec),
+    "sweep": fields(GridSpec),
+}
+DEFAULTS: dict[str, dict[str, Any]] = {
+    section: {f.name: f.default for f in section_fields}
+    for section, section_fields in _SECTIONS.items()
+}
+# A key's kind is its annotation: "float", "int" or "str", with '?' when it may be None.
+_KINDS = {
+    section: {f.name: f.type.replace(" | None", "?") for f in section_fields}
+    for section, section_fields in _SECTIONS.items()
+}
 
 
 def _kind(section: str, key: str) -> str:
-    default = DEFAULTS[section][key]
-    return _OPTIONAL_KINDS[key] if default is None else type(default).__name__
-
-
-# Checks the section dataclasses built in parse_config cannot make: the
-# transceiver is built later, by resolve_transceiver.
-_RULES: tuple[tuple[str, str, Any, str], ...] = (
-    ("transceiver", "variant", lambda v: v in ("shannon_gap", "tabulated"),
-     "must be 'shannon_gap' or 'tabulated'"),
-    ("transceiver", "gap_db", lambda v: v >= 0, "must be >= 0"),
-    ("transceiver", "max_rate_gbps", lambda v: v > 0, "must be > 0"),
-    ("transceiver", "calibration_target_tbps", lambda v: v > 0, "must be > 0"),
-)
+    return _KINDS[section][key]
 
 
 @dataclass(frozen=True)
@@ -106,19 +89,13 @@ class RunConfig:
 
     values: dict[str, dict[str, Any]]
 
-    def fiber(self) -> FiberSpec:
-        return FiberSpec(**self.values["fiber"])
-
-    def amplifier(self) -> AmplifierSpec:
-        return AmplifierSpec(**self.values["amplifier"])
-
     def plan(self) -> LinkPlan:
-        return LinkPlan(
-            fiber=self.fiber(),
-            amp=self.amplifier(),
-            span_length_km=self.values["span"]["span_length_km"],
-            **self.values["link"],
-        )
+        v = self.values
+        return LinkPlan(FiberSpec(**v["fiber"]), AmplifierSpec(**v["amplifier"]), **v["span"],
+                        **v["link"])
+
+    def transceiver(self) -> TransceiverSpec:
+        return TransceiverSpec(**self.values["transceiver"])
 
     def grid(self) -> GridSpec:
         return GridSpec(**self.values["sweep"])
@@ -134,9 +111,10 @@ class RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a config document; every key is validated and defaults fill gaps."""
+    """Parse a config document; defaults fill gaps, and building each section's
+    dataclass once validates every key."""
     data = _parse_json(text) if text.lstrip().startswith("{") else _parse_lines(text)
-    values = copy.deepcopy(DEFAULTS)
+    values = {section: dict(entries) for section, entries in DEFAULTS.items()}
     for section, entries in data.items():
         if section not in DEFAULTS:
             raise ConfigError(f"unknown section '{section}'")
@@ -146,15 +124,11 @@ def parse_config(text: str) -> RunConfig:
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown key '{section}.{key}'")
             values[section][key] = _coerce(raw, _kind(section, key), f"{section}.{key}")
-    for section, key, check, message in _RULES:
-        value = values[section][key]
-        if value is not None and not check(value):
-            raise ConfigError(f"{section}.{key} {message} (got {value!r})")
     cfg = RunConfig(values)
     try:
+        cfg.transceiver()
         cfg.plan().span_gain_db(cfg.grid().loss_max, name="sweep.loss_max")
         cfg.power_feed()
-        cfg.operating_point()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -172,33 +146,28 @@ def resolve_transceiver(
     backscatter off. Returns the model plus the transceiver section with the
     resolved gap filled in for echoing.
     """
-    resolved = dict(cfg.values["transceiver"])
+    spec = cfg.transceiver()
     if table_path is not None:
-        resolved["variant"] = "tabulated"
-        resolved["table_path"] = str(table_path)
-    if resolved["variant"] == "tabulated":
-        if not resolved["table_path"]:
+        spec = replace(spec, variant="tabulated", table_path=str(table_path))
+    if spec.variant == "tabulated":
+        if not spec.table_path:
             raise ConfigError("transceiver.table_path is required for the tabulated variant")
         try:
-            model: TransceiverModel = load_transceiver_table(resolved["table_path"])
+            model: TransceiverModel = load_transceiver_table(spec.table_path)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return model, resolved
-    gap_db = resolved["gap_db"]
-    if gap_db is None:
-        gap_db = calibrate_trx_gap(
-            plan, cfg.operating_point(), resolved["calibration_target_tbps"], include_rbs=False
-        )
-    max_rate = resolved["max_rate_gbps"]
-    model = ShannonGapTransceiver(gap_db, math.inf if max_rate is None else max_rate)
-    resolved["gap_db"] = gap_db
-    return model, resolved
+        return model, asdict(spec)
+    if spec.gap_db is None:
+        spec = replace(spec, gap_db=calibrate_trx_gap(
+            plan, cfg.operating_point(), spec.calibration_target_tbps, include_rbs=False))
+    max_rate = math.inf if spec.max_rate_gbps is None else spec.max_rate_gbps
+    return ShannonGapTransceiver(spec.gap_db, max_rate), asdict(spec)
 
 
 def _parse_json(text: str) -> dict[str, Any]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over Python's digit limit
         raise ConfigError(f"invalid JSON config: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("JSON config must be an object of sections")
@@ -277,6 +246,8 @@ def _coerce(value: Any, kind: str, keypath: str) -> Any:
             number = float(value)
         except ValueError:
             raise ConfigError(f"{keypath}: expected a number, got {value!r}") from None
+        except OverflowError:  # an integer beyond float range
+            number = math.inf
         if not math.isfinite(number):
             raise ConfigError(f"{keypath}: must be finite, got {value!r}")
         return number

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .impairments import MAX_ABS_POWER_DBM
 from .system import (
     InfeasibleError,
     LinkPlan,
@@ -34,19 +35,24 @@ MAX_SPAN_POINTS = 100_000
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular lattice of operating points (the config's sweep section)."""
+    """Rectangular lattice of operating points (the config's sweep section);
+    the defaults are the 81 x 111 reference plane."""
 
-    loss_min: float
-    loss_max: float
-    loss_steps: int
-    power_min: float
-    power_max: float
-    power_steps: int
+    loss_min: float = 0.045
+    loss_max: float = 0.085
+    loss_steps: int = 81
+    power_min: float = 14.0
+    power_max: float = 25.0
+    power_steps: int = 111
 
     def __post_init__(self) -> None:
         for name in ("loss_min", "loss_max", "power_min", "power_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"sweep.{name} must be finite, got {getattr(self, name)}")
+        for name in ("power_min", "power_max"):
+            if not abs(getattr(self, name)) <= MAX_ABS_POWER_DBM:
+                raise ValueError(f"sweep.{name} must lie within +/-{MAX_ABS_POWER_DBM:g} dBm, "
+                                 f"got {getattr(self, name)}")
         if self.loss_steps * self.power_steps > MAX_GRID_POINTS:
             raise ValueError(
                 f"sweep.loss_steps * sweep.power_steps = {self.loss_steps * self.power_steps} "
@@ -131,7 +137,7 @@ def sweep_grid(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
     powers = np.linspace(grid.power_min, grid.power_max, grid.power_steps)
     gsnr = np.empty((grid.loss_steps, grid.power_steps))
     n_spans = plan.n_spans
-    # Powers beyond float range overflow to non-finite cells, which SweepGrid
+    # Extreme library inputs can overflow to non-finite cells, which SweepGrid
     # rejects; numpy's warnings about them would only be stray stderr text.
     with np.errstate(all="ignore"):
         power_mw = 10.0 ** (powers / 10.0)

@@ -36,17 +36,18 @@ MAX_ABS_POWER_DBM = 300.0
 
 @dataclass(frozen=True)
 class FiberSpec:
-    """Physical fiber parameters.
+    """Physical fiber parameters (the config's fiber section); the defaults
+    are the reference hollow-core fiber.
 
     imi_db_per_km and backscatter_db_per_km are per-km power ratios below
     unity, hence nonpositive in dB.
     """
 
-    loss_db_per_km: float
-    dispersion_ps_nm_km: float
-    gamma_per_w_km: float
-    imi_db_per_km: float
-    backscatter_db_per_km: float
+    loss_db_per_km: float = 0.06
+    dispersion_ps_nm_km: float = 3.0
+    gamma_per_w_km: float = 5e-4
+    imi_db_per_km: float = -65.0
+    backscatter_db_per_km: float = -70.0
     group_index: float = 1.0003
 
     def __post_init__(self) -> None:
@@ -70,10 +71,11 @@ class FiberSpec:
 
 @dataclass(frozen=True)
 class AmplifierSpec:
-    """Repeater gain block: the EDFA plus the lumped losses around it."""
+    """Repeater gain block: the EDFA plus the lumped losses around it (the
+    config's amplifier section); the defaults are the reference repeater."""
 
-    noise_figure_db: float
-    total_output_power_dbm: float
+    noise_figure_db: float = 4.6
+    total_output_power_dbm: float = 20.3
     pre_input_loss_db: float = 2.0
     post_output_loss_db: float = 2.0
 

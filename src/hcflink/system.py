@@ -108,6 +108,10 @@ class LinkPlan:
             raise ValueError(
                 f"link.n_fibers_per_direction must be >= 0, got {self.n_fibers_per_direction}"
             )
+        if self.n_fibers_per_direction > 1e6:  # far beyond any cable; the count stays a float
+            raise ValueError(
+                f"link.n_fibers_per_direction must be <= 1e6, got {self.n_fibers_per_direction}"
+            )
         if self.n_channels < 1:
             raise ValueError(
                 f"link.band_hz={self.band_hz} holds no channel at "
@@ -343,6 +347,7 @@ def link_gsnr(plan: LinkPlan, op: OperatingPoint, include_rbs: bool = False) -> 
 
 def channel_net_rate(trx: TransceiverModel, gsnr_db: float, symbol_rate_hz: float) -> float:
     """Net information rate (Gb/s) of one channel at the given GSNR."""
+    gsnr_db = float(gsnr_db)  # a numpy scalar would overflow to inf where a float raises
     if not math.isfinite(gsnr_db):
         raise ValueError(f"gsnr_db must be finite, got {gsnr_db}")
     return float(trx.net_rate_gbps(gsnr_db, symbol_rate_hz))

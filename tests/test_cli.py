@@ -207,7 +207,53 @@ def test_extreme_sweep_power_is_a_config_error(capsys, tmp_path):
         assert main(["contour", "--config", str(cfg)]) == EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"]["message"] == "grid contains non-finite cells"
+    assert (json.loads(lines[0])["error"]["message"]
+            == "sweep.power_max must lie within +/-300 dBm, got 5000.0")
+
+
+def test_sweep_at_the_power_bounds_is_finite(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"sweep": {"power_min": -300, "power_max": 300}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fmt in ("csv", "json"):
+            assert main(["contour", "--format", fmt, "--config", str(cfg)]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert "nan" not in captured.out.lower() and "inf" not in captured.out.lower()
+    doc = json.loads(captured.out)
+    assert doc["grid"]["edfa_power_dbm"][0] == -300.0
+    assert doc["grid"]["edfa_power_dbm"][-1] == 300.0
+
+
+_HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "command,document",
+    [
+        ("budget", {}),
+        ("contour", {}),
+        ("span-curve", {}),
+        ("budget", {"transceiver": {"gap_db": 4.64}}),
+    ],
+)
+def test_huge_fiber_count_is_a_config_error(capsys, tmp_path, command, document):
+    cfg = tmp_path / "run.json"
+    text = json.dumps({**document, "link": {"n_fibers_per_direction": "HUGE"}})
+    cfg.write_text(text.replace('"HUGE"', _HUGE_INT))
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert _one_config_error(capsys).startswith("link.n_fibers_per_direction must be <= 1e6")
+
+
+@pytest.mark.parametrize("key", ["fiber.loss_db_per_km", "link.total_length_km",
+                                 "transceiver.gap_db", "sweep.power_max"])
+def test_float_key_given_a_huge_integer_is_named(capsys, tmp_path, key):
+    section, name = key.split(".")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(f'{{"{section}": {{"{name}": -{_HUGE_INT}}}}}')
+    assert main(["budget", "--config", str(cfg)]) == EXIT_CONFIG
+    assert _one_config_error(capsys).startswith(f"{key}: must be finite")
 
 
 def test_span_curve_reaches_targets_past_the_nli_bend(capsys, tmp_path):

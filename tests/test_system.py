@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -358,3 +359,22 @@ def test_shannon_rate_beyond_float_range_is_a_value_error():
     # Arrays keep numpy's overflow to inf; only the scalar path raises.
     with np.errstate(over="ignore"):
         assert trx.net_rate_gbps(np.array([20.0, 4000.0]), 73.5e9)[1] == math.inf
+
+
+def test_shannon_rate_overflow_is_the_same_error_for_a_numpy_scalar():
+    trx = ShannonGapTransceiver(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gsnr_db in (4000.0, np.float64(4000.0)):
+            with pytest.raises(ValueError, match="gsnr_db = 4000.0 puts SNR/gap beyond float range"):
+                channel_net_rate(trx, gsnr_db, 73.5e9)
+        assert channel_net_rate(trx, np.float64(20.0), 73.5e9) == channel_net_rate(
+            trx, 20.0, 73.5e9)
+
+
+@pytest.mark.parametrize("count", [10**6 + 1, 10**400])
+def test_fiber_count_is_bounded(reference_fiber, reference_amp, count):
+    with pytest.raises(ValueError, match=r"link\.n_fibers_per_direction must be <= 1e6"):
+        LinkPlan(fiber=reference_fiber, amp=reference_amp, n_fibers_per_direction=count)
+    plan = LinkPlan(fiber=reference_fiber, amp=reference_amp, n_fibers_per_direction=10**6)
+    assert plan.n_fibers_per_direction == 10**6
