@@ -6,6 +6,9 @@ throughput), ``contour`` (full sweep grid with level lines), ``span-curve``
 ``powerfeed`` and ``latency``.
 
 Exit codes: 0 success, 2 config error, 3 infeasible solve, 4 I/O error.
+
+Only the contour and span-curve handlers import explore, and with it numpy:
+the other commands evaluate scalar closed forms and start without it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import explore, impairments, outputs, system
+from . import impairments, outputs, system
 from .config import ConfigError, RunConfig, parse_config, resolve_transceiver
 from .system import SOLID_CORE_GROUP_INDEX, InfeasibleError
 from .units import linear_to_db
@@ -107,6 +110,8 @@ def _run_budget(cfg: RunConfig, *, fmt, include_rbs, trx_table, **_) -> str:
 
 
 def _run_contour(cfg: RunConfig, *, fmt, include_rbs, levels, field, trx_table, **_) -> str:
+    from . import explore
+
     plan = cfg.plan()
     trx, trx_values = resolve_transceiver(cfg, plan, trx_table)
     grid = explore.sweep_grid(plan, trx, cfg.grid(), include_rbs)
@@ -143,6 +148,8 @@ def _run_contour(cfg: RunConfig, *, fmt, include_rbs, levels, field, trx_table, 
 
 def _run_span_curve(cfg: RunConfig, *, fmt, include_rbs, target_tbps, span_range,
                     trx_table, **_) -> str:
+    from . import explore
+
     plan = cfg.plan()
     trx, trx_values = resolve_transceiver(cfg, plan, trx_table)
     span_min, span_max, n_points = span_range
@@ -312,6 +319,8 @@ def _flag_kwargs(args: argparse.Namespace, cfg: RunConfig) -> dict:
         kwargs["levels"] = floats["--levels"] = _parse_float_list(args.levels, "--levels")
         kwargs["field"] = args.field
     if args.command == "span-curve":
+        from . import explore
+
         if not 1 <= args.span_points <= explore.MAX_SPAN_POINTS:
             raise ConfigError(f"--span-points must lie in 1..{explore.MAX_SPAN_POINTS}, "
                               f"got {args.span_points}")

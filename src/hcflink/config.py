@@ -14,8 +14,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Any
 
-from .explore import GridSpec
-from .impairments import AmplifierSpec, FiberSpec
+from .impairments import MAX_ABS_POWER_DBM, MIN_LOSS_DB_PER_KM, AmplifierSpec, FiberSpec
 from .system import (
     LinkPlan,
     OperatingPoint,
@@ -25,6 +24,10 @@ from .system import (
     calibrate_trx_gap,
     load_transceiver_table,
 )
+
+
+# Largest lattice a sweep may evaluate; 4e6 cells hold 64 MB of float64 fields.
+MAX_GRID_POINTS = 4_000_000
 
 
 class ConfigError(ValueError):
@@ -54,6 +57,46 @@ class TransceiverSpec:
         if not self.calibration_target_tbps > 0:
             raise ValueError(f"transceiver.calibration_target_tbps must be > 0 "
                              f"(got {self.calibration_target_tbps!r})")
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Rectangular lattice of operating points (the config's sweep section);
+    the defaults are the 81 x 111 reference plane."""
+
+    loss_min: float = 0.045
+    loss_max: float = 0.085
+    loss_steps: int = 81
+    power_min: float = 14.0
+    power_max: float = 25.0
+    power_steps: int = 111
+
+    def __post_init__(self) -> None:
+        for name in ("loss_min", "loss_max", "power_min", "power_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"sweep.{name} must be finite, got {getattr(self, name)}")
+        for name in ("power_min", "power_max"):
+            if not abs(getattr(self, name)) <= MAX_ABS_POWER_DBM:
+                raise ValueError(f"sweep.{name} must lie within +/-{MAX_ABS_POWER_DBM:g} dBm, "
+                                 f"got {getattr(self, name)}")
+        if self.loss_steps * self.power_steps > MAX_GRID_POINTS:
+            raise ValueError(
+                f"sweep.loss_steps * sweep.power_steps = {self.loss_steps * self.power_steps} "
+                f"exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+            )
+        if not self.loss_min >= MIN_LOSS_DB_PER_KM:
+            raise ValueError(f"sweep.loss_min must be >= {MIN_LOSS_DB_PER_KM:.4g} (its "
+                             f"attenuation must not underflow), got {self.loss_min}")
+        if not self.loss_min < self.loss_max:
+            raise ValueError(
+                f"sweep.loss_min={self.loss_min} must be < sweep.loss_max={self.loss_max}"
+            )
+        if not self.power_min < self.power_max:
+            raise ValueError(
+                f"sweep.power_min={self.power_min} must be < sweep.power_max={self.power_max}"
+            )
+        if self.loss_steps < 2 or self.power_steps < 2:
+            raise ValueError("sweep.loss_steps and sweep.power_steps must be >= 2")
 
 
 # Each section's keys, in echo order, are fields of the dataclass that holds

@@ -8,10 +8,9 @@ crosstalk, Rayleigh backscattering) is expressed as a dimensionless linear
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .units import (
     DB_PER_NEPER,
@@ -33,6 +32,10 @@ MAX_GAMMA_PER_W_KM = 1e6
 MAX_AMPLIFIER_DB = 100.0
 MAX_ABS_POWER_DBM = 300.0
 
+# Least loss whose attenuation (1/km) is a normal float; below it the
+# attenuation underflows to a subnormal or 0 and the NLI's 1/alpha to inf.
+MIN_LOSS_DB_PER_KM = DB_PER_NEPER * sys.float_info.min
+
 
 @dataclass(frozen=True)
 class FiberSpec:
@@ -51,8 +54,9 @@ class FiberSpec:
     group_index: float = 1.0003
 
     def __post_init__(self) -> None:
-        if not self.loss_db_per_km > 0:
-            raise ValueError(f"fiber.loss_db_per_km must be > 0, got {self.loss_db_per_km}")
+        if not self.loss_db_per_km >= MIN_LOSS_DB_PER_KM:
+            raise ValueError(f"fiber.loss_db_per_km must be >= {MIN_LOSS_DB_PER_KM:.4g} (its "
+                             f"attenuation must not underflow), got {self.loss_db_per_km}")
         if not abs(self.dispersion_ps_nm_km) >= MIN_ABS_DISPERSION_PS_NM_KM:
             raise ValueError(f"fiber.dispersion_ps_nm_km must have magnitude >= "
                              f"{MIN_ABS_DISPERSION_PS_NM_KM:g}, got {self.dispersion_ps_nm_km}")
@@ -171,7 +175,7 @@ def gn_nli_psd_per_span(
     if launch_psd_w_hz == 0:
         return 0.0
     alpha = attenuation_db_to_per_km(fiber.loss_db_per_km)
-    l_eff = (1.0 - math.exp(-alpha * span_km)) / alpha
+    l_eff = -math.expm1(-alpha * span_km) / alpha
     l_eff_a = 1.0 / alpha
     # |beta2| in s^2/km from the dispersion parameter in ps/(nm km).
     light_m_s = const.light_speed_km_s * 1e3
@@ -304,6 +308,8 @@ def rbs_brute_force(
     steps = round(span_km / dz_km)
     if steps < 1 or abs(steps * dz_km - span_km) > 1e-9 * span_km:
         raise ValueError(f"dz_km={dz_km} does not divide span_km={span_km}")
+    import numpy as np
+
     alpha = attenuation_db_to_per_km(loss_db_per_km)
     b_lin = db_to_linear(backscatter_db_per_km)
     midpoints = (np.arange(steps) + 0.5) * dz_km

@@ -8,11 +8,10 @@ nine significant digits so regression diffs reflect the model, not rounding.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Iterable
+from typing import IO, TYPE_CHECKING, Any, Iterable
 
-import numpy as np
-
-from .explore import SpanCurvePoint, SweepGrid
+if TYPE_CHECKING:
+    from .explore import SpanCurvePoint, SweepGrid
 
 FLOAT_FMT = "{:.12g}"
 
@@ -40,6 +39,8 @@ def config_echo_lines(values: dict[str, dict[str, Any]]) -> list[str]:
 
 def write_grid_csv(grid: SweepGrid, config_values: dict, fh: IO[str]) -> None:
     """Row-major (loss, then power) dump of a sweep grid."""
+    import numpy as np
+
     for line in config_echo_lines(config_values):
         fh.write(line + "\n")
     fh.write(GRID_CSV_HEADER + "\n")

@@ -11,9 +11,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .impairments import (
     MAX_ABS_POWER_DBM,
@@ -29,6 +27,9 @@ from .impairments import (
 )
 from .units import PhysicalConstants, dbm_to_watt
 from .units import db_to_linear  # noqa: F401  (perfbench's traced run patches system.db_to_linear)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_CONSTANTS = PhysicalConstants()
 
@@ -204,16 +205,23 @@ class ShannonGapTransceiver:
         if not self.max_rate_gbps > 0:
             raise ValueError(f"max_rate_gbps must be > 0, got {self.max_rate_gbps}")
 
-    def net_rate_gbps(self, gsnr_db: float | np.ndarray, symbol_rate_hz: float) -> np.ndarray:
-        """Rate at a finite GSNR or at every element of an array of them."""
+    def net_rate_gbps(self, gsnr_db: float | np.ndarray,
+                      symbol_rate_hz: float) -> float | np.ndarray:
+        """Rate at a finite GSNR or at every element of an array of them; a
+        Python number goes through math, so it needs no numpy."""
+        if isinstance(gsnr_db, (int, float)):
+            log2, minimum = math.log2, min
+        else:
+            import numpy as np
+
+            log2, minimum = np.log2, np.minimum
         try:
             snr = 10.0 ** ((gsnr_db - self.gap_db) / 10.0)
         except OverflowError:  # a Python float past 10^308; arrays give inf
             raise ValueError(f"gsnr_db = {gsnr_db} puts SNR/gap beyond float range "
                              f"(gap_db = {self.gap_db})") from None
-        rate = 2.0 * symbol_rate_hz * np.log2(1.0 + snr) / 1e9
-        # np.minimum costs more than the rest on a scalar; skip it when uncapped.
-        return np.minimum(rate, self.max_rate_gbps) if self.max_rate_gbps < math.inf else rate
+        rate = 2.0 * symbol_rate_hz * log2(1.0 + snr) / 1e9
+        return minimum(rate, self.max_rate_gbps) if self.max_rate_gbps < math.inf else rate
 
     def required_gsnr_db(self, rate_gbps: float, symbol_rate_hz: float) -> float:
         """Least GSNR (dB) whose rate reaches rate_gbps, SNR = gap * (2^(R/2Rs) - 1):
@@ -234,6 +242,8 @@ class TabulatedTransceiver:
     _rate_gbps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         points = tuple((float(g), float(r)) for g, r in self.points)
         if not points:
             raise ValueError("transceiver table needs at least one point")
@@ -251,11 +261,15 @@ class TabulatedTransceiver:
 
     def net_rate_gbps(self, gsnr_db: float | np.ndarray, symbol_rate_hz: float) -> np.ndarray:
         """Rate at a finite GSNR or at every element of an array of them."""
+        import numpy as np
+
         return np.interp(gsnr_db, self._gsnr_db, self._rate_gbps)
 
     def required_gsnr_db(self, rate_gbps: float, symbol_rate_hz: float) -> float:
         """Least GSNR (dB) whose rate reaches rate_gbps: the left end of a flat
         segment; -inf at or below the first rate, +inf above the last."""
+        import numpy as np
+
         gsnr, rate = self._gsnr_db, self._rate_gbps
         k = int(np.searchsorted(rate, rate_gbps))  # rate[k-1] < rate_gbps <= rate[k]
         if k in (0, len(rate)):

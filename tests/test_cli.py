@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,13 @@ def test_budget_reference_point(capsys):
     assert doc["config"]["transceiver"]["gap_db"] == pytest.approx(4.64, abs=0.01)
     assert doc["n_channels"] == 66
     assert doc["budget"]["snr_rbs_db"] is None
+
+
+def test_budget_at_defaults_is_pinned(capsys):
+    # The scalar rate path (math.log2) gives the bytes numpy's log2 gave.
+    golden = Path(__file__).with_name("golden") / "budget_default.json"
+    assert main(["budget"]) == EXIT_OK
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_budget_with_rbs(capsys):
@@ -329,6 +338,10 @@ def _one_config_error(capsys) -> str:
          ["span.span_length_km", "link.total_length_km"]),
         ("contour", {"sweep": {"loss_max": 1000}}, ["sweep.loss_max"]),
         ("powerfeed", {"powerfeed": {"feed_current_a": 1e300}}, ["powerfeed.feed_current_a"]),
+        # An attenuation that underflows: 5e-324 dB/km used to divide by zero.
+        ("budget", {"fiber": {"loss_db_per_km": 5e-324}}, ["fiber.loss_db_per_km"]),
+        ("span-curve", {"fiber": {"loss_db_per_km": 1e-310}}, ["fiber.loss_db_per_km"]),
+        ("contour", {"sweep": {"loss_min": 5e-324}}, ["sweep.loss_min"]),
     ],
 )
 def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document, keys):
@@ -380,6 +393,21 @@ def test_span_min_at_max_spans_runs(capsys):
     assert main(["span-curve", "--span-min", "0.066", "--span-max", "0.066",
                  "--span-points", "1"]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv,document",
+    [
+        (["budget"], {"fiber": {"loss_db_per_km": 1e-300}}),
+        (["contour", "--format", "json"], {"sweep": {"loss_min": 1e-300}}),
+    ],
+)
+def test_tiny_loss_keeps_a_finite_budget(capsys, tmp_path, argv, document):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(document))
+    doc = _run_json(capsys, [*argv, "--config", str(cfg)])
+    gsnr = doc["budget"]["gsnr_db"] if "budget" in doc else doc["grid"]["gsnr_db"][0][0]
+    assert math.isfinite(gsnr)
 
 
 _FLOAT_KEYS = [

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import math
+import sys
+from dataclasses import replace
 
 import pytest
 
 from hcflink.impairments import (
+    MIN_LOSS_DB_PER_KM,
     AmplifierSpec,
     FiberSpec,
     ase_inv_snr,
@@ -17,7 +20,7 @@ from hcflink.impairments import (
     rbs_inv_snr,
     rbs_power,
 )
-from hcflink.units import dbm_to_watt, linear_to_db
+from hcflink.units import attenuation_db_to_per_km, dbm_to_watt, linear_to_db
 
 # Reference chain values, frozen from independent evaluation of the closed
 # forms (h = 6.62607015e-34 J s, nu = 193.4 THz, lambda = 1550 nm).
@@ -98,6 +101,24 @@ def test_gn_psd_cubic_scaling(reference_fiber, const):
     base = gn_nli_psd_per_span(reference_fiber, REF_P_LAUNCH_W / 75e9, 200.0, 5e12, const)
     doubled = gn_nli_psd_per_span(reference_fiber, 2 * REF_P_LAUNCH_W / 75e9, 200.0, 5e12, const)
     assert doubled == pytest.approx(8.0 * base, rel=1e-9)
+
+
+def test_gn_psd_keeps_the_effective_length_at_tiny_loss(reference_fiber, const):
+    # At alpha*L ~ 5e-19, 1 - exp(-alpha*L) rounds to 0; expm1 keeps
+    # L_eff = L, so the PSD grows as L_eff^2 with the span.
+    fiber = replace(reference_fiber, loss_db_per_km=1e-20)
+    short, long = (gn_nli_psd_per_span(fiber, REF_P_LAUNCH_W / 75e9, span, 5e12, const)
+                   for span in (100.0, 200.0))
+    assert 0 < short < math.inf
+    assert long / short == pytest.approx(4.0, rel=1e-12)
+
+
+def test_fiber_loss_whose_attenuation_underflows_is_rejected():
+    assert attenuation_db_to_per_km(MIN_LOSS_DB_PER_KM) == sys.float_info.min
+    FiberSpec(loss_db_per_km=MIN_LOSS_DB_PER_KM)
+    for loss in (math.nextafter(MIN_LOSS_DB_PER_KM, 0.0), 1e-310, 5e-324, 0.0):
+        with pytest.raises(ValueError, match="fiber.loss_db_per_km must be >= 9.663e-308"):
+            FiberSpec(loss_db_per_km=loss)
 
 
 def test_gn_psd_domain_errors(reference_fiber, const):

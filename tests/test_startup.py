@@ -1,0 +1,102 @@
+"""What `import hcflink` and the scalar subcommands load.
+
+budget, rbs, powerfeed and latency evaluate scalar closed forms, so they must
+start without numpy; the package exports its names lazily for the same reason.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hcflink
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PROBE = (
+    "import io, json, sys\n"
+    "from contextlib import redirect_stdout\n"
+    "from hcflink.cli import main\n"
+    "with redirect_stdout(io.StringIO()):\n"
+    "    code = main(json.loads(sys.argv[1]))\n"
+    "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules}))\n"
+)
+
+
+def _run_main(argv: list[str]) -> dict:
+    """main(argv) in a fresh interpreter: its exit code and whether numpy loaded."""
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) if not old else f"{SRC}{os.pathsep}{old}")
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["budget"], ["budget", "--include-rbs", "true"], ["rbs"], ["powerfeed"], ["latency"]],
+    ids=" ".join,
+)
+def test_scalar_commands_do_not_load_numpy(argv):
+    assert _run_main(argv) == {"code": 0, "numpy": False}
+
+
+def test_contour_loads_numpy():
+    # The probe can tell: the array commands do load it.
+    assert _run_main(["contour"]) == {"code": 0, "numpy": True}
+
+
+# Every name the package exported when it imported its modules eagerly.
+_EXPORTED = {
+    "config": ["DEFAULTS", "ConfigError", "RunConfig", "parse_config", "resolve_transceiver"],
+    "explore": ["GridSpec", "SolverSettings", "SpanCurvePoint", "SweepGrid", "extract_contour",
+                "required_edfa_power", "sensitivity_delta", "span_length_curve", "sweep_grid"],
+    "impairments": ["AmplifierSpec", "FiberSpec", "SnrBudget", "ase_inv_snr", "combine_gsnr",
+                    "gn_nli_psd_per_span", "imi_inv_snr", "nli_inv_snr", "rbs_brute_force",
+                    "rbs_enhancement", "rbs_inv_snr", "rbs_power"],
+    "system": ["DEFAULT_CONSTANTS", "InfeasibleError", "LinkPlan", "OperatingPoint",
+               "PowerFeedResult", "PowerFeedSpec", "ShannonGapTransceiver",
+               "TabulatedTransceiver", "TransceiverModel", "cable_throughput",
+               "calibrate_trx_gap", "channel_net_rate", "channels_in_band", "gsnr_terms",
+               "link_gsnr", "load_transceiver_table", "per_channel_launch", "power_feed",
+               "propagation_latency", "repeater_count"],
+    "units": ["PhysicalConstants", "attenuation_db_to_per_km", "db_to_linear", "dbm_to_watt",
+              "linear_to_db", "sinhc", "watt_to_dbm"],
+}
+
+
+@pytest.mark.parametrize("module,name",
+                         [(module, name) for module, names in _EXPORTED.items()
+                          for name in names])
+def test_lazy_export_is_the_module_object(module, name):
+    namespace: dict = {}
+    exec(f"from hcflink import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"hcflink.{module}"), name)
+    assert name in hcflink.__all__
+    assert name in dir(hcflink)
+
+
+def test_all_lists_exactly_the_exports():
+    assert sorted(hcflink.__all__) == sorted(n for names in _EXPORTED.values() for n in names)
+    assert hcflink.__version__ == "0.1.0"
+
+
+def test_submodule_import_through_the_package():
+    from hcflink import explore
+    from hcflink import explore as again
+
+    assert explore is again is sys.modules["hcflink.explore"]
+    assert explore.sweep_grid is hcflink.sweep_grid
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        hcflink.nope  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from hcflink import nope", {})

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcflink.system import (
     InfeasibleError,
@@ -150,6 +152,32 @@ def test_rate_models_accept_arrays():
         scalar = [channel_net_rate(trx, g, 73.5e9) for g in gsnr.tolist()]
         np.testing.assert_allclose(rates, scalar, rtol=1e-14, atol=0.0)
         assert type(channel_net_rate(trx, 15.0, 73.5e9)) is float
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    gsnr_db=st.floats(min_value=-1e300, max_value=3000.0),
+    gap_db=st.floats(min_value=0.0, max_value=60.0),
+    max_rate_gbps=st.sampled_from([math.inf, 600.0]),
+)
+def test_shannon_scalar_and_array_rates_agree(gsnr_db, gap_db, max_rate_gbps):
+    """A Python float goes through math.log2 and min, an array through numpy.
+
+    math.log2 and numpy's log2 differ by at most 1 ulp, which the scaling by
+    2*Rs/1e9 can spread to 3 ulps of the rate: that bounds the scalar path
+    against numpy's log2 of the same float. The array path's power may also
+    differ from Python's by an ulp, which can move 1 + SNR/gap by one ulp of
+    its own: log2 moves by up to 2^-52/ln 2 more, times 2*Rs/1e9.
+    """
+    rs = 73.5e9
+    trx = ShannonGapTransceiver(gap_db, max_rate_gbps)
+    scalar = trx.net_rate_gbps(gsnr_db, rs)
+    assert type(scalar) is float
+    ulps = 3 * math.ulp(scalar)
+    numpy_log2 = 2.0 * rs * float(np.log2(1.0 + 10.0 ** ((gsnr_db - gap_db) / 10.0))) / 1e9
+    assert abs(scalar - min(numpy_log2, max_rate_gbps)) <= ulps
+    array = float(trx.net_rate_gbps(np.array([gsnr_db]), rs)[0])
+    assert abs(scalar - array) <= ulps + 2.0 * rs / 1e9 * 2.0**-52 / math.log(2.0)
 
 
 def test_rate_monotone_in_gsnr_both_variants():
