@@ -7,8 +7,8 @@ throughput), ``contour`` (full sweep grid with level lines), ``span-curve``
 
 Exit codes: 0 success, 2 config error, 3 infeasible solve, 4 I/O error.
 
-Only the contour and span-curve handlers import explore, and with it numpy:
-the other commands evaluate scalar closed forms and start without it.
+Only contour (its sweep arrays) and budget --trx-table (the table's np.interp)
+load numpy: the other commands evaluate scalar closed forms and start without it.
 """
 
 from __future__ import annotations

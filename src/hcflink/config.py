@@ -170,7 +170,9 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(values)
     try:
         cfg.transceiver()
-        cfg.plan().span_gain_db(cfg.grid().loss_max, name="sweep.loss_max")
+        plan, grid = cfg.plan(), cfg.grid()
+        plan.check_nli_loss(grid.loss_min, name="sweep.loss_min")
+        plan.span_gain_db(grid.loss_max, name="sweep.loss_max")
         cfg.power_feed()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -8,10 +8,10 @@ deltas between plans.
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import MAX_GRID_POINTS, GridSpec  # noqa: F401  (re-exported)
 from .system import (
@@ -24,6 +24,9 @@ from .system import (
 )
 # perfbench's traced run patches these two names here.
 from .system import cable_throughput, link_gsnr  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Most samples a span trade-off curve may take.
 MAX_SPAN_POINTS = 100_000
@@ -39,6 +42,8 @@ class SweepGrid:
     throughput_tbps: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         shape = (len(self.loss_db_per_km), len(self.edfa_power_dbm))
         if self.gsnr_db.shape != shape or self.throughput_tbps.shape != shape:
             raise ValueError(f"field shapes must be {shape}")
@@ -90,6 +95,8 @@ def sweep_grid(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
     GSNR and 1e-12 relative throughput, not bit for bit: numpy's vectorised
     log10 and power may differ from the C library's by one ulp.
     """
+    import numpy as np
+
     losses = np.linspace(grid.loss_min, grid.loss_max, grid.loss_steps)
     powers = np.linspace(grid.power_min, grid.power_max, grid.power_steps)
     gsnr = np.empty((grid.loss_steps, grid.power_steps))
@@ -126,6 +133,8 @@ def extract_contour(
     cell edges; saddle cells are disambiguated by the cell-center average.
     Returns an empty list when the level is never crossed.
     """
+    import numpy as np
+
     fields = {"gsnr": grid.gsnr_db, "throughput": grid.throughput_tbps}
     if field not in fields:
         raise ValueError(f"field must be one of {sorted(fields)}, got {field!r}")
@@ -167,6 +176,8 @@ def extract_contour(
 def _cell_cases(values: np.ndarray, level: float) -> np.ndarray:
     """Marching-squares case of every cell: bit k is set when corner k
     (00, 10, 11, 01 in that order) is at or above the level."""
+    import numpy as np
+
     above = (values >= level).astype(np.uint8)
     cases = above[:-1, :-1].copy()
     cases |= above[1:, :-1] << 1
@@ -228,42 +239,61 @@ def _chain_segments(
     return polylines
 
 
-def _solve_power_dbm(plan: LinkPlan, trx: TransceiverModel, loss_db_per_km: float,
-                     span_counts: list[int], target_tbps: float,
-                     include_rbs: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least EDFA output power (dBm) reaching target_tbps for each span count,
-    NaN above the throughput peak; also the peak-GSNR power P_opt (dBm) and
-    the peak throughput (Tb/s).
-
-    Closed form: with g* the least GSNR carrying the target and A, B, C the
-    ASE, NLI and IMI + RBS terms of gsnr_terms, A/p + B*p^2 = D = 1/g* - C
-    becomes eps*x^3 - x + 1 = 0 for p = (A/D)*x, eps = B*A^2/D^3. It has a
-    root iff eps <= 4/27, i.e. D >= 1.5*A/P_opt with P_opt = (A/2B)^(1/3);
-    the smaller root, x in [1, 1.5], is on the rising branch.
-    """
-    terms = [gsnr_terms(plan, loss_db_per_km, n, include_rbs) for n in span_counts]
-    a, b, imi, rbs = np.reshape(terms, (-1, 4)).T
-    c = imi + rbs
+def _target_inv_gsnr(plan: LinkPlan, trx: TransceiverModel, target_tbps: float) -> float:
+    """1/g* for g* the least GSNR carrying target_tbps: 0 when no GSNR carries it,
+    inf when every GSNR does."""
     n_carriers = plan.n_fibers_per_direction * plan.n_channels
-    # numpy carries the limits: no fibers ask an infinite rate, and a GSNR
-    # that any power reaches gives D = inf and p = 0 mW.
-    with np.errstate(all="ignore"):
-        rate_gbps = np.divide(target_tbps * 1e3, n_carriers)
-        gsnr_db = trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz)
-        d = np.power(10.0, -gsnr_db / 10.0) - c
-        r = a / d  # the root without NLI
-        eps = b * r * r * r / a
-        # u = sqrt(eps) * (largest root), by the trigonometric formula; Vieta's
-        # product then gives the smallest root without the cancellation the
-        # direct trigonometric middle root suffers at small eps.
-        s = np.sqrt(eps)
-        u = 2.0 / np.sqrt(3.0) * np.cos(np.arccos(np.maximum(-1.0, -1.5 * np.sqrt(3.0) * s)) / 3.0)
-        power_dbm = 10.0 * np.log10(2.0 * r / (u * u + u * np.sqrt(u * u + 4.0 * s / u)))
-        p_opt_mw = np.cbrt(np.divide(a, 2.0 * b))
-        peak_db = -10.0 * np.log10(1.5 * a / p_opt_mw + c)
-        peak_tbps = n_carriers * trx.net_rate_gbps(peak_db, plan.symbol_rate_hz) / 1e3
-        feasible = (d > 0) & (eps <= 4.0 / 27.0)
-        return np.where(feasible, power_dbm, np.nan), 10.0 * np.log10(p_opt_mw), peak_tbps
+    # No fibers: the rate is x/0 as IEEE division gives it, +-inf or NaN.
+    rate_gbps = target_tbps * 1e3 / n_carriers if n_carriers else target_tbps * math.inf
+    gsnr_db = trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz)
+    try:
+        return 10.0 ** (-gsnr_db / 10.0)
+    except OverflowError:  # g* far below 0 dB, past float range
+        return math.inf
+
+
+def _solve_power_dbm(terms: tuple[float, float, float, float], inv_gsnr: float) -> float:
+    """Least EDFA output power (dBm) at which 1/GSNR = A/p + B*p^2 + C falls to
+    inv_gsnr, for A, B and C = IMI + RBS the gsnr_terms of one span count: NaN
+    above the GSNR peak, -inf when every power reaches it.
+
+    Closed form: A/p + B*p^2 = D = inv_gsnr - C becomes eps*x^3 - x + 1 = 0 for
+    p = (A/D)*x, eps = B*A^2/D^3. It has a root iff eps <= 4/27, i.e.
+    D >= 1.5*A/P_opt with P_opt = (A/2B)^(1/3); the smaller root, x in [1, 1.5],
+    is on the rising branch.
+    """
+    a, b, imi, rbs = terms
+    d = inv_gsnr - (imi + rbs)
+    if not d > 0:
+        return math.nan
+    r = a / d  # the root without NLI
+    if r == 0:  # D = inf (a target rate <= 0), or no ASE
+        return -math.inf
+    eps = b * r * r * r / a
+    if not eps <= 4.0 / 27.0:
+        return math.nan
+    # u = sqrt(eps) * (largest root), by the trigonometric formula; Vieta's
+    # product then gives the smallest root without the cancellation the
+    # direct trigonometric middle root suffers at small eps.
+    s = math.sqrt(eps)
+    u = 2.0 / math.sqrt(3.0) * math.cos(math.acos(max(-1.0, -1.5 * math.sqrt(3.0) * s)) / 3.0)
+    return 10.0 * math.log10(2.0 * r / (u * u + u * math.sqrt(u * u + 4.0 * s / u)))
+
+
+def _throughput_peak(plan: LinkPlan, trx: TransceiverModel,
+                     terms: tuple[float, float, float, float]) -> tuple[float, float]:
+    """Power P_opt (dBm) of the GSNR peak 1/(1.5*A/P_opt + C) and the throughput
+    there (Tb/s); without NLI or without ASE the peak is 1/C, at +inf or -inf dBm."""
+    a, b, imi, rbs = terms
+    if a > 0 and b > 0:
+        p_opt_mw = (a / (2.0 * b)) ** (1.0 / 3.0)
+        p_opt_dbm, inv_gsnr = 10.0 * math.log10(p_opt_mw), 1.5 * a / p_opt_mw + (imi + rbs)
+    else:
+        p_opt_dbm, inv_gsnr = (math.inf if b == 0 else -math.inf), imi + rbs
+    # Below the least normal float the peak counts as +inf: 10**(GSNR/10) would overflow.
+    peak_db = -10.0 * math.log10(inv_gsnr) if inv_gsnr >= sys.float_info.min else math.inf
+    n_carriers = plan.n_fibers_per_direction * plan.n_channels
+    return p_opt_dbm, n_carriers * trx.net_rate_gbps(peak_db, plan.symbol_rate_hz) / 1e3
 
 
 def required_edfa_power(
@@ -285,17 +315,28 @@ def required_edfa_power(
         raise ValueError(f"span_km={span_km} must lie in (0, {plan.total_length_km:g}] km")
     what = f"target {target_tbps:g} Tb/s at {loss_db_per_km:g} dB/km, {span_km:g} km spans"
     n = span_count(plan.total_length_km, span_km)
-    power, p_opt, peak = _solve_power_dbm(plan, trx, loss_db_per_km, [n], target_tbps, include_rbs)
-    power_dbm = float(power[0])
+    terms = gsnr_terms(plan, loss_db_per_km, n, include_rbs)
+    power_dbm = _solve_power_dbm(terms, _target_inv_gsnr(plan, trx, target_tbps))
     if math.isnan(power_dbm):
-        raise InfeasibleError(f"{what} is above the throughput peak {float(peak[0]):.6g} Tb/s "
-                              f"(at {float(p_opt[0]):.4g} dBm)")
+        p_opt_dbm, peak_tbps = _throughput_peak(plan, trx, terms)
+        raise InfeasibleError(f"{what} is above the throughput peak {peak_tbps:.6g} Tb/s "
+                              f"(at {p_opt_dbm:.4g} dBm)")
     low, high = settings.power_bracket_dbm
     if not low <= power_dbm <= high:
         raise InfeasibleError(
             f"{what} needs {power_dbm:.6g} dBm, outside the window {low:g}..{high:g} dBm"
         )
     return power_dbm
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) as floats, for num >= 1 and a step that does
+    not underflow: start + k*step, the last of several samples exactly stop."""
+    step = (stop - start) / max(num - 1, 1)
+    samples = [start + k * step for k in range(num)]
+    if num > 1:
+        samples[-1] = stop
+    return samples
 
 
 def span_length_curve(
@@ -309,7 +350,7 @@ def span_length_curve(
     include_rbs: bool = False,
     settings: SolverSettings = DEFAULT_SOLVER,
 ) -> list[SpanCurvePoint]:
-    """Required EDFA power across span lengths, in one solve.
+    """Required EDFA power across span lengths, one closed-form solve per span count.
 
     Samples snap to integer partitions of the link, so samples landing on
     the same span count collapse to one point. A point is feasible when its power lies inside the
@@ -322,14 +363,14 @@ def span_length_curve(
         raise ValueError(f"span range is empty: {span_min_km}..{span_max_km}")
     if not 1 <= n_points <= MAX_SPAN_POINTS:
         raise ValueError(f"n_points must lie in 1..{MAX_SPAN_POINTS}, got {n_points}")
-    spans = np.linspace(span_min_km, span_max_km, n_points).tolist()
+    spans = _linspace(span_min_km, span_max_km, n_points)
     counts = dict.fromkeys(span_count(plan.total_length_km, s) for s in spans)
     counts.pop(0, None)  # samples over twice the link length leave no full span
-    power, _, _ = _solve_power_dbm(plan, trx, loss_db_per_km, list(counts), target_tbps,
-                                   include_rbs)
+    inv_gsnr = _target_inv_gsnr(plan, trx, target_tbps)
     low, high = settings.power_bracket_dbm
     points = []
-    for n, p in zip(counts, power.tolist()):
+    for n in counts:
+        p = _solve_power_dbm(gsnr_terms(plan, loss_db_per_km, n, include_rbs), inv_gsnr)
         feasible = low <= p <= high
         points.append(SpanCurvePoint(plan.total_length_km / n, p if feasible else math.nan,
                                      feasible))

@@ -152,6 +152,20 @@ def ase_inv_snr(
     return n_amps * p_ase / per_channel_output_w
 
 
+def gn_asinh_scale(dispersion_ps_nm_km: float, const: PhysicalConstants) -> tuple[float, float]:
+    """|beta2| (s^2/km) and 0.5*pi^2*|beta2|: the GN closed form's asinh argument
+    is that scale times B^2/alpha, and overflows to inf at a loss below about
+    1.1e-305 dB/km (3 ps/(nm km), 5 THz)."""
+    light_m_s = const.light_speed_km_s * 1e3
+    beta2 = (
+        abs(dispersion_ps_nm_km)
+        * 1e-3
+        * const.reference_wavelength_m**2
+        / (2.0 * math.pi * light_m_s)
+    )
+    return beta2, 0.5 * math.pi**2 * beta2
+
+
 def gn_nli_psd_per_span(
     fiber: FiberSpec,
     launch_psd_w_hz: float,
@@ -177,15 +191,8 @@ def gn_nli_psd_per_span(
     alpha = attenuation_db_to_per_km(fiber.loss_db_per_km)
     l_eff = -math.expm1(-alpha * span_km) / alpha
     l_eff_a = 1.0 / alpha
-    # |beta2| in s^2/km from the dispersion parameter in ps/(nm km).
-    light_m_s = const.light_speed_km_s * 1e3
-    beta2 = (
-        abs(fiber.dispersion_ps_nm_km)
-        * 1e-3
-        * const.reference_wavelength_m**2
-        / (2.0 * math.pi * light_m_s)
-    )
-    asinh_arg = 0.5 * math.pi**2 * beta2 * l_eff_a * comb_bw_hz**2
+    beta2, asinh_scale = gn_asinh_scale(fiber.dispersion_ps_nm_km, const)
+    asinh_arg = asinh_scale * l_eff_a * comb_bw_hz**2
     return (
         (8.0 / 27.0)
         * fiber.gamma_per_w_km**2

@@ -7,6 +7,7 @@ electrical power feed and propagation latency.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -20,12 +21,13 @@ from .impairments import (
     SnrBudget,
     ase_inv_snr,
     combine_gsnr,
+    gn_asinh_scale,
     gn_nli_psd_per_span,
     imi_inv_snr,
     nli_inv_snr,
     rbs_inv_snr,
 )
-from .units import PhysicalConstants, dbm_to_watt
+from .units import PhysicalConstants, attenuation_db_to_per_km, dbm_to_watt
 from .units import db_to_linear  # noqa: F401  (perfbench's traced run patches system.db_to_linear)
 
 if TYPE_CHECKING:
@@ -105,6 +107,7 @@ class LinkPlan:
         if not 0 < self.band_hz < DEFAULT_CONSTANTS.reference_frequency_hz:
             raise ValueError(f"link.band_hz must lie between 0 and the carrier frequency "
                              f"{DEFAULT_CONSTANTS.reference_frequency_hz:g} Hz, got {self.band_hz}")
+        self.check_nli_loss(self.fiber.loss_db_per_km)
         if self.n_fibers_per_direction < 0:
             raise ValueError(
                 f"link.n_fibers_per_direction must be >= 0, got {self.n_fibers_per_direction}"
@@ -145,6 +148,18 @@ class LinkPlan:
                              f"{span_km:g} km + amplifier.pre_input_loss_db + amplifier."
                              f"post_output_loss_db = {gain_db:g} dB) <= {MAX_SPAN_GAIN_DB:g} dB")
         return gain_db
+
+    def check_nli_loss(self, loss_db_per_km: float, name: str = "fiber.loss_db_per_km") -> None:
+        """Raise, naming `name`, when the NLI's asinh argument 0.5*pi^2*|beta2|*B^2/alpha
+        is inf at this loss, as gn_nli_psd_per_span computes it: below about
+        1.1e-305 dB/km at 3 ps/(nm km) and 5 THz."""
+        alpha = attenuation_db_to_per_km(loss_db_per_km)
+        scale = gn_asinh_scale(self.fiber.dispersion_ps_nm_km, DEFAULT_CONSTANTS)[1]
+        if not alpha > 0 or scale * (1.0 / alpha) * self.band_hz**2 == math.inf:
+            raise ValueError(f"{name}={loss_db_per_km} puts the NLI's asinh argument "
+                             f"0.5*pi^2*|beta2|*B^2/alpha beyond float range at fiber.dispersion_"
+                             f"ps_nm_km={self.fiber.dispersion_ps_nm_km:g} and link.band_hz="
+                             f"{self.band_hz:g}")
 
 
 @dataclass(frozen=True)
@@ -238,12 +253,10 @@ class TabulatedTransceiver:
     """Piecewise-linear (gsnr_db, net_rate_gbps) curve, clamped at the ends."""
 
     points: tuple[tuple[float, float], ...]
-    _gsnr_db: np.ndarray = field(init=False, repr=False, compare=False)
-    _rate_gbps: np.ndarray = field(init=False, repr=False, compare=False)
+    _gsnr_db: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _rate_gbps: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        import numpy as np
-
         points = tuple((float(g), float(r)) for g, r in self.points)
         if not points:
             raise ValueError("transceiver table needs at least one point")
@@ -256,8 +269,8 @@ class TabulatedTransceiver:
             if r1 < r0:
                 raise ValueError(f"table net_rate_gbps must be nondecreasing: {r0} then {r1}")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_gsnr_db", np.array([g for g, _ in points]))
-        object.__setattr__(self, "_rate_gbps", np.array([r for _, r in points]))
+        object.__setattr__(self, "_gsnr_db", tuple(g for g, _ in points))
+        object.__setattr__(self, "_rate_gbps", tuple(r for _, r in points))
 
     def net_rate_gbps(self, gsnr_db: float | np.ndarray, symbol_rate_hz: float) -> np.ndarray:
         """Rate at a finite GSNR or at every element of an array of them."""
@@ -267,15 +280,15 @@ class TabulatedTransceiver:
 
     def required_gsnr_db(self, rate_gbps: float, symbol_rate_hz: float) -> float:
         """Least GSNR (dB) whose rate reaches rate_gbps: the left end of a flat
-        segment; -inf at or below the first rate, +inf above the last."""
-        import numpy as np
-
+        segment; -inf at or below the first rate, +inf above the last or for NaN."""
         gsnr, rate = self._gsnr_db, self._rate_gbps
-        k = int(np.searchsorted(rate, rate_gbps))  # rate[k-1] < rate_gbps <= rate[k]
+        if math.isnan(rate_gbps):  # np.searchsorted's order puts NaN after every rate
+            return math.inf
+        k = bisect.bisect_left(rate, rate_gbps)  # rate[k-1] < rate_gbps <= rate[k]
         if k in (0, len(rate)):
             return -math.inf if k == 0 else math.inf
         share = (rate[k] - rate_gbps) / (rate[k] - rate[k - 1])
-        return float(gsnr[k] - share * (gsnr[k] - gsnr[k - 1]))
+        return gsnr[k] - share * (gsnr[k] - gsnr[k - 1])
 
 
 TransceiverModel = Union[ShannonGapTransceiver, TabulatedTransceiver]

@@ -64,6 +64,14 @@ def test_budget_at_defaults_is_pinned(capsys):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_span_curve_at_defaults_is_pinned(capsys, fmt):
+    # The scalar math solve gives the bytes the numpy array solve gave.
+    golden = Path(__file__).with_name("golden") / f"span_curve_default.{fmt}"
+    assert main(["span-curve", "--format", fmt]) == EXIT_OK
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def test_budget_with_rbs(capsys):
     doc = _run_json(capsys, ["budget", "--include-rbs", "true"])
     assert doc["budget"]["gsnr_db"] == pytest.approx(15.951, abs=1e-3)
@@ -393,6 +401,27 @@ def test_span_min_at_max_spans_runs(capsys):
     assert main(["span-curve", "--span-min", "0.066", "--span-max", "0.066",
                  "--span-points", "1"]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["budget", "span-curve", "contour"])
+@pytest.mark.parametrize(
+    "document,key",
+    [
+        ({"fiber": {"loss_db_per_km": 9.7e-308}}, "fiber.loss_db_per_km"),
+        ({"fiber": {"loss_db_per_km": 1e-307}}, "fiber.loss_db_per_km"),
+        ({"fiber": {"loss_db_per_km": 1e-305}}, "fiber.loss_db_per_km"),
+        ({"fiber": {"loss_db_per_km": 1e-302}, "link": {"band_hz": 1.9e14}},
+         "fiber.loss_db_per_km"),
+        ({"sweep": {"loss_min": 1e-307}}, "sweep.loss_min"),
+    ],
+)
+def test_loss_that_overflows_the_nli_is_named(capsys, tmp_path, command, document, key):
+    # Above the attenuation floor, yet 0.5*pi^2*|beta2|*B^2/alpha overflows.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(document))
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    message = _one_config_error(capsys)
+    assert key in message and "asinh argument" in message
 
 
 @pytest.mark.parametrize(

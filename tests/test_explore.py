@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcflink import explore
 from hcflink.explore import (
     MAX_GRID_POINTS,
     MAX_SPAN_POINTS,
@@ -15,6 +16,9 @@ from hcflink.explore import (
     SolverSettings,
     SweepGrid,
     _cell_cases,
+    _linspace,
+    _solve_power_dbm,
+    _target_inv_gsnr,
     extract_contour,
     required_edfa_power,
     sensitivity_delta,
@@ -24,9 +28,11 @@ from hcflink.explore import (
 from hcflink.system import (
     InfeasibleError,
     OperatingPoint,
+    ShannonGapTransceiver,
     TabulatedTransceiver,
     cable_throughput,
     channel_net_rate,
+    gsnr_terms,
     link_gsnr,
 )
 
@@ -323,6 +329,88 @@ def test_required_power_agrees_with_a_dense_scan(
     assert all(t < target for p, t in scan if p < power - 1e-6)
 
 
+def _numpy_solve_power_dbm(plan, trx, loss_db_per_km, span_counts, target_tbps, include_rbs):
+    """The array form of the closed-form solve, kept as a reference: the least
+    power (dBm) per span count, NaN above the throughput peak."""
+    terms = [gsnr_terms(plan, loss_db_per_km, n, include_rbs) for n in span_counts]
+    a, b, imi, rbs = np.reshape(terms, (-1, 4)).T
+    c = imi + rbs
+    n_carriers = plan.n_fibers_per_direction * plan.n_channels
+    with np.errstate(all="ignore"):
+        rate_gbps = np.divide(target_tbps * 1e3, n_carriers)
+        gsnr_db = trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz)
+        d = np.power(10.0, -gsnr_db / 10.0) - c
+        r = a / d
+        eps = b * r * r * r / a
+        s = np.sqrt(eps)
+        u = 2.0 / np.sqrt(3.0) * np.cos(np.arccos(np.maximum(-1.0, -1.5 * np.sqrt(3.0) * s)) / 3.0)
+        power_dbm = 10.0 * np.log10(2.0 * r / (u * u + u * np.sqrt(u * u + 4.0 * s / u)))
+        feasible = (d > 0) & (eps <= 4.0 / 27.0)
+        return np.where(feasible, power_dbm, np.nan)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(start=st.floats(1e-3, 1e6), width=st.floats(0.0, 1e6), num=st.integers(1, 300))
+def test_span_samples_are_numpys_linspace(start, width, num):
+    stop = start + width
+    assert _linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    gamma=st.floats(0.0, 1.0),
+    loss=st.floats(0.03, 0.1),
+    counts=st.lists(st.integers(1, 200), min_size=1, max_size=6),
+    target=st.one_of(st.floats(1.0, 1500.0), st.sampled_from([0.0, -1.0, 1e-310, 1e9])),
+    include_rbs=st.booleans(),
+    tabulated=st.booleans(),
+    fibers=st.sampled_from([26, 0]),
+)
+def test_scalar_solve_matches_the_numpy_reference(
+    reference_plan, calibrated_trx, gamma, loss, counts, target, include_rbs, tabulated, fibers
+):
+    """One math solve per span count gives the array solve's power within
+    1e-12 dB (numpy's log10 and arccos may differ from libm's by an ulp), and
+    NaN exactly where it gave NaN."""
+    plan = replace(reference_plan, fiber=replace(reference_plan.fiber, gamma_per_w_km=gamma),
+                   n_fibers_per_direction=fibers)
+    trx = _STAIRCASE if tabulated else calibrated_trx
+    reference = _numpy_solve_power_dbm(plan, trx, loss, counts, target, include_rbs).tolist()
+    inv_gsnr = _target_inv_gsnr(plan, trx, target)
+    for n, want in zip(counts, reference):
+        got = _solve_power_dbm(gsnr_terms(plan, loss, n, include_rbs), inv_gsnr)
+        if math.isnan(want) or math.isinf(want):
+            assert got == want or math.isnan(got) and math.isnan(want)
+        else:
+            assert abs(got - want) <= 1e-12
+
+
+def test_target_below_any_gsnr_needs_no_power(reference_plan, calibrated_trx):
+    # 1e-310 Tb/s asks a GSNR near -3190 dB, whose 10**(-g/10) is past float range.
+    assert _target_inv_gsnr(reference_plan, calibrated_trx, 1e-310) == math.inf
+    with pytest.raises(InfeasibleError, match="needs -inf dBm, outside the window"):
+        required_edfa_power(reference_plan, calibrated_trx, 0.06, 200.0, 1e-310)
+
+
+def test_infeasible_message_peak_at_the_kernel_limits(reference_plan, calibrated_trx):
+    """The peak the message reports without NLI (gamma = 0), without ASE (a unit
+    span gain) and with a crosstalk floor below the least normal float."""
+    capped = ShannonGapTransceiver(calibrated_trx.gap_db, 500.0)  # 1716 carriers: 858 Tb/s
+    fiber = reference_plan.fiber
+    no_nli = replace(reference_plan, fiber=replace(fiber, gamma_per_w_km=0.0))
+    with pytest.raises(InfeasibleError, match=r"peak 858 Tb/s \(at inf dBm\)"):
+        required_edfa_power(no_nli, capped, 0.06, 200.0, 1000.0)
+    no_ase = replace(reference_plan, fiber=replace(fiber, loss_db_per_km=1e-20),
+                     amp=replace(reference_plan.amp, pre_input_loss_db=0.0,
+                                 post_output_loss_db=0.0))
+    assert gsnr_terms(no_ase, 1e-20, no_ase.n_spans)[0] == 0.0
+    with pytest.raises(InfeasibleError, match=r"\(at -inf dBm\)"):
+        required_edfa_power(no_ase, calibrated_trx, 1e-20, 200.0, 1e6)
+    subnormal_floor = replace(no_nli, fiber=replace(no_nli.fiber, imi_db_per_km=-3130.0))
+    with pytest.raises(InfeasibleError, match=r"peak 858 Tb/s \(at inf dBm\)"):
+        required_edfa_power(subnormal_floor, capped, 0.06, 200.0, 1000.0)
+
+
 def test_span_curve_increasing(reference_plan, calibrated_trx):
     points = span_length_curve(
         reference_plan, calibrated_trx, 0.06, 150.0, 250.0, 21, 1000.0
@@ -437,10 +525,11 @@ def test_span_curve_without_a_full_span_is_empty(reference_plan, calibrated_trx)
 
 
 def test_span_points_bounded_before_allocation(reference_plan, calibrated_trx, monkeypatch):
-    def no_linspace(*args, **kwargs):
+    def no_sampling(*args, **kwargs):
         raise AssertionError("an oversized curve must be refused before sampling")
 
-    monkeypatch.setattr(np, "linspace", no_linspace)
+    # Every sample is snapped through span_count.
+    monkeypatch.setattr(explore, "span_count", no_sampling)
     with pytest.raises(ValueError, match="n_points"):
         span_length_curve(
             reference_plan, calibrated_trx, 0.06, 150.0, 250.0, MAX_SPAN_POINTS + 1, 1000.0

@@ -1,7 +1,8 @@
 """What `import hcflink` and the scalar subcommands load.
 
-budget, rbs, powerfeed and latency evaluate scalar closed forms, so they must
-start without numpy; the package exports its names lazily for the same reason.
+budget, rbs, powerfeed, latency and span-curve evaluate scalar closed forms, so
+they must start without numpy; the package exports its names lazily for the
+same reason.
 """
 
 from __future__ import annotations
@@ -29,13 +30,18 @@ _PROBE = (
 )
 
 
-def _run_main(argv: list[str]) -> dict:
-    """main(argv) in a fresh interpreter: its exit code and whether numpy loaded."""
+def _fresh_python(*args: str) -> str:
+    """stdout of `python -c ...` in a fresh interpreter with src on the path."""
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(SRC) if not old else f"{SRC}{os.pathsep}{old}")
-    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)], env=env,
+    proc = subprocess.run([sys.executable, "-c", *args], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _run_main(argv: list[str]) -> dict:
+    """main(argv) in a fresh interpreter: its exit code and whether numpy loaded."""
+    return json.loads(_fresh_python(_PROBE, json.dumps(argv)))
 
 
 @pytest.mark.parametrize(
@@ -45,6 +51,24 @@ def _run_main(argv: list[str]) -> dict:
 )
 def test_scalar_commands_do_not_load_numpy(argv):
     assert _run_main(argv) == {"code": 0, "numpy": False}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--format", "csv"], ["--format", "json"], ["--include-rbs", "true"], ["--trx-table"]],
+    ids=" ".join,
+)
+def test_span_curve_does_not_load_numpy(tmp_path, flags):
+    if flags == ["--trx-table"]:
+        table = tmp_path / "trx.csv"
+        table.write_text("5,100\n8,300\n10,300\n14,500\n20,600\n", encoding="utf-8")
+        flags = ["--trx-table", str(table), "--target-tbps", "900"]
+    assert _run_main(["span-curve", *flags]) == {"code": 0, "numpy": False}
+
+
+def test_import_explore_does_not_load_numpy():
+    probe = "import sys, hcflink.explore; print('numpy' in sys.modules)"
+    assert _fresh_python(probe).strip() == "False"
 
 
 def test_contour_loads_numpy():

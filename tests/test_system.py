@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcflink.impairments import MIN_LOSS_DB_PER_KM
 from hcflink.system import (
     InfeasibleError,
     LinkPlan,
@@ -406,3 +407,53 @@ def test_fiber_count_is_bounded(reference_fiber, reference_amp, count):
         LinkPlan(fiber=reference_fiber, amp=reference_amp, n_fibers_per_direction=count)
     plan = LinkPlan(fiber=reference_fiber, amp=reference_amp, n_fibers_per_direction=10**6)
     assert plan.n_fibers_per_direction == 10**6
+
+
+def _searchsorted_required_gsnr_db(table: TabulatedTransceiver, rate_gbps: float) -> float:
+    """The tabulated inverse as numpy's searchsorted computed it."""
+    gsnr = np.array([g for g, _ in table.points])
+    rate = np.array([r for _, r in table.points])
+    k = int(np.searchsorted(rate, rate_gbps))
+    if k in (0, len(rate)):
+        return -math.inf if k == 0 else math.inf
+    share = (rate[k] - rate_gbps) / (rate[k] - rate[k - 1])
+    return float(gsnr[k] - share * (gsnr[k] - gsnr[k - 1]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    steps=st.lists(st.tuples(st.floats(0.01, 10.0), st.sampled_from([0.0, 0.5, 1.0, 37.0])),
+                   min_size=1, max_size=8),
+    pick=st.integers(0, 7),
+    rate=st.one_of(st.floats(-10.0, 400.0), st.sampled_from([math.nan, math.inf, -math.inf])),
+)
+def test_tabulated_inverse_matches_searchsorted(steps, pick, rate):
+    """bisect_left on the stored rates is np.searchsorted(side="left"), bit for bit,
+    on flat segments, at table rates, outside the table and for NaN."""
+    points, g, r = [], 0.0, 50.0
+    for dg, dr in steps:
+        g, r = g + dg, r + dr
+        points.append((g, r))
+    table = TabulatedTransceiver(tuple(points))
+    for x in (rate, points[pick % len(points)][1]):
+        assert table.required_gsnr_db(x, 73.5e9) == _searchsorted_required_gsnr_db(table, x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    exponent=st.floats(-307.99, -295.0),
+    band_hz=st.floats(75e9, 1.9e14),
+    dispersion=st.floats(1e-6, 1e6),
+)
+def test_tiny_loss_is_named_or_gives_finite_terms(reference_plan, exponent, band_hz, dispersion):
+    """Near the NLI's asinh overflow a loss either is refused by check_nli_loss,
+    naming its key, or gives finite gsnr_terms; never an inf term."""
+    fiber = replace(reference_plan.fiber, dispersion_ps_nm_km=dispersion)
+    plan = replace(reference_plan, fiber=fiber, band_hz=band_hz)
+    loss = max(10.0**exponent, MIN_LOSS_DB_PER_KM)
+    try:
+        plan.check_nli_loss(loss, name="sweep.loss_min")
+    except ValueError as exc:
+        assert "sweep.loss_min" in str(exc) and "asinh argument" in str(exc)
+        return
+    assert all(math.isfinite(term) for term in gsnr_terms(plan, loss, plan.n_spans))
