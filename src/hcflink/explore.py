@@ -21,6 +21,7 @@ from .system import (
     TransceiverModel,
     gsnr_terms,
     span_count,
+    span_terms,
 )
 # perfbench's traced run patches these two names here.
 from .system import cable_throughput, link_gsnr  # noqa: F401
@@ -350,7 +351,8 @@ def span_length_curve(
     include_rbs: bool = False,
     settings: SolverSettings = DEFAULT_SOLVER,
 ) -> list[SpanCurvePoint]:
-    """Required EDFA power across span lengths, one closed-form solve per span count.
+    """Required EDFA power across span lengths: one span_terms call for all the
+    span counts, then one closed-form solve per count.
 
     Samples snap to integer partitions of the link, so samples landing on
     the same span count collapse to one point. A point is feasible when its power lies inside the
@@ -369,8 +371,8 @@ def span_length_curve(
     inv_gsnr = _target_inv_gsnr(plan, trx, target_tbps)
     low, high = settings.power_bracket_dbm
     points = []
-    for n in counts:
-        p = _solve_power_dbm(gsnr_terms(plan, loss_db_per_km, n, include_rbs), inv_gsnr)
+    for n, terms in zip(counts, span_terms(plan, loss_db_per_km, counts, include_rbs)):
+        p = _solve_power_dbm(terms, inv_gsnr)
         feasible = low <= p <= high
         points.append(SpanCurvePoint(plan.total_length_km / n, p if feasible else math.nan,
                                      feasible))

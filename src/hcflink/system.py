@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .impairments import (
     MAX_ABS_POWER_DBM,
@@ -332,37 +332,51 @@ def per_channel_launch(
     )
 
 
-def gsnr_terms(plan: LinkPlan, loss_db_per_km: float, n_spans: int,
-               include_rbs: bool = False) -> tuple[float, float, float, float]:
-    """ASE, NLI, IMI and RBS 1/SNR at a total EDFA output of 1 mW, the link
-    cut into n_spans equal spans.
+def span_terms(plan: LinkPlan, loss_db_per_km: float, counts: Iterable[int],
+               include_rbs: bool = False) -> list[tuple[float, float, float, float]]:
+    """ASE, NLI, IMI and RBS 1/SNR at a total EDFA output of 1 mW, for the
+    link cut into n equal spans, one tuple per n in counts.
 
     At a total output of p mW, 1/GSNR = ASE/p + NLI*p^2 + IMI + RBS: the
     incoherent GN model's NLI PSD scales as the launch power cubed. Each span
     has one gain block restoring its fiber loss plus the lumped pre/post
     losses. The backscatter term uses the fiber-only span loss and is 0
     unless include_rbs is set.
+
+    The fiber at this loss, its checks (check_nli_loss included), the launch
+    powers and the IMI term are built once per call; only the span-dependent
+    terms, each with its own checks, are evaluated per count. A loss refused
+    by the once-per-call checks raises even for empty counts.
     """
     fiber = replace(plan.fiber, loss_db_per_km=loss_db_per_km)
+    plan.check_nli_loss(loss_db_per_km, "loss_db_per_km")
     n_channels = plan.n_channels
-    span_km = plan.total_length_km / n_spans
-    gain_db = plan.span_gain_db(loss_db_per_km, n_spans, "loss_db_per_km")
     p_out_w = dbm_to_watt(-10.0 * math.log10(n_channels))
     p_launch_w = per_channel_launch(0.0, n_channels, plan.amp.post_output_loss_db)
-    psd = gn_nli_psd_per_span(
-        fiber, p_launch_w / plan.channel_spacing_hz, span_km, plan.band_hz, DEFAULT_CONSTANTS
-    )
-    inv_rbs = (
-        rbs_inv_snr(fiber.backscatter_db_per_km, plan.total_length_km, loss_db_per_km * span_km)
-        if include_rbs
-        else 0.0
-    )
-    return (
-        ase_inv_snr(plan.amp, p_out_w, gain_db, n_spans, plan.symbol_rate_hz, DEFAULT_CONSTANTS),
-        nli_inv_snr(psd, n_spans, plan.symbol_rate_hz, p_launch_w),
-        imi_inv_snr(fiber.imi_db_per_km, plan.total_length_km),
-        inv_rbs,
-    )
+    launch_psd = p_launch_w / plan.channel_spacing_hz
+    inv_imi = imi_inv_snr(fiber.imi_db_per_km, plan.total_length_km)
+    terms = []
+    for n_spans in counts:
+        span_km = plan.total_length_km / n_spans
+        gain_db = plan.span_gain_db(loss_db_per_km, n_spans, "loss_db_per_km")
+        psd = gn_nli_psd_per_span(fiber, launch_psd, span_km, plan.band_hz, DEFAULT_CONSTANTS)
+        inv_rbs = (rbs_inv_snr(fiber.backscatter_db_per_km, plan.total_length_km,
+                               loss_db_per_km * span_km) if include_rbs else 0.0)
+        terms.append((
+            ase_inv_snr(plan.amp, p_out_w, gain_db, n_spans, plan.symbol_rate_hz,
+                        DEFAULT_CONSTANTS),
+            nli_inv_snr(psd, n_spans, plan.symbol_rate_hz, p_launch_w),
+            inv_imi,
+            inv_rbs,
+        ))
+    return terms
+
+
+def gsnr_terms(plan: LinkPlan, loss_db_per_km: float, n_spans: int,
+               include_rbs: bool = False) -> tuple[float, float, float, float]:
+    """The span_terms of one span count: ASE, NLI, IMI and RBS 1/SNR at a
+    total EDFA output of 1 mW, the link cut into n_spans equal spans."""
+    return span_terms(plan, loss_db_per_km, (n_spans,), include_rbs)[0]
 
 
 def link_gsnr(plan: LinkPlan, op: OperatingPoint, include_rbs: bool = False) -> SnrBudget:

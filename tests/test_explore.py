@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcflink import explore
+from hcflink import explore, impairments
 from hcflink.explore import (
     MAX_GRID_POINTS,
     MAX_SPAN_POINTS,
@@ -542,3 +542,47 @@ def test_span_curve_window_is_inclusive(reference_plan, calibrated_trx):
         [point] = span_length_curve(reference_plan, calibrated_trx, 0.06, 200.0, 200.0, 1,
                                     1000.0, settings=SolverSettings(power_bracket_dbm=window))
         assert point.feasible and point.required_dbm == power
+
+
+def test_span_curve_builds_the_fiber_once(reference_plan, calibrated_trx, monkeypatch):
+    built = []
+    check = impairments.FiberSpec.__post_init__
+
+    def counting(self):
+        built.append(self.loss_db_per_km)
+        check(self)
+
+    monkeypatch.setattr(impairments.FiberSpec, "__post_init__", counting)
+    # 6600 km in 103.125..330 km spans: every count from 20 to 64.
+    points = span_length_curve(reference_plan, calibrated_trx, 0.06, 103.125, 330.0, 1000,
+                               1000.0)
+    assert len(points) == 45
+    assert built == [0.06]
+
+
+_FIBER_LOSS = "^fiber.loss_db_per_km must be >= 9.663e-308"
+# 1e-307 passes FiberSpec but overflows the NLI's asinh argument; 5 dB/km over
+# 200 km spans is a 1004 dB span gain, above MAX_SPAN_GAIN_DB.
+_BAD_LOSSES = [(0.0, _FIBER_LOSS), (-1.0, _FIBER_LOSS), (5e-324, _FIBER_LOSS),
+               (1e-307, "^loss_db_per_km=1e-307 puts the NLI's asinh argument"),
+               (5.0, "^loss_db_per_km=5.0 must be >= 0 and keep the span gain")]
+
+
+@pytest.mark.parametrize("loss,message", _BAD_LOSSES)
+def test_bad_loss_gives_one_message_on_both_solves(reference_plan, calibrated_trx, loss,
+                                                   message):
+    with pytest.raises(ValueError, match=message) as single:
+        required_edfa_power(reference_plan, calibrated_trx, loss, 200.0, 1000.0)
+    with pytest.raises(ValueError) as curve:
+        span_length_curve(reference_plan, calibrated_trx, loss, 200.0, 200.0, 1, 1000.0)
+    assert str(curve.value) == str(single.value)
+
+
+@pytest.mark.parametrize("loss", [loss for loss, message in _BAD_LOSSES[:4]])
+def test_bad_loss_is_refused_without_a_full_span(reference_plan, calibrated_trx, loss):
+    """The loss checks that need no span count run even when no count is left."""
+    with pytest.raises(ValueError) as single:
+        required_edfa_power(reference_plan, calibrated_trx, loss, 200.0, 1000.0)
+    with pytest.raises(ValueError) as curve:
+        span_length_curve(reference_plan, calibrated_trx, loss, 14000.0, 20000.0, 5, 1000.0)
+    assert str(curve.value) == str(single.value)

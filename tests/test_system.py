@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hcflink.impairments import MIN_LOSS_DB_PER_KM
 from hcflink.system import (
+    MAX_SPANS,
     InfeasibleError,
     LinkPlan,
     OperatingPoint,
@@ -28,6 +29,7 @@ from hcflink.system import (
     power_feed,
     propagation_latency,
     repeater_count,
+    span_terms,
 )
 
 
@@ -457,3 +459,40 @@ def test_tiny_loss_is_named_or_gives_finite_terms(reference_plan, exponent, band
         assert "sweep.loss_min" in str(exc) and "asinh argument" in str(exc)
         return
     assert all(math.isfinite(term) for term in gsnr_terms(plan, loss, plan.n_spans))
+
+
+def _terms_or_error(call):
+    try:
+        return [tuple(term.hex() for term in terms) for terms in call()]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    gamma=st.floats(0.0, 1.0),
+    loss=st.one_of(
+        st.floats(0.03, 0.1),
+        st.floats(-307.99, -300.0).map(lambda e: max(10.0**e, MIN_LOSS_DB_PER_KM)),
+        st.sampled_from([MIN_LOSS_DB_PER_KM, 5e-324, 0.0]),
+    ),
+    counts=st.lists(st.one_of(st.just(1), st.integers(1, 300), st.integers(1, MAX_SPANS),
+                              st.just(MAX_SPANS)), min_size=1, max_size=8),
+    include_rbs=st.booleans(),
+    fibers=st.sampled_from([26, 0]),
+)
+def test_span_terms_are_the_per_count_gsnr_terms(reference_plan, gamma, loss, counts,
+                                                 include_rbs, fibers):
+    """One span_terms call gives, bit for bit, the gsnr_terms of every count in
+    turn (repeats included), or raises the message the first of those raises."""
+    plan = replace(reference_plan, fiber=replace(reference_plan.fiber, gamma_per_w_km=gamma),
+                   n_fibers_per_direction=fibers)
+    counts = counts + counts[::2]
+    assert _terms_or_error(lambda: span_terms(plan, loss, counts, include_rbs)) == \
+        _terms_or_error(lambda: [gsnr_terms(plan, loss, n, include_rbs) for n in counts])
+
+
+def test_link_gsnr_names_a_tiny_loss(reference_plan):
+    # The loss passes FiberSpec, but the NLI's asinh argument overflows at it.
+    with pytest.raises(ValueError, match="^loss_db_per_km=1e-307 puts the NLI"):
+        link_gsnr(reference_plan, OperatingPoint(1e-307, 20.3))
