@@ -6,6 +6,8 @@ throughput), ``contour`` (full sweep grid with level lines), ``span-curve``
 ``powerfeed`` and ``latency``.
 
 Exit codes: 0 success, 2 config error, 3 infeasible solve, 4 I/O error.
+Each command writes straight to stdout or to its ``--output`` file, which is
+replaced only when the command succeeds.
 
 Only contour (its sweep arrays) and budget --trx-table (the table's np.interp)
 load numpy: the other commands evaluate scalar closed forms and start without it.
@@ -14,13 +16,17 @@ load numpy: the other commands evaluate scalar closed forms and start without it
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import io
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import IO, Iterator
 
 from . import impairments, outputs, system
 from .config import ConfigError, RunConfig, parse_config, resolve_transceiver
@@ -35,9 +41,17 @@ EXIT_IO = 4
 COMMANDS = ("budget", "contour", "span-curve", "rbs", "powerfeed", "latency")
 
 
-def run_command(
+def run_command(command: str, cfg: RunConfig, **options) -> str:
+    """Run one subcommand against a parsed config and return the output text."""
+    buf = io.StringIO()
+    write_command(command, cfg, buf, **options)
+    return buf.getvalue()
+
+
+def write_command(
     command: str,
     cfg: RunConfig,
+    fh: IO[str],
     *,
     fmt: str = "json",
     include_rbs: bool = False,
@@ -47,8 +61,9 @@ def run_command(
     span_range: tuple[float, float, int] = (150.0, 250.0, 21),
     losses: tuple[float, ...] = (0.05, 0.06, 0.07),
     trx_table: str | None = None,
-) -> str:
-    """Run one subcommand against a parsed config and return the output text."""
+) -> None:
+    """Run one subcommand against a parsed config and write its output to fh.
+    Every check runs before the first write."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     handler = {
@@ -59,9 +74,9 @@ def run_command(
         "powerfeed": _run_powerfeed,
         "latency": _run_latency,
     }[command]
-    return handler(cfg, fmt=fmt, include_rbs=include_rbs, target_tbps=target_tbps,
-                   levels=levels, field=field, span_range=span_range, losses=losses,
-                   trx_table=trx_table)
+    handler(cfg, fh, fmt=fmt, include_rbs=include_rbs, target_tbps=target_tbps,
+            levels=levels, field=field, span_range=span_range, losses=losses,
+            trx_table=trx_table)
 
 
 def _echo(cfg: RunConfig, trx_values: dict | None = None) -> dict:
@@ -71,18 +86,12 @@ def _echo(cfg: RunConfig, trx_values: dict | None = None) -> dict:
     return echo
 
 
-def _json_text(document: dict) -> str:
-    buf = io.StringIO()
-    outputs.write_json(document, buf)
-    return buf.getvalue()
-
-
 def _require_json(command: str, fmt: str) -> None:
     if fmt != "json":
         raise ConfigError(f"{command} supports only --format json, got {fmt!r}")
 
 
-def _run_budget(cfg: RunConfig, *, fmt, include_rbs, trx_table, **_) -> str:
+def _run_budget(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, trx_table, **_) -> None:
     _require_json("budget", fmt)
     plan = cfg.plan()
     trx, trx_values = resolve_transceiver(cfg, plan, trx_table)
@@ -106,10 +115,11 @@ def _run_budget(cfg: RunConfig, *, fmt, include_rbs, trx_table, **_) -> str:
         "channel_net_rate_gbps": rate_gbps,
         "cable_throughput_tbps": plan.n_fibers_per_direction * plan.n_channels * rate_gbps / 1e3,
     }
-    return _json_text(doc)
+    outputs.write_json(doc, fh)
 
 
-def _run_contour(cfg: RunConfig, *, fmt, include_rbs, levels, field, trx_table, **_) -> str:
+def _run_contour(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, levels, field, trx_table,
+                 **_) -> None:
     from . import explore
 
     plan = cfg.plan()
@@ -117,13 +127,12 @@ def _run_contour(cfg: RunConfig, *, fmt, include_rbs, levels, field, trx_table, 
     grid = explore.sweep_grid(plan, trx, cfg.grid(), include_rbs)
     echo = _echo(cfg, trx_values)
     if fmt == "csv":
-        buf = io.StringIO()
-        outputs.write_grid_csv(grid, echo, buf)
-        return buf.getvalue()
+        outputs.write_grid_csv(grid, echo, fh)
+        return
     contour_sets = [(level, explore.extract_contour(grid, field, level)) for level in levels]
     if fmt == "svg":
         unit = "Tb/s" if field == "throughput" else "dB"
-        return outputs.render_contour_svg(
+        fh.write(outputs.render_contour_svg(
             [(f"{level:g} {unit}", lines) for level, lines in contour_sets],
             xlim=(float(grid.loss_db_per_km[0]), float(grid.loss_db_per_km[-1])),
             ylim=(float(grid.edfa_power_dbm[0]), float(grid.edfa_power_dbm[-1])),
@@ -131,7 +140,8 @@ def _run_contour(cfg: RunConfig, *, fmt, include_rbs, levels, field, trx_table, 
             ylabel="EDFA output power (dBm)",
             title=f"{field} contours",
             config_values=echo,
-        )
+        ))
+        return
     doc = {
         "command": "contour",
         "config": echo,
@@ -143,11 +153,11 @@ def _run_contour(cfg: RunConfig, *, fmt, include_rbs, levels, field, trx_table, 
             for level, lines in contour_sets
         ],
     }
-    return _json_text(doc)
+    outputs.write_json(doc, fh)
 
 
-def _run_span_curve(cfg: RunConfig, *, fmt, include_rbs, target_tbps, span_range,
-                    trx_table, **_) -> str:
+def _run_span_curve(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, target_tbps,
+                    span_range, trx_table, **_) -> None:
     from . import explore
 
     plan = cfg.plan()
@@ -159,9 +169,8 @@ def _run_span_curve(cfg: RunConfig, *, fmt, include_rbs, target_tbps, span_range
     )
     echo = _echo(cfg, trx_values)
     if fmt == "csv":
-        buf = io.StringIO()
-        outputs.write_span_curve_csv(points, echo, buf)
-        return buf.getvalue()
+        outputs.write_span_curve_csv(points, echo, fh)
+        return
     if fmt != "json":
         raise ConfigError(f"span-curve supports csv or json, got {fmt!r}")
     doc = {
@@ -176,10 +185,10 @@ def _run_span_curve(cfg: RunConfig, *, fmt, include_rbs, target_tbps, span_range
             for p in points
         ],
     }
-    return _json_text(doc)
+    outputs.write_json(doc, fh)
 
 
-def _run_rbs(cfg: RunConfig, *, fmt, losses, **_) -> str:
+def _run_rbs(cfg: RunConfig, fh: IO[str], *, fmt, losses, **_) -> None:
     _require_json("rbs", fmt)
     plan = cfg.plan()
     launch_w = system.per_channel_launch(
@@ -205,10 +214,10 @@ def _run_rbs(cfg: RunConfig, *, fmt, losses, **_) -> str:
         "backscatter_db_per_km": backscatter_db,
         "rows": rows,
     }
-    return _json_text(doc)
+    outputs.write_json(doc, fh)
 
 
-def _run_powerfeed(cfg: RunConfig, *, fmt, **_) -> str:
+def _run_powerfeed(cfg: RunConfig, fh: IO[str], *, fmt, **_) -> None:
     _require_json("powerfeed", fmt)
     total_km = cfg.values["link"]["total_length_km"]
     n_repeaters = system.repeater_count(total_km, cfg.values["span"]["span_length_km"])
@@ -220,10 +229,10 @@ def _run_powerfeed(cfg: RunConfig, *, fmt, **_) -> str:
         "supply_limit_w": cfg.values["powerfeed"]["supply_limit_w"],
         **asdict(result),
     }
-    return _json_text(doc)
+    outputs.write_json(doc, fh)
 
 
-def _run_latency(cfg: RunConfig, *, fmt, **_) -> str:
+def _run_latency(cfg: RunConfig, fh: IO[str], *, fmt, **_) -> None:
     _require_json("latency", fmt)
     total_km = cfg.values["link"]["total_length_km"]
     group_index = cfg.values["fiber"]["group_index"]
@@ -236,7 +245,7 @@ def _run_latency(cfg: RunConfig, *, fmt, **_) -> str:
         "hollow_core_ms": system.propagation_latency(total_km, group_index),
         "solid_core_ms": system.propagation_latency(total_km, SOLID_CORE_GROUP_INDEX),
     }
-    return _json_text(doc)
+    outputs.write_json(doc, fh)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +315,7 @@ def _parse_float_list(raw: str, flag: str) -> tuple[float, ...]:
 
 
 def _flag_kwargs(args: argparse.Namespace, cfg: RunConfig) -> dict:
-    """run_command keywords from the parsed flags; every float must be finite,
+    """write_command keywords from the parsed flags; every float must be finite,
     and the span range positive, ordered and at most MAX_SPANS spans of cfg's link."""
     kwargs = {
         "fmt": args.format,
@@ -345,6 +354,63 @@ def _flag_kwargs(args: argparse.Namespace, cfg: RunConfig) -> dict:
     return kwargs
 
 
+@contextlib.contextmanager
+def _stdout() -> Iterator[IO[str]]:
+    """The handle for output to stdout, looked up at call time.
+
+    A redirected sys.stdout (a StringIO, a test's capture) is written as is.
+    The process's own stdout gets a buffered handle on its file descriptor:
+    under PYTHONUNBUFFERED sys.stdout's text layer sits on a raw FileIO and
+    drops the rest of a short write without a word, while a BufferedWriter
+    retries it and raises on a closed pipe."""
+    stdout = sys.stdout
+    if stdout is not sys.__stdout__:
+        yield stdout
+        return
+    stdout.flush()
+    fh = open(stdout.fileno(), "w", encoding=stdout.encoding, errors=stdout.errors,
+              closefd=False)
+    try:
+        yield fh
+    except BaseException:
+        with contextlib.suppress(OSError):
+            fh.close()
+        raise
+    fh.close()
+
+
+@contextlib.contextmanager
+def _output_file(path: Path) -> Iterator[IO[str]]:
+    """A handle whose text replaces path only when the command succeeds: it goes
+    to a temporary file next to path, which is renamed over path at the end and
+    removed on any failure. A path that exists but is no regular file (a device,
+    a FIFO) cannot be replaced and is written in place."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    tmp = f"{os.path.dirname(target)}/.{os.path.basename(target)}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _emit_error(code: str, exc: Exception) -> None:
     sys.stderr.write(json.dumps({"error": {"code": code, "message": str(exc)}}) + "\n")
 
@@ -353,11 +419,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        text = run_command(args.command, cfg, **_flag_kwargs(args, cfg))
-        if args.output is None:
-            sys.stdout.write(text)
-        else:
-            args.output.write_text(text, encoding="utf-8")
+        options = _flag_kwargs(args, cfg)
+        with _stdout() if args.output is None else _output_file(args.output) as fh:
+            write_command(args.command, cfg, fh, **options)
     except ValueError as exc:
         # ConfigError plus any domain error triggered by user-supplied values.
         _emit_error("config", exc)

@@ -8,7 +8,9 @@ nine significant digits so regression diffs reflect the model, not rounding.
 from __future__ import annotations
 
 import json
-from typing import IO, TYPE_CHECKING, Any, Iterable
+import os
+import warnings
+from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator
 
 if TYPE_CHECKING:
     from .explore import SpanCurvePoint, SweepGrid
@@ -17,6 +19,13 @@ FLOAT_FMT = "{:.12g}"
 
 GRID_CSV_HEADER = "loss_db_per_km,edfa_power_dbm,gsnr_db,throughput_tbps"
 SPAN_CSV_HEADER = "span_km,required_edfa_dbm,feasible"
+
+# A CSV row worker costs about 1.6 ms (its fork, exit and pipe copy), the time
+# the writer takes for ~4,000 cells; at this many cells per worker that cost is
+# under a tenth of what the worker saves. The README has the measurement.
+MIN_CELLS_PER_WORKER = 50_000
+# The largest write of a worker's text into the output handle, in bytes.
+COPY_SLICE = 1 << 16
 
 
 def _fmt(value: Any) -> str:
@@ -38,9 +47,15 @@ def config_echo_lines(values: dict[str, dict[str, Any]]) -> list[str]:
 
 
 def write_grid_csv(grid: SweepGrid, config_values: dict, fh: IO[str]) -> None:
-    """Row-major (loss, then power) dump of a sweep grid."""
-    import numpy as np
+    """Row-major (loss, then power) dump of a sweep grid.
 
+    The loss rows are cut into k contiguous chunks, k = min(usable CPUs,
+    cells // MIN_CELLS_PER_WORKER, rows), so grids below two workers' worth of
+    cells stay on one loop. The parent writes chunk 0 row by row; forked workers format
+    the others and the parent copies their text to fh in order, in slices of at
+    most COPY_SLICE bytes. The bytes do not depend on k. A worker that fails
+    raises OSError; every worker is reaped before this returns or raises.
+    """
     for line in config_echo_lines(config_values):
         fh.write(line + "\n")
     fh.write(GRID_CSV_HEADER + "\n")
@@ -49,12 +64,89 @@ def write_grid_csv(grid: SweepGrid, config_values: dict, fh: IO[str]) -> None:
     # round through the same dtoa, so the bytes match per-cell formatting.
     template = "".join(f"\0,{FLOAT_FMT.format(p)},%.12g,%.12g\n"
                        for p in grid.edfa_power_dbm.tolist())
-    cells = np.empty(2 * grid.edfa_power_dbm.size)
-    for loss, gsnr, tput in zip(grid.loss_db_per_km.tolist(), grid.gsnr_db,
-                                grid.throughput_tbps):
-        cells[0::2] = gsnr
-        cells[1::2] = tput
-        fh.write(template.replace("\0", FLOAT_FMT.format(loss)) % tuple(cells.tolist()))
+    losses = grid.loss_db_per_km.tolist()
+    k = max(1, min(_usable_cpus(), grid.gsnr_db.size // MIN_CELLS_PER_WORKER, len(losses)))
+    cuts = [len(losses) * i // k for i in range(k + 1)]
+    chunks = [(template, losses[a:b], grid.gsnr_db[a:b], grid.throughput_tbps[a:b])
+              for a, b in zip(cuts, cuts[1:])]
+    workers: list[tuple[int, int]] = []
+    try:
+        for rows in chunks[1:]:
+            workers.append(_fork_worker(rows))
+        for row in _format_rows(*chunks[0]):
+            fh.write(row)
+        while workers:
+            pid, read_fd = workers[0]
+            while data := os.read(read_fd, COPY_SLICE):
+                fh.write(data.decode("ascii"))
+            os.close(read_fd)
+            del workers[0]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0:
+                raise OSError(f"CSV row worker {pid} exited with status {code}")
+    finally:
+        # Reached with workers left only on a failure: end and reap them. An
+        # unreaped worker still has its pid, so the kill cannot miss.
+        if workers:
+            import signal
+
+            for pid, read_fd in workers:
+                os.close(read_fd)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _usable_cpus() -> int:
+    # Where the affinity call exists, so does fork; elsewhere, one loop.
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _format_rows(template: str, losses: list[float], gsnr, tput) -> Iterator[str]:
+    """The CSV text of each loss row of a grid chunk."""
+    import numpy as np
+
+    cells = np.empty(2 * gsnr.shape[1])
+    for loss, g, t in zip(losses, gsnr, tput):
+        cells[0::2] = g
+        cells[1::2] = t
+        yield template.replace("\0", FLOAT_FMT.format(loss)) % tuple(cells.tolist())
+
+
+def _fork_worker(rows: tuple) -> tuple[int, int]:
+    """Fork a child that formats rows and writes their text down a pipe; returns
+    the child's pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that fork() in a multi-threaded process (numpy's
+        # OpenBLAS pool is one) may deadlock the child on a lock another thread
+        # held. This child takes no such lock: it runs only the row formatter
+        # (numpy slicing and str %) and leaves through os._exit.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                DeprecationWarning)
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+    if pid == 0:
+        # The child never returns into the caller and never flushes the
+        # buffers it inherited: os._exit is its only way out.
+        status = 1
+        try:
+            os.close(read_fd)
+            # Format the whole chunk first: the parent reads this pipe only
+            # after its own chunk, and a full pipe would stall the worker.
+            text = "".join(_format_rows(*rows))
+            for start in range(0, len(text), COPY_SLICE):
+                view = memoryview(text[start:start + COPY_SLICE].encode("ascii"))
+                while view:
+                    view = view[os.write(write_fd, view):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
 
 
 def write_span_curve_csv(points: Iterable[SpanCurvePoint], config_values: dict,

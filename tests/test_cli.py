@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
-from hcflink import explore
+from hcflink import explore, outputs
 from hcflink.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -462,3 +465,95 @@ def test_budget_survives_extreme_finite_values(capsys, tmp_path, section, key):
             assert captured.out == ""
             assert len(captured.err.splitlines()) == 1
             assert json.loads(captured.err)["error"]["code"] in ("config", "infeasible")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_reader_closing_early_is_an_io_error(tmp_path, unbuffered, fmt):
+    """A reader that stops after 100 bytes ends the run in exit 4 and one JSON
+    line, whether or not PYTHONUNBUFFERED puts stdout on a raw FileIO."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sweep]\nloss_steps = 150\npower_steps = 150\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        [sys.executable, "-c", "import sys; from hcflink.cli import main; sys.exit(main())",
+         "contour", "--config", str(cfg), "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == EXIT_IO
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == {"code": "io", "message": "[Errno 32] Broken pipe"}
+
+
+def test_failed_run_leaves_no_new_output_file(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[fiber]\nloss_db_per_km = -1\n")
+    out = tmp_path / "budget.json"
+    assert main(["budget", "--config", str(cfg), "--output", str(out)]) == EXIT_CONFIG
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+    assert main(["budget", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+
+
+def test_failed_run_keeps_the_existing_output_file(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sweep]\nloss_steps = 9\npower_steps = 5\n")
+    out = tmp_path / "grid.csv"
+    out.write_bytes(b"previous,result\n")
+    # The writer fails half way: after the parent's rows, in a worker.
+    parent, format_rows = os.getpid(), outputs._format_rows
+    monkeypatch.setattr(outputs, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(outputs, "MIN_CELLS_PER_WORKER", 1)
+    monkeypatch.setattr(outputs, "_format_rows", lambda *a: (
+        format_rows(*a) if os.getpid() == parent else 1 / 0))
+    assert main(["contour", "--config", str(cfg), "--output", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["code"] == "io"
+    assert "exited with status 1" in json.loads(err)["error"]["message"]
+    assert out.read_bytes() == b"previous,result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "run.cfg"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_failure_on_stdout_is_one_io_error(capfd, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sweep]\nloss_steps = 9\npower_steps = 5\n")
+    parent, format_rows = os.getpid(), outputs._format_rows
+    monkeypatch.setattr(outputs, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(outputs, "MIN_CELLS_PER_WORKER", 1)
+    monkeypatch.setattr(outputs, "_format_rows", lambda *a: (
+        format_rows(*a) if os.getpid() == parent else 1 / 0))
+    assert main(["contour", "--config", str(cfg)]) == EXIT_IO
+    err = capfd.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["code"] == "io"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_output_file_is_replaced_and_keeps_its_mode(tmp_path):
+    out = tmp_path / "latency.json"
+    out.write_text("stale")
+    out.chmod(0o600)
+    assert main(["latency", "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["command"] == "latency"
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latency.json"]
+
+
+def test_output_to_a_device_is_written_in_place():
+    assert os.path.exists(os.devnull)
+    assert main(["latency", "--output", os.devnull]) == EXIT_OK
+    assert os.path.exists(os.devnull) and not Path(os.devnull).is_file()

@@ -3,12 +3,15 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcflink import outputs
 from hcflink.config import DEFAULTS
 from hcflink.explore import SpanCurvePoint, SweepGrid
 from hcflink.outputs import (
@@ -54,6 +57,37 @@ def test_csv_keeps_nine_significant_digits():
     assert parsed == pytest.approx(16.0722837, rel=1e-9)
 
 
+def _per_cell_csv(grid: SweepGrid) -> str:
+    """The grid CSV with every cell formatted on its own through FLOAT_FMT."""
+    expected = io.StringIO()
+    for line in config_echo_lines(DEFAULTS):
+        expected.write(line + "\n")
+    expected.write(GRID_CSV_HEADER + "\n")
+    for i, loss in enumerate(grid.loss_db_per_km):
+        for j, power in enumerate(grid.edfa_power_dbm):
+            row = (float(loss), float(power), float(grid.gsnr_db[i, j]),
+                   float(grid.throughput_tbps[i, j]))
+            expected.write(",".join(FLOAT_FMT.format(v) for v in row) + "\n")
+    return expected.getvalue()
+
+
+def _force_workers(monkeypatch, k: int, min_cells: int = 1) -> list:
+    """Make write_grid_csv see k usable CPUs and need min_cells per worker (by
+    default any grid with k or more rows is cut into k chunks); the returned
+    list records each forked worker's pid and pipe."""
+    forked = []
+    fork_worker = outputs._fork_worker
+
+    def counted(rows):
+        forked.append(fork_worker(rows))
+        return forked[-1]
+
+    monkeypatch.setattr(outputs, "_usable_cpus", lambda: k)
+    monkeypatch.setattr(outputs, "MIN_CELLS_PER_WORKER", min_cells)
+    monkeypatch.setattr(outputs, "_fork_worker", counted)
+    return forked
+
+
 def test_grid_csv_matches_per_cell_format():
     xs = np.array([1e-7, 0.0625, 123456789012345.0])
     ys = np.array([-3.5e-5, 14.0, 2.5e21, 7.0])
@@ -64,16 +98,29 @@ def test_grid_csv_matches_per_cell_format():
     grid = SweepGrid(xs, ys, gsnr, thr)
     buf = io.StringIO()
     write_grid_csv(grid, DEFAULTS, buf)
-    expected = io.StringIO()
-    for line in config_echo_lines(DEFAULTS):
-        expected.write(line + "\n")
-    expected.write(GRID_CSV_HEADER + "\n")
-    for i, loss in enumerate(xs):
-        for j, power in enumerate(ys):
-            row = (float(loss), float(power), float(gsnr[i, j]), float(thr[i, j]))
-            expected.write(",".join(FLOAT_FMT.format(v) for v in row) + "\n")
-    assert buf.getvalue() == expected.getvalue()
+    assert buf.getvalue() == _per_cell_csv(grid)
     assert "e+21" in buf.getvalue() and "e-07" in buf.getvalue()
+
+
+def _seven_row_grid() -> SweepGrid:
+    """7 loss rows (no k in 2..6 divides them) with exponent-notation cells."""
+    xs = np.array([1e-7, 0.0625, 0.07, 1.5e-5, 3.0, 123456789012345.0, 0.1])
+    ys = np.array([-3.5e-5, 14.0, 2.5e21, 7.0, 1e-300])
+    gsnr = np.arange(35.0).reshape(7, 5) / 3.0 * np.array([1e-7, 1.0, 1e16, -2.5e21, 5e-324])
+    return SweepGrid(xs, ys, gsnr, gsnr[::-1] * 7.0 + 1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_grid_csv_is_byte_identical_for_every_worker_count(monkeypatch, k):
+    forked = _force_workers(monkeypatch, k)
+    grid = _seven_row_grid()
+    buf = io.StringIO()
+    write_grid_csv(grid, DEFAULTS, buf)
+    assert len(forked) == k - 1
+    assert buf.getvalue() == _per_cell_csv(grid)
+    assert "e+21" in buf.getvalue() and "e-07" in buf.getvalue()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 _CELL = st.one_of(
@@ -94,22 +141,104 @@ def _grids(draw):
     )
 
 
+@pytest.mark.parametrize("steps,workers", [((81, 111), 0), ((401, 250), 1)],
+                         ids=["81x111", "401x250"])
+def test_grid_csv_splits_only_from_two_workers_worth_of_cells(monkeypatch, steps, workers):
+    """The default grid stays on one loop however many CPUs there are; a grid
+    of 100,250 cells is split in two."""
+    forked = _force_workers(monkeypatch, 64, outputs.MIN_CELLS_PER_WORKER)
+    n_loss, n_power = steps
+    cells = np.full((n_loss, n_power), 16.0722837)
+    grid = SweepGrid(np.linspace(0.05, 0.07, n_loss), np.linspace(14.0, 25.0, n_power),
+                     cells, cells * 61.0)
+    write_grid_csv(grid, DEFAULTS, io.StringIO())
+    assert len(forked) == workers
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(_grids())
-def test_grid_csv_template_matches_per_cell_format(grid):
+@given(_grids(), st.integers(1, 3))
+def test_grid_csv_template_matches_per_cell_format(grid, k):
     buf = io.StringIO()
-    write_grid_csv(grid, DEFAULTS, buf)
-    expected = io.StringIO()
-    for line in config_echo_lines(DEFAULTS):
-        expected.write(line + "\n")
-    expected.write(GRID_CSV_HEADER + "\n")
-    for i, loss in enumerate(grid.loss_db_per_km):
-        for j, power in enumerate(grid.edfa_power_dbm):
-            row = (float(loss), float(power), float(grid.gsnr_db[i, j]),
-                   float(grid.throughput_tbps[i, j]))
-            expected.write(",".join(FLOAT_FMT.format(v) for v in row) + "\n")
-    assert buf.getvalue() == expected.getvalue()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _force_workers(monkeypatch, k)
+        write_grid_csv(grid, DEFAULTS, buf)
+    assert buf.getvalue() == _per_cell_csv(grid)
     assert "\0" not in buf.getvalue() and "%" not in buf.getvalue()
+
+
+class _RecordingHandle(io.StringIO):
+    """A text handle that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_grid_csv_writes_at_most_a_row_or_a_copy_slice(monkeypatch, k):
+    _force_workers(monkeypatch, k)
+    monkeypatch.setattr(outputs, "COPY_SLICE", 4096)
+    grid = SweepGrid(np.linspace(0.05, 0.07, 10), np.linspace(14.0, 25.0, 100),
+                     np.full((10, 100), 16.0722837), np.full((10, 100), 983.260595693))
+    fh = _RecordingHandle()
+    write_grid_csv(grid, DEFAULTS, fh)
+    rows = fh.getvalue().splitlines(keepends=True)[-1000:]
+    row_len = max(sum(map(len, rows[i:i + 100])) for i in range(0, 1000, 100))
+    # A worker's chunk (3 or 4 rows) is well above both bounds.
+    assert 3 * row_len > 4096 > row_len / 8
+    assert max(fh.sizes) <= max(row_len, 4096)
+    assert fh.getvalue() == _per_cell_csv(grid)
+
+
+def _fail_in_workers(monkeypatch):
+    """Make the row formatter raise in every process but this one."""
+    parent, format_rows = os.getpid(), outputs._format_rows
+
+    def format_rows_or_fail(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("row formatter failed in a worker")
+        return format_rows(*args)
+
+    monkeypatch.setattr(outputs, "_format_rows", format_rows_or_fail)
+
+
+def test_failing_worker_raises_oserror_and_every_worker_is_reaped(monkeypatch, tmp_path):
+    forked = _force_workers(monkeypatch, 3)
+    _fail_in_workers(monkeypatch)
+    with pytest.raises(OSError, match="exited with status 1"):
+        write_grid_csv(_seven_row_grid(), DEFAULTS, io.StringIO())
+    assert len(forked) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # A worker that returned into this test instead of leaving through
+    # os._exit would run on from here; the parent reaped it, so its line
+    # would already be in the file.
+    marker = tmp_path / "bodies.txt"
+    with open(marker, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    assert marker.read_text() == f"{os.getpid()}\n"
+
+
+class _BrokenHandle(io.StringIO):
+    """A handle whose reader goes away once the header is written."""
+
+    def write(self, text):
+        if GRID_CSV_HEADER in self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_handle_failure_ends_and_reaps_every_worker(monkeypatch):
+    forked = _force_workers(monkeypatch, 3)
+    with pytest.raises(BrokenPipeError):
+        write_grid_csv(_seven_row_grid(), DEFAULTS, _BrokenHandle())
+    assert len(forked) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_span_curve_csv():
@@ -202,3 +331,25 @@ def test_svg_embeds_config_echo():
     )
     assert "<!-- fiber.loss_db_per_km = 0.06 -->" in svg
     assert svg.count("<!--") == sum(len(keys) for keys in DEFAULTS.values())
+
+
+def test_fork_warning_of_a_threaded_process_does_not_escape(monkeypatch):
+    """Python 3.12+ warns at fork() when the process runs other threads (numpy's
+    OpenBLAS pool is one). The workers run only the row formatter, so the writer
+    silences that warning at its fork; nothing reaches stderr."""
+    fork = os.fork
+
+    def fork_as_in_a_threaded_process():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                      "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_as_in_a_threaded_process)
+    forked = _force_workers(monkeypatch, 2)
+    grid = _seven_row_grid()
+    buf = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_grid_csv(grid, DEFAULTS, buf)
+    assert len(forked) == 1
+    assert buf.getvalue() == _per_cell_csv(grid)
