@@ -5,9 +5,9 @@ throughput), ``contour`` (full sweep grid with level lines), ``span-curve``
 (required EDFA power vs span length), ``rbs`` (backscatter table),
 ``powerfeed`` and ``latency``.
 
-Exit codes: 0 success, 2 config error, 3 infeasible solve, 4 I/O error.
-Each command writes straight to stdout or to its ``--output`` file, which is
-replaced only when the command succeeds.
+Exit codes: 0 success, 2 config error (a usage error too), 3 infeasible solve,
+4 I/O error. Each command writes straight to stdout or to its ``--output`` file,
+which is replaced only when the command succeeds.
 
 Only contour (its sweep arrays) and budget --trx-table (the table's np.interp)
 load numpy: the other commands evaluate scalar closed forms and start without it.
@@ -26,7 +26,7 @@ import stat
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, NoReturn
 
 from . import impairments, outputs, system
 from .config import ConfigError, RunConfig, parse_config, resolve_transceiver
@@ -38,7 +38,10 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
-COMMANDS = ("budget", "contour", "span-curve", "rbs", "powerfeed", "latency")
+# The formats each command writes; the first is its default.
+FORMATS = {"budget": ("json",), "contour": ("csv", "json", "svg"), "span-curve": ("csv", "json"),
+           "rbs": ("json",), "powerfeed": ("json",), "latency": ("json",)}
+COMMANDS = tuple(FORMATS)
 
 
 def run_command(command: str, cfg: RunConfig, **options) -> str:
@@ -53,30 +56,29 @@ def write_command(
     cfg: RunConfig,
     fh: IO[str],
     *,
-    fmt: str = "json",
+    fmt: str | None = None,
     include_rbs: bool = False,
     target_tbps: float = 1000.0,
     levels: tuple[float, ...] = (1000.0,),
     field: str = "throughput",
-    span_range: tuple[float, float, int] = (150.0, 250.0, 21),
+    span_min: float = 150.0,
+    span_max: float = 250.0,
+    span_points: int = 21,
     losses: tuple[float, ...] = (0.05, 0.06, 0.07),
-    trx_table: str | None = None,
+    trx_table: str | Path | None = None,
 ) -> None:
-    """Run one subcommand against a parsed config and write its output to fh.
-    Every check runs before the first write."""
-    if command not in COMMANDS:
+    """Run one subcommand against a parsed config and write its output to fh, in
+    fmt or else the command's first format in FORMATS. Every check runs before
+    the first write. Each keyword is the dest of the flag that sets it."""
+    if command not in FORMATS:
         raise ConfigError(f"unknown command {command!r}")
-    handler = {
-        "budget": _run_budget,
-        "contour": _run_contour,
-        "span-curve": _run_span_curve,
-        "rbs": _run_rbs,
-        "powerfeed": _run_powerfeed,
-        "latency": _run_latency,
-    }[command]
-    handler(cfg, fh, fmt=fmt, include_rbs=include_rbs, target_tbps=target_tbps,
-            levels=levels, field=field, span_range=span_range, losses=losses,
-            trx_table=trx_table)
+    formats = FORMATS[command]
+    fmt = formats[0] if fmt is None else fmt
+    if fmt not in formats:
+        raise ConfigError(f"{command} supports --format {'|'.join(formats)}, got {fmt!r}")
+    _HANDLERS[command](cfg, fh, fmt=fmt, include_rbs=include_rbs, target_tbps=target_tbps,
+                       levels=levels, field=field, span_min=span_min, span_max=span_max,
+                       span_points=span_points, losses=losses, trx_table=trx_table)
 
 
 def _echo(cfg: RunConfig, trx_values: dict | None = None) -> dict:
@@ -86,13 +88,7 @@ def _echo(cfg: RunConfig, trx_values: dict | None = None) -> dict:
     return echo
 
 
-def _require_json(command: str, fmt: str) -> None:
-    if fmt != "json":
-        raise ConfigError(f"{command} supports only --format json, got {fmt!r}")
-
-
-def _run_budget(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, trx_table, **_) -> None:
-    _require_json("budget", fmt)
+def _run_budget(cfg: RunConfig, fh: IO[str], *, include_rbs, trx_table, **_) -> None:
     plan = cfg.plan()
     trx, trx_values = resolve_transceiver(cfg, plan, trx_table)
     op = cfg.operating_point()
@@ -113,7 +109,7 @@ def _run_budget(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, trx_table, **_
             "gsnr_db": budget.gsnr_db,
         },
         "channel_net_rate_gbps": rate_gbps,
-        "cable_throughput_tbps": plan.n_fibers_per_direction * plan.n_channels * rate_gbps / 1e3,
+        "cable_throughput_tbps": plan.n_carriers * rate_gbps / 1e3,
     }
     outputs.write_json(doc, fh)
 
@@ -157,22 +153,30 @@ def _run_contour(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, levels, field
 
 
 def _run_span_curve(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, target_tbps,
-                    span_range, trx_table, **_) -> None:
+                    span_min, span_max, span_points, trx_table, **_) -> None:
     from . import explore
 
+    if not 1 <= span_points <= explore.MAX_SPAN_POINTS:
+        raise ConfigError(f"--span-points must lie in 1..{explore.MAX_SPAN_POINTS}, "
+                          f"got {span_points}")
+    if not span_min > 0:
+        raise ConfigError(f"--span-min must be > 0, got {span_min}")
+    if span_min > span_max:
+        raise ConfigError(f"--span-min={span_min} must not exceed --span-max={span_max}")
+    total = cfg.values["link"]["total_length_km"]
+    if total / span_min > system.MAX_SPANS:
+        raise ConfigError(f"--span-min={span_min} cuts link.total_length_km={total:g} "
+                          f"into more than MAX_SPANS = {system.MAX_SPANS} spans")
     plan = cfg.plan()
     trx, trx_values = resolve_transceiver(cfg, plan, trx_table)
-    span_min, span_max, n_points = span_range
     loss = cfg.values["fiber"]["loss_db_per_km"]
     points = explore.span_length_curve(
-        plan, trx, loss, span_min, span_max, n_points, target_tbps, include_rbs
+        plan, trx, loss, span_min, span_max, span_points, target_tbps, include_rbs
     )
     echo = _echo(cfg, trx_values)
     if fmt == "csv":
         outputs.write_span_curve_csv(points, echo, fh)
         return
-    if fmt != "json":
-        raise ConfigError(f"span-curve supports csv or json, got {fmt!r}")
     doc = {
         "command": "span-curve",
         "config": echo,
@@ -188,8 +192,7 @@ def _run_span_curve(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, target_tbp
     outputs.write_json(doc, fh)
 
 
-def _run_rbs(cfg: RunConfig, fh: IO[str], *, fmt, losses, **_) -> None:
-    _require_json("rbs", fmt)
+def _run_rbs(cfg: RunConfig, fh: IO[str], *, losses, **_) -> None:
     plan = cfg.plan()
     launch_w = system.per_channel_launch(
         plan.amp.total_output_power_dbm, plan.n_channels, plan.amp.post_output_loss_db
@@ -217,8 +220,7 @@ def _run_rbs(cfg: RunConfig, fh: IO[str], *, fmt, losses, **_) -> None:
     outputs.write_json(doc, fh)
 
 
-def _run_powerfeed(cfg: RunConfig, fh: IO[str], *, fmt, **_) -> None:
-    _require_json("powerfeed", fmt)
+def _run_powerfeed(cfg: RunConfig, fh: IO[str], **_) -> None:
     total_km = cfg.values["link"]["total_length_km"]
     n_repeaters = system.repeater_count(total_km, cfg.values["span"]["span_length_km"])
     result = system.power_feed(cfg.power_feed(), total_km, n_repeaters)
@@ -232,8 +234,7 @@ def _run_powerfeed(cfg: RunConfig, fh: IO[str], *, fmt, **_) -> None:
     outputs.write_json(doc, fh)
 
 
-def _run_latency(cfg: RunConfig, fh: IO[str], *, fmt, **_) -> None:
-    _require_json("latency", fmt)
+def _run_latency(cfg: RunConfig, fh: IO[str], **_) -> None:
     total_km = cfg.values["link"]["total_length_km"]
     group_index = cfg.values["fiber"]["group_index"]
     doc = {
@@ -248,49 +249,84 @@ def _run_latency(cfg: RunConfig, fh: IO[str], *, fmt, **_) -> None:
     outputs.write_json(doc, fh)
 
 
+_HANDLERS = {"budget": _run_budget, "contour": _run_contour, "span-curve": _run_span_curve,
+             "rbs": _run_rbs, "powerfeed": _run_powerfeed, "latency": _run_latency}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose flags are absent from the namespace unless given, so that
+    write_command's signature holds every default, and whose usage errors raise
+    ConfigError, so that they leave as the one JSON error line."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _finite(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _finite_list(raw: str) -> tuple[float, ...]:
+    values = tuple(_finite(part) for part in raw.split(",") if part.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"must name at least one value, got {raw!r}")
+    return values
+
+
+def _true_false(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"must be true or false, got {raw!r}")
+    return raw == "true"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="hcflink",
         description="Link-budget engine for bidirectional hollow-core-fiber submarine cables.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None,
+    common = _Parser(add_help=False)
+    common.add_argument("--config", type=Path,
                         help="key = value or JSON config file (defaults cover every key)")
-    common.add_argument("--output", type=Path, default=None,
-                        help="output file (default: stdout)")
-    common.add_argument("--include-rbs", choices=("true", "false"), default="false",
-                        help="add the Rayleigh backscattering term to the budget")
-    common.add_argument("--target-tbps", type=float, default=1000.0,
-                        help="throughput target for solves (span-curve)")
-    common.add_argument("--trx-table", type=Path, default=None,
-                        help="tabulated transceiver curve (gsnr_db,net_rate_gbps lines)")
+    common.add_argument("--output", type=Path, help="output file (default: stdout)")
+    link = _Parser(add_help=False)
+    link.add_argument("--include-rbs", type=_true_false, metavar="{true,false}",
+                      help="add the Rayleigh backscattering term to the budget")
+    link.add_argument("--trx-table", type=Path,
+                      help="tabulated transceiver curve (gsnr_db,net_rate_gbps lines)")
 
-    budget = sub.add_parser("budget", parents=[common],
-                            help="GSNR breakdown and throughput at the configured operating point")
-    budget.add_argument("--format", choices=("json",), default="json")
-    contour = sub.add_parser("contour", parents=[common],
+    sub.add_parser("budget", parents=[common, link],
+                   help="GSNR breakdown and throughput at the configured operating point")
+    contour = sub.add_parser("contour", parents=[common, link],
                              help="sweep the (loss, power) plane; CSV grid, JSON or SVG contours")
-    contour.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    contour.add_argument("--levels", default="1000",
+    contour.add_argument("--levels", type=_finite_list,
                          help="comma-separated contour levels (json/svg formats)")
-    contour.add_argument("--field", choices=("gsnr", "throughput"), default="throughput")
-    span = sub.add_parser("span-curve", parents=[common],
+    contour.add_argument("--field", choices=("gsnr", "throughput"))
+    span = sub.add_parser("span-curve", parents=[common, link],
                           help="required EDFA power vs span length at the configured loss")
-    span.add_argument("--format", choices=("csv", "json"), default="csv")
-    span.add_argument("--span-min", type=float, default=150.0)
-    span.add_argument("--span-max", type=float, default=250.0)
-    span.add_argument("--span-points", type=int, default=21)
+    span.add_argument("--target-tbps", type=_finite, help="throughput target of the solves")
+    span.add_argument("--span-min", type=_finite)
+    span.add_argument("--span-max", type=_finite)
+    span.add_argument("--span-points", type=int)
     rbs = sub.add_parser("rbs", parents=[common],
                          help="backscatter enhancement, power and GSNR per loss value")
-    rbs.add_argument("--format", choices=("json",), default="json")
-    rbs.add_argument("--losses", default="0.05,0.06,0.07",
+    rbs.add_argument("--losses", type=_finite_list,
                      help="comma-separated fiber loss values in dB/km")
-    powerfeed = sub.add_parser("powerfeed", parents=[common], help="electrical supply budget")
-    powerfeed.add_argument("--format", choices=("json",), default="json")
-    latency = sub.add_parser("latency", parents=[common],
-                             help="hollow-core vs solid-core propagation latency")
-    latency.add_argument("--format", choices=("json",), default="json")
+    sub.add_parser("powerfeed", parents=[common], help="electrical supply budget")
+    sub.add_parser("latency", parents=[common],
+                   help="hollow-core vs solid-core propagation latency")
+    for command, parser in sub.choices.items():
+        parser.add_argument("--format", dest="fmt", choices=FORMATS[command],
+                            help=f"default {FORMATS[command][0]}")
     return top
 
 
@@ -302,56 +338,6 @@ def _load_config(path: Path | None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
-
-
-def _parse_float_list(raw: str, flag: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"{flag} must be a comma-separated list of numbers, got {raw!r}") from None
-    if not values:
-        raise ConfigError(f"{flag} must name at least one value")
-    return values
-
-
-def _flag_kwargs(args: argparse.Namespace, cfg: RunConfig) -> dict:
-    """write_command keywords from the parsed flags; every float must be finite,
-    and the span range positive, ordered and at most MAX_SPANS spans of cfg's link."""
-    kwargs = {
-        "fmt": args.format,
-        "include_rbs": args.include_rbs == "true",
-        "target_tbps": args.target_tbps,
-        "trx_table": str(args.trx_table) if args.trx_table else None,
-    }
-    floats = {"--target-tbps": (args.target_tbps,)}
-    if args.command == "contour":
-        kwargs["levels"] = floats["--levels"] = _parse_float_list(args.levels, "--levels")
-        kwargs["field"] = args.field
-    if args.command == "span-curve":
-        from . import explore
-
-        if not 1 <= args.span_points <= explore.MAX_SPAN_POINTS:
-            raise ConfigError(f"--span-points must lie in 1..{explore.MAX_SPAN_POINTS}, "
-                              f"got {args.span_points}")
-        floats["--span-min"], floats["--span-max"] = (args.span_min,), (args.span_max,)
-        kwargs["span_range"] = (args.span_min, args.span_max, args.span_points)
-    if args.command == "rbs":
-        kwargs["losses"] = floats["--losses"] = _parse_float_list(args.losses, "--losses")
-    for flag, values in floats.items():
-        for value in values:
-            if not math.isfinite(value):
-                raise ConfigError(f"{flag} must be finite, got {value}")
-    if args.command == "span-curve":
-        if not args.span_min > 0:
-            raise ConfigError(f"--span-min must be > 0, got {args.span_min}")
-        if args.span_min > args.span_max:
-            raise ConfigError(f"--span-min={args.span_min} must not exceed "
-                              f"--span-max={args.span_max}")
-        total = cfg.values["link"]["total_length_km"]
-        if total / args.span_min > system.MAX_SPANS:
-            raise ConfigError(f"--span-min={args.span_min} cuts link.total_length_km={total:g} "
-                              f"into more than MAX_SPANS = {system.MAX_SPANS} spans")
-    return kwargs
 
 
 @contextlib.contextmanager
@@ -416,14 +402,14 @@ def _emit_error(code: str, exc: Exception) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        options = _flag_kwargs(args, cfg)
-        with _stdout() if args.output is None else _output_file(args.output) as fh:
-            write_command(args.command, cfg, fh, **options)
+        flags = vars(build_parser().parse_args(argv))
+        command, output = flags.pop("command"), flags.pop("output", None)
+        cfg = _load_config(flags.pop("config", None))
+        with _stdout() if output is None else _output_file(output) as fh:
+            write_command(command, cfg, fh, **flags)
     except ValueError as exc:
-        # ConfigError plus any domain error triggered by user-supplied values.
+        # ConfigError (usage errors too) plus any domain error from user values.
         _emit_error("config", exc)
         return EXIT_CONFIG
     except InfeasibleError as exc:

@@ -114,7 +114,7 @@ def sweep_grid(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
             inv += imi + rbs
             gsnr[i] = 10.0 * np.log10(1.0 / inv)
         throughput = trx.net_rate_gbps(gsnr, plan.symbol_rate_hz)
-    throughput *= plan.n_fibers_per_direction * plan.n_channels / 1e3
+    throughput *= plan.n_carriers / 1e3
     return SweepGrid(losses, powers, gsnr, throughput)
 
 
@@ -243,7 +243,7 @@ def _chain_segments(
 def _target_inv_gsnr(plan: LinkPlan, trx: TransceiverModel, target_tbps: float) -> float:
     """1/g* for g* the least GSNR carrying target_tbps: 0 when no GSNR carries it,
     inf when every GSNR does."""
-    n_carriers = plan.n_fibers_per_direction * plan.n_channels
+    n_carriers = plan.n_carriers
     # No fibers: the rate is x/0 as IEEE division gives it, +-inf or NaN.
     rate_gbps = target_tbps * 1e3 / n_carriers if n_carriers else target_tbps * math.inf
     gsnr_db = trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz)
@@ -293,8 +293,7 @@ def _throughput_peak(plan: LinkPlan, trx: TransceiverModel,
         p_opt_dbm, inv_gsnr = (math.inf if b == 0 else -math.inf), imi + rbs
     # Below the least normal float the peak counts as +inf: 10**(GSNR/10) would overflow.
     peak_db = -10.0 * math.log10(inv_gsnr) if inv_gsnr >= sys.float_info.min else math.inf
-    n_carriers = plan.n_fibers_per_direction * plan.n_channels
-    return p_opt_dbm, n_carriers * trx.net_rate_gbps(peak_db, plan.symbol_rate_hz) / 1e3
+    return p_opt_dbm, plan.n_carriers * trx.net_rate_gbps(peak_db, plan.symbol_rate_hz) / 1e3
 
 
 def required_edfa_power(

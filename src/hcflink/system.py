@@ -135,6 +135,11 @@ class LinkPlan:
     def n_channels(self) -> int:
         return channels_in_band(self.band_hz, self.channel_spacing_hz)
 
+    @property
+    def n_carriers(self) -> int:
+        """Channels summed over the fibers of one direction."""
+        return self.n_fibers_per_direction * self.n_channels
+
     def span_gain_db(self, loss_db_per_km: float, n_spans: int | None = None,
                      name: str = "fiber.loss_db_per_km") -> float:
         """Gain (dB) of one of n_spans equal spans (default: the plan's) at this
@@ -401,7 +406,7 @@ def cable_throughput(plan: LinkPlan, trx: TransceiverModel, op: OperatingPoint,
         return 0.0
     budget = link_gsnr(plan, op, include_rbs)
     rate_gbps = channel_net_rate(trx, budget.gsnr_db, plan.symbol_rate_hz)
-    return plan.n_fibers_per_direction * plan.n_channels * rate_gbps / 1e3
+    return plan.n_carriers * rate_gbps / 1e3
 
 
 def repeater_count(total_length_km: float, span_length_km: float) -> int:
@@ -450,7 +455,7 @@ def calibrate_trx_gap(plan: LinkPlan, reference: OperatingPoint, target_tbps: fl
         raise ValueError(f"target_tbps must be > 0, got {target_tbps}")
     gsnr_db = link_gsnr(plan, reference, include_rbs).gsnr_db
     zero_gap_trx = ShannonGapTransceiver(0.0)
-    n_carriers = plan.n_fibers_per_direction * plan.n_channels
+    n_carriers = plan.n_carriers
     zero_gap = n_carriers * channel_net_rate(zero_gap_trx, gsnr_db, plan.symbol_rate_hz) / 1e3
     if target_tbps > zero_gap:
         raise InfeasibleError(

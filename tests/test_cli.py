@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -16,8 +17,11 @@ from hcflink.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
     EXIT_OK,
+    FORMATS,
+    build_parser,
     main,
     run_command,
+    write_command,
 )
 from hcflink.config import DEFAULTS, _kind, parse_config
 
@@ -182,10 +186,84 @@ def test_run_command_rejects_unknown_command():
         run_command("optimize", cfg)
 
 
-def test_run_command_format_guard():
+@pytest.mark.parametrize(
+    "command,fmt",
+    [("latency", "csv"), ("budget", "csv"), ("rbs", "svg"), ("powerfeed", "csv"),
+     ("contour", "xml"), ("span-curve", "svg")],
+)
+def test_run_command_format_guard(command, fmt):
     cfg = parse_config("")
     with pytest.raises(ValueError, match="format"):
-        run_command("latency", cfg, fmt="csv")
+        run_command(command, cfg, fmt=fmt)
+
+
+@pytest.mark.parametrize("command", ["contour", "span-curve"])
+def test_run_command_defaults_to_the_cli_format(capsys, tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sweep]\nloss_steps = 4\npower_steps = 3\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_OK
+    assert run_command(command, parse_config(cfg.read_text())) == capsys.readouterr().out
+    assert FORMATS[command][0] == "csv"
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["span-curve", "--span-points", "abc"], "--span-points"),
+        (["budget", "--format", "csv"], "--format"),
+        (["latency", "--bogus"], "--bogus"),
+        ([], "command"),
+        (["contour", "--levels"], "--levels"),
+    ],
+    ids=["span-points-abc", "budget-format-csv", "unknown-flag", "no-command", "levels-no-value"],
+)
+def test_usage_error_is_one_json_line(capsys, argv, named):
+    assert main(argv) == EXIT_CONFIG
+    assert named in _one_config_error(capsys)
+
+
+def test_help_still_exits_0_with_the_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: hcflink")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(command, flag) for command in ("rbs", "powerfeed", "latency")
+     for flag in ("--include-rbs", "--target-tbps", "--trx-table")]
+    + [("budget", "--target-tbps"), ("contour", "--target-tbps")],
+)
+def test_flag_the_command_does_not_read_is_refused(capsys, tmp_path, command, flag):
+    table = tmp_path / "trx.csv"
+    table.write_text("10,400\n20,700\n")
+    value = {"--include-rbs": "true", "--target-tbps": "1000", "--trx-table": str(table)}[flag]
+    assert main([command, flag, value]) == EXIT_CONFIG
+    assert flag in _one_config_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The argv shapes the benchmark runs (perfbench/gen.py and perfbench/run.py).
+        ["budget", "--include-rbs", "true"],
+        ["contour", "--config", "large.json", "--format", "csv"],
+        ["contour", "--config", "large.json", "--format", "svg", "--levels", "950,1000"],
+        ["span-curve", "--include-rbs", "true", "--trx-table", "t.csv", "--target-tbps", "900",
+         "--span-min", "150", "--span-max", "250", "--span-points", "21", "--format", "json"],
+    ],
+    ids=" ".join,
+)
+def test_flags_map_onto_write_command_keywords(argv):
+    """Only the flags given reach the namespace, each as a write_command keyword."""
+    flags = vars(build_parser().parse_args(argv))
+    assert flags.pop("command") == argv[0]
+    flags.pop("config", None)
+    assert len(flags) == len(argv[1::2]) - ("--config" in argv)
+    assert set(flags) <= set(inspect.signature(write_command).parameters)
 
 
 @pytest.mark.parametrize("key", ["loss_min", "loss_max", "power_min", "power_max"])
@@ -326,6 +404,7 @@ def test_bad_config_value_is_named_on_one_line(capsys, tmp_path, document, keys)
 
 def _one_config_error(capsys) -> str:
     captured = capsys.readouterr()
+    assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])["error"]
@@ -376,6 +455,9 @@ def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document,
         (["span-curve", "--span-max", "inf"], "--span-max"),
         (["span-curve", "--span-points", "0"], "--span-points"),
         (["span-curve", "--span-points", str(explore.MAX_SPAN_POINTS + 1)], "--span-points"),
+        (["rbs", "--losses", ","], "--losses"),
+        (["rbs", "--losses", "0.05,abc"], "--losses"),
+        (["contour", "--levels", ""], "--levels"),
     ],
 )
 def test_bad_flag_value_is_named(capsys, argv, flag):

@@ -1,0 +1,151 @@
+"""Hypothesis fuzz of cli.main over every subcommand's flags.
+
+Each run ends in exit 0, 2, 3 or 4. A failure writes exactly one JSON error line
+on stderr and nothing on stdout. A success writes no error text, and no NaN or
+infinity reaches its output; the one exception is the span-curve CSV, which marks
+an infeasible row with ``nan,false``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import re
+import warnings
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hcflink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, FORMATS, main
+from hcflink.explore import MAX_SPAN_POINTS
+
+_CODES = {EXIT_CONFIG: "config", EXIT_INFEASIBLE: "infeasible", EXIT_IO: "io"}
+
+# Boundary, huge, tiny, subnormal, non-numeric, non-finite and empty values.
+_ODD = st.sampled_from([
+    "", " ", "abc", "1,2", "0x10", "nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400",
+    "0", "-0", "1e300", "-1e300", "1.7976931348623157e308", "2.2250738585072014e-308",
+    "1e-310", "5e-324",
+])
+
+
+def _number(low: float, high: float) -> st.SearchStrategy[str]:
+    """Half the draws in [low, high], the rest any float or an odd value."""
+    in_range = st.floats(low, high).map(repr)
+    return st.one_of(in_range, in_range, st.floats().map(repr), _ODD)
+
+
+def _number_list(low: float, high: float) -> st.SearchStrategy[str]:
+    in_range = st.lists(st.floats(low, high).map(repr), min_size=1, max_size=4).map(",".join)
+    odd = st.lists(st.one_of(st.floats(low, high).map(repr), _ODD), max_size=4).map(",".join)
+    return st.one_of(in_range, in_range, odd, _ODD)
+
+
+_LINK = ("--include-rbs", "--trx-table")
+# The flags each command takes, past --config and --output, which every command takes.
+_COMMAND_FLAGS = {
+    "budget": (*_LINK, "--format"),
+    "contour": (*_LINK, "--format", "--levels", "--field"),
+    "span-curve": (*_LINK, "--format", "--target-tbps", "--span-min", "--span-max",
+                   "--span-points"),
+    "rbs": ("--format", "--losses"),
+    "powerfeed": ("--format",),
+    "latency": ("--format",),
+}
+_ALL_FLAGS = sorted({flag for flags in _COMMAND_FLAGS.values() for flag in flags})
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory) -> dict[str, str]:
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    (root / "small.cfg").write_text("[sweep]\nloss_steps = 5\npower_steps = 6\n")
+    (root / "unreachable.cfg").write_text(
+        "transceiver.calibration_target_tbps = 1e9\nsweep.loss_steps = 5\n")
+    (root / "trx.csv").write_text("5,100\n8,300\n10,300\n14,500\n20,600\n")
+    (root / "bad_trx.csv").write_text("10,400\nten,700\n")
+    return {name: str(root / name) for name in
+            ("small.cfg", "unreachable.cfg", "trx.csv", "bad_trx.csv", "absent.cfg", "out.txt",
+             "absent/out.txt")}
+
+
+def _values(files: dict[str, str], command: str) -> dict[str, st.SearchStrategy[str]]:
+    return {
+        "--config": st.sampled_from([files["small.cfg"]] * 4
+                                    + [files["unreachable.cfg"], files["absent.cfg"]]),
+        "--output": st.sampled_from([files["out.txt"], files["absent/out.txt"]]),
+        "--include-rbs": st.sampled_from(["true", "false"] * 2 + ["True", "1", ""]),
+        "--trx-table": st.sampled_from([files["trx.csv"]] * 3
+                                       + [files["bad_trx.csv"], files["absent.cfg"], ""]),
+        "--format": st.sampled_from([*FORMATS[command]] * 2 + ["csv", "svg", "xml", ""]),
+        "--levels": _number_list(0.0, 2000.0),
+        "--field": st.sampled_from(["throughput", "gsnr", "GSNR", ""]),
+        "--target-tbps": _number(0.0, 2000.0),
+        "--span-min": _number(50.0, 400.0),
+        "--span-max": _number(50.0, 400.0),
+        "--span-points": st.one_of(
+            st.integers(1, 60).map(str), st.integers(1, 60).map(str), st.integers().map(str),
+            st.sampled_from(["0", "-1", str(MAX_SPAN_POINTS + 1), "1.5", "abc", "", "1" * 5000]),
+        ),
+        "--losses": _number_list(0.0, 0.3),
+    }
+
+
+@st.composite
+def _argv(draw, files: dict[str, str]) -> tuple[list[str], bool]:
+    """An argv for one command, and whether it holds a flag the command does not take."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    values = _values(files, command)
+    own = ("--config", "--output", *_COMMAND_FLAGS[command])
+    flags = draw(st.lists(st.sampled_from(own), unique=True, max_size=5))
+    foreign = [[flag] for flag in _ALL_FLAGS if flag not in own]
+    foreign = draw(st.sampled_from([[]] * 2 * len(foreign) + foreign))  # 1 in 3 has one
+    if "--config" not in flags:  # the default 81 x 111 grid would slow contour down
+        flags.insert(0, "--config")
+    return [command, *(f"{flag}={draw(values[flag])}" for flag in flags + foreign)], bool(foreign)
+
+
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def _assert_finite(text: str) -> None:
+    if text.startswith("{"):
+        def refuse(constant):
+            raise AssertionError(f"{constant} in the JSON output")
+
+        json.loads(text, parse_constant=refuse)
+    else:
+        assert not _NON_FINITE.search(text.replace(",nan,false\n", ",,false\n"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_main_over_every_flag(files, data):
+    argv, foreign = data.draw(_argv(files))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO), argv
+    if foreign:
+        assert code == EXIT_CONFIG, argv
+    if code != EXIT_OK:
+        assert out == "", argv
+        lines = err.splitlines()
+        assert len(lines) == 1, argv
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == _CODES[code], argv
+        # A non-finite value that reached the JSON writer would surface as a config error.
+        assert "JSON compliant" not in error["message"], argv
+        return
+    assert err == "", argv
+    if f"--output={files['out.txt']}" in argv:
+        assert out == ""
+        with open(files["out.txt"], encoding="utf-8") as fh:
+            out = fh.read()
+    assert out, argv
+    _assert_finite(out)
