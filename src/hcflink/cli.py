@@ -156,20 +156,11 @@ def _run_span_curve(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, target_tbp
                     span_min, span_max, span_points, trx_table, **_) -> None:
     from . import explore
 
-    if not 1 <= span_points <= explore.MAX_SPAN_POINTS:
-        raise ConfigError(f"--span-points must lie in 1..{explore.MAX_SPAN_POINTS}, "
-                          f"got {span_points}")
-    if not span_min > 0:
-        raise ConfigError(f"--span-min must be > 0, got {span_min}")
-    if span_min > span_max:
-        raise ConfigError(f"--span-min={span_min} must not exceed --span-max={span_max}")
-    total = cfg.values["link"]["total_length_km"]
-    if total / span_min > system.MAX_SPANS:
-        raise ConfigError(f"--span-min={span_min} cuts link.total_length_km={total:g} "
-                          f"into more than MAX_SPANS = {system.MAX_SPANS} spans")
     plan = cfg.plan()
+    explore.check_span_range(plan.total_length_km, span_min, span_max, span_points,
+                             ("link.total_length_km", "--span-min", "--span-max", "--span-points"))
     trx, trx_values = resolve_transceiver(cfg, plan, trx_table)
-    loss = cfg.values["fiber"]["loss_db_per_km"]
+    loss = plan.fiber.loss_db_per_km
     points = explore.span_length_curve(
         plan, trx, loss, span_min, span_max, span_points, target_tbps, include_rbs
     )
@@ -221,22 +212,22 @@ def _run_rbs(cfg: RunConfig, fh: IO[str], *, losses, **_) -> None:
 
 
 def _run_powerfeed(cfg: RunConfig, fh: IO[str], **_) -> None:
-    total_km = cfg.values["link"]["total_length_km"]
-    n_repeaters = system.repeater_count(total_km, cfg.values["span"]["span_length_km"])
-    result = system.power_feed(cfg.power_feed(), total_km, n_repeaters)
+    plan, feed = cfg.plan(), cfg.power_feed()
+    n_repeaters = plan.n_spans - 1
+    result = system.power_feed(feed, plan.total_length_km, n_repeaters)
     doc = {
         "command": "powerfeed",
         "config": _echo(cfg),
         "n_repeaters": n_repeaters,
-        "supply_limit_w": cfg.values["powerfeed"]["supply_limit_w"],
+        "supply_limit_w": feed.supply_limit_w,
         **asdict(result),
     }
     outputs.write_json(doc, fh)
 
 
 def _run_latency(cfg: RunConfig, fh: IO[str], **_) -> None:
-    total_km = cfg.values["link"]["total_length_km"]
-    group_index = cfg.values["fiber"]["group_index"]
+    plan = cfg.plan()
+    total_km, group_index = plan.total_length_km, plan.fiber.group_index
     doc = {
         "command": "latency",
         "config": _echo(cfg),
@@ -272,6 +263,13 @@ def _finite(raw: str) -> float:
         raise argparse.ArgumentTypeError(f"must be a number, got {raw!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _positive(raw: str) -> float:
+    value = _finite(raw)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
 
 
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     contour.add_argument("--field", choices=("gsnr", "throughput"))
     span = sub.add_parser("span-curve", parents=[common, link],
                           help="required EDFA power vs span length at the configured loss")
-    span.add_argument("--target-tbps", type=_finite, help="throughput target of the solves")
+    span.add_argument("--target-tbps", type=_positive, help="throughput target of the solves")
     span.add_argument("--span-min", type=_finite)
     span.add_argument("--span-max", type=_finite)
     span.add_argument("--span-points", type=int)

@@ -339,6 +339,19 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return samples
 
 
+def check_span_range(total_length_km: float, span_min_km: float, span_max_km: float,
+                     n_points: int, names: tuple[str, str, str, str]) -> None:
+    """Raise, naming each value by `names` (in the order of the parameters),
+    unless n_points lies in 1..MAX_SPAN_POINTS, span_count accepts the shortest
+    span and the range is not empty. Spans may be longer than the link."""
+    total_name, min_name, max_name, points_name = names
+    if not 1 <= n_points <= MAX_SPAN_POINTS:
+        raise ValueError(f"{points_name} must lie in 1..{MAX_SPAN_POINTS}, got {n_points}")
+    span_count(total_length_km, span_min_km, (total_name, min_name))
+    if not span_min_km <= span_max_km:
+        raise ValueError(f"{min_name}={span_min_km} must not exceed {max_name}={span_max_km}")
+
+
 def span_length_curve(
     plan: LinkPlan,
     trx: TransceiverModel,
@@ -358,12 +371,8 @@ def span_length_curve(
     window settings.power_bracket_dbm; infeasible points are kept as
     flagged gaps rather than aborting the curve.
     """
-    if not span_min_km > 0:
-        raise ValueError(f"span_min_km must be > 0, got {span_min_km}")
-    if span_min_km > span_max_km:
-        raise ValueError(f"span range is empty: {span_min_km}..{span_max_km}")
-    if not 1 <= n_points <= MAX_SPAN_POINTS:
-        raise ValueError(f"n_points must lie in 1..{MAX_SPAN_POINTS}, got {n_points}")
+    check_span_range(plan.total_length_km, span_min_km, span_max_km, n_points,
+                     ("plan.total_length_km", "span_min_km", "span_max_km", "n_points"))
     spans = _linspace(span_min_km, span_max_km, n_points)
     counts = dict.fromkeys(span_count(plan.total_length_km, s) for s in spans)
     counts.pop(0, None)  # samples over twice the link length leave no full span

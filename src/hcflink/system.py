@@ -51,16 +51,19 @@ class InfeasibleError(RuntimeError):
     """The requested target cannot be reached inside the admissible power window."""
 
 
-def span_count(total_length_km: float, span_length_km: float) -> int:
-    """Number of spans partitioning the link, rounding half up."""
+def span_count(total_length_km: float, span_length_km: float,
+               names: tuple[str, str] = ("total_length_km", "span_length_km")) -> int:
+    """Number of spans partitioning the link, rounding half up. Raises, naming
+    the two lengths by `names`, unless both are > 0 and give at most MAX_SPANS."""
+    total_name, span_name = names
     if not total_length_km > 0:
-        raise ValueError(f"total_length_km must be > 0, got {total_length_km}")
+        raise ValueError(f"{total_name} must be > 0, got {total_length_km}")
     if not span_length_km > 0:
-        raise ValueError(f"span_length_km must be > 0, got {span_length_km}")
+        raise ValueError(f"{span_name} must be > 0, got {span_length_km}")
     ratio = total_length_km / span_length_km
     if ratio > MAX_SPANS:
-        raise ValueError(f"{total_length_km:g} km in {span_length_km:g} km spans exceeds "
-                         f"MAX_SPANS = {MAX_SPANS}")
+        raise ValueError(f"{total_name}={total_length_km:g} km in {span_name}={span_length_km:g} "
+                         f"km spans exceeds MAX_SPANS = {MAX_SPANS}")
     return int(ratio + 0.5)
 
 
@@ -87,15 +90,11 @@ class LinkPlan:
     n_fibers_per_direction: int = 26
 
     def __post_init__(self) -> None:
-        if not self.total_length_km > 0:
-            raise ValueError(f"link.total_length_km must be > 0, got {self.total_length_km}")
-        if not 0 < self.span_length_km <= self.total_length_km:
-            raise ValueError(f"span.span_length_km={self.span_length_km} must lie in "
-                             f"(0, link.total_length_km={self.total_length_km}]")
-        ratio = self.total_length_km / self.span_length_km
-        if ratio > MAX_SPANS:
-            raise ValueError(f"link.total_length_km / span.span_length_km = {ratio:g} "
-                             f"exceeds MAX_SPANS = {MAX_SPANS}")
+        span_count(self.total_length_km, self.span_length_km,
+                   ("link.total_length_km", "span.span_length_km"))
+        if not self.span_length_km <= self.total_length_km:
+            raise ValueError(f"span.span_length_km={self.span_length_km} must not exceed "
+                             f"link.total_length_km={self.total_length_km}")
         self.span_gain_db(self.fiber.loss_db_per_km)
         if not self.symbol_rate_hz > 0:
             raise ValueError(f"link.symbol_rate_hz must be > 0, got {self.symbol_rate_hz}")
@@ -431,6 +430,10 @@ def power_feed(
     cable_w = feed.feed_current_a**2 * feed.cable_resistance_ohm_per_km * total_length_km
     repeaters_w = n_repeaters * feed.repeater_power_w
     total_w = cable_w + repeaters_w
+    if not math.isfinite(total_w):
+        raise ValueError(f"the feed budget (powerfeed.feed_current_a^2 x "
+                         f"powerfeed.cable_resistance_ohm_per_km x {total_length_km:g} km + "
+                         f"{n_repeaters} x powerfeed.repeater_power_w) is beyond float range")
     return PowerFeedResult(cable_w, repeaters_w, total_w, total_w <= feed.supply_limit_w)
 
 

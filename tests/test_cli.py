@@ -432,6 +432,10 @@ def _one_config_error(capsys) -> str:
         ("budget", {"fiber": {"loss_db_per_km": 5e-324}}, ["fiber.loss_db_per_km"]),
         ("span-curve", {"fiber": {"loss_db_per_km": 1e-310}}, ["fiber.loss_db_per_km"]),
         ("contour", {"sweep": {"loss_min": 5e-324}}, ["sweep.loss_min"]),
+        # A feed budget past float range used to reach the JSON writer as inf.
+        ("powerfeed", {"powerfeed": {"cable_resistance_ohm_per_km": 1e306}},
+         ["powerfeed.cable_resistance_ohm_per_km"]),
+        ("powerfeed", {"powerfeed": {"repeater_power_w": 1e307}}, ["powerfeed.repeater_power_w"]),
     ],
 )
 def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document, keys):
@@ -458,6 +462,8 @@ def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document,
         (["rbs", "--losses", ","], "--losses"),
         (["rbs", "--losses", "0.05,abc"], "--losses"),
         (["contour", "--levels", ""], "--levels"),
+        (["span-curve", "--target-tbps", "0"], "--target-tbps"),
+        (["span-curve", "--target-tbps", "-5"], "--target-tbps"),
     ],
 )
 def test_bad_flag_value_is_named(capsys, argv, flag):

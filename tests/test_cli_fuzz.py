@@ -1,4 +1,4 @@
-"""Hypothesis fuzz of cli.main over every subcommand's flags.
+"""Hypothesis fuzz of cli.main over every subcommand's flags and every config key.
 
 Each run ends in exit 0, 2, 3 or 4. A failure writes exactly one JSON error line
 on stderr and nothing on stdout. A success writes no error text, and no NaN or
@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hcflink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, FORMATS, main
+from hcflink.config import DEFAULTS, _kind
 from hcflink.explore import MAX_SPAN_POINTS
 
 _CODES = {EXIT_CONFIG: "config", EXIT_INFEASIBLE: "infeasible", EXIT_IO: "io"}
@@ -67,7 +68,7 @@ def files(tmp_path_factory) -> dict[str, str]:
     (root / "bad_trx.csv").write_text("10,400\nten,700\n")
     return {name: str(root / name) for name in
             ("small.cfg", "unreachable.cfg", "trx.csv", "bad_trx.csv", "absent.cfg", "out.txt",
-             "absent/out.txt")}
+             "absent/out.txt", "fuzz.cfg")}
 
 
 def _values(files: dict[str, str], command: str) -> dict[str, st.SearchStrategy[str]]:
@@ -119,11 +120,10 @@ def _assert_finite(text: str) -> None:
         assert not _NON_FINITE.search(text.replace(",nan,false\n", ",,false\n"))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_main_over_every_flag(files, data):
-    argv, foreign = data.draw(_argv(files))
+def _run_main(argv: list[str], out_file: str) -> int:
+    """Run main(argv) and check its streams: exactly one JSON error line and no
+    stdout on failure, and on success no error text and a finite output, which
+    goes to out_file when argv names it."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -131,8 +131,6 @@ def test_main_over_every_flag(files, data):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO), argv
-    if foreign:
-        assert code == EXIT_CONFIG, argv
     if code != EXIT_OK:
         assert out == "", argv
         lines = err.splitlines()
@@ -141,11 +139,66 @@ def test_main_over_every_flag(files, data):
         assert error["code"] == _CODES[code], argv
         # A non-finite value that reached the JSON writer would surface as a config error.
         assert "JSON compliant" not in error["message"], argv
-        return
+        return code
     assert err == "", argv
-    if f"--output={files['out.txt']}" in argv:
+    if f"--output={out_file}" in argv:
         assert out == ""
-        with open(files["out.txt"], encoding="utf-8") as fh:
+        with open(out_file, encoding="utf-8") as fh:
             out = fh.read()
     assert out, argv
     _assert_finite(out)
+    return code
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_main_over_every_flag(files, data):
+    argv, foreign = data.draw(_argv(files))
+    code = _run_main(argv, files["out.txt"])
+    if foreign:
+        assert code == EXIT_CONFIG, argv
+
+
+def _key_values(files: dict[str, str], section: str, key: str) -> st.SearchStrategy[str]:
+    """Values for one config key: mostly near its default, the rest odd. The
+    sweep's step counts stay small, or too large or too few to build a grid."""
+    default, kind = DEFAULTS[section][key], _kind(section, key)
+    if key.endswith("_steps"):
+        return st.one_of(st.integers(2, 8).map(str),
+                         st.sampled_from(["1", "0", "-3", "2.5", "abc", "", "10000000"]))
+    if key == "variant":
+        return st.sampled_from(["shannon_gap", "shannon_gap", "tabulated", "Tabulated", ""])
+    if key == "table_path":
+        return st.sampled_from([files["trx.csv"], files["bad_trx.csv"], files["absent.cfg"],
+                                "none", ""])
+    if kind == "int":
+        in_range = st.integers(0, 2 * default).map(str)
+        return st.one_of(in_range, in_range, st.integers().map(str), _ODD)
+    if default is None:  # gap_db, max_rate_gbps: unset or a number
+        return st.one_of(st.just("none"), _number(0.0, 1000.0))
+    in_range = st.floats(*sorted((0.5 * default, 2.0 * default))).map(repr)
+    return st.one_of(in_range, in_range, _number(-1e300, 1e300))
+
+
+@pytest.fixture(scope="module")
+def key_values(files) -> dict[str, st.SearchStrategy[str]]:
+    """Each config key's value strategy, built once: Hypothesis validates a new
+    strategy object on its first draw."""
+    return {f"{section}.{key}": _key_values(files, section, key)
+            for section, keys in DEFAULTS.items() for key in keys}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_main_over_every_config_key(files, key_values, data):
+    command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    keys = data.draw(st.lists(st.sampled_from(sorted(key_values)), unique=True, min_size=1,
+                              max_size=4))
+    lines = ["sweep.loss_steps = 5", "sweep.power_steps = 6"]
+    lines += [f"{key} = {data.draw(key_values[key])}" for key in keys]
+    with open(files["fuzz.cfg"], "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    fmt = data.draw(st.sampled_from(FORMATS[command]))
+    _run_main([command, f"--config={files['fuzz.cfg']}", f"--format={fmt}"], files["out.txt"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import replace
 
@@ -231,6 +232,71 @@ def test_contour_passes_through_reference_point(reference_plan, calibrated_trx):
         if abs(loss - 0.06) <= 5e-4
     )
     assert best <= 0.3
+
+
+def _row_crossings_dbm(plan, trx, loss, level, low, high):
+    """Powers (dBm) in [low, high] where the throughput at this loss equals level:
+    the roots of A/p + B*p^2 + C = 1/g*(level), by bisection on each side of
+    the GSNR peak, the smaller on the rising branch and the larger on the falling."""
+    a, b, imi, rbs = gsnr_terms(plan, loss, plan.n_spans)
+    inv_gsnr = _target_inv_gsnr(plan, trx, level)
+
+    def below(dbm):
+        p = 10.0 ** (dbm / 10.0)
+        return a / p + b * p * p + imi + rbs > inv_gsnr
+
+    peak_dbm = 10.0 * math.log10((a / (2.0 * b)) ** (1.0 / 3.0))
+    roots = []
+    for lo, hi in ((low, min(peak_dbm, high)), (max(peak_dbm, low), high)):
+        if lo < hi and below(lo) != below(hi):
+            lo_below = below(lo)
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if below(mid) == lo_below else (lo, mid)
+            roots.append(0.5 * (lo + hi))
+    return roots
+
+
+def _secant_bound(f, y0, y1, root, delta=1e-3):
+    """Largest distance between the root of f in [y0, y1] and the root of its
+    chord: max|f''| (y1 - y0)^2 / (8 min|f'|) over the cell, with the
+    derivatives taken by central differences at both ends and the root."""
+    samples = [(f(y - delta), f(y), f(y + delta)) for y in (y0, root, y1)]
+    slope = min(abs(hi - lo) / (2.0 * delta) for lo, _, hi in samples)
+    curvature = max(abs(hi - 2.0 * mid + lo) / delta**2 for lo, mid, hi in samples)
+    return curvature * (y1 - y0) ** 2 / (8.0 * slope)
+
+
+@pytest.mark.parametrize(
+    "gamma,level,window,n_roots",
+    [(5e-4, 1000.0, (14.0, 25.0), 1),  # hollow core: the peak lies far above the window
+     (0.05, 1000.0, (10.0, 40.0), 2),  # solid-core-like: the level set bends back
+     (1.0, 400.0, (0.0, 30.0), 2)],
+)
+def test_contour_rows_meet_the_analytic_roots(reference_plan, calibrated_trx, gamma, level,
+                                              window, n_roots):
+    plan = replace(reference_plan, fiber=replace(reference_plan.fiber, gamma_per_w_km=gamma))
+    for step_db in (0.25, 0.0625):
+        steps = round((window[1] - window[0]) / step_db) + 1
+        grid = sweep_grid(plan, calibrated_trx, GridSpec(0.05, 0.07, 5, *window, steps))
+        powers = grid.edfa_power_dbm.tolist()
+        vertices = {v for line in extract_contour(grid, "throughput", level) for v in line}
+        for loss in grid.loss_db_per_km.tolist():
+            roots = _row_crossings_dbm(plan, calibrated_trx, loss, level, *window)
+            on_row = sorted(power for x, power in vertices if x == loss)
+            assert len(roots) == n_roots and len(on_row) == n_roots, (gamma, loss, step_db)
+            terms = gsnr_terms(plan, loss, plan.n_spans)
+            inv_gsnr = _target_inv_gsnr(plan, calibrated_trx, level)
+            assert roots[0] == pytest.approx(_solve_power_dbm(terms, inv_gsnr), abs=1e-9)
+
+            def throughput(dbm, loss=loss):
+                return cable_throughput(plan, calibrated_trx, OperatingPoint(loss, dbm))
+
+            for root, vertex in zip(roots, on_row):
+                j = bisect.bisect_right(powers, root) - 1
+                bound = _secant_bound(throughput, powers[j], powers[j + 1], root)
+                assert bound < 0.01 * step_db
+                assert abs(vertex - root) <= 1.5 * bound + 1e-9, (gamma, loss, step_db)
 
 
 def test_required_power_cross_validation(reference_plan, calibrated_trx):
@@ -534,6 +600,13 @@ def test_span_points_bounded_before_allocation(reference_plan, calibrated_trx, m
         span_length_curve(
             reference_plan, calibrated_trx, 0.06, 150.0, 250.0, MAX_SPAN_POINTS + 1, 1000.0
         )
+
+
+@pytest.mark.parametrize("span_min,span_max,match", [(1e-300, 250.0, "span_min_km.*MAX_SPANS"),
+                                                     (300.0, 200.0, "span_min_km.*span_max_km")])
+def test_span_curve_names_its_bad_range(reference_plan, calibrated_trx, span_min, span_max, match):
+    with pytest.raises(ValueError, match=match):
+        span_length_curve(reference_plan, calibrated_trx, 0.06, span_min, span_max, 21, 1000.0)
 
 
 def test_span_curve_window_is_inclusive(reference_plan, calibrated_trx):

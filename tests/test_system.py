@@ -29,6 +29,7 @@ from hcflink.system import (
     power_feed,
     propagation_latency,
     repeater_count,
+    span_count,
     span_terms,
 )
 
@@ -75,6 +76,15 @@ def test_link_plan_validation(reference_fiber, reference_amp):
                  total_length_km=100.0, span_length_km=500.0)
     with pytest.raises(ValueError):
         LinkPlan(fiber=reference_fiber, amp=reference_amp, n_fibers_per_direction=-1)
+
+
+@pytest.mark.parametrize("total,span", [(0.0, 200.0), (6600.0, -1.0), (6600.0, 1e-300)])
+def test_span_count_names_its_lengths(total, span):
+    with pytest.raises(ValueError) as info:
+        span_count(total, span, ("the-total", "the-span"))
+    wanted = {"the-total"} if total <= 0 else {"the-span"} if span <= 0 else {
+        "the-total", "the-span", "MAX_SPANS"}
+    assert all(name in str(info.value) for name in wanted)
 
 
 def test_link_gsnr_reference_point(reference_plan, reference_op):
@@ -272,6 +282,16 @@ def test_power_feed_linear_in_repeaters():
     feed = PowerFeedSpec()
     for n in (0, 1, 10, 32, 100):
         assert power_feed(feed, 0.0, n).repeaters_w == n * 180.0
+
+
+@pytest.mark.parametrize("feed,total_km,n_repeaters", [
+    (PowerFeedSpec(cable_resistance_ohm_per_km=1e306), 6600.0, 32),
+    (PowerFeedSpec(repeater_power_w=1e307), 6600.0, 99),
+    (PowerFeedSpec(), math.inf, 0),
+])
+def test_power_feed_refuses_an_overflowing_budget(feed, total_km, n_repeaters):
+    with pytest.raises(ValueError, match="powerfeed.cable_resistance_ohm_per_km"):
+        power_feed(feed, total_km, n_repeaters)
 
 
 def test_power_feed_spec_validation():
