@@ -144,10 +144,7 @@ def _run_contour(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, levels, field
         "include_rbs": include_rbs,
         "field": field,
         "grid": outputs.grid_document(grid),
-        "contours": [
-            {"level": level, "polylines": [[[x, y] for x, y in line] for line in lines]}
-            for level, lines in contour_sets
-        ],
+        "contours": [{"level": level, "polylines": lines} for level, lines in contour_sets],
     }
     outputs.write_json(doc, fh)
 
@@ -213,7 +210,7 @@ def _run_rbs(cfg: RunConfig, fh: IO[str], *, losses, **_) -> None:
 
 def _run_powerfeed(cfg: RunConfig, fh: IO[str], **_) -> None:
     plan, feed = cfg.plan(), cfg.power_feed()
-    n_repeaters = plan.n_spans - 1
+    n_repeaters = system.repeater_count(plan.total_length_km, plan.span_length_km)
     result = system.power_feed(feed, plan.total_length_km, n_repeaters)
     doc = {
         "command": "powerfeed",

@@ -20,6 +20,7 @@ from .system import (
     OperatingPoint,
     TransceiverModel,
     gsnr_terms,
+    repeater_count,
     span_count,
     span_terms,
 )
@@ -118,11 +119,6 @@ def sweep_grid(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
     return SweepGrid(losses, powers, gsnr, throughput)
 
 
-def _edge_crossing(pa, pb, va: float, vb: float, level: float) -> tuple[float, float]:
-    t = (level - va) / (vb - va)
-    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
-
-
 def extract_contour(
     grid: SweepGrid,
     field: str,
@@ -142,33 +138,30 @@ def extract_contour(
     values = fields[field]
     if not np.all(np.isfinite(values)):
         raise ValueError("grid contains non-finite cells")
-    xs = grid.loss_db_per_km
-    ys = grid.edfa_power_dbm
     cases = _cell_cases(values, level)
+    i, j = np.nonzero((cases != 0) & (cases != 15))
+    xs, ys = grid.loss_db_per_km, grid.edfa_power_dbm
+    # Corner (x, y, value) of every crossed cell, and each edge's two corners.
+    c00, c10 = (xs[i], ys[j], values[i, j]), (xs[i + 1], ys[j], values[i + 1, j])
+    c01, c11 = (xs[i], ys[j + 1], values[i, j + 1]), (xs[i + 1], ys[j + 1], values[i + 1, j + 1])
+    ends = {"bottom": (c00, c10), "right": (c10, c11), "top": (c01, c11), "left": (c00, c01)}
+    crossings = {}
+    # An edge the level does not cross may divide by zero, but no pair reads it.
+    with np.errstate(all="ignore"):
+        for edge, ((xa, ya, va), (xb, yb, vb)) in ends.items():
+            t = (level - va) / (vb - va)
+            crossings[edge] = list(zip((xa + t * (xb - xa)).tolist(),
+                                       (ya + t * (yb - ya)).tolist()))
+        center_inside = ((c00[2] + c10[2] + c01[2] + c11[2]) / 4.0 >= level).tolist()
 
     segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
-    crossed = (cases != 0) & (cases != 15)
-    for i, j in zip(*(axis.tolist() for axis in np.nonzero(crossed))):
-        case = int(cases[i, j])
-        v00 = float(values[i, j])
-        v10 = float(values[i + 1, j])
-        v11 = float(values[i + 1, j + 1])
-        v01 = float(values[i, j + 1])
-        p00, p10 = (float(xs[i]), float(ys[j])), (float(xs[i + 1]), float(ys[j]))
-        p01, p11 = (float(xs[i]), float(ys[j + 1])), (float(xs[i + 1]), float(ys[j + 1]))
-        edges = {
-            "bottom": lambda: _edge_crossing(p00, p10, v00, v10, level),
-            "right": lambda: _edge_crossing(p10, p11, v10, v11, level),
-            "top": lambda: _edge_crossing(p01, p11, v01, v11, level),
-            "left": lambda: _edge_crossing(p00, p01, v00, v01, level),
-        }
+    for k, case in enumerate(cases[i, j].tolist()):
         pairs = _SEGMENT_TABLE.get(case)
         if pairs is None:
             # Saddle: connect around the corners that match the center.
-            center_inside = (v00 + v10 + v01 + v11) / 4.0 >= level
-            pairs = _SADDLE_PAIRS[(case == 5) == center_inside]
+            pairs = _SADDLE_PAIRS[(case == 5) == center_inside[k]]
         for edge_a, edge_b in pairs:
-            a, b = edges[edge_a](), edges[edge_b]()
+            a, b = crossings[edge_a][k], crossings[edge_b][k]
             if a != b:
                 segments.append((a, b))
     return _chain_segments(segments)
@@ -222,21 +215,16 @@ def _chain_segments(
             continue
         used[start] = True
         a, b = segments[start]
-        line = [a, b]
-        for grow_at_end in (True, False):
-            while True:
-                tip = line[-1] if grow_at_end else line[0]
-                next_idx = next((k for k in by_point[tip] if not used[k]), None)
-                if next_idx is None:
-                    break
-                used[next_idx] = True
-                pa, pb = segments[next_idx]
-                nxt = pb if pa == tip else pa
-                if grow_at_end:
-                    line.append(nxt)
-                else:
-                    line.insert(0, nxt)
-        polylines.append(line)
+        runs = []
+        for tip in (b, a):  # grow from b, then from a
+            run = [tip]
+            while (idx := next((k for k in by_point[tip] if not used[k]), None)) is not None:
+                used[idx] = True
+                pa, pb = segments[idx]
+                tip = pb if pa == tip else pa
+                run.append(tip)
+            runs.append(run)
+        polylines.append(runs[1][::-1] + runs[0])
     return polylines
 
 
@@ -311,10 +299,8 @@ def required_edfa_power(
     A target is infeasible only above the throughput peak or outside the
     window settings.power_bracket_dbm; see _solve_power_dbm.
     """
-    if not 0 < span_km <= plan.total_length_km:
-        raise ValueError(f"span_km={span_km} must lie in (0, {plan.total_length_km:g}] km")
+    n = repeater_count(plan.total_length_km, span_km, ("plan.total_length_km", "span_km")) + 1
     what = f"target {target_tbps:g} Tb/s at {loss_db_per_km:g} dB/km, {span_km:g} km spans"
-    n = span_count(plan.total_length_km, span_km)
     terms = gsnr_terms(plan, loss_db_per_km, n, include_rbs)
     power_dbm = _solve_power_dbm(terms, _target_inv_gsnr(plan, trx, target_tbps))
     if math.isnan(power_dbm):

@@ -166,8 +166,8 @@ def write_json(document: dict, fh: IO[str]) -> None:
 
 def grid_document(grid: SweepGrid) -> dict:
     return {
-        "loss_db_per_km": [float(v) for v in grid.loss_db_per_km],
-        "edfa_power_dbm": [float(v) for v in grid.edfa_power_dbm],
+        "loss_db_per_km": grid.loss_db_per_km.tolist(),
+        "edfa_power_dbm": grid.edfa_power_dbm.tolist(),
         "gsnr_db": grid.gsnr_db.tolist(),
         "throughput_tbps": grid.throughput_tbps.tolist(),
     }

@@ -90,11 +90,8 @@ class LinkPlan:
     n_fibers_per_direction: int = 26
 
     def __post_init__(self) -> None:
-        span_count(self.total_length_km, self.span_length_km,
-                   ("link.total_length_km", "span.span_length_km"))
-        if not self.span_length_km <= self.total_length_km:
-            raise ValueError(f"span.span_length_km={self.span_length_km} must not exceed "
-                             f"link.total_length_km={self.total_length_km}")
+        repeater_count(self.total_length_km, self.span_length_km,
+                       ("link.total_length_km", "span.span_length_km"))
         self.span_gain_db(self.fiber.loss_db_per_km)
         if not self.symbol_rate_hz > 0:
             raise ValueError(f"link.symbol_rate_hz must be > 0, got {self.symbol_rate_hz}")
@@ -408,13 +405,16 @@ def cable_throughput(plan: LinkPlan, trx: TransceiverModel, op: OperatingPoint,
     return plan.n_carriers * rate_gbps / 1e3
 
 
-def repeater_count(total_length_km: float, span_length_km: float) -> int:
-    """In-line repeaters: one per span boundary, end blocks live on shore."""
-    if span_length_km > total_length_km:
-        raise ValueError(
-            f"span_length_km={span_length_km} exceeds total_length_km={total_length_km}"
-        )
-    return span_count(total_length_km, span_length_km) - 1
+def repeater_count(total_length_km: float, span_length_km: float,
+                   names: tuple[str, str] = ("total_length_km", "span_length_km")) -> int:
+    """In-line repeaters: one per span boundary, end blocks live on shore. Raises,
+    naming the two lengths by `names`, where span_count does or when the span is
+    longer than the link."""
+    n_spans = span_count(total_length_km, span_length_km, names)
+    if not span_length_km <= total_length_km:
+        raise ValueError(f"{names[1]}={span_length_km} must not exceed "
+                         f"{names[0]}={total_length_km}")
+    return n_spans - 1
 
 
 def power_feed(
@@ -443,7 +443,11 @@ def propagation_latency(total_length_km: float, group_index: float) -> float:
         raise ValueError(f"group_index must be >= 1, got {group_index}")
     if total_length_km < 0:
         raise ValueError(f"total_length_km must be >= 0, got {total_length_km}")
-    return total_length_km * group_index / DEFAULT_CONSTANTS.light_speed_km_s * 1e3
+    latency_ms = total_length_km * group_index / DEFAULT_CONSTANTS.light_speed_km_s * 1e3
+    if not math.isfinite(latency_ms):
+        raise ValueError(f"the latency over link.total_length_km={total_length_km:g} km at group "
+                         f"index {group_index:g} is beyond float range")
+    return latency_ms
 
 
 def calibrate_trx_gap(plan: LinkPlan, reference: OperatingPoint, target_tbps: float,

@@ -436,6 +436,13 @@ def _one_config_error(capsys) -> str:
         ("powerfeed", {"powerfeed": {"cable_resistance_ohm_per_km": 1e306}},
          ["powerfeed.cable_resistance_ohm_per_km"]),
         ("powerfeed", {"powerfeed": {"repeater_power_w": 1e307}}, ["powerfeed.repeater_power_w"]),
+        # A latency past float range used to reach the JSON writer as inf.
+        ("latency", {"fiber": {"group_index": 1e308}},
+         ["link.total_length_km", "group index 1e+308"]),
+        ("latency", {"link": {"total_length_km": 1.7976931348623157e308},
+                     "span": {"span_length_km": 1e305}, "fiber": {"loss_db_per_km": 1e-303},
+                     "sweep": {"loss_min": 1e-303, "loss_max": 2e-303}},
+         ["link.total_length_km=1.79769e+308"]),
     ],
 )
 def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document, keys):

@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 import warnings
 
 import pytest
@@ -30,6 +31,11 @@ _ODD = st.sampled_from([
     "0", "-0", "1e300", "-1e300", "1.7976931348623157e308", "2.2250738585072014e-308",
     "1e-310", "5e-324",
 ])
+
+
+# Huge but finite, from float max down to ~1e148: squared, or multiplied by
+# another key or by the 6600 km link, such a value leaves float range.
+_HUGE = st.integers(0, 160).map(lambda k: repr(sys.float_info.max / 10.0**k))
 
 
 def _number(low: float, high: float) -> st.SearchStrategy[str]:
@@ -178,6 +184,8 @@ def _key_values(files: dict[str, str], section: str, key: str) -> st.SearchStrat
     if default is None:  # gap_db, max_rate_gbps: unset or a number
         return st.one_of(st.just("none"), _number(0.0, 1000.0))
     in_range = st.floats(*sorted((0.5 * default, 2.0 * default))).map(repr)
+    if default > 0:
+        return st.one_of(in_range, in_range, _HUGE, _number(-1e300, 1e300))
     return st.one_of(in_range, in_range, _number(-1e300, 1e300))
 
 
@@ -202,3 +210,20 @@ def test_main_over_every_config_key(files, key_values, data):
         fh.write("\n".join(lines) + "\n")
     fmt = data.draw(st.sampled_from(FORMATS[command]))
     _run_main([command, f"--config={files['fuzz.cfg']}", f"--format={fmt}"], files["out.txt"])
+
+
+_POSITIVE_KEYS = sorted(f"{section}.{key}" for section, keys in DEFAULTS.items()
+                        for key, default in keys.items()
+                        if _kind(section, key) == "float" and default is not None and default > 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(key=st.sampled_from(_POSITIVE_KEYS), value=_HUGE)
+def test_main_over_a_huge_positive_key(files, key, value):
+    """One positive key at a huge but finite value, through every command: a
+    square or a product with another quantity must not leave float range unseen."""
+    with open(files["fuzz.cfg"], "w", encoding="utf-8") as fh:
+        fh.write(f"sweep.loss_steps = 5\nsweep.power_steps = 6\n{key} = {value}\n")
+    for command in sorted(_COMMAND_FLAGS):
+        _run_main([command, f"--config={files['fuzz.cfg']}"], files["out.txt"])

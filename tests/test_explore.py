@@ -3,6 +3,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -177,6 +178,26 @@ def test_contour_saddle_cells(values, level, expected):
     assert extract_contour(_toy_grid(values), "gsnr", level) == expected
 
 
+@pytest.mark.parametrize(
+    "values, level, expected",
+    [
+        # a bump in the middle: one closed ring, its first vertex repeated last
+        ([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]], 0.5,
+         [[(0.5, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 0.5), (0.5, 0.25)]]),
+        # a pocket open to the last row: the first segment in cell order, in
+        # cell (0, 0), lies mid-line, so the line grows at its front too
+        ([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.0, 1.0]], 0.5,
+         [[(1.0, 0.25), (0.5, 0.25), (0.25, 0.5), (0.5, 0.75), (1.0, 0.75)]]),
+        # the level meets corner (1, 1) exactly: cell (0, 0) gives a
+        # zero-length segment, which is dropped
+        ([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 3.0, 4.0]], 2.0,
+         [[(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]]),
+    ],
+)
+def test_contour_chains_segments_into_polylines(values, level, expected):
+    assert extract_contour(_toy_grid(values), "gsnr", level) == expected
+
+
 def test_cell_cases_match_per_cell_classification():
     rng = np.random.default_rng(7)
     values = rng.integers(0, 4, size=(9, 7)).astype(float)  # many ties at the level
@@ -234,12 +255,11 @@ def test_contour_passes_through_reference_point(reference_plan, calibrated_trx):
     assert best <= 0.3
 
 
-def _row_crossings_dbm(plan, trx, loss, level, low, high):
-    """Powers (dBm) in [low, high] where the throughput at this loss equals level:
-    the roots of A/p + B*p^2 + C = 1/g*(level), by bisection on each side of
+def _row_crossings_dbm(plan, loss, inv_gsnr, low, high):
+    """Powers (dBm) in [low, high] where the GSNR at this loss equals 1/inv_gsnr:
+    the roots of A/p + B*p^2 + C = inv_gsnr, by bisection on each side of
     the GSNR peak, the smaller on the rising branch and the larger on the falling."""
     a, b, imi, rbs = gsnr_terms(plan, loss, plan.n_spans)
-    inv_gsnr = _target_inv_gsnr(plan, trx, level)
 
     def below(dbm):
         p = 10.0 ** (dbm / 10.0)
@@ -268,33 +288,44 @@ def _secant_bound(f, y0, y1, root, delta=1e-3):
 
 
 @pytest.mark.parametrize(
-    "gamma,level,window,n_roots",
-    [(5e-4, 1000.0, (14.0, 25.0), 1),  # hollow core: the peak lies far above the window
-     (0.05, 1000.0, (10.0, 40.0), 2),  # solid-core-like: the level set bends back
-     (1.0, 400.0, (0.0, 30.0), 2)],
+    "field,gamma,level,window,n_roots",
+    [("throughput", 5e-4, 1000.0, (14.0, 25.0), 1),  # hollow core: the peak lies far above
+     ("throughput", 0.05, 1000.0, (10.0, 40.0), 2),  # solid-core-like: the level set bends back
+     ("throughput", 1.0, 400.0, (0.0, 30.0), 2),
+     ("gsnr", 5e-4, 16.0, (14.0, 25.0), 1),
+     ("gsnr", 0.05, 15.0, (10.0, 40.0), 2),
+     ("gsnr", 1.0, 8.0, (0.0, 30.0), 2)],
 )
-def test_contour_rows_meet_the_analytic_roots(reference_plan, calibrated_trx, gamma, level,
-                                              window, n_roots):
+def test_contour_rows_meet_the_analytic_roots(reference_plan, calibrated_trx, field, gamma,
+                                              level, window, n_roots):
+    # A throughput level T crosses where 1/GSNR = 1/g*(T), a GSNR level L dB
+    # where 1/GSNR = 10^(-L/10): the same cubic in p, with the same two branches.
     plan = replace(reference_plan, fiber=replace(reference_plan.fiber, gamma_per_w_km=gamma))
+    if field == "gsnr":
+        inv_gsnr = 10.0 ** (-level / 10.0)
+
+        def curve(loss, dbm):
+            return link_gsnr(plan, OperatingPoint(loss, dbm)).gsnr_db
+    else:
+        inv_gsnr = _target_inv_gsnr(plan, calibrated_trx, level)
+
+        def curve(loss, dbm):
+            return cable_throughput(plan, calibrated_trx, OperatingPoint(loss, dbm))
+
     for step_db in (0.25, 0.0625):
         steps = round((window[1] - window[0]) / step_db) + 1
         grid = sweep_grid(plan, calibrated_trx, GridSpec(0.05, 0.07, 5, *window, steps))
         powers = grid.edfa_power_dbm.tolist()
-        vertices = {v for line in extract_contour(grid, "throughput", level) for v in line}
+        vertices = {v for line in extract_contour(grid, field, level) for v in line}
         for loss in grid.loss_db_per_km.tolist():
-            roots = _row_crossings_dbm(plan, calibrated_trx, loss, level, *window)
+            roots = _row_crossings_dbm(plan, loss, inv_gsnr, *window)
             on_row = sorted(power for x, power in vertices if x == loss)
             assert len(roots) == n_roots and len(on_row) == n_roots, (gamma, loss, step_db)
             terms = gsnr_terms(plan, loss, plan.n_spans)
-            inv_gsnr = _target_inv_gsnr(plan, calibrated_trx, level)
             assert roots[0] == pytest.approx(_solve_power_dbm(terms, inv_gsnr), abs=1e-9)
-
-            def throughput(dbm, loss=loss):
-                return cable_throughput(plan, calibrated_trx, OperatingPoint(loss, dbm))
-
             for root, vertex in zip(roots, on_row):
                 j = bisect.bisect_right(powers, root) - 1
-                bound = _secant_bound(throughput, powers[j], powers[j + 1], root)
+                bound = _secant_bound(partial(curve, loss), powers[j], powers[j + 1], root)
                 assert bound < 0.01 * step_db
                 assert abs(vertex - root) <= 1.5 * bound + 1e-9, (gamma, loss, step_db)
 
@@ -357,6 +388,14 @@ def test_required_power_infeasible_reasons(reference_plan, calibrated_trx):
         for target in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InfeasibleError, match="Tb/s at"):
                 required_edfa_power(reference_plan, trx, 0.06, 200.0, target)
+
+
+@pytest.mark.parametrize("span_km, words", [(1e-3, ("span_km=", "MAX_SPANS")),
+                                             (7000.0, ("span_km=", "must not exceed"))])
+def test_required_power_names_its_span(reference_plan, calibrated_trx, span_km, words):
+    with pytest.raises(ValueError) as info:
+        required_edfa_power(reference_plan, calibrated_trx, 0.06, span_km, 1000.0)
+    assert all(word in str(info.value) for word in (*words, "plan.total_length_km"))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

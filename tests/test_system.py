@@ -259,6 +259,14 @@ def test_repeater_count_partition_identity():
         assert n_spans * (6600.0 / n_spans) == pytest.approx(6600.0, abs=1e-9)
 
 
+def test_repeater_count_checks_the_lengths_before_their_order():
+    # A link of negative length is refused as such, not as shorter than its span.
+    with pytest.raises(ValueError, match="total_length_km must be > 0, got -1"):
+        repeater_count(-1, 200)
+    with pytest.raises(ValueError, match="the-span=6601.0 must not exceed the-total=6600.0"):
+        repeater_count(6600.0, 6601.0, ("the-total", "the-span"))
+
+
 def test_power_feed_reference_numbers():
     result = power_feed(PowerFeedSpec(), 6600.0, 32)
     assert result.cable_w == 6600.0
