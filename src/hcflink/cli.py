@@ -231,7 +231,7 @@ def _run_latency(cfg: RunConfig, fh: IO[str], **_) -> None:
         "total_length_km": total_km,
         "hollow_core_group_index": group_index,
         "solid_core_group_index": SOLID_CORE_GROUP_INDEX,
-        "hollow_core_ms": system.propagation_latency(total_km, group_index),
+        "hollow_core_ms": system.propagation_latency(total_km, group_index, "fiber.group_index"),
         "solid_core_ms": system.propagation_latency(total_km, SOLID_CORE_GROUP_INDEX),
     }
     outputs.write_json(doc, fh)

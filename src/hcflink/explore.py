@@ -22,6 +22,7 @@ from .system import (
     gsnr_terms,
     repeater_count,
     span_count,
+    span_counts,
     span_terms,
 )
 # perfbench's traced run patches these two names here.
@@ -32,6 +33,10 @@ if TYPE_CHECKING:
 
 # Most samples a span trade-off curve may take.
 MAX_SPAN_POINTS = 100_000
+
+# The trigonometric cubic formula's factors 2/sqrt(3) and -1.5*sqrt(3).
+_TRIG_SCALE = 2.0 / math.sqrt(3.0)
+_TRIG_ARG = -1.5 * math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -265,7 +270,7 @@ def _solve_power_dbm(terms: tuple[float, float, float, float], inv_gsnr: float) 
     # product then gives the smallest root without the cancellation the
     # direct trigonometric middle root suffers at small eps.
     s = math.sqrt(eps)
-    u = 2.0 / math.sqrt(3.0) * math.cos(math.acos(max(-1.0, -1.5 * math.sqrt(3.0) * s)) / 3.0)
+    u = _TRIG_SCALE * math.cos(math.acos(max(-1.0, _TRIG_ARG * s)) / 3.0)
     return 10.0 * math.log10(2.0 * r / (u * u + u * math.sqrt(u * u + 4.0 * s / u)))
 
 
@@ -360,7 +365,7 @@ def span_length_curve(
     check_span_range(plan.total_length_km, span_min_km, span_max_km, n_points,
                      ("plan.total_length_km", "span_min_km", "span_max_km", "n_points"))
     spans = _linspace(span_min_km, span_max_km, n_points)
-    counts = dict.fromkeys(span_count(plan.total_length_km, s) for s in spans)
+    counts = dict.fromkeys(span_counts(plan.total_length_km, spans))
     counts.pop(0, None)  # samples over twice the link length leave no full span
     inv_gsnr = _target_inv_gsnr(plan, trx, target_tbps)
     low, high = settings.power_bracket_dbm

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .units import (
     DB_PER_NEPER,
@@ -117,39 +117,36 @@ class SnrBudget:
         return -linear_to_db(inv)
 
 
-def ase_inv_snr(
-    amp: AmplifierSpec,
-    per_channel_output_w: float,
-    gain_db: float,
-    n_amps: int,
-    noise_bw_hz: float,
-    const: PhysicalConstants,
-) -> float:
-    """Accumulated amplifier noise-to-signal ratio.
+def ase_inv_snrs(amp: AmplifierSpec, per_channel_output_w: float,
+                 gains_db_and_counts: Iterable[tuple[float, int]], noise_bw_hz: float,
+                 const: PhysicalConstants) -> list[float]:
+    """Accumulated amplifier noise-to-signal ratio of each (gain_db, n_amps) pair.
 
     Each gain block adds F*h*nu*(G-1)*B_n of noise power (both polarizations)
-    referenced to the per-channel power at its output.
+    referenced to the per-channel power at its output. The checks and the
+    factor F*h*nu that need no pair run once, before the first pair.
     """
     if not per_channel_output_w > 0:
         raise ValueError(f"per_channel_output_w must be > 0, got {per_channel_output_w}")
-    if not gain_db > 0:
-        raise ValueError(f"transparency requires gain > 0 dB, got {gain_db}")
-    if n_amps < 0:
-        raise ValueError(f"n_amps must be >= 0, got {n_amps}")
     if not noise_bw_hz > 0:
         raise ValueError(f"noise_bw_hz must be > 0, got {noise_bw_hz}")
-    if n_amps == 0:
-        return 0.0
-    noise_factor = db_to_linear(amp.noise_figure_db)
-    gain = db_to_linear(gain_db)
-    p_ase = (
-        noise_factor
-        * const.planck_j_s
-        * const.reference_frequency_hz
-        * (gain - 1.0)
-        * noise_bw_hz
-    )
-    return n_amps * p_ase / per_channel_output_w
+    noise_prefix = (db_to_linear(amp.noise_figure_db) * const.planck_j_s
+                    * const.reference_frequency_hz)
+    inv_snrs = []
+    for gain_db, n_amps in gains_db_and_counts:
+        if not gain_db > 0:
+            raise ValueError(f"transparency requires gain > 0 dB, got {gain_db}")
+        if n_amps < 0:
+            raise ValueError(f"n_amps must be >= 0, got {n_amps}")
+        p_ase = noise_prefix * (db_to_linear(gain_db) - 1.0) * noise_bw_hz if n_amps else 0.0
+        inv_snrs.append(n_amps * p_ase / per_channel_output_w)
+    return inv_snrs
+
+
+def ase_inv_snr(amp: AmplifierSpec, per_channel_output_w: float, gain_db: float, n_amps: int,
+                noise_bw_hz: float, const: PhysicalConstants) -> float:
+    """The ase_inv_snrs of one (gain_db, n_amps) pair."""
+    return ase_inv_snrs(amp, per_channel_output_w, ((gain_db, n_amps),), noise_bw_hz, const)[0]
 
 
 def gn_asinh_scale(dispersion_ps_nm_km: float, const: PhysicalConstants) -> tuple[float, float]:
@@ -166,59 +163,65 @@ def gn_asinh_scale(dispersion_ps_nm_km: float, const: PhysicalConstants) -> tupl
     return beta2, 0.5 * math.pi**2 * beta2
 
 
-def gn_nli_psd_per_span(
-    fiber: FiberSpec,
-    launch_psd_w_hz: float,
-    span_km: float,
-    comb_bw_hz: float,
-    const: PhysicalConstants,
-) -> float:
-    """Nonlinear-interference PSD generated in one span (W/Hz).
+def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Iterable[float],
+                         comb_bw_hz: float, const: PhysicalConstants) -> list[float]:
+    """Nonlinear-interference PSD (W/Hz) generated in one span of each length.
 
     Incoherent Gaussian-noise closed form for the center channel of a flat
-    comb of PSD `launch_psd_w_hz` spanning `comb_bw_hz`.
+    comb of PSD `launch_psd_w_hz` spanning `comb_bw_hz`. The checks, the
+    factor (8/27)*gamma^2*PSD^3, the asinh term and the denominator need no
+    span length, so they run once; each span adds only its effective length.
     """
     if launch_psd_w_hz < 0:
         raise ValueError(f"launch_psd_w_hz must be >= 0, got {launch_psd_w_hz}")
-    if not span_km > 0:
-        raise ValueError(f"span_km must be > 0, got {span_km}")
     if not comb_bw_hz > 0:
         raise ValueError(f"comb_bw_hz must be > 0, got {comb_bw_hz}")
     if fiber.dispersion_ps_nm_km == 0:
         raise ValueError("nonlinear interference is singular at zero dispersion")
-    if launch_psd_w_hz == 0:
-        return 0.0
     alpha = attenuation_db_to_per_km(fiber.loss_db_per_km)
-    l_eff = -math.expm1(-alpha * span_km) / alpha
     l_eff_a = 1.0 / alpha
     beta2, asinh_scale = gn_asinh_scale(fiber.dispersion_ps_nm_km, const)
-    asinh_arg = asinh_scale * l_eff_a * comb_bw_hz**2
-    return (
-        (8.0 / 27.0)
-        * fiber.gamma_per_w_km**2
-        * launch_psd_w_hz**3
-        * l_eff**2
-        * math.asinh(asinh_arg)
-        / (math.pi * beta2 * l_eff_a)
-    )
+    prefix = (8.0 / 27.0) * fiber.gamma_per_w_km**2 * launch_psd_w_hz**3
+    # A zero PSD gives 0 even where the asinh term would be inf.
+    asinh_value = math.asinh(asinh_scale * l_eff_a * comb_bw_hz**2) if launch_psd_w_hz else 0.0
+    denominator = math.pi * beta2 * l_eff_a
+    psds = []
+    for span_km in spans_km:
+        if not span_km > 0:
+            raise ValueError(f"span_km must be > 0, got {span_km}")
+        l_eff = -math.expm1(-alpha * span_km) / alpha
+        psds.append(prefix * l_eff**2 * asinh_value / denominator)
+    return psds
 
 
-def nli_inv_snr(
-    psd_per_span_w_hz: float,
-    n_spans: int,
-    channel_bw_hz: float,
-    per_channel_launch_w: float,
-) -> float:
-    """Nonlinear-interference-to-signal ratio, accumulated linearly over spans."""
-    if psd_per_span_w_hz < 0:
-        raise ValueError(f"psd_per_span_w_hz must be >= 0, got {psd_per_span_w_hz}")
-    if n_spans < 0:
-        raise ValueError(f"n_spans must be >= 0, got {n_spans}")
+def gn_nli_psd_per_span(fiber: FiberSpec, launch_psd_w_hz: float, span_km: float,
+                        comb_bw_hz: float, const: PhysicalConstants) -> float:
+    """The gn_nli_psds_per_span of one span length."""
+    return gn_nli_psds_per_span(fiber, launch_psd_w_hz, (span_km,), comb_bw_hz, const)[0]
+
+
+def nli_inv_snrs(psds_and_counts: Iterable[tuple[float, int]], channel_bw_hz: float,
+                 per_channel_launch_w: float) -> list[float]:
+    """Nonlinear-interference-to-signal ratio of each (psd_per_span_w_hz, n_spans)
+    pair, accumulated linearly over spans."""
     if channel_bw_hz < 0:
         raise ValueError(f"channel_bw_hz must be >= 0, got {channel_bw_hz}")
     if not per_channel_launch_w > 0:
         raise ValueError(f"per_channel_launch_w must be > 0, got {per_channel_launch_w}")
-    return n_spans * psd_per_span_w_hz * channel_bw_hz / per_channel_launch_w
+    inv_snrs = []
+    for psd_per_span_w_hz, n_spans in psds_and_counts:
+        if psd_per_span_w_hz < 0:
+            raise ValueError(f"psd_per_span_w_hz must be >= 0, got {psd_per_span_w_hz}")
+        if n_spans < 0:
+            raise ValueError(f"n_spans must be >= 0, got {n_spans}")
+        inv_snrs.append(n_spans * psd_per_span_w_hz * channel_bw_hz / per_channel_launch_w)
+    return inv_snrs
+
+
+def nli_inv_snr(psd_per_span_w_hz: float, n_spans: int, channel_bw_hz: float,
+                per_channel_launch_w: float) -> float:
+    """The nli_inv_snrs of one (psd_per_span_w_hz, n_spans) pair."""
+    return nli_inv_snrs(((psd_per_span_w_hz, n_spans),), channel_bw_hz, per_channel_launch_w)[0]
 
 
 def imi_inv_snr(imi_db_per_km: float, total_length_km: float) -> float:

@@ -11,6 +11,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Union
 
@@ -19,16 +20,21 @@ from .impairments import (
     AmplifierSpec,
     FiberSpec,
     SnrBudget,
-    ase_inv_snr,
+    ase_inv_snrs,
     combine_gsnr,
     gn_asinh_scale,
-    gn_nli_psd_per_span,
+    gn_nli_psds_per_span,
     imi_inv_snr,
-    nli_inv_snr,
+    nli_inv_snrs,
     rbs_inv_snr,
 )
 from .units import PhysicalConstants, attenuation_db_to_per_km, dbm_to_watt
-from .units import db_to_linear  # noqa: F401  (perfbench's traced run patches system.db_to_linear)
+
+# perfbench's traced run patches these three names here; span_terms calls
+# the sequence forms of the first two.
+from .impairments import ase_inv_snr  # noqa: F401
+from .impairments import gn_nli_psd_per_span  # noqa: F401
+from .units import db_to_linear  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,20 +57,30 @@ class InfeasibleError(RuntimeError):
     """The requested target cannot be reached inside the admissible power window."""
 
 
-def span_count(total_length_km: float, span_length_km: float,
-               names: tuple[str, str] = ("total_length_km", "span_length_km")) -> int:
-    """Number of spans partitioning the link, rounding half up. Raises, naming
-    the two lengths by `names`, unless both are > 0 and give at most MAX_SPANS."""
+def span_counts(total_length_km: float, spans_km: Iterable[float],
+                names: tuple[str, str] = ("total_length_km", "span_length_km")) -> list[int]:
+    """Number of spans partitioning the link into each span length, rounding
+    half up. Raises, naming the two lengths by `names`, unless the total and
+    every span are > 0 and each span gives at most MAX_SPANS."""
     total_name, span_name = names
     if not total_length_km > 0:
         raise ValueError(f"{total_name} must be > 0, got {total_length_km}")
-    if not span_length_km > 0:
-        raise ValueError(f"{span_name} must be > 0, got {span_length_km}")
-    ratio = total_length_km / span_length_km
-    if ratio > MAX_SPANS:
-        raise ValueError(f"{total_name}={total_length_km:g} km in {span_name}={span_length_km:g} "
-                         f"km spans exceeds MAX_SPANS = {MAX_SPANS}")
-    return int(ratio + 0.5)
+    counts = []
+    for span_length_km in spans_km:
+        if not span_length_km > 0:
+            raise ValueError(f"{span_name} must be > 0, got {span_length_km}")
+        ratio = total_length_km / span_length_km
+        if ratio > MAX_SPANS:
+            raise ValueError(f"{total_name}={total_length_km:g} km in {span_name}="
+                             f"{span_length_km:g} km spans exceeds MAX_SPANS = {MAX_SPANS}")
+        counts.append(int(ratio + 0.5))
+    return counts
+
+
+def span_count(total_length_km: float, span_length_km: float,
+               names: tuple[str, str] = ("total_length_km", "span_length_km")) -> int:
+    """The span_counts of one span length."""
+    return span_counts(total_length_km, (span_length_km,), names)[0]
 
 
 def channels_in_band(band_hz: float, spacing_hz: float) -> int:
@@ -345,9 +361,11 @@ def span_terms(plan: LinkPlan, loss_db_per_km: float, counts: Iterable[int],
     unless include_rbs is set.
 
     The fiber at this loss, its checks (check_nli_loss included), the launch
-    powers and the IMI term are built once per call; only the span-dependent
-    terms, each with its own checks, are evaluated per count. A loss refused
-    by the once-per-call checks raises even for empty counts.
+    powers and the IMI term are built once per call, and each sequence kernel
+    runs its count-independent checks and factors once; per count there are
+    only the span gain, the effective length and the terms' last products,
+    each with its own checks. A loss refused by the once-per-call checks
+    raises even for empty counts.
     """
     fiber = replace(plan.fiber, loss_db_per_km=loss_db_per_km)
     plan.check_nli_loss(loss_db_per_km, "loss_db_per_km")
@@ -356,21 +374,17 @@ def span_terms(plan: LinkPlan, loss_db_per_km: float, counts: Iterable[int],
     p_launch_w = per_channel_launch(0.0, n_channels, plan.amp.post_output_loss_db)
     launch_psd = p_launch_w / plan.channel_spacing_hz
     inv_imi = imi_inv_snr(fiber.imi_db_per_km, plan.total_length_km)
-    terms = []
-    for n_spans in counts:
-        span_km = plan.total_length_km / n_spans
-        gain_db = plan.span_gain_db(loss_db_per_km, n_spans, "loss_db_per_km")
-        psd = gn_nli_psd_per_span(fiber, launch_psd, span_km, plan.band_hz, DEFAULT_CONSTANTS)
-        inv_rbs = (rbs_inv_snr(fiber.backscatter_db_per_km, plan.total_length_km,
-                               loss_db_per_km * span_km) if include_rbs else 0.0)
-        terms.append((
-            ase_inv_snr(plan.amp, p_out_w, gain_db, n_spans, plan.symbol_rate_hz,
-                        DEFAULT_CONSTANTS),
-            nli_inv_snr(psd, n_spans, plan.symbol_rate_hz, p_launch_w),
-            inv_imi,
-            inv_rbs,
-        ))
-    return terms
+    counts = list(counts)
+    total_km = plan.total_length_km
+    spans_km = [total_km / n for n in counts]
+    gains_db = [plan.span_gain_db(loss_db_per_km, n, "loss_db_per_km") for n in counts]
+    psds = gn_nli_psds_per_span(fiber, launch_psd, spans_km, plan.band_hz, DEFAULT_CONSTANTS)
+    ases = ase_inv_snrs(plan.amp, p_out_w, zip(gains_db, counts), plan.symbol_rate_hz,
+                        DEFAULT_CONSTANTS)
+    nlis = nli_inv_snrs(zip(psds, counts), plan.symbol_rate_hz, p_launch_w)
+    rbss = ([rbs_inv_snr(fiber.backscatter_db_per_km, total_km, loss_db_per_km * span_km)
+             for span_km in spans_km] if include_rbs else repeat(0.0))
+    return list(zip(ases, nlis, repeat(inv_imi), rbss))
 
 
 def gsnr_terms(plan: LinkPlan, loss_db_per_km: float, n_spans: int,
@@ -437,16 +451,18 @@ def power_feed(
     return PowerFeedResult(cable_w, repeaters_w, total_w, total_w <= feed.supply_limit_w)
 
 
-def propagation_latency(total_length_km: float, group_index: float) -> float:
-    """One-way propagation time in milliseconds."""
+def propagation_latency(total_length_km: float, group_index: float,
+                        name: str = "group_index") -> float:
+    """One-way propagation time in milliseconds. Raises, naming the group
+    index by `name`, for an index below 1 or a latency beyond float range."""
     if group_index < 1:
-        raise ValueError(f"group_index must be >= 1, got {group_index}")
+        raise ValueError(f"{name} must be >= 1, got {group_index}")
     if total_length_km < 0:
         raise ValueError(f"total_length_km must be >= 0, got {total_length_km}")
     latency_ms = total_length_km * group_index / DEFAULT_CONSTANTS.light_speed_km_s * 1e3
     if not math.isfinite(latency_ms):
         raise ValueError(f"the latency over link.total_length_km={total_length_km:g} km at group "
-                         f"index {group_index:g} is beyond float range")
+                         f"index {group_index:g} ({name}) is beyond float range")
     return latency_ms
 
 

@@ -443,6 +443,7 @@ def _one_config_error(capsys) -> str:
                      "span": {"span_length_km": 1e305}, "fiber": {"loss_db_per_km": 1e-303},
                      "sweep": {"loss_min": 1e-303, "loss_max": 2e-303}},
          ["link.total_length_km=1.79769e+308"]),
+        ("latency", {"fiber": {"group_index": 1e308}}, ["fiber.group_index"]),
     ],
 )
 def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document, keys):

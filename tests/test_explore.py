@@ -641,6 +641,19 @@ def test_span_points_bounded_before_allocation(reference_plan, calibrated_trx, m
         )
 
 
+def test_span_points_bounded_before_the_samples_are_counted(reference_plan, calibrated_trx,
+                                                           monkeypatch):
+    def no_counting(*args, **kwargs):
+        raise AssertionError("an oversized curve must be refused before its samples are counted")
+
+    # The samples are snapped in one span_counts call.
+    monkeypatch.setattr(explore, "span_counts", no_counting)
+    with pytest.raises(ValueError, match="n_points"):
+        span_length_curve(
+            reference_plan, calibrated_trx, 0.06, 150.0, 250.0, MAX_SPAN_POINTS + 1, 1000.0
+        )
+
+
 @pytest.mark.parametrize("span_min,span_max,match", [(1e-300, 250.0, "span_min_km.*MAX_SPANS"),
                                                      (300.0, 200.0, "span_min_km.*span_max_km")])
 def test_span_curve_names_its_bad_range(reference_plan, calibrated_trx, span_min, span_max, match):

@@ -11,10 +11,13 @@ from hcflink.impairments import (
     AmplifierSpec,
     FiberSpec,
     ase_inv_snr,
+    ase_inv_snrs,
     combine_gsnr,
     gn_nli_psd_per_span,
+    gn_nli_psds_per_span,
     imi_inv_snr,
     nli_inv_snr,
+    nli_inv_snrs,
     rbs_brute_force,
     rbs_enhancement,
     rbs_inv_snr,
@@ -126,6 +129,54 @@ def test_gn_psd_domain_errors(reference_fiber, const):
         gn_nli_psd_per_span(reference_fiber, 1e-14, 0.0, 5e12, const)
     with pytest.raises(ValueError):
         gn_nli_psd_per_span(reference_fiber, -1e-14, 200.0, 5e12, const)
+
+
+def test_sequence_kernels_check_before_an_empty_sequence(reference_amp, reference_fiber, const):
+    """The checks that need no element run even when no element follows."""
+    psd = REF_P_LAUNCH_W / 75e9
+    assert ase_inv_snrs(reference_amp, 1e-3, (), 73.5e9, const) == []
+    assert gn_nli_psds_per_span(reference_fiber, psd, (), 5e12, const) == []
+    assert nli_inv_snrs((), 73.5e9, REF_P_LAUNCH_W) == []
+    with pytest.raises(ValueError, match="^per_channel_output_w must be > 0"):
+        ase_inv_snrs(reference_amp, 0.0, (), 73.5e9, const)
+    with pytest.raises(ValueError, match="^noise_bw_hz must be > 0"):
+        ase_inv_snrs(reference_amp, 1e-3, (), 0.0, const)
+    with pytest.raises(ValueError, match="^launch_psd_w_hz must be >= 0"):
+        gn_nli_psds_per_span(reference_fiber, -psd, (), 5e12, const)
+    with pytest.raises(ValueError, match="^comb_bw_hz must be > 0"):
+        gn_nli_psds_per_span(reference_fiber, psd, (), 0.0, const)
+    with pytest.raises(ValueError, match="^channel_bw_hz must be >= 0"):
+        nli_inv_snrs((), -1.0, REF_P_LAUNCH_W)
+    with pytest.raises(ValueError, match="^per_channel_launch_w must be > 0"):
+        nli_inv_snrs((), 73.5e9, 0.0)
+
+
+def test_sequence_kernels_name_a_bad_element_mid_sequence(reference_amp, reference_fiber,
+                                                          const):
+    psd = REF_P_LAUNCH_W / 75e9
+    with pytest.raises(ValueError, match="^span_km must be > 0, got 0.0$"):
+        gn_nli_psds_per_span(reference_fiber, psd, (200.0, 0.0, 100.0), 5e12, const)
+    with pytest.raises(ValueError, match="^transparency requires gain > 0 dB, got 0.0$"):
+        ase_inv_snrs(reference_amp, 1e-3, ((16.0, 33), (0.0, 33), (16.0, 33)), 73.5e9, const)
+    with pytest.raises(ValueError, match="^n_amps must be >= 0, got -1$"):
+        ase_inv_snrs(reference_amp, 1e-3, ((16.0, 33), (16.0, -1), (16.0, 33)), 73.5e9, const)
+    with pytest.raises(ValueError, match="^n_spans must be >= 0, got -1$"):
+        nli_inv_snrs(((psd, 33), (psd, -1), (psd, 33)), 73.5e9, REF_P_LAUNCH_W)
+
+
+def test_sequence_kernels_give_each_element_its_scalar_value(reference_amp, reference_fiber,
+                                                             const):
+    """An element's value does not depend on its neighbours: zero counts and a
+    zero PSD included, each is its scalar call, bit for bit."""
+    spans = (200.0, 1e-3, 6600.0, 200.0)
+    pairs = ((16.0, 33), (0.5, 0), (40.0, 1), (16.0, 33))
+    for psd in (REF_P_LAUNCH_W / 75e9, 0.0):
+        assert gn_nli_psds_per_span(reference_fiber, psd, spans, 5e12, const) == \
+            [gn_nli_psd_per_span(reference_fiber, psd, s, 5e12, const) for s in spans]
+    assert ase_inv_snrs(reference_amp, 1e-3, pairs, 73.5e9, const) == \
+        [ase_inv_snr(reference_amp, 1e-3, g, n, 73.5e9, const) for g, n in pairs]
+    assert nli_inv_snrs(pairs, 73.5e9, REF_P_LAUNCH_W) == \
+        [nli_inv_snr(p, n, 73.5e9, REF_P_LAUNCH_W) for p, n in pairs]
 
 
 def test_nli_inv_snr_chain():

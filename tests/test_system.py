@@ -30,6 +30,7 @@ from hcflink.system import (
     propagation_latency,
     repeater_count,
     span_count,
+    span_counts,
     span_terms,
 )
 
@@ -524,3 +525,49 @@ def test_link_gsnr_names_a_tiny_loss(reference_plan):
     # The loss passes FiberSpec, but the NLI's asinh argument overflows at it.
     with pytest.raises(ValueError, match="^loss_db_per_km=1e-307 puts the NLI"):
         link_gsnr(reference_plan, OperatingPoint(1e-307, 20.3))
+
+
+# float.hex of span_terms(plan, 0.06, (20, 33, 44, 66), True) at the reference
+# plan, (ASE, NLI, IMI, RBS) per count. A reassociated product changes them.
+_PINNED_TERMS = {
+    5e-4: [
+        ("0x1.1219adc2b53b3p+3", "0x1.b3cd3e8411dcbp-40", "0x1.118f90740c0cap-9",
+         "0x1.c4f73bb22637ep-8"),
+        ("0x1.25e9d2f486ec2p+1", "0x1.424fe21438bfap-39", "0x1.118f90740c0cap-9",
+         "0x1.ee398b5766dc9p-10"),
+        ("0x1.7ebdddd1a6828p+0", "0x1.7612466b63646p-39", "0x1.118f90740c0cap-9",
+         "0x1.46549019170e4p-10"),
+        ("0x1.10a0b95b3fedbp+0", "0x1.9bc6a26c1626bp-39", "0x1.118f90740c0cap-9",
+         "0x1.d31a396ac5707p-11"),
+    ],
+    0.05: [
+        ("0x1.1219adc2b53b3p+3", "0x1.09fe05681be6fp-26", "0x1.118f90740c0cap-9",
+         "0x1.c4f73bb22637ep-8"),
+        ("0x1.25e9d2f486ec2p+1", "0x1.89728379af460p-26", "0x1.118f90740c0cap-9",
+         "0x1.ee398b5766dc9p-10"),
+        ("0x1.7ebdddd1a6828p+0", "0x1.c8a14ef616d40p-26", "0x1.118f90740c0cap-9",
+         "0x1.46549019170e4p-10"),
+        ("0x1.10a0b95b3fedbp+0", "0x1.f6a7f944f10a4p-26", "0x1.118f90740c0cap-9",
+         "0x1.d31a396ac5707p-11"),
+    ],
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(_PINNED_TERMS))
+def test_span_terms_keep_their_bits(reference_plan, gamma):
+    plan = replace(reference_plan, fiber=replace(reference_plan.fiber, gamma_per_w_km=gamma))
+    terms = span_terms(plan, 0.06, (20, 33, 44, 66), True)
+    assert [tuple(x.hex() for x in t) for t in terms] == _PINNED_TERMS[gamma]
+
+
+def test_span_counts_check_the_total_then_name_a_bad_sample():
+    names = ("plan.total_length_km", "span_km")
+    assert span_counts(6600.0, (), names) == []
+    with pytest.raises(ValueError, match="^plan.total_length_km must be > 0"):
+        span_counts(0.0, (), names)
+    assert span_counts(6600.0, (200.0, 150.0, 6600.0, 14000.0)) == [33, 44, 1, 0]
+    with pytest.raises(ValueError, match=r"^plan.total_length_km=6600 km in span_km=1e-300 km "
+                                         r"spans exceeds MAX_SPANS = 100000$"):
+        span_counts(6600.0, (200.0, 1e-300, 100.0), names)
+    with pytest.raises(ValueError, match="^span_km must be > 0, got 0.0$"):
+        span_counts(6600.0, (200.0, 0.0), names)
