@@ -24,7 +24,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import IO, Iterator, NoReturn
 
@@ -97,7 +96,8 @@ def _run_budget(cfg: RunConfig, fh: IO[str], *, include_rbs, trx_table, **_) -> 
     doc = {
         "command": "budget",
         "config": _echo(cfg, trx_values),
-        "operating_point": asdict(op),
+        "operating_point": {"loss_db_per_km": op.loss_db_per_km,
+                            "edfa_total_output_dbm": op.edfa_total_output_dbm},
         "include_rbs": include_rbs,
         "n_channels": plan.n_channels,
         "n_spans": plan.n_spans,
@@ -217,7 +217,8 @@ def _run_powerfeed(cfg: RunConfig, fh: IO[str], **_) -> None:
         "config": _echo(cfg),
         "n_repeaters": n_repeaters,
         "supply_limit_w": feed.supply_limit_w,
-        **asdict(result),
+        "cable_w": result.cable_w, "repeaters_w": result.repeaters_w,
+        "total_w": result.total_w, "within_limit": result.within_limit,
     }
     outputs.write_json(doc, fh)
 

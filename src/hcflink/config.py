@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
-from .impairments import MAX_ABS_POWER_DBM, MIN_LOSS_DB_PER_KM, AmplifierSpec, FiberSpec
+from .impairments import (
+    MAX_ABS_POWER_DBM,
+    MIN_LOSS_DB_PER_KM,
+    AmplifierSpec,
+    FiberSpec,
+    gn_nli_psds_per_span,
+)
 from .system import (
+    DEFAULT_CONSTANTS,
     LinkPlan,
     OperatingPoint,
     PowerFeedSpec,
@@ -126,31 +133,35 @@ def _kind(section: str, key: str) -> str:
     return _KINDS[section][key]
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    """Fully-resolved parameter set; `values` is echoed into every output."""
+    """Fully-resolved parameter set: `values` is echoed into every output, and
+    the accessors return the sections' objects that parse_config built once
+    from it. Build one with parse_config and treat `values` as frozen: an edit
+    would change the echo but not the objects the results come from."""
 
-    values: dict[str, dict[str, Any]]
+    __slots__ = ("values", "_plan", "_transceiver", "_grid", "_power_feed")
+
+    def __init__(self, values: dict[str, dict[str, Any]], plan: LinkPlan,
+                 transceiver: TransceiverSpec, grid: GridSpec, power_feed: PowerFeedSpec) -> None:
+        self.values = values
+        self._plan, self._transceiver = plan, transceiver
+        self._grid, self._power_feed = grid, power_feed
 
     def plan(self) -> LinkPlan:
-        v = self.values
-        return LinkPlan(FiberSpec(**v["fiber"]), AmplifierSpec(**v["amplifier"]), **v["span"],
-                        **v["link"])
+        return self._plan
 
     def transceiver(self) -> TransceiverSpec:
-        return TransceiverSpec(**self.values["transceiver"])
+        return self._transceiver
 
     def grid(self) -> GridSpec:
-        return GridSpec(**self.values["sweep"])
+        return self._grid
 
     def power_feed(self) -> PowerFeedSpec:
-        return PowerFeedSpec(**self.values["powerfeed"])
+        return self._power_feed
 
     def operating_point(self) -> OperatingPoint:
-        return OperatingPoint(
-            self.values["fiber"]["loss_db_per_km"],
-            self.values["amplifier"]["total_output_power_dbm"],
-        )
+        plan = self._plan
+        return OperatingPoint(plan.fiber.loss_db_per_km, plan.amp.total_output_power_dbm)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -167,16 +178,18 @@ def parse_config(text: str) -> RunConfig:
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown key '{section}.{key}'")
             values[section][key] = _coerce(raw, _kind(section, key), f"{section}.{key}")
-    cfg = RunConfig(values)
     try:
-        cfg.transceiver()
-        plan, grid = cfg.plan(), cfg.grid()
-        plan.check_nli_loss(grid.loss_min, name="sweep.loss_min")
+        transceiver = TransceiverSpec(**values["transceiver"])
+        plan = LinkPlan(FiberSpec(**values["fiber"]), AmplifierSpec(**values["amplifier"]),
+                        **values["span"], **values["link"])
+        grid = GridSpec(**values["sweep"])
+        gn_nli_psds_per_span(plan.fiber, 0.0, (), plan.band_hz, DEFAULT_CONSTANTS, grid.loss_min,
+                             "sweep.loss_min")  # the NLI's loss checks alone
         plan.span_gain_db(grid.loss_max, name="sweep.loss_max")
-        cfg.power_feed()
+        power_feed = PowerFeedSpec(**values["powerfeed"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return RunConfig(values, plan, transceiver, grid, power_feed)
 
 
 def resolve_transceiver(
@@ -188,25 +201,26 @@ def resolve_transceiver(
 
     Without an explicit gap, the Shannon-gap model is pinned so the plan hits
     transceiver.calibration_target_tbps at the configured operating point with
-    backscatter off. Returns the model plus the transceiver section with the
-    resolved gap filled in for echoing.
+    backscatter off. Returns the model plus the config's transceiver section,
+    with the table path or the calibrated gap filled in, for echoing.
     """
     spec = cfg.transceiver()
+    echo = dict(cfg.values["transceiver"])
     if table_path is not None:
-        spec = replace(spec, variant="tabulated", table_path=str(table_path))
-    if spec.variant == "tabulated":
-        if not spec.table_path:
+        echo.update(variant="tabulated", table_path=str(table_path))
+    if echo["variant"] == "tabulated":
+        if not echo["table_path"]:
             raise ConfigError("transceiver.table_path is required for the tabulated variant")
         try:
-            model: TransceiverModel = load_transceiver_table(spec.table_path)
+            model: TransceiverModel = load_transceiver_table(echo["table_path"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return model, asdict(spec)
+        return model, echo
     if spec.gap_db is None:
-        spec = replace(spec, gap_db=calibrate_trx_gap(
-            plan, cfg.operating_point(), spec.calibration_target_tbps, include_rbs=False))
+        echo["gap_db"] = calibrate_trx_gap(plan, cfg.operating_point(),
+                                           spec.calibration_target_tbps, include_rbs=False)
     max_rate = math.inf if spec.max_rate_gbps is None else spec.max_rate_gbps
-    return ShannonGapTransceiver(spec.gap_db, max_rate), asdict(spec)
+    return ShannonGapTransceiver(echo["gap_db"], max_rate), echo
 
 
 def _parse_json(text: str) -> dict[str, Any]:

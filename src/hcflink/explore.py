@@ -11,7 +11,7 @@ import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import MAX_GRID_POINTS, GridSpec  # noqa: F401  (re-exported)
 from .system import (
@@ -77,9 +77,8 @@ class SolverSettings:
 DEFAULT_SOLVER = SolverSettings()
 
 
-@dataclass(frozen=True)
-class SpanCurvePoint:
-    """One sample of the span trade-off curve.
+class SpanCurvePoint(NamedTuple):
+    """One sample of the span trade-off curve, an immutable record.
 
     span_km is snapped to an integer partition of the link; required_dbm is
     NaN when the solve is infeasible (feasible flags it).

@@ -37,6 +37,12 @@ MAX_ABS_POWER_DBM = 300.0
 MIN_LOSS_DB_PER_KM = DB_PER_NEPER * sys.float_info.min
 
 
+def _check_loss_floor(loss_db_per_km: float) -> None:
+    if not loss_db_per_km >= MIN_LOSS_DB_PER_KM:
+        raise ValueError(f"fiber.loss_db_per_km must be >= {MIN_LOSS_DB_PER_KM:.4g} (its "
+                         f"attenuation must not underflow), got {loss_db_per_km}")
+
+
 @dataclass(frozen=True)
 class FiberSpec:
     """Physical fiber parameters (the config's fiber section); the defaults
@@ -54,9 +60,7 @@ class FiberSpec:
     group_index: float = 1.0003
 
     def __post_init__(self) -> None:
-        if not self.loss_db_per_km >= MIN_LOSS_DB_PER_KM:
-            raise ValueError(f"fiber.loss_db_per_km must be >= {MIN_LOSS_DB_PER_KM:.4g} (its "
-                             f"attenuation must not underflow), got {self.loss_db_per_km}")
+        _check_loss_floor(self.loss_db_per_km)
         if not abs(self.dispersion_ps_nm_km) >= MIN_ABS_DISPERSION_PS_NM_KM:
             raise ValueError(f"fiber.dispersion_ps_nm_km must have magnitude >= "
                              f"{MIN_ABS_DISPERSION_PS_NM_KM:g}, got {self.dispersion_ps_nm_km}")
@@ -149,28 +153,20 @@ def ase_inv_snr(amp: AmplifierSpec, per_channel_output_w: float, gain_db: float,
     return ase_inv_snrs(amp, per_channel_output_w, ((gain_db, n_amps),), noise_bw_hz, const)[0]
 
 
-def gn_asinh_scale(dispersion_ps_nm_km: float, const: PhysicalConstants) -> tuple[float, float]:
-    """|beta2| (s^2/km) and 0.5*pi^2*|beta2|: the GN closed form's asinh argument
-    is that scale times B^2/alpha, and overflows to inf at a loss below about
-    1.1e-305 dB/km (3 ps/(nm km), 5 THz)."""
-    light_m_s = const.light_speed_km_s * 1e3
-    beta2 = (
-        abs(dispersion_ps_nm_km)
-        * 1e-3
-        * const.reference_wavelength_m**2
-        / (2.0 * math.pi * light_m_s)
-    )
-    return beta2, 0.5 * math.pi**2 * beta2
-
-
 def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Iterable[float],
-                         comb_bw_hz: float, const: PhysicalConstants) -> list[float]:
-    """Nonlinear-interference PSD (W/Hz) generated in one span of each length.
+                         comb_bw_hz: float, const: PhysicalConstants,
+                         loss_db_per_km: float | None = None,
+                         name: str = "fiber.loss_db_per_km") -> list[float]:
+    """Nonlinear-interference PSD (W/Hz) generated in one span of each length,
+    at loss_db_per_km (default: the fiber's).
 
     Incoherent Gaussian-noise closed form for the center channel of a flat
     comb of PSD `launch_psd_w_hz` spanning `comb_bw_hz`. The checks, the
     factor (8/27)*gamma^2*PSD^3, the asinh term and the denominator need no
     span length, so they run once; each span adds only its effective length.
+    Those checks refuse a loss below FiberSpec's floor, then, naming `name`,
+    one whose asinh argument 0.5*pi^2*|beta2|*B^2/alpha is beyond float range
+    (below about 1.1e-305 dB/km at 3 ps/(nm km) and 5 THz).
     """
     if launch_psd_w_hz < 0:
         raise ValueError(f"launch_psd_w_hz must be >= 0, got {launch_psd_w_hz}")
@@ -178,12 +174,19 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
         raise ValueError(f"comb_bw_hz must be > 0, got {comb_bw_hz}")
     if fiber.dispersion_ps_nm_km == 0:
         raise ValueError("nonlinear interference is singular at zero dispersion")
-    alpha = attenuation_db_to_per_km(fiber.loss_db_per_km)
+    loss = fiber.loss_db_per_km if loss_db_per_km is None else loss_db_per_km
+    _check_loss_floor(loss)
+    alpha = attenuation_db_to_per_km(loss)
     l_eff_a = 1.0 / alpha
-    beta2, asinh_scale = gn_asinh_scale(fiber.dispersion_ps_nm_km, const)
+    beta2 = (abs(fiber.dispersion_ps_nm_km) * 1e-3 * const.reference_wavelength_m**2
+             / (2.0 * math.pi * (const.light_speed_km_s * 1e3)))
+    asinh_arg = 0.5 * math.pi**2 * beta2 * l_eff_a * comb_bw_hz**2
+    if asinh_arg == math.inf:
+        raise ValueError(f"{name}={loss} puts the NLI's asinh argument 0.5*pi^2*|beta2|*B^2/"
+                         f"alpha beyond float range at fiber.dispersion_ps_nm_km="
+                         f"{fiber.dispersion_ps_nm_km:g} and link.band_hz={comb_bw_hz:g}")
     prefix = (8.0 / 27.0) * fiber.gamma_per_w_km**2 * launch_psd_w_hz**3
-    # A zero PSD gives 0 even where the asinh term would be inf.
-    asinh_value = math.asinh(asinh_scale * l_eff_a * comb_bw_hz**2) if launch_psd_w_hz else 0.0
+    asinh_value = math.asinh(asinh_arg)
     denominator = math.pi * beta2 * l_eff_a
     psds = []
     for span_km in spans_km:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Union
@@ -22,13 +22,12 @@ from .impairments import (
     SnrBudget,
     ase_inv_snrs,
     combine_gsnr,
-    gn_asinh_scale,
     gn_nli_psds_per_span,
     imi_inv_snr,
     nli_inv_snrs,
     rbs_inv_snr,
 )
-from .units import PhysicalConstants, attenuation_db_to_per_km, dbm_to_watt
+from .units import PhysicalConstants, dbm_to_watt
 
 # perfbench's traced run patches these three names here; span_terms calls
 # the sequence forms of the first two.
@@ -106,9 +105,9 @@ class LinkPlan:
     n_fibers_per_direction: int = 26
 
     def __post_init__(self) -> None:
-        repeater_count(self.total_length_km, self.span_length_km,
-                       ("link.total_length_km", "span.span_length_km"))
-        self.span_gain_db(self.fiber.loss_db_per_km)
+        n_spans = repeater_count(self.total_length_km, self.span_length_km,
+                                 ("link.total_length_km", "span.span_length_km")) + 1
+        self.span_gain_db(self.fiber.loss_db_per_km, n_spans)
         if not self.symbol_rate_hz > 0:
             raise ValueError(f"link.symbol_rate_hz must be > 0, got {self.symbol_rate_hz}")
         if self.channel_spacing_hz < self.symbol_rate_hz:
@@ -119,7 +118,7 @@ class LinkPlan:
         if not 0 < self.band_hz < DEFAULT_CONSTANTS.reference_frequency_hz:
             raise ValueError(f"link.band_hz must lie between 0 and the carrier frequency "
                              f"{DEFAULT_CONSTANTS.reference_frequency_hz:g} Hz, got {self.band_hz}")
-        self.check_nli_loss(self.fiber.loss_db_per_km)
+        gn_nli_psds_per_span(self.fiber, 0.0, (), self.band_hz, DEFAULT_CONSTANTS)  # loss checks
         if self.n_fibers_per_direction < 0:
             raise ValueError(
                 f"link.n_fibers_per_direction must be >= 0, got {self.n_fibers_per_direction}"
@@ -152,31 +151,28 @@ class LinkPlan:
         """Channels summed over the fibers of one direction."""
         return self.n_fibers_per_direction * self.n_channels
 
+    def span_gains_db(self, loss_db_per_km: float, spans_km: Iterable[float],
+                      name: str = "fiber.loss_db_per_km") -> list[float]:
+        """Gain (dB) of a span of each length at this loss: fiber span loss plus
+        lumped losses. Raises, naming `name`, for a negative loss or a gain
+        above MAX_SPAN_GAIN_DB."""
+        pre_db, post_db = self.amp.pre_input_loss_db, self.amp.post_output_loss_db
+        gains_db = []
+        for span_km in spans_km:
+            gain_db = loss_db_per_km * span_km + pre_db + post_db
+            if not (loss_db_per_km >= 0 and gain_db <= MAX_SPAN_GAIN_DB):
+                raise ValueError(
+                    f"{name}={loss_db_per_km} must be >= 0 and keep the span gain (loss x "
+                    f"{span_km:g} km + amplifier.pre_input_loss_db + amplifier."
+                    f"post_output_loss_db = {gain_db:g} dB) <= {MAX_SPAN_GAIN_DB:g} dB")
+            gains_db.append(gain_db)
+        return gains_db
+
     def span_gain_db(self, loss_db_per_km: float, n_spans: int | None = None,
                      name: str = "fiber.loss_db_per_km") -> float:
-        """Gain (dB) of one of n_spans equal spans (default: the plan's) at this
-        loss: fiber span loss plus lumped losses. Raises, naming `name`, for a
-        negative loss or a gain above MAX_SPAN_GAIN_DB."""
+        """The span_gains_db of one of n_spans equal spans (default: the plan's)."""
         span_km = self.total_length_km / (self.n_spans if n_spans is None else n_spans)
-        amp = self.amp
-        gain_db = loss_db_per_km * span_km + amp.pre_input_loss_db + amp.post_output_loss_db
-        if not (loss_db_per_km >= 0 and gain_db <= MAX_SPAN_GAIN_DB):
-            raise ValueError(f"{name}={loss_db_per_km} must be >= 0 and keep the span gain (loss x "
-                             f"{span_km:g} km + amplifier.pre_input_loss_db + amplifier."
-                             f"post_output_loss_db = {gain_db:g} dB) <= {MAX_SPAN_GAIN_DB:g} dB")
-        return gain_db
-
-    def check_nli_loss(self, loss_db_per_km: float, name: str = "fiber.loss_db_per_km") -> None:
-        """Raise, naming `name`, when the NLI's asinh argument 0.5*pi^2*|beta2|*B^2/alpha
-        is inf at this loss, as gn_nli_psd_per_span computes it: below about
-        1.1e-305 dB/km at 3 ps/(nm km) and 5 THz."""
-        alpha = attenuation_db_to_per_km(loss_db_per_km)
-        scale = gn_asinh_scale(self.fiber.dispersion_ps_nm_km, DEFAULT_CONSTANTS)[1]
-        if not alpha > 0 or scale * (1.0 / alpha) * self.band_hz**2 == math.inf:
-            raise ValueError(f"{name}={loss_db_per_km} puts the NLI's asinh argument "
-                             f"0.5*pi^2*|beta2|*B^2/alpha beyond float range at fiber.dispersion_"
-                             f"ps_nm_km={self.fiber.dispersion_ps_nm_km:g} and link.band_hz="
-                             f"{self.band_hz:g}")
+        return self.span_gains_db(loss_db_per_km, (span_km,), name)[0]
 
 
 @dataclass(frozen=True)
@@ -313,22 +309,23 @@ TransceiverModel = Union[ShannonGapTransceiver, TabulatedTransceiver]
 
 def load_transceiver_table(path: str | Path) -> TabulatedTransceiver:
     """Read a "gsnr_db,net_rate_gbps" table; '#' starts a comment."""
-    points: list[tuple[float, float]] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        lines = fh.read().split("\n")
+    points: list[tuple[float, float]] = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.partition("#")[0]
+        parts = line.split(",")  # float() ignores the spaces around each part
+        if len(parts) != 2:
+            if not line.strip():
                 continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'gsnr_db,net_rate_gbps'")
-            try:
-                row = (float(parts[0]), float(parts[1]))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric entry {line!r}") from None
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{path}:{lineno}: non-finite entry {line!r}")
-            points.append(row)
+            raise ValueError(f"{path}:{lineno}: expected 'gsnr_db,net_rate_gbps'")
+        try:
+            row = (float(parts[0]), float(parts[1]))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric entry {line.strip()!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{lineno}: non-finite entry {line.strip()!r}")
+        points.append(row)
     if not points:
         raise ValueError(f"{path}: empty transceiver table")
     return TabulatedTransceiver(tuple(points))
@@ -360,15 +357,19 @@ def span_terms(plan: LinkPlan, loss_db_per_km: float, counts: Iterable[int],
     losses. The backscatter term uses the fiber-only span loss and is 0
     unless include_rbs is set.
 
-    The fiber at this loss, its checks (check_nli_loss included), the launch
-    powers and the IMI term are built once per call, and each sequence kernel
-    runs its count-independent checks and factors once; per count there are
-    only the span gain, the effective length and the terms' last products,
-    each with its own checks. A loss refused by the once-per-call checks
-    raises even for empty counts.
+    The launch powers and the IMI term are built once per call, and each
+    sequence kernel runs its count-independent checks and factors once; per
+    count there are only the span gain, the effective length and the terms'
+    last products, each with its own checks. The loss is checked against
+    FiberSpec's floor, then the NLI's asinh argument, then each span gain:
+    a loss refused by the first two raises even for empty counts.
     """
-    fiber = replace(plan.fiber, loss_db_per_km=loss_db_per_km)
-    plan.check_nli_loss(loss_db_per_km, "loss_db_per_km")
+    fiber = plan.fiber
+    # The NLI kernel's loss checks, on no spans, come before the span gains'
+    # check, and that before the kernel's per-span terms: an inf or huge loss
+    # passes the first and would make the last divide by zero.
+    gn_nli_psds_per_span(fiber, 0.0, (), plan.band_hz, DEFAULT_CONSTANTS, loss_db_per_km,
+                         "loss_db_per_km")
     n_channels = plan.n_channels
     p_out_w = dbm_to_watt(-10.0 * math.log10(n_channels))
     p_launch_w = per_channel_launch(0.0, n_channels, plan.amp.post_output_loss_db)
@@ -377,8 +378,9 @@ def span_terms(plan: LinkPlan, loss_db_per_km: float, counts: Iterable[int],
     counts = list(counts)
     total_km = plan.total_length_km
     spans_km = [total_km / n for n in counts]
-    gains_db = [plan.span_gain_db(loss_db_per_km, n, "loss_db_per_km") for n in counts]
-    psds = gn_nli_psds_per_span(fiber, launch_psd, spans_km, plan.band_hz, DEFAULT_CONSTANTS)
+    gains_db = plan.span_gains_db(loss_db_per_km, spans_km, "loss_db_per_km")
+    psds = gn_nli_psds_per_span(fiber, launch_psd, spans_km, plan.band_hz, DEFAULT_CONSTANTS,
+                                loss_db_per_km, "loss_db_per_km")
     ases = ase_inv_snrs(plan.amp, p_out_w, zip(gains_db, counts), plan.symbol_rate_hz,
                         DEFAULT_CONSTANTS)
     nlis = nli_inv_snrs(zip(psds, counts), plan.symbol_rate_hz, p_launch_w)

@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from hcflink import explore, outputs
+from hcflink import explore, outputs, system
 from hcflink.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -47,6 +48,18 @@ def test_powerfeed_defaults(capsys):
     assert doc["total_w"] == 12360.0
     assert doc["within_limit"] is True
     assert doc["n_repeaters"] == 32
+
+
+def test_json_records_carry_every_dataclass_field(capsys):
+    """budget's operating point and powerfeed's result are written field by
+    field; a field added to either record must reach the JSON too."""
+    cfg = parse_config("")
+    budget = _run_json(capsys, ["budget"])
+    assert budget["operating_point"] == asdict(cfg.operating_point())
+    doc = _run_json(capsys, ["powerfeed"])
+    plan = cfg.plan()
+    result = system.power_feed(cfg.power_feed(), plan.total_length_km, doc["n_repeaters"])
+    assert {name: doc[name] for name in asdict(result)} == asdict(result)
 
 
 def test_latency_defaults(capsys):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import Counter
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,54 @@ def test_resolve_transceiver_tabulated_requires_path():
     cfg = parse_config("transceiver.variant = tabulated\n")
     with pytest.raises(ConfigError, match="table_path"):
         resolve_transceiver(cfg, cfg.plan())
+
+
+_SECTION_CLASSES = (FiberSpec, AmplifierSpec, LinkPlan, TransceiverSpec, GridSpec, PowerFeedSpec)
+
+
+def test_each_section_is_built_once(monkeypatch):
+    """parse_config builds and checks every section once; the accessors and
+    resolve_transceiver hand out those objects instead of building new ones."""
+    built: Counter[str] = Counter()
+    for cls in _SECTION_CLASSES:
+        def counting(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    cfg = parse_config("transceiver.gap_db = 4.5\n")
+    for _ in range(2):
+        cfg.plan(), cfg.transceiver(), cfg.grid(), cfg.power_feed()
+        resolve_transceiver(cfg, cfg.plan())
+    assert built == {cls.__name__: 1 for cls in _SECTION_CLASSES}
+    assert cfg.plan() is cfg.plan()
+    assert cfg.transceiver() is cfg.transceiver()
+
+
+@pytest.mark.parametrize("case", ["pinned gap", "calibrated gap", "tabulated", "--trx-table"])
+def test_transceiver_echo_is_the_resolved_section(tmp_path, case):
+    """The echo is the config's transceiver section with the table path or the
+    calibrated gap filled in: the asdict of the resolved TransceiverSpec, key
+    order included. The config's own values stay as parsed."""
+    table = tmp_path / "trx.csv"
+    table.write_text("10,400\n20,700\n")
+    text = {
+        "pinned gap": "transceiver.gap_db = 4.5\ntransceiver.max_rate_gbps = 600\n",
+        "calibrated gap": "transceiver.calibration_target_tbps = 900\n",
+        "tabulated": f"transceiver.variant = tabulated\ntransceiver.table_path = {table}\n",
+        "--trx-table": "transceiver.gap_db = 4.5\n",
+    }[case]
+    cfg = parse_config(text)
+    parsed = dict(cfg.values["transceiver"])
+    model, echo = resolve_transceiver(cfg, cfg.plan(),
+                                      str(table) if case == "--trx-table" else None)
+    spec = cfg.transceiver()
+    if case == "calibrated gap":
+        spec = replace(spec, gap_db=model.gap_db)
+    elif case == "--trx-table":
+        spec = replace(spec, variant="tabulated", table_path=str(table))
+    assert list(echo.items()) == list(asdict(spec).items())
+    assert cfg.values["transceiver"] == parsed
 
 
 def test_defaults_have_one_source():

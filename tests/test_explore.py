@@ -16,6 +16,7 @@ from hcflink.explore import (
     MAX_SPAN_POINTS,
     GridSpec,
     SolverSettings,
+    SpanCurvePoint,
     SweepGrid,
     _cell_cases,
     _linspace,
@@ -682,7 +683,15 @@ def test_span_curve_builds_the_fiber_once(reference_plan, calibrated_trx, monkey
     points = span_length_curve(reference_plan, calibrated_trx, 0.06, 103.125, 330.0, 1000,
                                1000.0)
     assert len(points) == 45
-    assert built == [0.06]
+    assert built == []
+
+
+def test_span_curve_points_are_immutable_records(reference_plan, calibrated_trx):
+    [point] = span_length_curve(reference_plan, calibrated_trx, 0.06, 200.0, 200.0, 1, 1000.0)
+    for field in SpanCurvePoint._fields:
+        with pytest.raises(AttributeError):
+            setattr(point, field, 0.0)
+    assert point == SpanCurvePoint(point.span_km, point.required_dbm, point.feasible)
 
 
 _FIBER_LOSS = "^fiber.loss_db_per_km must be >= 9.663e-308"
@@ -690,7 +699,9 @@ _FIBER_LOSS = "^fiber.loss_db_per_km must be >= 9.663e-308"
 # 200 km spans is a 1004 dB span gain, above MAX_SPAN_GAIN_DB.
 _BAD_LOSSES = [(0.0, _FIBER_LOSS), (-1.0, _FIBER_LOSS), (5e-324, _FIBER_LOSS),
                (1e-307, "^loss_db_per_km=1e-307 puts the NLI's asinh argument"),
-               (5.0, "^loss_db_per_km=5.0 must be >= 0 and keep the span gain")]
+               (5.0, "^loss_db_per_km=5.0 must be >= 0 and keep the span gain"),
+               (math.inf, "^loss_db_per_km=inf must be >= 0 and keep the span gain"),
+               (1e302, r"^loss_db_per_km=1e\+302 must be >= 0 and keep the span gain")]
 
 
 @pytest.mark.parametrize("loss,message", _BAD_LOSSES)

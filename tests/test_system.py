@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcflink.impairments import MIN_LOSS_DB_PER_KM
+from hcflink.impairments import MIN_LOSS_DB_PER_KM, gn_nli_psds_per_span
 from hcflink.system import (
+    DEFAULT_CONSTANTS,
+    MAX_SPAN_GAIN_DB,
     MAX_SPANS,
     InfeasibleError,
     LinkPlan,
@@ -477,13 +479,14 @@ def test_tabulated_inverse_matches_searchsorted(steps, pick, rate):
     dispersion=st.floats(1e-6, 1e6),
 )
 def test_tiny_loss_is_named_or_gives_finite_terms(reference_plan, exponent, band_hz, dispersion):
-    """Near the NLI's asinh overflow a loss either is refused by check_nli_loss,
+    """Near the NLI's asinh overflow a loss either is refused by the NLI kernel's loss checks,
     naming its key, or gives finite gsnr_terms; never an inf term."""
     fiber = replace(reference_plan.fiber, dispersion_ps_nm_km=dispersion)
     plan = replace(reference_plan, fiber=fiber, band_hz=band_hz)
     loss = max(10.0**exponent, MIN_LOSS_DB_PER_KM)
     try:
-        plan.check_nli_loss(loss, name="sweep.loss_min")
+        gn_nli_psds_per_span(plan.fiber, 0.0, (), plan.band_hz, DEFAULT_CONSTANTS, loss,
+                             "sweep.loss_min")
     except ValueError as exc:
         assert "sweep.loss_min" in str(exc) and "asinh argument" in str(exc)
         return
@@ -571,3 +574,72 @@ def test_span_counts_check_the_total_then_name_a_bad_sample():
         span_counts(6600.0, (200.0, 1e-300, 100.0), names)
     with pytest.raises(ValueError, match="^span_km must be > 0, got 0.0$"):
         span_counts(6600.0, (200.0, 0.0), names)
+
+
+def _reference_span_counts(total, spans, names):
+    """span_counts as a loop that checks each span as it reaches it."""
+    total_name, span_name = names
+    if not total > 0:
+        raise ValueError(f"{total_name} must be > 0, got {total}")
+    counts = []
+    for span in spans:
+        if not span > 0:
+            raise ValueError(f"{span_name} must be > 0, got {span}")
+        ratio = total / span
+        if ratio > MAX_SPANS:
+            raise ValueError(f"{total_name}={total:g} km in {span_name}={span:g} km spans "
+                             f"exceeds MAX_SPANS = {MAX_SPANS}")
+        counts.append(int(ratio + 0.5))
+    return counts
+
+
+def _reference_span_gains(plan, loss, spans, name):
+    """LinkPlan.span_gains_db as a loop that checks each gain as it computes it."""
+    gains = []
+    for span in spans:
+        gain = loss * span + plan.amp.pre_input_loss_db + plan.amp.post_output_loss_db
+        if not (loss >= 0 and gain <= MAX_SPAN_GAIN_DB):
+            raise ValueError(f"{name}={loss} must be >= 0 and keep the span gain (loss x "
+                             f"{span:g} km + amplifier.pre_input_loss_db + amplifier."
+                             f"post_output_loss_db = {gain:g} dB) <= {MAX_SPAN_GAIN_DB:g} dB")
+        gains.append(gain)
+    return gains
+
+
+def _value_or_error(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+# 6600 km over 0.066 km is MAX_SPANS up to rounding; the spans around it, 0.06,
+# 1e-300 and the subnormals give more spans than that.
+_BAD_SPANS = [0.0, -0.0, -1.0, -200.0, math.nan, -math.inf, math.inf, 5e-324, 1e-310, 1e-300,
+              0.06, 0.066, math.nextafter(0.066, 0.0), math.nextafter(0.066, 1.0)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    total=st.one_of(st.just(6600.0), st.sampled_from([1.0, 0.0, -1.0, math.nan])),
+    # The long spans at up to 0.3 dB/km give span gains above MAX_SPAN_GAIN_DB.
+    spans=st.lists(st.one_of(st.floats(50.0, 7000.0), st.sampled_from(_BAD_SPANS)),
+                   max_size=8),
+    loss=st.one_of(st.floats(0.0, 0.3), st.sampled_from(
+        [0.06, 0.0, -0.0, -1.0, -1e-300, math.nan, math.inf, 5e-324, 1e-310, 5.0])),
+)
+def test_span_checks_keep_the_first_error(reference_plan, total, spans, loss):
+    """span_counts and span_gains_db give the values, or the message, of a loop
+    that checks each span in turn, wherever the bad spans sit; span_gain_db is
+    the one-span form."""
+    names = ("plan.total_length_km", "span_km")
+    assert _value_or_error(lambda: span_counts(total, spans, names)) == \
+        _value_or_error(lambda: _reference_span_counts(total, spans, names))
+    name = "loss_db_per_km"
+    gains = _value_or_error(lambda: reference_plan.span_gains_db(loss, spans, name))
+    assert gains == _value_or_error(lambda: _reference_span_gains(reference_plan, loss, spans,
+                                                                 name))
+    for n in (1, 2, 33):
+        assert _value_or_error(lambda: [reference_plan.span_gain_db(loss, n, name)]) == \
+            _value_or_error(lambda: _reference_span_gains(reference_plan, loss, [6600.0 / n],
+                                                          name))
