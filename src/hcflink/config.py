@@ -186,6 +186,8 @@ def parse_config(text: str) -> RunConfig:
         gn_nli_psds_per_span(plan.fiber, 0.0, (), plan.band_hz, DEFAULT_CONSTANTS, grid.loss_min,
                              "sweep.loss_min")  # the NLI's loss checks alone
         plan.span_gain_db(grid.loss_max, name="sweep.loss_max")
+        gn_nli_psds_per_span(plan.fiber, 0.0, (), plan.band_hz, DEFAULT_CONSTANTS, grid.loss_max,
+                             "sweep.loss_max")
         power_feed = PowerFeedSpec(**values["powerfeed"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -166,7 +166,9 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
     span length, so they run once; each span adds only its effective length.
     Those checks refuse a loss below FiberSpec's floor, then, naming `name`,
     one whose asinh argument 0.5*pi^2*|beta2|*B^2/alpha is beyond float range
-    (below about 1.1e-305 dB/km at 3 ps/(nm km) and 5 THz).
+    (below about 1.1e-305 dB/km at 3 ps/(nm km) and 5 THz) and one whose
+    denominator pi*|beta2|/alpha underflows to 0 (above about 2e301 dB/km at
+    3 ps/(nm km), and an infinite loss).
     """
     if launch_psd_w_hz < 0:
         raise ValueError(f"launch_psd_w_hz must be >= 0, got {launch_psd_w_hz}")
@@ -185,9 +187,12 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
         raise ValueError(f"{name}={loss} puts the NLI's asinh argument 0.5*pi^2*|beta2|*B^2/"
                          f"alpha beyond float range at fiber.dispersion_ps_nm_km="
                          f"{fiber.dispersion_ps_nm_km:g} and link.band_hz={comb_bw_hz:g}")
+    denominator = math.pi * beta2 * l_eff_a
+    if denominator == 0:
+        raise ValueError(f"{name}={loss} puts the NLI's denominator pi*|beta2|/alpha below "
+                         f"float range at fiber.dispersion_ps_nm_km={fiber.dispersion_ps_nm_km:g}")
     prefix = (8.0 / 27.0) * fiber.gamma_per_w_km**2 * launch_psd_w_hz**3
     asinh_value = math.asinh(asinh_arg)
-    denominator = math.pi * beta2 * l_eff_a
     psds = []
     for span_km in spans_km:
         if not span_km > 0:

@@ -20,6 +20,7 @@ from .impairments import (
     AmplifierSpec,
     FiberSpec,
     SnrBudget,
+    _check_loss_floor,
     ase_inv_snrs,
     combine_gsnr,
     gn_nli_psds_per_span,
@@ -105,9 +106,7 @@ class LinkPlan:
     n_fibers_per_direction: int = 26
 
     def __post_init__(self) -> None:
-        n_spans = repeater_count(self.total_length_km, self.span_length_km,
-                                 ("link.total_length_km", "span.span_length_km")) + 1
-        self.span_gain_db(self.fiber.loss_db_per_km, n_spans)
+        self.span_gain_db(self.fiber.loss_db_per_km)
         if not self.symbol_rate_hz > 0:
             raise ValueError(f"link.symbol_rate_hz must be > 0, got {self.symbol_rate_hz}")
         if self.channel_spacing_hz < self.symbol_rate_hz:
@@ -135,7 +134,8 @@ class LinkPlan:
 
     @property
     def n_spans(self) -> int:
-        return span_count(self.total_length_km, self.span_length_km)
+        return repeater_count(self.total_length_km, self.span_length_km,
+                              ("link.total_length_km", "span.span_length_km")) + 1
 
     @property
     def effective_span_km(self) -> float:
@@ -170,9 +170,11 @@ class LinkPlan:
 
     def span_gain_db(self, loss_db_per_km: float, n_spans: int | None = None,
                      name: str = "fiber.loss_db_per_km") -> float:
-        """The span_gains_db of one of n_spans equal spans (default: the plan's)."""
-        span_km = self.total_length_km / (self.n_spans if n_spans is None else n_spans)
-        return self.span_gains_db(loss_db_per_km, (span_km,), name)[0]
+        """The span_gains_db of one of n_spans >= 1 equal spans (default: the plan's)."""
+        n_spans = self.n_spans if n_spans is None else n_spans
+        if n_spans < 1:
+            raise ValueError(f"n_spans must be >= 1, got {n_spans}")
+        return self.span_gains_db(loss_db_per_km, (self.total_length_km / n_spans,), name)[0]
 
 
 @dataclass(frozen=True)
@@ -360,22 +362,20 @@ def span_terms(plan: LinkPlan, loss_db_per_km: float, counts: Iterable[int],
     The launch powers and the IMI term are built once per call, and each
     sequence kernel runs its count-independent checks and factors once; per
     count there are only the span gain, the effective length and the terms'
-    last products, each with its own checks. The loss is checked against
-    FiberSpec's floor, then the NLI's asinh argument, then each span gain:
-    a loss refused by the first two raises even for empty counts.
+    last products, each with its own checks. The checks run in this order:
+    FiberSpec's loss floor, counts >= 1, each span gain, then the NLI
+    kernel's loss checks, which run even for empty counts.
     """
     fiber = plan.fiber
-    # The NLI kernel's loss checks, on no spans, come before the span gains'
-    # check, and that before the kernel's per-span terms: an inf or huge loss
-    # passes the first and would make the last divide by zero.
-    gn_nli_psds_per_span(fiber, 0.0, (), plan.band_hz, DEFAULT_CONSTANTS, loss_db_per_km,
-                         "loss_db_per_km")
+    _check_loss_floor(loss_db_per_km)
+    counts = list(counts)
+    if min(counts, default=1) < 1:
+        raise ValueError(f"n_spans must be >= 1, got {min(counts)}")
     n_channels = plan.n_channels
     p_out_w = dbm_to_watt(-10.0 * math.log10(n_channels))
     p_launch_w = per_channel_launch(0.0, n_channels, plan.amp.post_output_loss_db)
     launch_psd = p_launch_w / plan.channel_spacing_hz
     inv_imi = imi_inv_snr(fiber.imi_db_per_km, plan.total_length_km)
-    counts = list(counts)
     total_km = plan.total_length_km
     spans_km = [total_km / n for n in counts]
     gains_db = plan.span_gains_db(loss_db_per_km, spans_km, "loss_db_per_km")

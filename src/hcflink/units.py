@@ -75,11 +75,14 @@ def sinhc(x: float) -> float:
 
     Equals 1 at x = 0 and increases monotonically; small arguments use the
     Taylor series 1 + x^2/6 + x^4/120 so the distributed-amplification limit
-    is exact.
+    is exact. Raises ValueError where sinh(x) passes float range (x > ~710.5).
     """
     if not (x >= 0 and math.isfinite(x)):
         raise ValueError(f"sinhc argument must be finite and >= 0, got {x}")
     if x < _SINHC_SERIES_CUTOFF:
         x2 = x * x
         return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    return math.sinh(x) / x
+    try:
+        return math.sinh(x) / x
+    except OverflowError:
+        raise ValueError(f"sinhc argument {x} puts sinh(x) beyond float range") from None

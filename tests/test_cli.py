@@ -457,6 +457,14 @@ def _one_config_error(capsys) -> str:
                      "sweep": {"loss_min": 1e-303, "loss_max": 2e-303}},
          ["link.total_length_km=1.79769e+308"]),
         ("latency", {"fiber": {"group_index": 1e308}}, ["fiber.group_index"]),
+        # A huge loss over tiny spans keeps its span gain but underflows the NLI's
+        # denominator pi*|beta2|/alpha to 0; it used to divide by zero.
+        *[(command, {"fiber": {"loss_db_per_km": 3e301}, "span": {"span_length_km": 1e-299},
+                     "link": {"total_length_km": 1e-297}}, ["fiber.loss_db_per_km"])
+          for command in ("budget", "span-curve", "contour")],
+        ("contour", {"span": {"span_length_km": 1e-299}, "link": {"total_length_km": 1e-297},
+                     "sweep": {"loss_max": 3e301}}, ["sweep.loss_max"]),
+        ("contour", {"sweep": {"loss_min": 1e302, "loss_max": 1e303}}, ["sweep.loss_min"]),
     ],
 )
 def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document, keys):

@@ -227,3 +227,29 @@ def test_main_over_a_huge_positive_key(files, key, value):
         fh.write(f"sweep.loss_steps = 5\nsweep.power_steps = 6\n{key} = {value}\n")
     for command in sorted(_COMMAND_FLAGS):
         _run_main([command, f"--config={files['fuzz.cfg']}"], files["out.txt"])
+
+
+@st.composite
+def _huge_loss_documents(draw) -> list[list[str]]:
+    """A huge loss over spans short enough that its span gain stays near the
+    1000 dB bound, as the fiber loss, the sweep's least loss or its greatest:
+    three keys that the independent per-key draws above do not move together."""
+    loss = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(290, 307))
+    span_km = draw(st.floats(0.0, 1200.0)) / loss
+    link_km = span_km * draw(st.one_of(st.integers(1, 100), st.integers(1, 120_000)))
+    lines = ["sweep.loss_steps = 5", "sweep.power_steps = 6",
+             f"span.span_length_km = {span_km!r}", f"link.total_length_km = {link_km!r}"]
+    return [[*lines, f"fiber.loss_db_per_km = {loss!r}"],
+            [*lines, f"sweep.loss_min = {loss!r}", f"sweep.loss_max = {2.0 * loss!r}"],
+            [*lines, f"sweep.loss_max = {loss!r}"]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(documents=_huge_loss_documents())
+def test_main_over_a_huge_loss_on_tiny_spans(files, documents):
+    for lines in documents:
+        with open(files["fuzz.cfg"], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        for command in sorted(_COMMAND_FLAGS):
+            _run_main([command, f"--config={files['fuzz.cfg']}"], files["out.txt"])

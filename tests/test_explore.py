@@ -722,3 +722,37 @@ def test_bad_loss_is_refused_without_a_full_span(reference_plan, calibrated_trx,
     with pytest.raises(ValueError) as curve:
         span_length_curve(reference_plan, calibrated_trx, loss, 14000.0, 20000.0, 5, 1000.0)
     assert str(curve.value) == str(single.value)
+
+
+def _row_by_row_sweep(plan, trx, grid, include_rbs):
+    """The row-by-row form of sweep_grid: one gsnr_terms and one array row per loss."""
+    losses = np.linspace(grid.loss_min, grid.loss_max, grid.loss_steps)
+    powers = np.linspace(grid.power_min, grid.power_max, grid.power_steps)
+    gsnr = np.empty((grid.loss_steps, grid.power_steps))
+    power_mw = 10.0 ** (powers / 10.0)
+    inv_power_mw = 1.0 / power_mw
+    power_mw_sq = power_mw * power_mw
+    for i, loss in enumerate(losses.tolist()):
+        ase, nli, imi, rbs = gsnr_terms(plan, loss, plan.n_spans, include_rbs)
+        inv = ase * inv_power_mw + nli * power_mw_sq
+        inv += imi + rbs
+        gsnr[i] = 10.0 * np.log10(1.0 / inv)
+    throughput = trx.net_rate_gbps(gsnr, plan.symbol_rate_hz)
+    throughput *= plan.n_carriers / 1e3
+    return losses, powers, gsnr, throughput
+
+
+@pytest.mark.parametrize("grid", [GridSpec(), GridSpec(0.0451, 0.0849, 37, 13.3, 27.7, 53)],
+                         ids=["default", "odd"])
+@pytest.mark.parametrize("include_rbs", [False, True])
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_sweep_broadcast_is_the_row_by_row_sweep(reference_plan, calibrated_trx, grid,
+                                                 include_rbs, tabulated):
+    """The whole-grid broadcast gives every cell the row-by-row formula's bits."""
+    trx = (TabulatedTransceiver(((5.0, 100.0), (8.0, 300.0), (10.0, 300.0), (14.0, 500.0),
+                                 (20.0, 600.0))) if tabulated else calibrated_trx)
+    swept = sweep_grid(reference_plan, trx, grid, include_rbs)
+    expected = _row_by_row_sweep(reference_plan, trx, grid, include_rbs)
+    for got, want in zip((swept.loss_db_per_km, swept.edfa_power_dbm, swept.gsnr_db,
+                          swept.throughput_tbps), expected):
+        assert got.shape == want.shape and np.array_equal(got, want)

@@ -315,3 +315,27 @@ def test_component_snr_db_reporting():
     assert budget.component_snr_db("imi") == pytest.approx(30.0, abs=1e-12)
     with pytest.raises(ValueError):
         budget.component_snr_db("bogus")
+
+
+def test_rbs_past_the_sinh_overflow_is_a_value_error():
+    """A span loss of 1e6 dB puts sinh beyond float range in every RBS form."""
+    for call in (lambda: rbs_enhancement(1e6), lambda: rbs_inv_snr(-70.0, 6600.0, 1e6),
+                 lambda: rbs_power(1e-3, -70.0, 6600.0, 1e6)):
+        with pytest.raises(ValueError, match=r"^sinhc argument .* beyond float range"):
+            call()
+
+
+@pytest.mark.parametrize("loss,name,shown", [
+    (math.inf, None, "fiber.loss_db_per_km=inf"),
+    (1e302, "loss_db_per_km", r"loss_db_per_km=1e\+302"),
+    (3e301, "sweep.loss_max", r"sweep.loss_max=3e\+301"),
+])
+def test_gn_psd_refuses_a_loss_that_underflows_its_denominator(const, loss, name, shown):
+    """Above about 2e301 dB/km pi*|beta2|/alpha underflows to 0; the kernel's
+    count-independent checks name the loss, even for no spans."""
+    fiber = FiberSpec(loss_db_per_km=loss) if name is None else FiberSpec()
+    args = () if name is None else (loss, name)
+    for spans in ((), (1e-299, 200.0)):
+        with pytest.raises(ValueError, match=f"^{shown} puts the NLI's denominator"):
+            gn_nli_psds_per_span(fiber, 1e-14, spans, 5e12, const, *args)
+    assert gn_nli_psds_per_span(FiberSpec(), 1e-14, (), 5e12, const, 1e301) == []

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -643,3 +643,35 @@ def test_span_checks_keep_the_first_error(reference_plan, total, spans, loss):
         assert _value_or_error(lambda: [reference_plan.span_gain_db(loss, n, name)]) == \
             _value_or_error(lambda: _reference_span_gains(reference_plan, loss, [6600.0 / n],
                                                           name))
+
+
+@pytest.mark.parametrize("call,least", [
+    (lambda plan: gsnr_terms(plan, 0.06, 0), 0),
+    (lambda plan: gsnr_terms(plan, 0.06, -1), -1),
+    (lambda plan: span_terms(plan, 0.06, [1, 0]), 0),
+    (lambda plan: span_terms(plan, 0.06, [33, -1, 0, 2]), -1),
+    (lambda plan: plan.span_gain_db(0.06, 0), 0),
+    (lambda plan: plan.span_gain_db(0.06, -1), -1),
+], ids=["gsnr_terms-0", "gsnr_terms-minus-1", "span_terms-1-0", "span_terms-mixed",
+        "span_gain_db-0", "span_gain_db-minus-1"])
+def test_span_count_below_one_is_named(reference_plan, call, least):
+    with pytest.raises(ValueError, match=f"^n_spans must be >= 1, got {least}$"):
+        call(reference_plan)
+
+
+def test_loss_floor_comes_before_the_span_counts(reference_plan):
+    with pytest.raises(ValueError, match="^fiber.loss_db_per_km must be >= "):
+        span_terms(reference_plan, 0.0, [1, 0])
+
+
+def test_plan_record_is_its_fields_only(reference_plan):
+    """The counts are no fields: equality, hash, repr, asdict and replace see
+    the init fields alone, and a replaced plan counts its own spans."""
+    assert (reference_plan.n_spans, reference_plan.n_channels) == (33, 66)
+    shorter = replace(reference_plan, span_length_km=100.0)
+    assert (shorter.n_spans, reference_plan.n_spans) == (66, 33)
+    assert list(asdict(reference_plan)) == [f.name for f in fields(LinkPlan)]
+    copy = replace(reference_plan)
+    assert copy == reference_plan and hash(copy) == hash(reference_plan)
+    assert repr(copy) == repr(reference_plan)
+    assert "n_spans" not in repr(reference_plan)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,3 +108,15 @@ def test_constants_defaults_consistent():
 def test_constants_reject_inconsistent_grid():
     with pytest.raises(ValueError):
         PhysicalConstants(reference_frequency_hz=200e12, reference_wavelength_m=1600e-9)
+
+
+def test_sinhc_past_the_sinh_overflow_is_a_value_error():
+    """sinh overflows near x = 710.5; past it sinhc refuses the argument by value,
+    and a negative or non-finite one keeps its own message."""
+    assert math.isfinite(sinhc(710.0))
+    for x in (711.0, 1e6, 1e308):
+        with pytest.raises(ValueError, match=rf"^sinhc argument {re.escape(str(x))} puts sinh"):
+            sinhc(x)
+    for x in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^sinhc argument must be finite and >= 0"):
+            sinhc(x)
