@@ -11,7 +11,7 @@ import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .config import MAX_GRID_POINTS, GridSpec  # noqa: F401  (re-exported)
 from .system import (
@@ -22,7 +22,6 @@ from .system import (
     gsnr_terms,
     repeater_count,
     span_count,
-    span_counts,
     span_terms,
 )
 # perfbench's traced run patches these two names here.
@@ -245,9 +244,10 @@ def _target_inv_gsnr(plan: LinkPlan, trx: TransceiverModel, target_tbps: float) 
         return math.inf
 
 
-def _solve_power_dbm(terms: tuple[float, float, float, float], inv_gsnr: float) -> float:
+def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]],
+                      inv_gsnr: float) -> list[float]:
     """Least EDFA output power (dBm) at which 1/GSNR = A/p + B*p^2 + C falls to
-    inv_gsnr, for A, B and C = IMI + RBS the gsnr_terms of one span count: NaN
+    inv_gsnr, for A, B and C = IMI + RBS the gsnr_terms of each span count: NaN
     above the GSNR peak, -inf when every power reaches it.
 
     Closed form: A/p + B*p^2 = D = inv_gsnr - C becomes eps*x^3 - x + 1 = 0 for
@@ -255,22 +255,33 @@ def _solve_power_dbm(terms: tuple[float, float, float, float], inv_gsnr: float) 
     D >= 1.5*A/P_opt with P_opt = (A/2B)^(1/3); the smaller root, x in [1, 1.5],
     is on the rising branch.
     """
-    a, b, imi, rbs = terms
-    d = inv_gsnr - (imi + rbs)
-    if not d > 0:
-        return math.nan
-    r = a / d  # the root without NLI
-    if r == 0:  # D = inf (a target rate <= 0), or no ASE
-        return -math.inf
-    eps = b * r * r * r / a
-    if not eps <= 4.0 / 27.0:
-        return math.nan
-    # u = sqrt(eps) * (largest root), by the trigonometric formula; Vieta's
-    # product then gives the smallest root without the cancellation the
-    # direct trigonometric middle root suffers at small eps.
-    s = math.sqrt(eps)
-    u = _TRIG_SCALE * math.cos(math.acos(max(-1.0, _TRIG_ARG * s)) / 3.0)
-    return 10.0 * math.log10(2.0 * r / (u * u + u * math.sqrt(u * u + 4.0 * s / u)))
+    sqrt, cos, acos, log10 = math.sqrt, math.cos, math.acos, math.log10
+    scale, arg = _TRIG_SCALE, _TRIG_ARG
+    powers = []
+    for a, b, imi, rbs in terms:
+        d = inv_gsnr - (imi + rbs)
+        if not d > 0:
+            p = math.nan
+        elif (r := a / d) == 0:  # the root without NLI: D = inf (a target rate <= 0), or no ASE
+            p = -math.inf
+        elif not (eps := b * r * r * r / a) <= 4.0 / 27.0:
+            p = math.nan
+        else:
+            # u = sqrt(eps) * (largest root), by the trigonometric formula; Vieta's
+            # product then gives the smallest root without the cancellation the
+            # direct trigonometric middle root suffers at small eps.
+            s = sqrt(eps)
+            x = arg * s  # eps <= 4/27 puts x at -1 or above, but for rounding
+            u = scale * cos(acos(x if x > -1.0 else -1.0) / 3.0)
+            uu = u * u
+            p = 10.0 * log10(2.0 * r / (uu + u * sqrt(uu + 4.0 * s / u)))
+        powers.append(p)
+    return powers
+
+
+def _solve_power_dbm(terms: tuple[float, float, float, float], inv_gsnr: float) -> float:
+    """The _solve_powers_dbm of one span count's terms."""
+    return _solve_powers_dbm((terms,), inv_gsnr)[0]
 
 
 def _throughput_peak(plan: LinkPlan, trx: TransceiverModel,
@@ -319,27 +330,19 @@ def required_edfa_power(
     return power_dbm
 
 
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """np.linspace(start, stop, num) as floats, for num >= 1 and a step that does
-    not underflow: start + k*step, the last of several samples exactly stop."""
-    step = (stop - start) / max(num - 1, 1)
-    samples = [start + k * step for k in range(num)]
-    if num > 1:
-        samples[-1] = stop
-    return samples
-
-
 def check_span_range(total_length_km: float, span_min_km: float, span_max_km: float,
                      n_points: int, names: tuple[str, str, str, str]) -> None:
     """Raise, naming each value by `names` (in the order of the parameters),
     unless n_points lies in 1..MAX_SPAN_POINTS, span_count accepts the shortest
-    span and the range is not empty. Spans may be longer than the link."""
+    span and the range is finite and not empty. Spans may be longer than the link."""
     total_name, min_name, max_name, points_name = names
     if not 1 <= n_points <= MAX_SPAN_POINTS:
         raise ValueError(f"{points_name} must lie in 1..{MAX_SPAN_POINTS}, got {n_points}")
     span_count(total_length_km, span_min_km, (total_name, min_name))
     if not span_min_km <= span_max_km:
         raise ValueError(f"{min_name}={span_min_km} must not exceed {max_name}={span_max_km}")
+    if span_max_km == math.inf:
+        raise ValueError(f"{max_name} must be finite, got {span_max_km}")
 
 
 def span_length_curve(
@@ -353,28 +356,31 @@ def span_length_curve(
     include_rbs: bool = False,
     settings: SolverSettings = DEFAULT_SOLVER,
 ) -> list[SpanCurvePoint]:
-    """Required EDFA power across span lengths: one span_terms call for all the
-    span counts, then one closed-form solve per count.
+    """Required EDFA power across span lengths: one span_terms call and one
+    _solve_powers_dbm call for all the span counts.
 
     Samples snap to integer partitions of the link, so samples landing on
     the same span count collapse to one point. A point is feasible when its power lies inside the
     window settings.power_bracket_dbm; infeasible points are kept as
     flagged gaps rather than aborting the curve.
     """
-    check_span_range(plan.total_length_km, span_min_km, span_max_km, n_points,
+    total = plan.total_length_km
+    check_span_range(total, span_min_km, span_max_km, n_points,
                      ("plan.total_length_km", "span_min_km", "span_max_km", "n_points"))
-    spans = _linspace(span_min_km, span_max_km, n_points)
-    counts = dict.fromkeys(span_counts(plan.total_length_km, spans))
+    # np.linspace(span_min_km, span_max_km, n_points) snapped by span_counts' rounding
+    # (floor is int for the positive ratios). check_span_range's count of the
+    # shortest span covers every sample, so none needs span_counts' own checks.
+    floor, step = math.floor, (span_max_km - span_min_km) / max(n_points - 1, 1)
+    counts = dict.fromkeys([floor(total / (span_min_km + k * step) + 0.5)
+                            for k in range(n_points - 1)])
+    counts[floor(total / (span_max_km if n_points > 1 else span_min_km) + 0.5)] = None
     counts.pop(0, None)  # samples over twice the link length leave no full span
     inv_gsnr = _target_inv_gsnr(plan, trx, target_tbps)
+    powers = _solve_powers_dbm(span_terms(plan, loss_db_per_km, counts, include_rbs), inv_gsnr)
     low, high = settings.power_bracket_dbm
-    points = []
-    for n, terms in zip(counts, span_terms(plan, loss_db_per_km, counts, include_rbs)):
-        p = _solve_power_dbm(terms, inv_gsnr)
-        feasible = low <= p <= high
-        points.append(SpanCurvePoint(plan.total_length_km / n, p if feasible else math.nan,
-                                     feasible))
-    return points
+    new = tuple.__new__  # SpanCurvePoint._make without its length check
+    return [new(SpanCurvePoint, (total / n, p, True)) if low <= p <= high
+            else new(SpanCurvePoint, (total / n, math.nan, False)) for n, p in zip(counts, powers)]
 
 
 def sensitivity_delta(

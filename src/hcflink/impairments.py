@@ -142,7 +142,9 @@ def ase_inv_snrs(amp: AmplifierSpec, per_channel_output_w: float,
             raise ValueError(f"transparency requires gain > 0 dB, got {gain_db}")
         if n_amps < 0:
             raise ValueError(f"n_amps must be >= 0, got {n_amps}")
-        p_ase = noise_prefix * (db_to_linear(gain_db) - 1.0) * noise_bw_hz if n_amps else 0.0
+        if n_amps and gain_db == math.inf:  # db_to_linear's check, inlined below
+            raise ValueError(f"dB value must be finite, got {gain_db}")
+        p_ase = noise_prefix * (10.0 ** (gain_db / 10.0) - 1.0) * noise_bw_hz if n_amps else 0.0
         inv_snrs.append(n_amps * p_ase / per_channel_output_w)
     return inv_snrs
 

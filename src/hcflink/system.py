@@ -272,20 +272,22 @@ class TabulatedTransceiver:
     _rate_gbps: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        points = tuple((float(g), float(r)) for g, r in self.points)
+        # Every row's finiteness is checked before the order of any two rows.
+        points = tuple([(float(g), float(r)) for g, r in self.points])
         if not points:
             raise ValueError("transceiver table needs at least one point")
         for row, (g, r) in enumerate(points, 1):
             if not (math.isfinite(g) and math.isfinite(r)):
                 raise ValueError(f"table row {row} ({g}, {r}) must be finite")
-        for (g0, r0), (g1, r1) in zip(points, points[1:]):
+        gsnr, rate = zip(*points)
+        for g0, g1, r0, r1 in zip(gsnr, gsnr[1:], rate, rate[1:]):
             if not g1 > g0:
                 raise ValueError(f"table gsnr_db must be strictly increasing: {g0} then {g1}")
             if r1 < r0:
                 raise ValueError(f"table net_rate_gbps must be nondecreasing: {r0} then {r1}")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_gsnr_db", tuple(g for g, _ in points))
-        object.__setattr__(self, "_rate_gbps", tuple(r for _, r in points))
+        object.__setattr__(self, "_gsnr_db", gsnr)
+        object.__setattr__(self, "_rate_gbps", rate)
 
     def net_rate_gbps(self, gsnr_db: float | np.ndarray, symbol_rate_hz: float) -> np.ndarray:
         """Rate at a finite GSNR or at every element of an array of them."""

@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcflink import explore, impairments
@@ -19,7 +19,6 @@ from hcflink.explore import (
     SpanCurvePoint,
     SweepGrid,
     _cell_cases,
-    _linspace,
     _solve_power_dbm,
     _target_inv_gsnr,
     extract_contour,
@@ -37,6 +36,7 @@ from hcflink.system import (
     channel_net_rate,
     gsnr_terms,
     link_gsnr,
+    span_counts,
 )
 
 
@@ -456,10 +456,28 @@ def _numpy_solve_power_dbm(plan, trx, loss_db_per_km, span_counts, target_tbps, 
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(start=st.floats(1e-3, 1e6), width=st.floats(0.0, 1e6), num=st.integers(1, 300))
-def test_span_samples_are_numpys_linspace(start, width, num):
-    stop = start + width
-    assert _linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+@given(
+    total=st.floats(50.0, 10_000.0),
+    lo_share=st.floats(1e-3, 3.0),
+    width_share=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    n_points=st.one_of(st.sampled_from([1, 2, 3, 101]), st.integers(1, 300)),
+)
+@example(total=1000.0, lo_share=0.1, width_share=0.3, n_points=1)
+@example(total=1000.0, lo_share=0.1, width_share=0.3, n_points=2)
+@example(total=1000.0, lo_share=0.1, width_share=0.3, n_points=3)
+@example(total=1000.0, lo_share=0.5, width_share=2.5, n_points=101)
+def test_span_samples_are_numpys_linspace_snapped(reference_plan, calibrated_trx, total,
+                                                   lo_share, width_share, n_points):
+    """The curve's spans are the distinct span_counts of np.linspace's samples,
+    in order, without the count 0 of a sample over twice the link. A single
+    sample is span_min's; the examples pin that and spans past twice the link."""
+    plan = replace(reference_plan, total_length_km=total, span_length_km=total)
+    lo = total * lo_share
+    hi = lo + total * width_share
+    curve = span_length_curve(plan, calibrated_trx, 0.06, lo, hi, n_points, 1000.0)
+    counts = dict.fromkeys(span_counts(total, np.linspace(lo, hi, n_points).tolist()))
+    counts.pop(0, None)
+    assert [p.span_km for p in curve] == [total / n for n in counts]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -647,8 +665,8 @@ def test_span_points_bounded_before_the_samples_are_counted(reference_plan, cali
     def no_counting(*args, **kwargs):
         raise AssertionError("an oversized curve must be refused before its samples are counted")
 
-    # The samples are snapped in one span_counts call.
-    monkeypatch.setattr(explore, "span_counts", no_counting)
+    # The samples are snapped inline and their counts go to one span_terms call.
+    monkeypatch.setattr(explore, "span_terms", no_counting)
     with pytest.raises(ValueError, match="n_points"):
         span_length_curve(
             reference_plan, calibrated_trx, 0.06, 150.0, 250.0, MAX_SPAN_POINTS + 1, 1000.0
@@ -656,7 +674,9 @@ def test_span_points_bounded_before_the_samples_are_counted(reference_plan, cali
 
 
 @pytest.mark.parametrize("span_min,span_max,match", [(1e-300, 250.0, "span_min_km.*MAX_SPANS"),
-                                                     (300.0, 200.0, "span_min_km.*span_max_km")])
+                                                     (300.0, 200.0, "span_min_km.*span_max_km"),
+                                                     (100.0, math.inf, "^span_max_km must be "
+                                                      "finite, got inf$")])
 def test_span_curve_names_its_bad_range(reference_plan, calibrated_trx, span_min, span_max, match):
     with pytest.raises(ValueError, match=match):
         span_length_curve(reference_plan, calibrated_trx, 0.06, span_min, span_max, 21, 1000.0)

@@ -5,6 +5,8 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hcflink.impairments import (
     MIN_LOSS_DB_PER_KM,
@@ -23,7 +25,7 @@ from hcflink.impairments import (
     rbs_inv_snr,
     rbs_power,
 )
-from hcflink.units import attenuation_db_to_per_km, dbm_to_watt, linear_to_db
+from hcflink.units import attenuation_db_to_per_km, db_to_linear, dbm_to_watt, linear_to_db
 
 # Reference chain values, frozen from independent evaluation of the closed
 # forms (h = 6.62607015e-34 J s, nu = 193.4 THz, lambda = 1550 nm).
@@ -177,6 +179,45 @@ def test_sequence_kernels_give_each_element_its_scalar_value(reference_amp, refe
         [ase_inv_snr(reference_amp, 1e-3, g, n, 73.5e9, const) for g, n in pairs]
     assert nli_inv_snrs(pairs, 73.5e9, REF_P_LAUNCH_W) == \
         [nli_inv_snr(p, n, 73.5e9, REF_P_LAUNCH_W) for p, n in pairs]
+
+
+def _db_to_linear_ase_inv_snrs(amp, per_channel_output_w, pairs, noise_bw_hz, const):
+    """ase_inv_snrs as a loop over units.db_to_linear, kept as a reference."""
+    noise_prefix = (db_to_linear(amp.noise_figure_db) * const.planck_j_s
+                    * const.reference_frequency_hz)
+    inv_snrs = []
+    for gain_db, n_amps in pairs:
+        if not gain_db > 0:
+            raise ValueError(f"transparency requires gain > 0 dB, got {gain_db}")
+        if n_amps < 0:
+            raise ValueError(f"n_amps must be >= 0, got {n_amps}")
+        p_ase = noise_prefix * (db_to_linear(gain_db) - 1.0) * noise_bw_hz if n_amps else 0.0
+        inv_snrs.append(n_amps * p_ase / per_channel_output_w)
+    return inv_snrs
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pairs=st.lists(st.tuples(
+    st.one_of(st.sampled_from([math.inf, math.nan, 0.0, -3.0, -math.inf, 16.0]),
+              st.floats(-100.0, 4000.0)),
+    st.sampled_from([0, 1, 33]),
+), max_size=4))
+@example(pairs=[(math.inf, 0)])
+@example(pairs=[(16.0, 33), (math.inf, 1)])
+@example(pairs=[(16.0, 0), (math.nan, 33), (math.inf, 33)])
+def test_ase_gain_is_db_to_linear(reference_amp, const, pairs):
+    """The inlined gain conversion gives db_to_linear's value, or its error with
+    the same message: inf raises only where an amplifier uses it."""
+    got = _outcome(ase_inv_snrs, reference_amp, 1e-3, pairs, 73.5e9, const)
+    want = _outcome(_db_to_linear_ase_inv_snrs, reference_amp, 1e-3, pairs, 73.5e9, const)
+    assert got == want
 
 
 def test_nli_inv_snr_chain():

@@ -156,6 +156,14 @@ def test_tabulated_rejects_non_finite_rows(points, row):
         TabulatedTransceiver(points)
 
 
+def test_tabulated_checks_every_row_before_the_order():
+    """Row 3's NaN is named although rows 1 and 2 already break the order."""
+    with pytest.raises(ValueError, match=r"^table row 3 \(20.0, nan\) must be finite$"):
+        TabulatedTransceiver(((10.0, 400.0), (5.0, 300.0), (20, "nan")))
+    with pytest.raises(ValueError, match="^table gsnr_db must be strictly increasing: 10.0 then 5"):
+        TabulatedTransceiver(((10.0, 400.0), (5.0, 300.0), (20, 700)))
+
+
 def test_rate_models_accept_arrays():
     gsnr = np.linspace(-10.0, 30.0, 81)
     for trx in (
