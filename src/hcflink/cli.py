@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import io
 import json
 import math
@@ -81,10 +80,8 @@ def write_command(
 
 
 def _echo(cfg: RunConfig, trx_values: dict | None = None) -> dict:
-    echo = copy.deepcopy(cfg.values)
-    if trx_values is not None:
-        echo["transceiver"] = dict(trx_values)
-    return echo
+    """The config to echo; the writers only read it, so it shares cfg.values."""
+    return cfg.values if trx_values is None else {**cfg.values, "transceiver": trx_values}
 
 
 def _run_budget(cfg: RunConfig, fh: IO[str], *, include_rbs, trx_table, **_) -> None:

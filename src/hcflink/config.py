@@ -15,10 +15,10 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
 from .impairments import (
-    MAX_ABS_POWER_DBM,
-    MIN_LOSS_DB_PER_KM,
     AmplifierSpec,
     FiberSpec,
+    _check_loss_floor,
+    _check_power,
     gn_nli_psds_per_span,
 )
 from .system import (
@@ -82,18 +82,14 @@ class GridSpec:
         for name in ("loss_min", "loss_max", "power_min", "power_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"sweep.{name} must be finite, got {getattr(self, name)}")
-        for name in ("power_min", "power_max"):
-            if not abs(getattr(self, name)) <= MAX_ABS_POWER_DBM:
-                raise ValueError(f"sweep.{name} must lie within +/-{MAX_ABS_POWER_DBM:g} dBm, "
-                                 f"got {getattr(self, name)}")
+        _check_power(self.power_min, "sweep.power_min")
+        _check_power(self.power_max, "sweep.power_max")
         if self.loss_steps * self.power_steps > MAX_GRID_POINTS:
             raise ValueError(
                 f"sweep.loss_steps * sweep.power_steps = {self.loss_steps * self.power_steps} "
                 f"exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS}"
             )
-        if not self.loss_min >= MIN_LOSS_DB_PER_KM:
-            raise ValueError(f"sweep.loss_min must be >= {MIN_LOSS_DB_PER_KM:.4g} (its "
-                             f"attenuation must not underflow), got {self.loss_min}")
+        _check_loss_floor(self.loss_min, "sweep.loss_min")
         if not self.loss_min < self.loss_max:
             raise ValueError(
                 f"sweep.loss_min={self.loss_min} must be < sweep.loss_max={self.loss_max}"

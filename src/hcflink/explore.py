@@ -367,9 +367,9 @@ def span_length_curve(
     total = plan.total_length_km
     check_span_range(total, span_min_km, span_max_km, n_points,
                      ("plan.total_length_km", "span_min_km", "span_max_km", "n_points"))
-    # np.linspace(span_min_km, span_max_km, n_points) snapped by span_counts' rounding
+    # np.linspace(span_min_km, span_max_km, n_points) snapped by span_count's rounding
     # (floor is int for the positive ratios). check_span_range's count of the
-    # shortest span covers every sample, so none needs span_counts' own checks.
+    # shortest span covers every sample, so none needs span_count's own checks.
     floor, step = math.floor, (span_max_km - span_min_km) / max(n_points - 1, 1)
     counts = dict.fromkeys([floor(total / (span_min_km + k * step) + 0.5)
                             for k in range(n_points - 1)])

@@ -37,10 +37,15 @@ MAX_ABS_POWER_DBM = 300.0
 MIN_LOSS_DB_PER_KM = DB_PER_NEPER * sys.float_info.min
 
 
-def _check_loss_floor(loss_db_per_km: float) -> None:
+def _check_loss_floor(loss_db_per_km: float, name: str = "fiber.loss_db_per_km") -> None:
     if not loss_db_per_km >= MIN_LOSS_DB_PER_KM:
-        raise ValueError(f"fiber.loss_db_per_km must be >= {MIN_LOSS_DB_PER_KM:.4g} (its "
+        raise ValueError(f"{name} must be >= {MIN_LOSS_DB_PER_KM:.4g} (its "
                          f"attenuation must not underflow), got {loss_db_per_km}")
+
+
+def _check_power(power_dbm: float, name: str) -> None:
+    if not abs(power_dbm) <= MAX_ABS_POWER_DBM:
+        raise ValueError(f"{name} must lie within +/-{MAX_ABS_POWER_DBM:g} dBm, got {power_dbm}")
 
 
 @dataclass(frozen=True)
@@ -91,9 +96,7 @@ class AmplifierSpec:
         if not 0 < self.noise_figure_db <= MAX_AMPLIFIER_DB:
             raise ValueError(f"amplifier.noise_figure_db must lie in (0, {MAX_AMPLIFIER_DB:g}] "
                              f"dB, got {self.noise_figure_db}")
-        if not abs(self.total_output_power_dbm) <= MAX_ABS_POWER_DBM:
-            raise ValueError(f"amplifier.total_output_power_dbm must lie within "
-                             f"+/-{MAX_ABS_POWER_DBM:g} dBm, got {self.total_output_power_dbm}")
+        _check_power(self.total_output_power_dbm, "amplifier.total_output_power_dbm")
         for name in ("pre_input_loss_db", "post_output_loss_db"):
             if not 0 <= getattr(self, name) <= MAX_AMPLIFIER_DB:
                 raise ValueError(f"amplifier.{name} must lie in [0, {MAX_AMPLIFIER_DB:g}] dB, "
@@ -179,7 +182,7 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
     if fiber.dispersion_ps_nm_km == 0:
         raise ValueError("nonlinear interference is singular at zero dispersion")
     loss = fiber.loss_db_per_km if loss_db_per_km is None else loss_db_per_km
-    _check_loss_floor(loss)
+    _check_loss_floor(loss, name)
     alpha = attenuation_db_to_per_km(loss)
     l_eff_a = 1.0 / alpha
     beta2 = (abs(fiber.dispersion_ps_nm_km) * 1e-3 * const.reference_wavelength_m**2
@@ -285,21 +288,9 @@ def rbs_inv_snr(
     total_length_km: float,
     span_loss_db: float,
 ) -> float:
-    """Backscatter-to-signal ratio: L_tot * B * enh(A_dB).
-
-    Takes no power argument; the ratio is independent of launch power.
-    """
-    if total_length_km < 0:
-        raise ValueError(f"total_length_km must be >= 0, got {total_length_km}")
-    if backscatter_db_per_km > 0:
-        raise ValueError(
-            f"backscatter_db_per_km must be <= 0, got {backscatter_db_per_km}"
-        )
-    return (
-        total_length_km
-        * db_to_linear(backscatter_db_per_km)
-        * rbs_enhancement(span_loss_db)
-    )
+    """Backscatter-to-signal ratio L_tot * B * enh(A_dB): the rbs_power of a
+    1 W launch, since the ratio is independent of launch power."""
+    return rbs_power(1.0, backscatter_db_per_km, total_length_km, span_loss_db)
 
 
 def rbs_brute_force(

@@ -16,11 +16,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .impairments import (
-    MAX_ABS_POWER_DBM,
     AmplifierSpec,
     FiberSpec,
     SnrBudget,
     _check_loss_floor,
+    _check_power,
     ase_inv_snrs,
     combine_gsnr,
     gn_nli_psds_per_span,
@@ -57,30 +57,21 @@ class InfeasibleError(RuntimeError):
     """The requested target cannot be reached inside the admissible power window."""
 
 
-def span_counts(total_length_km: float, spans_km: Iterable[float],
-                names: tuple[str, str] = ("total_length_km", "span_length_km")) -> list[int]:
-    """Number of spans partitioning the link into each span length, rounding
-    half up. Raises, naming the two lengths by `names`, unless the total and
-    every span are > 0 and each span gives at most MAX_SPANS."""
+def span_count(total_length_km: float, span_length_km: float,
+               names: tuple[str, str] = ("total_length_km", "span_length_km")) -> int:
+    """Number of spans partitioning the link into spans of the given length,
+    rounding half up. Raises, naming the two lengths by `names`, unless both
+    are > 0 and the span gives at most MAX_SPANS."""
     total_name, span_name = names
     if not total_length_km > 0:
         raise ValueError(f"{total_name} must be > 0, got {total_length_km}")
-    counts = []
-    for span_length_km in spans_km:
-        if not span_length_km > 0:
-            raise ValueError(f"{span_name} must be > 0, got {span_length_km}")
-        ratio = total_length_km / span_length_km
-        if ratio > MAX_SPANS:
-            raise ValueError(f"{total_name}={total_length_km:g} km in {span_name}="
-                             f"{span_length_km:g} km spans exceeds MAX_SPANS = {MAX_SPANS}")
-        counts.append(int(ratio + 0.5))
-    return counts
-
-
-def span_count(total_length_km: float, span_length_km: float,
-               names: tuple[str, str] = ("total_length_km", "span_length_km")) -> int:
-    """The span_counts of one span length."""
-    return span_counts(total_length_km, (span_length_km,), names)[0]
+    if not span_length_km > 0:
+        raise ValueError(f"{span_name} must be > 0, got {span_length_km}")
+    ratio = total_length_km / span_length_km
+    if ratio > MAX_SPANS:
+        raise ValueError(f"{total_name}={total_length_km:g} km in {span_name}="
+                         f"{span_length_km:g} km spans exceeds MAX_SPANS = {MAX_SPANS}")
+    return int(ratio + 0.5)
 
 
 def channels_in_band(band_hz: float, spacing_hz: float) -> int:
@@ -168,13 +159,9 @@ class LinkPlan:
             gains_db.append(gain_db)
         return gains_db
 
-    def span_gain_db(self, loss_db_per_km: float, n_spans: int | None = None,
-                     name: str = "fiber.loss_db_per_km") -> float:
-        """The span_gains_db of one of n_spans >= 1 equal spans (default: the plan's)."""
-        n_spans = self.n_spans if n_spans is None else n_spans
-        if n_spans < 1:
-            raise ValueError(f"n_spans must be >= 1, got {n_spans}")
-        return self.span_gains_db(loss_db_per_km, (self.total_length_km / n_spans,), name)[0]
+    def span_gain_db(self, loss_db_per_km: float, name: str = "fiber.loss_db_per_km") -> float:
+        """The span_gains_db of the plan's effective span."""
+        return self.span_gains_db(loss_db_per_km, (self.effective_span_km,), name)[0]
 
 
 @dataclass(frozen=True)
@@ -185,11 +172,8 @@ class OperatingPoint:
     edfa_total_output_dbm: float
 
     def __post_init__(self) -> None:
-        if not self.loss_db_per_km > 0:
-            raise ValueError(f"loss_db_per_km must be > 0, got {self.loss_db_per_km}")
-        if not abs(self.edfa_total_output_dbm) <= MAX_ABS_POWER_DBM:
-            raise ValueError(f"edfa_total_output_dbm must lie within +/-{MAX_ABS_POWER_DBM:g} "
-                             f"dBm, got {self.edfa_total_output_dbm}")
+        _check_loss_floor(self.loss_db_per_km, "loss_db_per_km")
+        _check_power(self.edfa_total_output_dbm, "edfa_total_output_dbm")
 
 
 @dataclass(frozen=True)
@@ -365,11 +349,11 @@ def span_terms(plan: LinkPlan, loss_db_per_km: float, counts: Iterable[int],
     sequence kernel runs its count-independent checks and factors once; per
     count there are only the span gain, the effective length and the terms'
     last products, each with its own checks. The checks run in this order:
-    FiberSpec's loss floor, counts >= 1, each span gain, then the NLI
+    the loss floor, counts >= 1, each span gain, then the NLI
     kernel's loss checks, which run even for empty counts.
     """
     fiber = plan.fiber
-    _check_loss_floor(loss_db_per_km)
+    _check_loss_floor(loss_db_per_km, "loss_db_per_km")
     counts = list(counts)
     if min(counts, default=1) < 1:
         raise ValueError(f"n_spans must be >= 1, got {min(counts)}")

@@ -36,7 +36,7 @@ from hcflink.system import (
     channel_net_rate,
     gsnr_terms,
     link_gsnr,
-    span_counts,
+    span_count,
 )
 
 
@@ -468,14 +468,15 @@ def _numpy_solve_power_dbm(plan, trx, loss_db_per_km, span_counts, target_tbps, 
 @example(total=1000.0, lo_share=0.5, width_share=2.5, n_points=101)
 def test_span_samples_are_numpys_linspace_snapped(reference_plan, calibrated_trx, total,
                                                    lo_share, width_share, n_points):
-    """The curve's spans are the distinct span_counts of np.linspace's samples,
+    """The curve's spans are the distinct span_count of np.linspace's samples,
     in order, without the count 0 of a sample over twice the link. A single
     sample is span_min's; the examples pin that and spans past twice the link."""
     plan = replace(reference_plan, total_length_km=total, span_length_km=total)
     lo = total * lo_share
     hi = lo + total * width_share
     curve = span_length_curve(plan, calibrated_trx, 0.06, lo, hi, n_points, 1000.0)
-    counts = dict.fromkeys(span_counts(total, np.linspace(lo, hi, n_points).tolist()))
+    counts = dict.fromkeys([span_count(total, span)
+                            for span in np.linspace(lo, hi, n_points).tolist()])
     counts.pop(0, None)
     assert [p.span_km for p in curve] == [total / n for n in counts]
 
@@ -714,10 +715,10 @@ def test_span_curve_points_are_immutable_records(reference_plan, calibrated_trx)
     assert point == SpanCurvePoint(point.span_km, point.required_dbm, point.feasible)
 
 
-_FIBER_LOSS = "^fiber.loss_db_per_km must be >= 9.663e-308"
+_LOSS_FLOOR = "^loss_db_per_km must be >= 9.663e-308"
 # 1e-307 passes FiberSpec but overflows the NLI's asinh argument; 5 dB/km over
 # 200 km spans is a 1004 dB span gain, above MAX_SPAN_GAIN_DB.
-_BAD_LOSSES = [(0.0, _FIBER_LOSS), (-1.0, _FIBER_LOSS), (5e-324, _FIBER_LOSS),
+_BAD_LOSSES = [(0.0, _LOSS_FLOOR), (-1.0, _LOSS_FLOOR), (5e-324, _LOSS_FLOOR),
                (1e-307, "^loss_db_per_km=1e-307 puts the NLI's asinh argument"),
                (5.0, "^loss_db_per_km=5.0 must be >= 0 and keep the span gain"),
                (math.inf, "^loss_db_per_km=inf must be >= 0 and keep the span gain"),

@@ -279,6 +279,39 @@ def test_rbs_power_independence_of_launch():
     assert ratios[0] == pytest.approx(rbs_inv_snr(-70.0, 6600.0, 12.0), rel=1e-12)
 
 
+def _rbs_inv_snr_own_body(backscatter_db_per_km, total_length_km, span_loss_db):
+    """rbs_inv_snr with checks and a product of its own, kept as a reference."""
+    if total_length_km < 0:
+        raise ValueError(f"total_length_km must be >= 0, got {total_length_km}")
+    if backscatter_db_per_km > 0:
+        raise ValueError(f"backscatter_db_per_km must be <= 0, got {backscatter_db_per_km}")
+    return total_length_km * db_to_linear(backscatter_db_per_km) * rbs_enhancement(span_loss_db)
+
+
+def _bits_or_error(func, *args):
+    outcome = _outcome(func, *args)
+    return outcome.hex() if isinstance(outcome, float) else outcome
+
+
+_ODD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, math.nan, math.inf,
+               -math.inf]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    backscatter=st.one_of(st.floats(-200.0, 0.0), st.floats(), st.sampled_from(_ODD_FLOATS)),
+    total=st.one_of(st.floats(0.0, 1e5), st.floats(), st.sampled_from(_ODD_FLOATS)),
+    # sinhc overflows past a span loss of about 3086 dB.
+    span_loss=st.one_of(st.floats(0.0, 100.0), st.floats(2500.0, 1e6), st.floats(),
+                        st.sampled_from(_ODD_FLOATS)),
+)
+def test_rbs_inv_snr_is_rbs_power_at_1_w(backscatter, total, span_loss):
+    """rbs_inv_snr keeps the bits, or the error and its message, of the ratio
+    computed with its own checks and product."""
+    assert _bits_or_error(rbs_inv_snr, backscatter, total, span_loss) == \
+        _bits_or_error(_rbs_inv_snr_own_body, backscatter, total, span_loss)
+
+
 def test_rbs_brute_force_converges():
     closed = rbs_power(1e-3, -70.0, 33 * 200.0, 0.05 * 200.0)
     brute = rbs_brute_force(1e-3, -70.0, 0.05, 200.0, 33, 0.1)

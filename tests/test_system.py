@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import asdict, fields, replace
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcflink.impairments import MIN_LOSS_DB_PER_KM, gn_nli_psds_per_span
+from hcflink.config import GridSpec
+from hcflink.impairments import MIN_LOSS_DB_PER_KM, AmplifierSpec, gn_nli_psds_per_span
 from hcflink.system import (
     DEFAULT_CONSTANTS,
     MAX_SPAN_GAIN_DB,
@@ -32,7 +34,6 @@ from hcflink.system import (
     propagation_latency,
     repeater_count,
     span_count,
-    span_counts,
     span_terms,
 )
 
@@ -415,6 +416,26 @@ def test_operating_point_power_is_bounded(power):
         OperatingPoint(0.06, power)
 
 
+@pytest.mark.parametrize("build,name", [
+    (lambda p: AmplifierSpec(total_output_power_dbm=p), "amplifier.total_output_power_dbm"),
+    (lambda p: OperatingPoint(0.06, p), "edfa_total_output_dbm"),
+    (lambda p: GridSpec(power_min=p), "sweep.power_min"),
+    (lambda p: GridSpec(power_max=p), "sweep.power_max"),
+], ids=["amplifier", "operating-point", "sweep-min", "sweep-max"])
+@pytest.mark.parametrize("power", [300.5, -301.0, 1e6])
+def test_power_window_has_one_message(build, name, power):
+    """Every power key is held to +/-300 dBm with the same wording."""
+    message = f"{name} must lie within +/-300 dBm, got {power}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(power)
+
+
+def test_operating_point_holds_its_loss_to_the_floor():
+    """A subnormal loss is refused where the point is built, under its own name."""
+    with pytest.raises(ValueError, match="^loss_db_per_km must be >= 9.663e-308"):
+        OperatingPoint(1e-310, 20.0)
+
+
 def test_link_gsnr_at_power_bound_is_finite(reference_plan):
     for power in (-300.0, 300.0):
         budget = link_gsnr(reference_plan, OperatingPoint(0.06, power))
@@ -573,19 +594,22 @@ def test_span_terms_keep_their_bits(reference_plan, gamma):
 
 def test_span_counts_check_the_total_then_name_a_bad_sample():
     names = ("plan.total_length_km", "span_km")
-    assert span_counts(6600.0, (), names) == []
     with pytest.raises(ValueError, match="^plan.total_length_km must be > 0"):
-        span_counts(0.0, (), names)
-    assert span_counts(6600.0, (200.0, 150.0, 6600.0, 14000.0)) == [33, 44, 1, 0]
+        span_count(0.0, 0.0, names)
+    assert [span_count(6600.0, span) for span in (200.0, 150.0, 6600.0, 14000.0)] == \
+        [33, 44, 1, 0]
     with pytest.raises(ValueError, match=r"^plan.total_length_km=6600 km in span_km=1e-300 km "
                                          r"spans exceeds MAX_SPANS = 100000$"):
-        span_counts(6600.0, (200.0, 1e-300, 100.0), names)
+        span_count(6600.0, 1e-300, names)
     with pytest.raises(ValueError, match="^span_km must be > 0, got 0.0$"):
-        span_counts(6600.0, (200.0, 0.0), names)
+        span_count(6600.0, 0.0, names)
+    for total, span in ((6600.0, 200.0), (0.0, 0.0), (6600.0, 1e-300), (6600.0, 0.0)):
+        assert _value_or_error(lambda: [span_count(total, span, names)]) == \
+            _value_or_error(lambda: _reference_span_counts(total, [span], names))
 
 
 def _reference_span_counts(total, spans, names):
-    """span_counts as a loop that checks each span as it reaches it."""
+    """span_count of each span, as a loop that checks each span as it reaches it."""
     total_name, span_name = names
     if not total > 0:
         raise ValueError(f"{total_name} must be > 0, got {total}")
@@ -637,20 +661,20 @@ _BAD_SPANS = [0.0, -0.0, -1.0, -200.0, math.nan, -math.inf, math.inf, 5e-324, 1e
         [0.06, 0.0, -0.0, -1.0, -1e-300, math.nan, math.inf, 5e-324, 1e-310, 5.0])),
 )
 def test_span_checks_keep_the_first_error(reference_plan, total, spans, loss):
-    """span_counts and span_gains_db give the values, or the message, of a loop
-    that checks each span in turn, wherever the bad spans sit; span_gain_db is
-    the one-span form."""
+    """span_count of each span, and span_gains_db, give the values, or the
+    message, of a loop that checks each span in turn, wherever the bad spans
+    sit; span_gain_db is the one-span form at the plan's effective span."""
     names = ("plan.total_length_km", "span_km")
-    assert _value_or_error(lambda: span_counts(total, spans, names)) == \
-        _value_or_error(lambda: _reference_span_counts(total, spans, names))
+    for span in (*spans, 200.0):
+        assert _value_or_error(lambda: [span_count(total, span, names)]) == \
+            _value_or_error(lambda: _reference_span_counts(total, [span], names))
     name = "loss_db_per_km"
     gains = _value_or_error(lambda: reference_plan.span_gains_db(loss, spans, name))
     assert gains == _value_or_error(lambda: _reference_span_gains(reference_plan, loss, spans,
                                                                  name))
-    for n in (1, 2, 33):
-        assert _value_or_error(lambda: [reference_plan.span_gain_db(loss, n, name)]) == \
-            _value_or_error(lambda: _reference_span_gains(reference_plan, loss, [6600.0 / n],
-                                                          name))
+    assert _value_or_error(lambda: [reference_plan.span_gain_db(loss, name)]) == \
+        _value_or_error(lambda: _reference_span_gains(
+            reference_plan, loss, [reference_plan.effective_span_km], name))
 
 
 @pytest.mark.parametrize("call,least", [
@@ -658,17 +682,14 @@ def test_span_checks_keep_the_first_error(reference_plan, total, spans, loss):
     (lambda plan: gsnr_terms(plan, 0.06, -1), -1),
     (lambda plan: span_terms(plan, 0.06, [1, 0]), 0),
     (lambda plan: span_terms(plan, 0.06, [33, -1, 0, 2]), -1),
-    (lambda plan: plan.span_gain_db(0.06, 0), 0),
-    (lambda plan: plan.span_gain_db(0.06, -1), -1),
-], ids=["gsnr_terms-0", "gsnr_terms-minus-1", "span_terms-1-0", "span_terms-mixed",
-        "span_gain_db-0", "span_gain_db-minus-1"])
+], ids=["gsnr_terms-0", "gsnr_terms-minus-1", "span_terms-1-0", "span_terms-mixed"])
 def test_span_count_below_one_is_named(reference_plan, call, least):
     with pytest.raises(ValueError, match=f"^n_spans must be >= 1, got {least}$"):
         call(reference_plan)
 
 
 def test_loss_floor_comes_before_the_span_counts(reference_plan):
-    with pytest.raises(ValueError, match="^fiber.loss_db_per_km must be >= "):
+    with pytest.raises(ValueError, match="^loss_db_per_km must be >= "):
         span_terms(reference_plan, 0.0, [1, 0])
 
 
