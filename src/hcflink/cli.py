@@ -9,8 +9,9 @@ Exit codes: 0 success, 2 config error (a usage error too), 3 infeasible solve,
 4 I/O error. Each command writes straight to stdout or to its ``--output`` file,
 which is replaced only when the command succeeds.
 
-Only contour (its sweep arrays) and budget --trx-table (the table's np.interp)
-load numpy: the other commands evaluate scalar closed forms and start without it.
+Only contour --format csv|json (their sweep arrays) and budget --trx-table (the
+table's np.interp) load numpy: the other commands, contour --format svg too, evaluate
+scalar closed forms and start without it.
 """
 
 from __future__ import annotations
@@ -115,20 +116,20 @@ def _run_contour(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, levels, field
                  **_) -> None:
     from . import explore
 
-    plan = cfg.plan()
+    plan, spec = cfg.plan(), cfg.grid()
     trx, trx_values = resolve_transceiver(cfg, plan, trx_table)
-    grid = explore.sweep_grid(plan, trx, cfg.grid(), include_rbs)
+    grid = None if fmt == "svg" else explore.sweep_grid(plan, trx, spec, include_rbs)
     echo = _echo(cfg, trx_values)
     if fmt == "csv":
         outputs.write_grid_csv(grid, echo, fh)
         return
-    contour_sets = [(level, explore.extract_contour(grid, field, level)) for level in levels]
+    contour_sets = [(level, explore.extract_contour(plan, trx, spec, field, level, include_rbs))
+                    for level in levels]
     if fmt == "svg":
         unit = "Tb/s" if field == "throughput" else "dB"
         fh.write(outputs.render_contour_svg(
             [(f"{level:g} {unit}", lines) for level, lines in contour_sets],
-            xlim=(float(grid.loss_db_per_km[0]), float(grid.loss_db_per_km[-1])),
-            ylim=(float(grid.edfa_power_dbm[0]), float(grid.edfa_power_dbm[-1])),
+            xlim=(spec.loss_min, spec.loss_max), ylim=(spec.power_min, spec.power_max),
             xlabel="fiber loss (dB/km)",
             ylabel="EDFA output power (dBm)",
             title=f"{field} contours",

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .config import MAX_GRID_POINTS, GridSpec  # noqa: F401  (re-exported)
 from .system import (
     InfeasibleError,
     LinkPlan,
-    OperatingPoint,
     TransceiverModel,
     gsnr_terms,
     repeater_count,
@@ -102,11 +101,11 @@ def sweep_grid(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
     """
     import numpy as np
 
-    losses = np.linspace(grid.loss_min, grid.loss_max, grid.loss_steps)
+    losses = _linspace(grid.loss_min, grid.loss_max, grid.loss_steps)
     powers = np.linspace(grid.power_min, grid.power_max, grid.power_steps)
     n_spans = plan.n_spans
     ase, nli, imi, rbs = np.array([gsnr_terms(plan, loss, n_spans, include_rbs)
-                                   for loss in losses.tolist()]).T
+                                   for loss in losses]).T
     # Extreme library inputs can overflow to non-finite cells, which SweepGrid
     # rejects; numpy's warnings about them would only be stray stderr text.
     with np.errstate(all="ignore"):
@@ -119,116 +118,73 @@ def sweep_grid(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
         gsnr *= 10.0
         throughput = trx.net_rate_gbps(gsnr, plan.symbol_rate_hz)
     throughput *= plan.n_carriers / 1e3
-    return SweepGrid(losses, powers, gsnr, throughput)
+    return SweepGrid(np.array(losses), powers, gsnr, throughput)
 
 
-def extract_contour(
-    grid: SweepGrid,
-    field: str,
-    level: float,
-) -> list[list[tuple[float, float]]]:
-    """Marching-squares polylines of `field` ("gsnr" or "throughput") at `level`.
+def extract_contour(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec, field: str,
+                    level: float, include_rbs: bool = False) -> list[list[tuple[float, float]]]:
+    """Polylines of `field` ("gsnr" or "throughput") at `level` in the grid's
+    power window, [] where none: (loss_db_per_km, edfa_power_dbm) on its loss rows.
 
-    Points are (loss_db_per_km, edfa_power_dbm) with linear interpolation along
-    cell edges; saddle cells are disambiguated by the cell-center average.
-    Returns an empty list when the level is never crossed.
+    A row's 1/GSNR = A/p + B*p^2 + C meets the level at inv_gsnr: 10^(-level/10)
+    for dB, 1/g* for Tb/s with g* the least GSNR carrying it. The rising root is
+    _solve_powers_dbm's. The roots of B*p^3 - D*p + A, D = inv_gsnr - C, sum to 0
+    and their pairwise products to -D/B, so the falling root is
+    (sqrt(4D/B - 3*p_lo^2) - p_lo)/2: +inf without NLI, sqrt(D/B) at p_lo = 0.
+    Each run of rows with roots is walked out along the rising roots and back
+    along the falling ones, joined within each end row inside the grid (a tip),
+    and cut wherever a vertex leaves the window.
     """
-    import numpy as np
-
-    fields = {"gsnr": grid.gsnr_db, "throughput": grid.throughput_tbps}
-    if field not in fields:
-        raise ValueError(f"field must be one of {sorted(fields)}, got {field!r}")
-    values = fields[field]
-    if not np.all(np.isfinite(values)):
-        raise ValueError("grid contains non-finite cells")
-    cases = _cell_cases(values, level)
-    i, j = np.nonzero((cases != 0) & (cases != 15))
-    xs, ys = grid.loss_db_per_km, grid.edfa_power_dbm
-    # Corner (x, y, value) of every crossed cell, and each edge's two corners.
-    c00, c10 = (xs[i], ys[j], values[i, j]), (xs[i + 1], ys[j], values[i + 1, j])
-    c01, c11 = (xs[i], ys[j + 1], values[i, j + 1]), (xs[i + 1], ys[j + 1], values[i + 1, j + 1])
-    ends = {"bottom": (c00, c10), "right": (c10, c11), "top": (c01, c11), "left": (c00, c01)}
-    crossings = {}
-    # An edge the level does not cross may divide by zero, but no pair reads it.
-    with np.errstate(all="ignore"):
-        for edge, ((xa, ya, va), (xb, yb, vb)) in ends.items():
-            t = (level - va) / (vb - va)
-            crossings[edge] = list(zip((xa + t * (xb - xa)).tolist(),
-                                       (ya + t * (yb - ya)).tolist()))
-        center_inside = ((c00[2] + c10[2] + c01[2] + c11[2]) / 4.0 >= level).tolist()
-
-    segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
-    for k, case in enumerate(cases[i, j].tolist()):
-        pairs = _SEGMENT_TABLE.get(case)
-        if pairs is None:
-            # Saddle: connect around the corners that match the center.
-            pairs = _SADDLE_PAIRS[(case == 5) == center_inside[k]]
-        for edge_a, edge_b in pairs:
-            a, b = crossings[edge_a][k], crossings[edge_b][k]
-            if a != b:
-                segments.append((a, b))
-    return _chain_segments(segments)
-
-
-def _cell_cases(values: np.ndarray, level: float) -> np.ndarray:
-    """Marching-squares case of every cell: bit k is set when corner k
-    (00, 10, 11, 01 in that order) is at or above the level."""
-    import numpy as np
-
-    above = (values >= level).astype(np.uint8)
-    cases = above[:-1, :-1].copy()
-    cases |= above[1:, :-1] << 1
-    cases |= above[1:, 1:] << 2
-    cases |= above[:-1, 1:] << 3
-    return cases
-
-
-_SEGMENT_TABLE: dict[int, tuple[tuple[str, str], ...]] = {
-    1: (("left", "bottom"),),
-    2: (("bottom", "right"),),
-    3: (("left", "right"),),
-    4: (("right", "top"),),
-    6: (("bottom", "top"),),
-    7: (("left", "top"),),
-    8: (("top", "left"),),
-    9: (("bottom", "top"),),
-    11: (("right", "top"),),
-    12: (("left", "right"),),
-    13: (("bottom", "right"),),
-    14: (("left", "bottom"),),
-}
-
-# Saddle cases 5 and 10: [True] when case 5 has its center inside or case 10 not.
-_SADDLE_PAIRS = ((("left", "bottom"), ("right", "top")), (("bottom", "right"), ("top", "left")))
-
-
-def _chain_segments(
-    segments: list[tuple[tuple[float, float], tuple[float, float]]],
-) -> list[list[tuple[float, float]]]:
-    """Join segments sharing endpoints into polylines (exact float matching:
-    shared cell edges interpolate from identical values)."""
-    by_point: dict[tuple[float, float], list[int]] = defaultdict(list)
-    for idx, (a, b) in enumerate(segments):
-        by_point[a].append(idx)
-        by_point[b].append(idx)
-    used = [False] * len(segments)
+    if field not in ("gsnr", "throughput"):
+        raise ValueError(f"field must be one of ['gsnr', 'throughput'], got {field!r}")
+    inv_gsnr = _inv_db(level) if field == "gsnr" else _target_inv_gsnr(plan, trx, level)
+    losses = _linspace(grid.loss_min, grid.loss_max, grid.loss_steps)
+    n_spans = plan.n_spans
+    terms = [gsnr_terms(plan, loss, n_spans, include_rbs) for loss in losses]
+    low, high = grid.power_min, grid.power_max
+    rows = []  # (loss, rising dBm, falling dBm), or None above the GSNR peak
+    for loss, (a, b, imi, rbs), p_lo in zip(losses, terms, _solve_powers_dbm(terms, inv_gsnr)):
+        p_hi = math.inf  # also where the rising root, so the falling one, is above the window
+        if b > 0 and p_lo <= high:
+            lo = 10.0 ** (p_lo / 10.0)
+            hi = (math.sqrt(4.0 * (inv_gsnr - (imi + rbs)) / b - 3.0 * lo * lo) - lo) / 2.0
+            p_hi = 10.0 * math.log10(hi) if hi > 0 else -math.inf
+        rows.append(None if math.isnan(p_lo) else (loss, p_lo, p_hi))
     polylines: list[list[tuple[float, float]]] = []
-    for start in range(len(segments)):
-        if used[start]:
+    end = 0  # one past the run's last row
+    for has_roots, group in groupby(rows, key=lambda row: row is not None):
+        run = list(group)
+        end += len(run)
+        if not has_roots:
             continue
-        used[start] = True
-        a, b = segments[start]
-        runs = []
-        for tip in (b, a):  # grow from b, then from a
-            run = [tip]
-            while (idx := next((k for k in by_point[tip] if not used[k]), None)) is not None:
-                used[idx] = True
-                pa, pb = segments[idx]
-                tip = pb if pa == tip else pa
-                run.append(tip)
-            runs.append(run)
-        polylines.append(runs[1][::-1] + runs[0])
+        walk = [(x, p_lo) for x, p_lo, _ in run]
+        if end == len(rows) and len(run) > 1:
+            walk.append(None)  # no tip on the grid's last row; one row closes at its start
+        walk += [(x, p_hi) for x, _, p_hi in reversed(run)]
+        walk = [v if v is not None and low <= v[1] <= high else None for v in walk]
+        if end > len(run) > 1:  # the walk also closes within its first row
+            cut = walk.index(None) if None in walk else 0
+            walk = walk[cut:] + walk[:cut + 1]
+        pieces = (list(g) for inside, g in groupby(walk, key=lambda v: v is not None) if inside)
+        polylines += [piece for piece in pieces if len(piece) > 1]
     return polylines
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) for num >= 2, bit for bit, as a list."""
+    div, delta = num - 1, stop - start
+    step = delta / div
+    if step == 0:  # numpy's branch for a step that underflows to 0
+        return [k / div * delta + start for k in range(div)] + [stop]
+    return [k * step + start for k in range(div)] + [stop]
+
+
+def _inv_db(level_db: float) -> float:
+    """10^(-level_db/10): inf past float range."""
+    try:
+        return 10.0 ** (-level_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _target_inv_gsnr(plan: LinkPlan, trx: TransceiverModel, target_tbps: float) -> float:
@@ -237,11 +193,7 @@ def _target_inv_gsnr(plan: LinkPlan, trx: TransceiverModel, target_tbps: float) 
     n_carriers = plan.n_carriers
     # No fibers: the rate is x/0 as IEEE division gives it, +-inf or NaN.
     rate_gbps = target_tbps * 1e3 / n_carriers if n_carriers else target_tbps * math.inf
-    gsnr_db = trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz)
-    try:
-        return 10.0 ** (-gsnr_db / 10.0)
-    except OverflowError:  # g* far below 0 dB, past float range
-        return math.inf
+    return _inv_db(trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz))
 
 
 def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]],
@@ -386,21 +338,21 @@ def span_length_curve(
 def sensitivity_delta(
     plan: LinkPlan,
     trx: TransceiverModel,
-    base: OperatingPoint,
+    loss_db_per_km: float,
     modified_plan: LinkPlan,
     target_tbps: float,
     include_rbs: bool = False,
     settings: SolverSettings = DEFAULT_SOLVER,
 ) -> float:
-    """Extra EDFA power (dB) the modified plan needs for the same target.
+    """Extra EDFA power (dB) the modified plan needs for the same target and loss.
 
     The baseline solve always runs without backscatter; include_rbs applies
     to the modified solve only, so switching backscatter on is itself a
     sensitivity that can be measured with identical plans.
     """
-    loss, span_km = base.loss_db_per_km, plan.span_length_km
-    base_dbm = required_edfa_power(plan, trx, loss, span_km, target_tbps, False, settings)
-    modified_dbm = required_edfa_power(
-        modified_plan, trx, loss, modified_plan.span_length_km, target_tbps, include_rbs, settings
-    )
+    base_dbm = required_edfa_power(plan, trx, loss_db_per_km, plan.span_length_km, target_tbps,
+                                   False, settings)
+    modified_dbm = required_edfa_power(modified_plan, trx, loss_db_per_km,
+                                       modified_plan.span_length_km, target_tbps, include_rbs,
+                                       settings)
     return modified_dbm - base_dbm

@@ -152,6 +152,17 @@ def test_contour_svg_matches_extractor(tmp_path, capsys):
     assert out.read_text().count("<polyline") == n_polylines
 
 
+def test_contour_json_vertices_lie_on_grid_rows(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sweep]\nloss_min = 0.0451\nloss_max = 0.0853\nloss_steps = 37\n"
+                   "power_steps = 5\n")
+    doc = _run_json(capsys, ["contour", "--config", str(cfg), "--format", "json",
+                             "--levels", "950,1000,1050"])
+    rows = set(doc["grid"]["loss_db_per_km"])
+    vertices = [v for c in doc["contours"] for line in c["polylines"] for v in line]
+    assert vertices and all(loss in rows for loss, _ in vertices)
+
+
 def test_span_curve_csv(capsys):
     assert main(["span-curve", "--span-min", "190", "--span-max", "210",
                  "--span-points", "3"]) == EXIT_OK
@@ -470,8 +481,13 @@ def _one_config_error(capsys) -> str:
 def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document, keys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(document))
-    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
-    message = _one_config_error(capsys)
+    # Each format refuses the config with the same line: contour --format svg
+    # builds no sweep grid, yet fails as csv and json do.
+    messages = set()
+    for fmt in FORMATS[command]:
+        assert main([command, "--format", fmt, "--config", str(cfg)]) == EXIT_CONFIG
+        messages.add(_one_config_error(capsys))
+    (message,) = messages
     assert all(key in message for key in keys)
 
 

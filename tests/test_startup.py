@@ -1,8 +1,8 @@
 """What `import hcflink` and the scalar subcommands load.
 
-budget, rbs, powerfeed, latency and span-curve evaluate scalar closed forms, so
-they must start without numpy; the package exports its names lazily for the
-same reason.
+budget, rbs, powerfeed, latency, span-curve and contour --format svg evaluate
+scalar closed forms, so they must start without numpy; the package exports its
+names lazily for the same reason.
 """
 
 from __future__ import annotations
@@ -69,6 +69,17 @@ def test_span_curve_does_not_load_numpy(tmp_path, flags):
 def test_import_explore_does_not_load_numpy():
     probe = "import sys, hcflink.explore; print('numpy' in sys.modules)"
     assert _fresh_python(probe).strip() == "False"
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["shannon-gap", "trx-table"])
+def test_contour_svg_does_not_load_numpy(tmp_path, table):
+    # Its contours come from the cubic's roots per loss row, with no sweep grid.
+    flags = ["--format", "svg", "--levels", "950,1000"]
+    if table:
+        path = tmp_path / "trx.csv"
+        path.write_text("5,100\n8,300\n10,300\n14,500\n20,600\n", encoding="utf-8")
+        flags += ["--trx-table", str(path)]
+    assert _run_main(["contour", *flags]) == {"code": 0, "numpy": False}
 
 
 def test_contour_loads_numpy():
