@@ -329,7 +329,7 @@ def _load_config(path: Path | None) -> RunConfig:
         return parse_config("")
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 

@@ -7,6 +7,7 @@ deltas between plans.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -91,7 +92,7 @@ def sweep_grid(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
                include_rbs: bool = False) -> SweepGrid:
     """Evaluate GSNR and throughput at every lattice point.
 
-    The stacked gsnr_terms of every loss give 1/GSNR = ASE/p + NLI*p^2 +
+    The stacked gsnr_terms of every loss row give 1/GSNR = ASE/p + NLI*p^2 +
     IMI + RBS at p mW as one in-place broadcast over the grid, and the
     whole grid goes through one array call of the transceiver rate.
 
@@ -101,11 +102,9 @@ def sweep_grid(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
     """
     import numpy as np
 
-    losses = _linspace(grid.loss_min, grid.loss_max, grid.loss_steps)
+    losses, terms = _row_terms(plan, grid, include_rbs)
     powers = np.linspace(grid.power_min, grid.power_max, grid.power_steps)
-    n_spans = plan.n_spans
-    ase, nli, imi, rbs = np.array([gsnr_terms(plan, loss, n_spans, include_rbs)
-                                   for loss in losses]).T
+    ase, nli, imi, rbs = np.array(terms).T
     # Extreme library inputs can overflow to non-finite cells, which SweepGrid
     # rejects; numpy's warnings about them would only be stray stderr text.
     with np.errstate(all="ignore"):
@@ -138,9 +137,7 @@ def extract_contour(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec, field
     if field not in ("gsnr", "throughput"):
         raise ValueError(f"field must be one of ['gsnr', 'throughput'], got {field!r}")
     inv_gsnr = _inv_db(level) if field == "gsnr" else _target_inv_gsnr(plan, trx, level)
-    losses = _linspace(grid.loss_min, grid.loss_max, grid.loss_steps)
-    n_spans = plan.n_spans
-    terms = [gsnr_terms(plan, loss, n_spans, include_rbs) for loss in losses]
+    losses, terms = _row_terms(plan, grid, include_rbs)
     low, high = grid.power_min, grid.power_max
     rows = []  # (loss, rising dBm, falling dBm), or None above the GSNR peak
     for loss, (a, b, imi, rbs), p_lo in zip(losses, terms, _solve_powers_dbm(terms, inv_gsnr)):
@@ -168,6 +165,16 @@ def extract_contour(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec, field
         pieces = (list(g) for inside, g in groupby(walk, key=lambda v: v is not None) if inside)
         polylines += [piece for piece in pieces if len(piece) > 1]
     return polylines
+
+
+@functools.lru_cache(maxsize=1)
+def _row_terms(plan: LinkPlan, grid: GridSpec, include_rbs: bool
+               ) -> tuple[tuple[float, ...], tuple[tuple[float, float, float, float], ...]]:
+    """The grid's loss rows and the gsnr_terms of each, computed once for a
+    command's sweep and all its contour levels."""
+    losses = tuple(_linspace(grid.loss_min, grid.loss_max, grid.loss_steps))
+    n_spans = plan.n_spans
+    return losses, tuple([gsnr_terms(plan, loss, n_spans, include_rbs) for loss in losses])
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:

@@ -8,6 +8,7 @@ electrical power feed and propagation latency.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -296,11 +297,20 @@ TransceiverModel = Union[ShannonGapTransceiver, TabulatedTransceiver]
 
 
 def load_transceiver_table(path: str | Path) -> TabulatedTransceiver:
-    """Read a "gsnr_db,net_rate_gbps" table; '#' starts a comment."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    """Read a "gsnr_db,net_rate_gbps" table; '#' starts a comment. The file is
+    read on every call; each (path, text) is parsed once and its model shared."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    return _parse_transceiver_table(str(path), text)
+
+
+@functools.lru_cache(maxsize=8)  # it caches no exception: a bad table raises on every call
+def _parse_transceiver_table(path: str, text: str) -> TabulatedTransceiver:
     points: list[tuple[float, float]] = []
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.partition("#")[0]
         parts = line.split(",")  # float() ignores the spaces around each part
         if len(parts) != 2:

@@ -163,6 +163,23 @@ def test_contour_json_vertices_lie_on_grid_rows(capsys, tmp_path):
     assert vertices and all(loss in rows for loss, _ in vertices)
 
 
+@pytest.mark.parametrize("fmt", ["json", "svg"])
+def test_contour_computes_each_rows_terms_once(monkeypatch, tmp_path, fmt):
+    """The sweep and every level read one set of row terms: one gsnr_terms
+    call per loss row, whatever the number of levels."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return system.gsnr_terms(*args)
+
+    monkeypatch.setattr(explore, "gsnr_terms", counted)
+    explore._row_terms.cache_clear()
+    cfg = parse_config("[sweep]\nloss_steps = 37\npower_steps = 5\n")
+    run_command("contour", cfg, fmt=fmt, levels=(950.0, 1000.0, 1050.0))
+    assert calls == explore._linspace(0.045, 0.085, 37)
+
+
 def test_span_curve_csv(capsys):
     assert main(["span-curve", "--span-min", "190", "--span-max", "210",
                  "--span-points", "3"]) == EXIT_OK
@@ -183,6 +200,16 @@ def test_exit_code_config_error(capsys, tmp_path):
 
 def test_exit_code_missing_config(capsys, tmp_path):
     assert main(["budget", "--config", str(tmp_path / "absent.cfg")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flag", ["--config", "--trx-table"])
+def test_non_utf8_input_file_is_named(capsys, tmp_path, flag):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# comment \xff\n")
+    assert main(["budget", flag, str(path)]) == EXIT_CONFIG
+    message = _one_config_error(capsys)
+    assert str(path) in message
+    assert "'utf-8' codec can't decode byte 0xff in position 10" in message
 
 
 def test_exit_code_infeasible(capsys, tmp_path):

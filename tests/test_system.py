@@ -247,6 +247,47 @@ def test_load_transceiver_table_errors(tmp_path):
         load_transceiver_table(bad)
 
 
+def test_load_transceiver_table_reads_a_rewritten_file(tmp_path):
+    table = tmp_path / "trx.csv"
+    table.write_text("10.0, 400.0\n20.0, 700.0\n")
+    assert load_transceiver_table(table).points == ((10.0, 400.0), (20.0, 700.0))
+    table.write_text("10.0, 400.0\n20.0, 800.0\n")  # same path, maybe the same mtime
+    assert load_transceiver_table(table).points == ((10.0, 400.0), (20.0, 800.0))
+
+
+def test_load_transceiver_table_raises_on_every_call(tmp_path):
+    table = tmp_path / "trx.csv"
+    table.write_text("10.0, 400.0\n")
+    load_transceiver_table(table)
+    table.write_text("10.0, 400.0\n20.0, abc\n")
+    for _ in range(3):
+        with pytest.raises(ValueError, match=r"trx\.csv:2: non-numeric entry '20\.0, abc'$"):
+            load_transceiver_table(table)
+
+
+def test_load_transceiver_table_errors_name_their_own_path(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    for path in (first, second, first):
+        path.write_text("10.0, 400.0\n\n12.0\n")
+        with pytest.raises(ValueError) as info:
+            load_transceiver_table(path)
+        assert str(info.value) == f"{path}:3: expected 'gsnr_db,net_rate_gbps'"
+
+
+def test_load_transceiver_table_parses_each_text_once(tmp_path):
+    """The same (path, text) returns the same immutable model; each call
+    still reads the file."""
+    table = tmp_path / "trx.csv"
+    table.write_text("10.0, 400.0\n20.0, 700.0\n")
+    first = load_transceiver_table(table)
+    assert load_transceiver_table(str(table)) is first
+    table.write_text("10.0, 400.0\n20.0, 750.0\n")
+    assert load_transceiver_table(table) is not first
+    table.write_text("10.0, 400.0\n20.0, 700.0\n")
+    assert load_transceiver_table(table) is first
+
+
+
 def test_cable_throughput_reference(reference_plan, reference_op, calibrated_trx):
     thr = cable_throughput(reference_plan, calibrated_trx, reference_op, include_rbs=False)
     assert thr == pytest.approx(1000.0, rel=1e-5)
