@@ -126,15 +126,7 @@ def _run_contour(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, levels, field
     contour_sets = [(level, explore.extract_contour(plan, trx, spec, field, level, include_rbs))
                     for level in levels]
     if fmt == "svg":
-        unit = "Tb/s" if field == "throughput" else "dB"
-        fh.write(outputs.render_contour_svg(
-            [(f"{level:g} {unit}", lines) for level, lines in contour_sets],
-            xlim=(spec.loss_min, spec.loss_max), ylim=(spec.power_min, spec.power_max),
-            xlabel="fiber loss (dB/km)",
-            ylabel="EDFA output power (dBm)",
-            title=f"{field} contours",
-            config_values=echo,
-        ))
+        fh.write(outputs.render_contour_svg(contour_sets, spec, field, echo))
         return
     doc = {
         "command": "contour",

@@ -13,6 +13,7 @@ import warnings
 from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator
 
 if TYPE_CHECKING:
+    from .config import GridSpec
     from .explore import SpanCurvePoint, SweepGrid
 
 FLOAT_FMT = "{:.12g}"
@@ -36,14 +37,24 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _echo_value(value: Any) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, str) and ("--" in value or not value.isprintable()):
+        # "--" ends an SVG comment; a character isprintable refuses (a control
+        # character, a line or paragraph separator, a surrogate) can end a CSV
+        # comment line or break the document. The ASCII JSON literal with each
+        # "-" escaped holds neither, and json.loads reads the value back.
+        return json.dumps(value).replace("-", "\\u002d")
+    return _fmt(value)
+
+
 def config_echo_lines(values: dict[str, dict[str, Any]]) -> list[str]:
-    """Comment lines embedding the fully-resolved parameter set."""
-    lines = []
-    for section in sorted(values):
-        for key in sorted(values[section]):
-            value = values[section][key]
-            lines.append(f"# {section}.{key} = {'none' if value is None else _fmt(value)}")
-    return lines
+    """Comment lines embedding the fully-resolved parameter set. A string value
+    holding "--" or a character str.isprintable refuses is written as its JSON
+    string literal, with each "-" as \\u002d; every other value as it reads."""
+    return [f"# {section}.{key} = {_echo_value(values[section][key])}"
+            for section in sorted(values) for key in sorted(values[section])]
 
 
 def write_grid_csv(grid: SweepGrid, config_values: dict, fh: IO[str]) -> None:
@@ -173,26 +184,25 @@ def grid_document(grid: SweepGrid) -> dict:
     }
 
 
+SVG_SIZE = (720, 540)  # width, height in px
 _PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def render_contour_svg(
-    contours: list[tuple[str, list[list[tuple[float, float]]]]],
-    xlim: tuple[float, float],
-    ylim: tuple[float, float],
-    xlabel: str,
-    ylabel: str,
-    title: str = "",
-    width: int = 720,
-    height: int = 540,
-    config_values: dict[str, dict[str, Any]] | None = None,
+    contours: list[tuple[float, list[list[tuple[float, float]]]]],
+    grid: GridSpec,
+    field: str,
+    config_values: dict[str, dict[str, Any]],
 ) -> str:
-    """Render labelled contour polylines over the (x, y) ranges."""
+    """Render each (level, polylines) pair over the grid's (loss, power) window,
+    titled and labelled for field, with the config echoed as comments."""
+    width, height = SVG_SIZE
+    unit = "Tb/s" if field == "throughput" else "dB"
     margin_left, margin_right, margin_top, margin_bottom = 80, 24, 40, 60
     plot_w = width - margin_left - margin_right
     plot_h = height - margin_top - margin_bottom
-    x0, x1 = xlim
-    y0, y1 = ylim
+    x0, x1 = grid.loss_min, grid.loss_max
+    y0, y1 = grid.power_min, grid.power_max
 
     def px(x: float) -> float:
         return margin_left + (x - x0) / (x1 - x0) * plot_w
@@ -204,49 +214,37 @@ def render_contour_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    if config_values is not None:
-        parts += [f"<!-- {line[2:]} -->" for line in config_echo_lines(config_values)]
-    parts.append(
+    parts += [f"<!-- {line[2:]} -->" for line in config_echo_lines(config_values)]
+    parts += [
         f'<rect x="{margin_left}" y="{margin_top}" width="{plot_w}" height="{plot_h}" '
-        'fill="white" stroke="black" stroke-width="1"/>'
-    )
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-size="15">{title}</text>'
-        )
+        'fill="white" stroke="black" stroke-width="1"/>',
+        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-size="15">{field} contours</text>',
+    ]
     n_ticks = 6
     for k in range(n_ticks):
         frac = k / (n_ticks - 1)
         x = x0 + frac * (x1 - x0)
         y = y0 + frac * (y1 - y0)
         xp, yp = px(x), py(y)
-        parts.append(
+        parts += [
             f'<line x1="{xp:.2f}" y1="{margin_top + plot_h}" x2="{xp:.2f}" '
-            f'y2="{margin_top + plot_h + 5}" stroke="black"/>'
-        )
-        parts.append(
+            f'y2="{margin_top + plot_h + 5}" stroke="black"/>',
             f'<text x="{xp:.2f}" y="{margin_top + plot_h + 20}" text-anchor="middle" '
-            f'font-size="11">{x:.4g}</text>'
-        )
-        parts.append(
+            f'font-size="11">{x:.4g}</text>',
             f'<line x1="{margin_left - 5}" y1="{yp:.2f}" x2="{margin_left}" '
-            f'y2="{yp:.2f}" stroke="black"/>'
-        )
-        parts.append(
+            f'y2="{yp:.2f}" stroke="black"/>',
             f'<text x="{margin_left - 8}" y="{yp + 4:.2f}" text-anchor="end" '
-            f'font-size="11">{y:.4g}</text>'
-        )
-    parts.append(
+            f'font-size="11">{y:.4g}</text>',
+        ]
+    parts += [
         f'<text x="{margin_left + plot_w / 2:.1f}" y="{height - 16}" '
-        f'text-anchor="middle" font-size="13">{xlabel}</text>'
-    )
-    parts.append(
+        'text-anchor="middle" font-size="13">fiber loss (dB/km)</text>',
         f'<text x="20" y="{margin_top + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-size="13" transform="rotate(-90 20 {margin_top + plot_h / 2:.1f})">'
-        f"{ylabel}</text>"
-    )
-    for idx, (label, polylines) in enumerate(contours):
+        "EDFA output power (dBm)</text>",
+    ]
+    for idx, (level, polylines) in enumerate(contours):
         color = _PALETTE[idx % len(_PALETTE)]
         for line in polylines:
             points_attr = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in line)
@@ -259,7 +257,7 @@ def render_contour_svg(
             lx, ly = longest[len(longest) // 2]
             parts.append(
                 f'<text x="{px(lx) + 4:.2f}" y="{py(ly) - 4:.2f}" fill="{color}" '
-                f'font-size="11">{label}</text>'
+                f'font-size="11">{level:g} {unit}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -9,6 +9,7 @@ import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -90,6 +91,55 @@ def test_span_curve_at_defaults_is_pinned(capsys, fmt):
     golden = Path(__file__).with_name("golden") / f"span_curve_default.{fmt}"
     assert main(["span-curve", "--format", fmt]) == EXIT_OK
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_contour_svg_at_defaults_is_pinned(capsys):
+    golden = Path(__file__).with_name("golden") / "contour_default.svg"
+    assert main(["contour", "--format", "svg", "--levels", "950,1000,1050"]) == EXIT_OK
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def _echoed_table_path(text: str, fmt: str) -> str | None:
+    """transceiver.table_path as the output echoes it, decoded."""
+    if fmt == "json":
+        return json.loads(text)["config"]["transceiver"]["table_path"]
+    if fmt == "svg":
+        builder = ElementTree.TreeBuilder(insert_comments=True)
+        root = ElementTree.fromstring(text, ElementTree.XMLParser(target=builder))
+        lines = ["#" + node.text for node in root if node.tag is ElementTree.Comment]
+    else:
+        lines = text.splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        assert lines[header] in (outputs.GRID_CSV_HEADER, outputs.SPAN_CSV_HEADER)
+        lines = lines[:header]
+    prefix = "# transceiver.table_path = "
+    (echoed,) = [line[len(prefix):].rstrip() for line in lines if line.startswith(prefix)]
+    return None if echoed == "none" else json.loads(echoed) if echoed[0] == '"' else echoed
+
+
+@pytest.mark.parametrize("table", [None, "a--b.csv", "x-->y<svg>", "x\ny,1,2,3", "a\ud800b"],
+                         ids=["default", "double-hyphen", "comment-close", "newline",
+                              "surrogate"])
+@pytest.mark.parametrize("command,fmt", [(c, f) for c, formats in FORMATS.items()
+                                         for f in formats])
+def test_every_output_parses_and_echoes_the_table_path(capsys, tmp_path, command, fmt, table):
+    """Whatever string transceiver.table_path holds, JSON loads, SVG is
+    well-formed XML, CSV has only '#' lines before its header, and the echo
+    reads back the value. a--b.csv is a real table, passed by --trx-table to
+    the commands that take it; the other values sit in the config, where the
+    Shannon-gap variant never opens them."""
+    argv = [command, "--format", fmt]
+    if table == "a--b.csv":
+        table = str(tmp_path / table)
+        Path(table).write_text("10,400\n20,700\n")
+        if command in ("budget", "contour", "span-curve"):  # the commands with --trx-table
+            argv += ["--trx-table", table]
+    if table is not None and "--trx-table" not in argv:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"transceiver": {"table_path": table}}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_OK
+    assert _echoed_table_path(capsys.readouterr().out, fmt) == table
 
 
 def test_budget_with_rbs(capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcflink import outputs
-from hcflink.config import DEFAULTS
+from hcflink.config import DEFAULTS, GridSpec
 from hcflink.explore import SpanCurvePoint, SweepGrid
 from hcflink.outputs import (
     FLOAT_FMT,
@@ -288,21 +288,47 @@ def test_config_echo_covers_every_key():
     assert all(line.startswith("# ") and " = " in line for line in lines)
 
 
+@pytest.mark.parametrize("value", ["/data/a--b.csv", "x-->y<svg>", "x\ny,1,2,3"],
+                         ids=["double-hyphen", "comment-close", "newline"])
+def test_config_echo_writes_unsafe_strings_as_json_literals(value):
+    """A string that could end a CSV comment line or an SVG comment early is
+    echoed as a JSON string literal without "-", and reads back unchanged."""
+    values = {"transceiver": {"table_path": value, "variant": "shannon_gap"}}
+    line = config_echo_lines(values)[0]
+    prefix = "# transceiver.table_path = "
+    assert line.startswith(prefix)
+    literal = line[len(prefix):]
+    assert json.loads(literal) == value
+    assert "-" not in literal and literal.isprintable()
+    assert line.splitlines() == [line]
+
+
+def test_config_echo_keeps_each_value_on_one_ascii_line():
+    for char in ["\r", "\t", "\x00", "\x1c", "\x7f", "\x85", "\u2028", "\u2029", "\ud800",
+                 "\ufffe", "\xa0"]:
+        line = config_echo_lines({"s": {"k": f"a{char}b"}})[0]
+        assert line.splitlines() == [line] and line.isascii()
+        assert json.loads(line[len("# s.k = "):]) == f"a{char}b"
+
+
+def test_config_echo_writes_other_values_as_they_read():
+    values = {"a": {"path": "a-b", "variant": "shannon_gap", "loss": 0.06, "big": 1e21,
+                    "gap": None, "steps": 81, "tab": "-70", "name": "é x"}}
+    assert config_echo_lines(values) == [
+        "# a.big = 1e+21", "# a.gap = none", "# a.loss = 0.06", "# a.name = é x",
+        "# a.path = a-b", "# a.steps = 81", "# a.tab = -70", "# a.variant = shannon_gap",
+    ]
+
+
 def test_svg_contains_polylines_and_labels():
     polylines = [
         [(0.05, 18.0), (0.06, 20.3), (0.07, 22.5)],
         [(0.05, 19.0), (0.055, 19.5)],
     ]
-    svg = render_contour_svg(
-        [("1000 Tb/s", polylines)],
-        xlim=(0.045, 0.085),
-        ylim=(14.0, 25.0),
-        xlabel="fiber loss (dB/km)",
-        ylabel="EDFA output power (dBm)",
-        title="throughput contours",
-    )
+    svg = render_contour_svg([(1000.0, polylines)], GridSpec(), "throughput", DEFAULTS)
     assert svg.count("<polyline") == len(polylines)
     assert "1000 Tb/s" in svg
+    assert "throughput contours" in svg
     assert "fiber loss (dB/km)" in svg
     assert "EDFA output power (dBm)" in svg
     assert svg.startswith("<svg")
@@ -310,25 +336,15 @@ def test_svg_contains_polylines_and_labels():
 
 
 def test_svg_polyline_count_tracks_extractor():
-    svg = render_contour_svg(
-        [("a", [[(0.05, 15.0), (0.06, 16.0)]]), ("b", [])],
-        xlim=(0.045, 0.085),
-        ylim=(14.0, 25.0),
-        xlabel="x",
-        ylabel="y",
-    )
+    svg = render_contour_svg([(15.0, [[(0.05, 15.0), (0.06, 16.0)]]), (16.0, [])],
+                             GridSpec(), "gsnr", DEFAULTS)
     assert svg.count("<polyline") == 1
+    assert ">15 dB</text>" in svg and ">16 dB</text>" not in svg
 
 
 def test_svg_embeds_config_echo():
-    svg = render_contour_svg(
-        [("a", [[(0.05, 15.0), (0.06, 16.0)]])],
-        xlim=(0.045, 0.085),
-        ylim=(14.0, 25.0),
-        xlabel="x",
-        ylabel="y",
-        config_values=DEFAULTS,
-    )
+    svg = render_contour_svg([(1000.0, [[(0.05, 15.0), (0.06, 16.0)]])], GridSpec(),
+                             "throughput", DEFAULTS)
     assert "<!-- fiber.loss_db_per_km = 0.06 -->" in svg
     assert svg.count("<!--") == sum(len(keys) for keys in DEFAULTS.values())
 
