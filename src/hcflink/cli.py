@@ -40,7 +40,6 @@ EXIT_IO = 4
 # The formats each command writes; the first is its default.
 FORMATS = {"budget": ("json",), "contour": ("csv", "json", "svg"), "span-curve": ("csv", "json"),
            "rbs": ("json",), "powerfeed": ("json",), "latency": ("json",)}
-COMMANDS = tuple(FORMATS)
 
 
 def run_command(command: str, cfg: RunConfig, **options) -> str:
@@ -68,16 +67,19 @@ def write_command(
 ) -> None:
     """Run one subcommand against a parsed config and write its output to fh, in
     fmt or else the command's first format in FORMATS. Every check runs before
-    the first write. Each keyword is the dest of the flag that sets it."""
+    the first write. Each keyword is the dest of the flag that sets it. A handler
+    returns its JSON document's fields, or None once it has written CSV or SVG."""
     if command not in FORMATS:
         raise ConfigError(f"unknown command {command!r}")
     formats = FORMATS[command]
     fmt = formats[0] if fmt is None else fmt
     if fmt not in formats:
         raise ConfigError(f"{command} supports --format {'|'.join(formats)}, got {fmt!r}")
-    _HANDLERS[command](cfg, fh, fmt=fmt, include_rbs=include_rbs, target_tbps=target_tbps,
-                       levels=levels, field=field, span_min=span_min, span_max=span_max,
-                       span_points=span_points, losses=losses, trx_table=trx_table)
+    doc = _HANDLERS[command](cfg, fh=fh, fmt=fmt, include_rbs=include_rbs, target_tbps=target_tbps,
+                             levels=levels, field=field, span_min=span_min, span_max=span_max,
+                             span_points=span_points, losses=losses, trx_table=trx_table)
+    if doc is not None:
+        outputs.write_json({"command": command, **doc}, fh)
 
 
 def _echo(cfg: RunConfig, trx_values: dict | None = None) -> dict:
@@ -85,14 +87,13 @@ def _echo(cfg: RunConfig, trx_values: dict | None = None) -> dict:
     return cfg.values if trx_values is None else {**cfg.values, "transceiver": trx_values}
 
 
-def _run_budget(cfg: RunConfig, fh: IO[str], *, include_rbs, trx_table, **_) -> None:
+def _run_budget(cfg: RunConfig, *, include_rbs, trx_table, **_) -> dict:
     plan = cfg.plan()
     trx, trx_values = resolve_transceiver(cfg, plan, trx_table)
     op = cfg.operating_point()
     budget = system.link_gsnr(plan, op, include_rbs)
     rate_gbps = system.channel_net_rate(trx, budget.gsnr_db, plan.symbol_rate_hz)
-    doc = {
-        "command": "budget",
+    return {
         "config": _echo(cfg, trx_values),
         "operating_point": {"loss_db_per_km": op.loss_db_per_km,
                             "edfa_total_output_dbm": op.edfa_total_output_dbm},
@@ -109,11 +110,10 @@ def _run_budget(cfg: RunConfig, fh: IO[str], *, include_rbs, trx_table, **_) -> 
         "channel_net_rate_gbps": rate_gbps,
         "cable_throughput_tbps": plan.n_carriers * rate_gbps / 1e3,
     }
-    outputs.write_json(doc, fh)
 
 
-def _run_contour(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, levels, field, trx_table,
-                 **_) -> None:
+def _run_contour(cfg: RunConfig, *, fh: IO[str], fmt, include_rbs, levels, field, trx_table,
+                 **_) -> dict | None:
     from . import explore
 
     plan, spec = cfg.plan(), cfg.grid()
@@ -122,25 +122,23 @@ def _run_contour(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, levels, field
     echo = _echo(cfg, trx_values)
     if fmt == "csv":
         outputs.write_grid_csv(grid, echo, fh)
-        return
+        return None
     contour_sets = [(level, explore.extract_contour(plan, trx, spec, field, level, include_rbs))
                     for level in levels]
     if fmt == "svg":
         fh.write(outputs.render_contour_svg(contour_sets, spec, field, echo))
-        return
-    doc = {
-        "command": "contour",
+        return None
+    return {
         "config": echo,
         "include_rbs": include_rbs,
         "field": field,
         "grid": outputs.grid_document(grid),
         "contours": [{"level": level, "polylines": lines} for level, lines in contour_sets],
     }
-    outputs.write_json(doc, fh)
 
 
-def _run_span_curve(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, target_tbps,
-                    span_min, span_max, span_points, trx_table, **_) -> None:
+def _run_span_curve(cfg: RunConfig, *, fh: IO[str], fmt, include_rbs, target_tbps,
+                    span_min, span_max, span_points, trx_table, **_) -> dict | None:
     from . import explore
 
     plan = cfg.plan()
@@ -154,9 +152,8 @@ def _run_span_curve(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, target_tbp
     echo = _echo(cfg, trx_values)
     if fmt == "csv":
         outputs.write_span_curve_csv(points, echo, fh)
-        return
-    doc = {
-        "command": "span-curve",
+        return None
+    return {
         "config": echo,
         "include_rbs": include_rbs,
         "target_tbps": target_tbps,
@@ -167,10 +164,9 @@ def _run_span_curve(cfg: RunConfig, fh: IO[str], *, fmt, include_rbs, target_tbp
             for p in points
         ],
     }
-    outputs.write_json(doc, fh)
 
 
-def _run_rbs(cfg: RunConfig, fh: IO[str], *, losses, **_) -> None:
+def _run_rbs(cfg: RunConfig, *, losses, **_) -> dict:
     plan = cfg.plan()
     launch_w = system.per_channel_launch(
         plan.amp.total_output_power_dbm, plan.n_channels, plan.amp.post_output_loss_db
@@ -188,36 +184,31 @@ def _run_rbs(cfg: RunConfig, fh: IO[str], *, losses, **_) -> None:
             "rbs_power_w": impairments.rbs_power(launch_w, backscatter_db, total_km, span_loss_db),
             "gsnr_rbs_db": -linear_to_db(inv),
         })
-    doc = {
-        "command": "rbs",
+    return {
         "config": _echo(cfg),
         "launch_power_w": launch_w,
         "backscatter_db_per_km": backscatter_db,
         "rows": rows,
     }
-    outputs.write_json(doc, fh)
 
 
-def _run_powerfeed(cfg: RunConfig, fh: IO[str], **_) -> None:
+def _run_powerfeed(cfg: RunConfig, **_) -> dict:
     plan, feed = cfg.plan(), cfg.power_feed()
     n_repeaters = system.repeater_count(plan.total_length_km, plan.span_length_km)
     result = system.power_feed(feed, plan.total_length_km, n_repeaters)
-    doc = {
-        "command": "powerfeed",
+    return {
         "config": _echo(cfg),
         "n_repeaters": n_repeaters,
         "supply_limit_w": feed.supply_limit_w,
         "cable_w": result.cable_w, "repeaters_w": result.repeaters_w,
         "total_w": result.total_w, "within_limit": result.within_limit,
     }
-    outputs.write_json(doc, fh)
 
 
-def _run_latency(cfg: RunConfig, fh: IO[str], **_) -> None:
+def _run_latency(cfg: RunConfig, **_) -> dict:
     plan = cfg.plan()
     total_km, group_index = plan.total_length_km, plan.fiber.group_index
-    doc = {
-        "command": "latency",
+    return {
         "config": _echo(cfg),
         "total_length_km": total_km,
         "hollow_core_group_index": group_index,
@@ -225,7 +216,6 @@ def _run_latency(cfg: RunConfig, fh: IO[str], **_) -> None:
         "hollow_core_ms": system.propagation_latency(total_km, group_index, "fiber.group_index"),
         "solid_core_ms": system.propagation_latency(total_km, SOLID_CORE_GROUP_INDEX),
     }
-    outputs.write_json(doc, fh)
 
 
 _HANDLERS = {"budget": _run_budget, "contour": _run_contour, "span-curve": _run_span_curve,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
@@ -231,11 +232,16 @@ def _parse_json(text: str) -> dict[str, Any]:
     return data
 
 
+# A line's body, then its comment: a '#' at the start of the line or after
+# whitespace, but not inside a value that starts with a quote.
+_LINE = re.compile(r"""((?:[^=#]*=\s*(?:"[^"]*"|'[^']*'))?.*?)(?:(?:^|\s)#.*)?""")
+
+
 def _parse_lines(text: str) -> dict[str, dict[str, str]]:
     data: dict[str, dict[str, str]] = {}
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _LINE.fullmatch(raw)[1].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

@@ -11,7 +11,7 @@ import bisect
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Union
@@ -86,7 +86,9 @@ def channels_in_band(band_hz: float, spacing_hz: float) -> int:
 
 @dataclass(frozen=True)
 class LinkPlan:
-    """Topology and channel grid of one cable direction."""
+    """Topology and channel grid of one cable direction. Building it sets n_spans,
+    effective_span_km (the span snapped to an integer partition of the link),
+    n_channels and n_carriers (channels summed over the fibers of one direction)."""
 
     fiber: FiberSpec
     amp: AmplifierSpec
@@ -98,6 +100,10 @@ class LinkPlan:
     n_fibers_per_direction: int = 26
 
     def __post_init__(self) -> None:
+        n_spans = repeater_count(self.total_length_km, self.span_length_km,
+                                 ("link.total_length_km", "span.span_length_km")) + 1
+        object.__setattr__(self, "n_spans", n_spans)
+        object.__setattr__(self, "effective_span_km", self.total_length_km / n_spans)
         self.span_gain_db(self.fiber.loss_db_per_km)
         if not self.symbol_rate_hz > 0:
             raise ValueError(f"link.symbol_rate_hz must be > 0, got {self.symbol_rate_hz}")
@@ -118,30 +124,14 @@ class LinkPlan:
             raise ValueError(
                 f"link.n_fibers_per_direction must be <= 1e6, got {self.n_fibers_per_direction}"
             )
-        if self.n_channels < 1:
+        n_channels = channels_in_band(self.band_hz, self.channel_spacing_hz)
+        if n_channels < 1:
             raise ValueError(
                 f"link.band_hz={self.band_hz} holds no channel at "
                 f"link.channel_spacing_hz={self.channel_spacing_hz}"
             )
-
-    @property
-    def n_spans(self) -> int:
-        return repeater_count(self.total_length_km, self.span_length_km,
-                              ("link.total_length_km", "span.span_length_km")) + 1
-
-    @property
-    def effective_span_km(self) -> float:
-        """Span length after snapping to an integer partition of the link."""
-        return self.total_length_km / self.n_spans
-
-    @property
-    def n_channels(self) -> int:
-        return channels_in_band(self.band_hz, self.channel_spacing_hz)
-
-    @property
-    def n_carriers(self) -> int:
-        """Channels summed over the fibers of one direction."""
-        return self.n_fibers_per_direction * self.n_channels
+        object.__setattr__(self, "n_channels", n_channels)
+        object.__setattr__(self, "n_carriers", self.n_fibers_per_direction * n_channels)
 
     def span_gains_db(self, loss_db_per_km: float, spans_km: Iterable[float],
                       name: str = "fiber.loss_db_per_km") -> list[float]:
@@ -253,8 +243,6 @@ class TabulatedTransceiver:
     """Piecewise-linear (gsnr_db, net_rate_gbps) curve, clamped at the ends."""
 
     points: tuple[tuple[float, float], ...]
-    _gsnr_db: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _rate_gbps: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Every row's finiteness is checked before the order of any two rows.

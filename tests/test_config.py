@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcflink import AmplifierSpec, FiberSpec, GridSpec, LinkPlan, PowerFeedSpec
+from hcflink.cli import EXIT_CONFIG, main
 from hcflink.config import (
     DEFAULTS,
     ConfigError,
@@ -56,6 +57,29 @@ def test_section_header_form():
     assert cfg.values["fiber"]["loss_db_per_km"] == 0.07
     assert cfg.values["fiber"]["imi_db_per_km"] == -60.0
     assert cfg.values["amplifier"]["total_output_power_dbm"] == 22.5
+
+
+@pytest.mark.parametrize("line,value", [
+    ("table_path = runs/a#1.csv", "runs/a#1.csv"),
+    ('table_path = "runs/a#1.csv"  # note', "runs/a#1.csv"),
+    ('table_path = "a #b"', "a #b"),
+    ("table_path = 'a #b'  #note", "a #b"),
+    ("gap_db = 3.5 # note", 3.5),
+])
+def test_hash_inside_a_value_is_kept(line, value):
+    """A '#' opens a comment at the start of a line or after whitespace; a
+    value that starts with a quote keeps every character to its closing quote."""
+    cfg = parse_config(f"# a comment line\n[transceiver] # note\n{line}\n")
+    assert cfg.values["transceiver"][line.split(" ", 1)[0]] == value
+
+
+def test_hash_glued_to_a_number_is_refused(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("transceiver.gap_db = 3.5#x\n", encoding="utf-8")
+    assert main(["latency", "--config", str(config)]) == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "config"
+    assert error["message"].startswith("transceiver.gap_db: expected a number")
 
 
 def test_json_form_equivalent():
@@ -154,6 +178,17 @@ def test_resolve_transceiver_tabulated(tmp_path):
     cfg = parse_config("")
     model, resolved = resolve_transceiver(cfg, cfg.plan(), table_path=str(table))
     assert resolved["variant"] == "tabulated"
+    assert model.net_rate_gbps(15.0, 73.5e9) == pytest.approx(550.0)
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_resolve_transceiver_opens_a_table_path_holding_hash(tmp_path, quote):
+    table = tmp_path / "a#1.csv"
+    table.write_text("10,400\n20,700\n")
+    cfg = parse_config(f"transceiver.variant = tabulated\n"
+                       f"transceiver.table_path = {quote}{table}{quote}  # the table\n")
+    model, resolved = resolve_transceiver(cfg, cfg.plan())
+    assert resolved["table_path"] == str(table)
     assert model.net_rate_gbps(15.0, 73.5e9) == pytest.approx(550.0)
 
 

@@ -3,13 +3,15 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import asdict, fields, replace
+from collections import Counter
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcflink import system
 from hcflink.config import GridSpec
 from hcflink.impairments import MIN_LOSS_DB_PER_KM, AmplifierSpec, gn_nli_psds_per_span
 from hcflink.system import (
@@ -745,3 +747,29 @@ def test_plan_record_is_its_fields_only(reference_plan):
     assert copy == reference_plan and hash(copy) == hash(reference_plan)
     assert repr(copy) == repr(reference_plan)
     assert "n_spans" not in repr(reference_plan)
+    assert [f.name for f in fields(LinkPlan)] == [
+        "fiber", "amp", "total_length_km", "span_length_km", "band_hz",
+        "channel_spacing_hz", "symbol_rate_hz", "n_fibers_per_direction"]
+    assert [f.name for f in fields(TabulatedTransceiver)] == ["points"]
+    assert asdict(TabulatedTransceiver(((10.0, 100.0),))) == {"points": ((10.0, 100.0),)}
+
+
+def test_plan_counts_are_set_once_when_built(monkeypatch, reference_fiber, reference_amp,
+                                             reference_op):
+    """Building a plan runs the partition and channel checks once; reading the
+    counts and budgeting the plan run them no more."""
+    calls = Counter()
+    for name in ("repeater_count", "channels_in_band"):
+        def counted(*args, _name=name, _func=getattr(system, name)):
+            calls[_name] += 1
+            return _func(*args)
+        monkeypatch.setattr(system, name, counted)
+    plan = LinkPlan(fiber=reference_fiber, amp=reference_amp)
+    assert calls == {"repeater_count": 1, "channels_in_band": 1}
+    assert (plan.n_spans, plan.effective_span_km, plan.n_channels, plan.n_carriers) == \
+        (33, 200.0, 66, 26 * 66)
+    for _ in range(3):
+        link_gsnr(plan, reference_op, include_rbs=True)
+    assert calls == {"repeater_count": 1, "channels_in_band": 1}
+    with pytest.raises(FrozenInstanceError):
+        plan.n_spans = 5
