@@ -194,7 +194,7 @@ def _run_rbs(cfg: RunConfig, *, losses, **_) -> dict:
 
 def _run_powerfeed(cfg: RunConfig, **_) -> dict:
     plan, feed = cfg.plan(), cfg.power_feed()
-    n_repeaters = system.repeater_count(plan.total_length_km, plan.span_length_km)
+    n_repeaters = plan.n_spans - 1  # LinkPlan has checked the partition
     result = system.power_feed(feed, plan.total_length_km, n_repeaters)
     return {
         "config": _echo(cfg),

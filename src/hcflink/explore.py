@@ -2,23 +2,27 @@
 
 Full rectangular sweeps with contour extraction, required-power solves at
 fixed throughput targets, span-length trade-off curves, and sensitivity
-deltas between plans.
+deltas between plans. Of the 1/GSNR law's closed forms, system holds all but
+the two with one caller here: sweep_grid's broadcast, extract_contour's falling root.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from itertools import groupby
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import MAX_GRID_POINTS, GridSpec  # noqa: F401  (re-exported)
 from .system import (
     InfeasibleError,
     LinkPlan,
     TransceiverModel,
+    _inv_db,
+    _solve_powers_dbm,
+    _target_inv_gsnr,
+    _throughput_peak,
     gsnr_terms,
     repeater_count,
     span_count,
@@ -32,10 +36,6 @@ if TYPE_CHECKING:
 
 # Most samples a span trade-off curve may take.
 MAX_SPAN_POINTS = 100_000
-
-# The trigonometric cubic formula's factors 2/sqrt(3) and -1.5*sqrt(3).
-_TRIG_SCALE = 2.0 / math.sqrt(3.0)
-_TRIG_ARG = -1.5 * math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -178,84 +178,14 @@ def _row_terms(plan: LinkPlan, grid: GridSpec, include_rbs: bool
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """np.linspace(start, stop, num) for num >= 2, bit for bit, as a list."""
+    """np.linspace(start, stop, num) for num >= 1, bit for bit, as a list."""
     div, delta = num - 1, stop - start
+    if div == 0:  # numpy's one sample is 0*delta + start: NaN for an infinite delta
+        return [0.0 * delta + start]
     step = delta / div
     if step == 0:  # numpy's branch for a step that underflows to 0
         return [k / div * delta + start for k in range(div)] + [stop]
     return [k * step + start for k in range(div)] + [stop]
-
-
-def _inv_db(level_db: float) -> float:
-    """10^(-level_db/10): inf past float range."""
-    try:
-        return 10.0 ** (-level_db / 10.0)
-    except OverflowError:
-        return math.inf
-
-
-def _target_inv_gsnr(plan: LinkPlan, trx: TransceiverModel, target_tbps: float) -> float:
-    """1/g* for g* the least GSNR carrying target_tbps: 0 when no GSNR carries it,
-    inf when every GSNR does."""
-    n_carriers = plan.n_carriers
-    # No fibers: the rate is x/0 as IEEE division gives it, +-inf or NaN.
-    rate_gbps = target_tbps * 1e3 / n_carriers if n_carriers else target_tbps * math.inf
-    return _inv_db(trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz))
-
-
-def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]],
-                      inv_gsnr: float) -> list[float]:
-    """Least EDFA output power (dBm) at which 1/GSNR = A/p + B*p^2 + C falls to
-    inv_gsnr, for A, B and C = IMI + RBS the gsnr_terms of each span count: NaN
-    above the GSNR peak, -inf when every power reaches it.
-
-    Closed form: A/p + B*p^2 = D = inv_gsnr - C becomes eps*x^3 - x + 1 = 0 for
-    p = (A/D)*x, eps = B*A^2/D^3. It has a root iff eps <= 4/27, i.e.
-    D >= 1.5*A/P_opt with P_opt = (A/2B)^(1/3); the smaller root, x in [1, 1.5],
-    is on the rising branch.
-    """
-    sqrt, cos, acos, log10 = math.sqrt, math.cos, math.acos, math.log10
-    scale, arg = _TRIG_SCALE, _TRIG_ARG
-    powers = []
-    for a, b, imi, rbs in terms:
-        d = inv_gsnr - (imi + rbs)
-        if not d > 0:
-            p = math.nan
-        elif (r := a / d) == 0:  # the root without NLI: D = inf (a target rate <= 0), or no ASE
-            p = -math.inf
-        elif not (eps := b * r * r * r / a) <= 4.0 / 27.0:
-            p = math.nan
-        else:
-            # u = sqrt(eps) * (largest root), by the trigonometric formula; Vieta's
-            # product then gives the smallest root without the cancellation the
-            # direct trigonometric middle root suffers at small eps.
-            s = sqrt(eps)
-            x = arg * s  # eps <= 4/27 puts x at -1 or above, but for rounding
-            u = scale * cos(acos(x if x > -1.0 else -1.0) / 3.0)
-            uu = u * u
-            p = 10.0 * log10(2.0 * r / (uu + u * sqrt(uu + 4.0 * s / u)))
-        powers.append(p)
-    return powers
-
-
-def _solve_power_dbm(terms: tuple[float, float, float, float], inv_gsnr: float) -> float:
-    """The _solve_powers_dbm of one span count's terms."""
-    return _solve_powers_dbm((terms,), inv_gsnr)[0]
-
-
-def _throughput_peak(plan: LinkPlan, trx: TransceiverModel,
-                     terms: tuple[float, float, float, float]) -> tuple[float, float]:
-    """Power P_opt (dBm) of the GSNR peak 1/(1.5*A/P_opt + C) and the throughput
-    there (Tb/s); without NLI or without ASE the peak is 1/C, at +inf or -inf dBm."""
-    a, b, imi, rbs = terms
-    if a > 0 and b > 0:
-        p_opt_mw = (a / (2.0 * b)) ** (1.0 / 3.0)
-        p_opt_dbm, inv_gsnr = 10.0 * math.log10(p_opt_mw), 1.5 * a / p_opt_mw + (imi + rbs)
-    else:
-        p_opt_dbm, inv_gsnr = (math.inf if b == 0 else -math.inf), imi + rbs
-    # Below the least normal float the peak counts as +inf: 10**(GSNR/10) would overflow.
-    peak_db = -10.0 * math.log10(inv_gsnr) if inv_gsnr >= sys.float_info.min else math.inf
-    return p_opt_dbm, plan.n_carriers * trx.net_rate_gbps(peak_db, plan.symbol_rate_hz) / 1e3
 
 
 def required_edfa_power(
@@ -271,12 +201,12 @@ def required_edfa_power(
     with the link cut into span_km spans (snapped to a whole count).
 
     A target is infeasible only above the throughput peak or outside the
-    window settings.power_bracket_dbm; see _solve_power_dbm.
+    window settings.power_bracket_dbm; see system._solve_powers_dbm.
     """
     n = repeater_count(plan.total_length_km, span_km, ("plan.total_length_km", "span_km")) + 1
     what = f"target {target_tbps:g} Tb/s at {loss_db_per_km:g} dB/km, {span_km:g} km spans"
     terms = gsnr_terms(plan, loss_db_per_km, n, include_rbs)
-    power_dbm = _solve_power_dbm(terms, _target_inv_gsnr(plan, trx, target_tbps))
+    [power_dbm] = _solve_powers_dbm((terms,), _target_inv_gsnr(plan, trx, target_tbps))
     if math.isnan(power_dbm):
         p_opt_dbm, peak_tbps = _throughput_peak(plan, trx, terms)
         raise InfeasibleError(f"{what} is above the throughput peak {peak_tbps:.6g} Tb/s "
@@ -326,13 +256,10 @@ def span_length_curve(
     total = plan.total_length_km
     check_span_range(total, span_min_km, span_max_km, n_points,
                      ("plan.total_length_km", "span_min_km", "span_max_km", "n_points"))
-    # np.linspace(span_min_km, span_max_km, n_points) snapped by span_count's rounding
-    # (floor is int for the positive ratios). check_span_range's count of the
-    # shortest span covers every sample, so none needs span_count's own checks.
-    floor, step = math.floor, (span_max_km - span_min_km) / max(n_points - 1, 1)
-    counts = dict.fromkeys([floor(total / (span_min_km + k * step) + 0.5)
-                            for k in range(n_points - 1)])
-    counts[floor(total / (span_max_km if n_points > 1 else span_min_km) + 0.5)] = None
+    # The samples snapped by span_count's rounding (floor is int for positive ratios);
+    # check_span_range's count of the shortest span covers them all, so none is checked.
+    counts = dict.fromkeys([math.floor(total / span + 0.5)
+                            for span in _linspace(span_min_km, span_max_km, n_points)])
     counts.pop(0, None)  # samples over twice the link length leave no full span
     inv_gsnr = _target_inv_gsnr(plan, trx, target_tbps)
     powers = _solve_powers_dbm(span_terms(plan, loss_db_per_km, counts, include_rbs), inv_gsnr)

@@ -2,7 +2,8 @@
 
 Builds the channel grid, assembles the GSNR budget at an operating point,
 maps GSNR to net throughput through a transceiver model, and evaluates the
-electrical power feed and propagation latency.
+electrical power feed and propagation latency. It owns the closed forms of
+1/GSNR = A/p + B*p^2 + C: terms, forward law, rising root, peak, target inverse.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_CONSTANTS = PhysicalConstants()
+
+# The trigonometric cubic formula's factors 2/sqrt(3) and -1.5*sqrt(3).
+_TRIG_SCALE = 2.0 / math.sqrt(3.0)
+_TRIG_ARG = -1.5 * math.sqrt(3.0)
 
 # Group index used for the solid-core latency comparison output.
 SOLID_CORE_GROUP_INDEX = 1.468
@@ -385,6 +390,73 @@ def link_gsnr(plan: LinkPlan, op: OperatingPoint, include_rbs: bool = False) -> 
     ase, nli, imi, rbs = gsnr_terms(plan, op.loss_db_per_km, plan.n_spans, include_rbs)
     p_mw = 10.0 ** (op.edfa_total_output_dbm / 10.0)
     return combine_gsnr([ase / p_mw, nli * p_mw * p_mw, imi, rbs])
+
+
+def _inv_db(level_db: float) -> float:
+    """10^(-level_db/10): inf past float range."""
+    try:
+        return 10.0 ** (-level_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def _target_inv_gsnr(plan: LinkPlan, trx: TransceiverModel, target_tbps: float) -> float:
+    """1/g* for g* the least GSNR carrying target_tbps: 0 when no GSNR carries it,
+    inf when every GSNR does."""
+    n_carriers = plan.n_carriers
+    # No fibers: the rate is x/0 as IEEE division gives it, +-inf or NaN.
+    rate_gbps = target_tbps * 1e3 / n_carriers if n_carriers else target_tbps * math.inf
+    return _inv_db(trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz))
+
+
+def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]],
+                      inv_gsnr: float) -> list[float]:
+    """Least EDFA output power (dBm) at which 1/GSNR = A/p + B*p^2 + C falls to
+    inv_gsnr, for A, B and C = IMI + RBS the gsnr_terms of each span count: NaN
+    above the GSNR peak, -inf when every power reaches it.
+
+    Closed form: A/p + B*p^2 = D = inv_gsnr - C becomes eps*x^3 - x + 1 = 0 for
+    p = (A/D)*x, eps = B*A^2/D^3. It has a root iff eps <= 4/27, i.e.
+    D >= 1.5*A/P_opt with P_opt = (A/2B)^(1/3); the smaller root, x in [1, 1.5],
+    is on the rising branch.
+    """
+    sqrt, cos, acos, log10 = math.sqrt, math.cos, math.acos, math.log10
+    scale, arg = _TRIG_SCALE, _TRIG_ARG
+    powers = []
+    for a, b, imi, rbs in terms:
+        d = inv_gsnr - (imi + rbs)
+        if not d > 0:
+            p = math.nan
+        elif (r := a / d) == 0:  # the root without NLI: D = inf (a target rate <= 0), or no ASE
+            p = -math.inf
+        elif not (eps := b * r * r * r / a) <= 4.0 / 27.0:
+            p = math.nan
+        else:
+            # u = sqrt(eps) * (largest root), by the trigonometric formula; Vieta's
+            # product then gives the smallest root without the cancellation the
+            # direct trigonometric middle root suffers at small eps.
+            s = sqrt(eps)
+            x = arg * s  # eps <= 4/27 puts x at -1 or above, but for rounding
+            u = scale * cos(acos(x if x > -1.0 else -1.0) / 3.0)
+            uu = u * u
+            p = 10.0 * log10(2.0 * r / (uu + u * sqrt(uu + 4.0 * s / u)))
+        powers.append(p)
+    return powers
+
+
+def _throughput_peak(plan: LinkPlan, trx: TransceiverModel,
+                     terms: tuple[float, float, float, float]) -> tuple[float, float]:
+    """Power P_opt (dBm) of the GSNR peak 1/(1.5*A/P_opt + C) and the throughput
+    there (Tb/s); without NLI or without ASE the peak is 1/C, at +inf or -inf dBm."""
+    a, b, imi, rbs = terms
+    if a > 0 and b > 0:
+        p_opt_mw = (a / (2.0 * b)) ** (1.0 / 3.0)
+        p_opt_dbm, inv_gsnr = 10.0 * math.log10(p_opt_mw), 1.5 * a / p_opt_mw + (imi + rbs)
+    else:
+        p_opt_dbm, inv_gsnr = (math.inf if b == 0 else -math.inf), imi + rbs
+    # Below the least normal float the peak counts as +inf: 10**(GSNR/10) would overflow.
+    peak_db = -10.0 * math.log10(inv_gsnr) if inv_gsnr >= sys.float_info.min else math.inf
+    return p_opt_dbm, plan.n_carriers * trx.net_rate_gbps(peak_db, plan.symbol_rate_hz) / 1e3
 
 
 def channel_net_rate(trx: TransceiverModel, gsnr_db: float, symbol_rate_hz: float) -> float:

@@ -51,6 +51,15 @@ def test_powerfeed_defaults(capsys):
     assert doc["n_repeaters"] == 32
 
 
+def test_powerfeed_reads_the_plans_repeater_count(monkeypatch):
+    cfg = parse_config("")
+    calls = []
+    count = system.repeater_count
+    monkeypatch.setattr(system, "repeater_count", lambda *args: calls.append(args) or count(*args))
+    assert json.loads(run_command("powerfeed", cfg))["n_repeaters"] == 32
+    assert calls == []
+
+
 def test_json_records_carry_every_dataclass_field(capsys):
     """budget's operating point and powerfeed's result are written field by
     field; a field added to either record must reach the JSON too."""

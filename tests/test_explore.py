@@ -15,7 +15,7 @@ from hcflink.explore import (
     GridSpec,
     SolverSettings,
     SpanCurvePoint,
-    _solve_power_dbm,
+    _solve_powers_dbm,
     _target_inv_gsnr,
     extract_contour,
     required_edfa_power,
@@ -331,13 +331,14 @@ def test_contour_never_crashes(reference_plan, gamma, n_fibers, trx, field_level
 
 @settings(max_examples=500, deadline=None)
 @given(start=st.floats(-1e300, 1e300), stop=st.floats(-1e300, 1e300),
-       num=st.integers(2, 60))
+       num=st.integers(1, 60))
 # Adjacent floats at the loss floor: the step underflows to 0 from 9 samples on.
 @example(start=impairments.MIN_LOSS_DB_PER_KM,
          stop=math.nextafter(impairments.MIN_LOSS_DB_PER_KM, math.inf), num=9)
 @example(start=impairments.MIN_LOSS_DB_PER_KM,
          stop=math.nextafter(impairments.MIN_LOSS_DB_PER_KM, math.inf), num=33)
 @example(start=0.045, stop=0.085, num=1001)
+@example(start=-0.0, stop=1.0, num=1)  # numpy's one sample is 0*delta + start: 0.0
 def test_loss_rows_are_numpys_linspace(start, stop, num):
     samples = explore._linspace(start, stop, num)
     assert [x.hex() for x in samples] == [x.hex() for x in np.linspace(start, stop, num).tolist()]
@@ -515,7 +516,7 @@ def test_scalar_solve_matches_the_numpy_reference(
     reference = _numpy_solve_power_dbm(plan, trx, loss, counts, target, include_rbs).tolist()
     inv_gsnr = _target_inv_gsnr(plan, trx, target)
     for n, want in zip(counts, reference):
-        got = _solve_power_dbm(gsnr_terms(plan, loss, n, include_rbs), inv_gsnr)
+        [got] = _solve_powers_dbm((gsnr_terms(plan, loss, n, include_rbs),), inv_gsnr)
         if math.isnan(want) or math.isinf(want):
             assert got == want or math.isnan(got) and math.isnan(want)
         else:

@@ -2,7 +2,8 @@
 
 budget, rbs, powerfeed, latency, span-curve and contour --format svg evaluate
 scalar closed forms, so they must start without numpy; the package exports its
-names lazily for the same reason.
+names lazily for the same reason. budget, rbs, powerfeed and latency need none
+of the studies either, so they must start without importing explore.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ _PROBE = (
     "from hcflink.cli import main\n"
     "with redirect_stdout(io.StringIO()):\n"
     "    code = main(json.loads(sys.argv[1]))\n"
-    "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules}))\n"
+    "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules,\n"
+    "                  'explore': 'hcflink.explore' in sys.modules}))\n"
 )
 
 
@@ -40,7 +42,8 @@ def _fresh_python(*args: str) -> str:
 
 
 def _run_main(argv: list[str]) -> dict:
-    """main(argv) in a fresh interpreter: its exit code and whether numpy loaded."""
+    """main(argv) in a fresh interpreter: its exit code and whether numpy and
+    hcflink.explore loaded."""
     return json.loads(_fresh_python(_PROBE, json.dumps(argv)))
 
 
@@ -50,7 +53,8 @@ def _run_main(argv: list[str]) -> dict:
     ids=" ".join,
 )
 def test_scalar_commands_do_not_load_numpy(argv):
-    assert _run_main(argv) == {"code": 0, "numpy": False}
+    # Nor explore: the 1/GSNR law's closed forms they may need live in system.
+    assert _run_main(argv) == {"code": 0, "numpy": False, "explore": False}
 
 
 @pytest.mark.parametrize(
@@ -63,7 +67,7 @@ def test_span_curve_does_not_load_numpy(tmp_path, flags):
         table = tmp_path / "trx.csv"
         table.write_text("5,100\n8,300\n10,300\n14,500\n20,600\n", encoding="utf-8")
         flags = ["--trx-table", str(table), "--target-tbps", "900"]
-    assert _run_main(["span-curve", *flags]) == {"code": 0, "numpy": False}
+    assert _run_main(["span-curve", *flags]) == {"code": 0, "numpy": False, "explore": True}
 
 
 def test_import_explore_does_not_load_numpy():
@@ -79,12 +83,12 @@ def test_contour_svg_does_not_load_numpy(tmp_path, table):
         path = tmp_path / "trx.csv"
         path.write_text("5,100\n8,300\n10,300\n14,500\n20,600\n", encoding="utf-8")
         flags += ["--trx-table", str(path)]
-    assert _run_main(["contour", *flags]) == {"code": 0, "numpy": False}
+    assert _run_main(["contour", *flags]) == {"code": 0, "numpy": False, "explore": True}
 
 
 def test_contour_loads_numpy():
-    # The probe can tell: the array commands do load it.
-    assert _run_main(["contour"]) == {"code": 0, "numpy": True}
+    # The probe can tell: the array commands do load it, and the studies load explore.
+    assert _run_main(["contour"]) == {"code": 0, "numpy": True, "explore": True}
 
 
 # Every name the package exported when it imported its modules eagerly.
