@@ -9,9 +9,9 @@ Exit codes: 0 success, 2 config error (a usage error too), 3 infeasible solve,
 4 I/O error. Each command writes straight to stdout or to its ``--output`` file,
 which is replaced only when the command succeeds.
 
-Only contour --format csv|json (their sweep arrays) and budget --trx-table (the
-table's np.interp) load numpy: the other commands, contour --format svg too, evaluate
-scalar closed forms and start without it.
+No command loads numpy: contour --format csv|json evaluates its grid one loss row
+at a time in plain floats (explore.sweep_rows), a tabulated rate is a bisect, and
+the other commands evaluate scalar closed forms.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _run_contour(cfg: RunConfig, *, fh: IO[str], fmt, include_rbs, levels, field
 
     plan, spec = cfg.plan(), cfg.grid()
     trx, trx_values = resolve_transceiver(cfg, plan, trx_table)
-    grid = None if fmt == "svg" else explore.sweep_grid(plan, trx, spec, include_rbs)
+    grid = None if fmt == "svg" else explore.sweep_rows(plan, trx, spec, include_rbs)
     echo = _echo(cfg, trx_values)
     if fmt == "csv":
         outputs.write_grid_csv(grid, echo, fh)

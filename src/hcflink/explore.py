@@ -1,18 +1,21 @@
 """Parametric studies over the (fiber loss, EDFA power) design plane.
 
-Full rectangular sweeps with contour extraction, required-power solves at
-fixed throughput targets, span-length trade-off curves, and sensitivity
-deltas between plans. Of the 1/GSNR law's closed forms, system holds all but
-the two with one caller here: sweep_grid's broadcast, extract_contour's falling root.
+Full rectangular sweeps, one pure-Python loss row at a time, with contour
+extraction, required-power solves at fixed throughput targets, span-length
+trade-off curves, and sensitivity deltas between plans. Of the 1/GSNR law's
+closed forms, system holds all but the two with one caller here: sweep_rows'
+per-cell form and extract_contour's falling root. Only sweep_grid, which packs
+the rows into arrays, imports numpy.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .config import MAX_GRID_POINTS, GridSpec  # noqa: F401  (re-exported)
 from .system import (
@@ -40,21 +43,13 @@ MAX_SPAN_POINTS = 100_000
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Evaluated lattice: axes plus GSNR and throughput per cell."""
+    """Evaluated lattice: axes plus GSNR and throughput per cell, as sweep_grid
+    packs sweep_rows' finite cells."""
 
     loss_db_per_km: np.ndarray
     edfa_power_dbm: np.ndarray
     gsnr_db: np.ndarray
     throughput_tbps: np.ndarray
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        shape = (len(self.loss_db_per_km), len(self.edfa_power_dbm))
-        if self.gsnr_db.shape != shape or self.throughput_tbps.shape != shape:
-            raise ValueError(f"field shapes must be {shape}")
-        if not (np.all(np.isfinite(self.gsnr_db)) and np.all(np.isfinite(self.throughput_tbps))):
-            raise ValueError("grid contains non-finite cells")
 
 
 @dataclass(frozen=True)
@@ -88,36 +83,81 @@ class SpanCurvePoint(NamedTuple):
     feasible: bool
 
 
+class SweepRows(NamedTuple):
+    """A sweep grid by loss rows: its two axes, and rows(start, stop), which evaluates
+    the loss rows start..stop-1 (all by default) one at a time, each as (loss, GSNR
+    cells, throughput cells) of Python floats."""
+
+    loss_db_per_km: tuple[float, ...]
+    edfa_power_dbm: list[float]
+    rows: Callable[..., Iterator[tuple[float, list[float], list[float]]]]
+
+
+def sweep_rows(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
+               include_rbs: bool = False) -> SweepRows:
+    """GSNR and throughput at every lattice point, evaluated one loss row at a time.
+
+    A row's cells are 10*log10(1/(A*(1/p) + B*p^2 + C)) at p mW for its gsnr_terms
+    A, B and C = IMI + RBS, with 1/p and p^2 computed once per power; its
+    throughput is one call of the transceiver's rate sequence, times n_carriers/1e3.
+
+    A grid with a non-finite cell raises ValueError here, before any row is given
+    out. Each row's 1/GSNR is convex in p, so its extremes lie at the end powers
+    and at the two around P_opt = (A/2B)^(1/3), and the rate is monotone in the
+    GSNR: a row whose cells there lie within +-3000 dB and 1e300 Tb/s holds no
+    non-finite cell. Any other row is evaluated whole.
+    """
+    losses, terms = _row_terms(plan, grid, include_rbs)
+    powers = _linspace(grid.power_min, grid.power_max, grid.power_steps)
+    power_mw = [10.0 ** (p / 10.0) for p in powers]
+    columns = [(1.0 / p, p * p) for p in power_mw]
+    rates, symbol_rate, scale = trx.net_rates_gbps, plan.symbol_rate_hz, plan.n_carriers / 1e3
+    log10 = math.log10
+
+    def cells(a: float, b: float, c: float, columns: Iterable[tuple[float, float]]
+              ) -> tuple[list[float], list[float]]:
+        gsnr = [10.0 * log10(1.0 / (a * inv_p + b * p_sq + c)) for inv_p, p_sq in columns]
+        return gsnr, [rate * scale for rate in rates(gsnr, symbol_rate)]
+
+    last = len(columns) - 1
+    for a, b, imi, rbs in terms:
+        picks = {0, last}
+        if a > 0 and b > 0:  # and the two powers around P_opt
+            k = bisect.bisect_left(power_mw, (a / (2.0 * b)) ** (1.0 / 3.0))
+            picks |= {max(k - 1, 0), min(k, last)}
+        try:
+            gsnr, tput = cells(a, b, imi + rbs, [columns[j] for j in picks])
+            if not (all(-3000.0 <= g <= 3000.0 for g in gsnr)
+                    and all(abs(t) <= 1e300 for t in tput)):
+                gsnr, tput = cells(a, b, imi + rbs, columns)
+            finite = all(map(math.isfinite, gsnr + tput))
+        except (ZeroDivisionError, ValueError):  # 1/0, log10(0), a rate past float range
+            finite = False
+        if not finite:
+            raise ValueError("grid contains non-finite cells")
+
+    def rows(start: int = 0, stop: int | None = None
+             ) -> Iterator[tuple[float, list[float], list[float]]]:
+        for loss, (a, b, imi, rbs) in zip(losses[start:stop], terms[start:stop]):
+            yield (loss, *cells(a, b, imi + rbs, columns))
+
+    return SweepRows(losses, powers, rows)
+
+
 def sweep_grid(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
                include_rbs: bool = False) -> SweepGrid:
-    """Evaluate GSNR and throughput at every lattice point.
-
-    The stacked gsnr_terms of every loss row give 1/GSNR = ASE/p + NLI*p^2 +
-    IMI + RBS at p mW as one in-place broadcast over the grid, and the
-    whole grid goes through one array call of the transceiver rate.
+    """The cells of sweep_rows as numpy arrays, the one place explore needs numpy.
 
     Cells match per-point link_gsnr + channel_net_rate to within 1e-12 dB of
-    GSNR and 1e-12 relative throughput, not bit for bit: numpy's vectorised
-    log10 and power may differ from the C library's by one ulp.
+    GSNR and 1e-12 relative throughput, not bit for bit: the row form computes
+    A*(1/p) where link_gsnr computes A/p.
     """
     import numpy as np
 
-    losses, terms = _row_terms(plan, grid, include_rbs)
-    powers = np.linspace(grid.power_min, grid.power_max, grid.power_steps)
-    ase, nli, imi, rbs = np.array(terms).T
-    # Extreme library inputs can overflow to non-finite cells, which SweepGrid
-    # rejects; numpy's warnings about them would only be stray stderr text.
-    with np.errstate(all="ignore"):
-        power_mw = 10.0 ** (powers / 10.0)
-        gsnr = np.multiply.outer(ase, 1.0 / power_mw)
-        gsnr += np.multiply.outer(nli, power_mw * power_mw)
-        gsnr += (imi + rbs)[:, None]
-        np.divide(1.0, gsnr, out=gsnr)
-        np.log10(gsnr, out=gsnr)
-        gsnr *= 10.0
-        throughput = trx.net_rate_gbps(gsnr, plan.symbol_rate_hz)
-    throughput *= plan.n_carriers / 1e3
-    return SweepGrid(np.array(losses), powers, gsnr, throughput)
+    sweep = sweep_rows(plan, trx, grid, include_rbs)
+    _, gsnr, throughput = zip(*sweep.rows())
+    return SweepGrid(np.array(sweep.loss_db_per_km), np.array(sweep.edfa_power_dbm),
+                     np.array(gsnr), np.array(throughput))
 
 
 def extract_contour(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec, field: str,

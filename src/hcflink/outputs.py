@@ -14,7 +14,7 @@ from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator
 
 if TYPE_CHECKING:
     from .config import GridSpec
-    from .explore import SpanCurvePoint, SweepGrid
+    from .explore import SpanCurvePoint, SweepRows
 
 FLOAT_FMT = "{:.12g}"
 
@@ -57,15 +57,16 @@ def config_echo_lines(values: dict[str, dict[str, Any]]) -> list[str]:
             for section in sorted(values) for key in sorted(values[section])]
 
 
-def write_grid_csv(grid: SweepGrid, config_values: dict, fh: IO[str]) -> None:
+def write_grid_csv(sweep: SweepRows, config_values: dict, fh: IO[str]) -> None:
     """Row-major (loss, then power) dump of a sweep grid.
 
     The loss rows are cut into k contiguous chunks, k = min(usable CPUs,
     cells // MIN_CELLS_PER_WORKER, rows), so grids below two workers' worth of
-    cells stay on one loop. The parent writes chunk 0 row by row; forked workers format
-    the others and the parent copies their text to fh in order, in slices of at
-    most COPY_SLICE bytes. The bytes do not depend on k. A worker that fails
-    raises OSError; every worker is reaped before this returns or raises.
+    cells stay on one loop. The parent evaluates and writes chunk 0 row by row;
+    forked workers evaluate and format the others, and the parent copies their
+    text to fh in order, in slices of at most COPY_SLICE bytes. The bytes do not
+    depend on k. A worker that fails raises OSError; every worker is reaped
+    before this returns or raises.
     """
     for line in config_echo_lines(config_values):
         fh.write(line + "\n")
@@ -73,13 +74,13 @@ def write_grid_csv(grid: SweepGrid, config_values: dict, fh: IO[str]) -> None:
     # One %-template per grid holds every power of a row; each loss row is one
     # % over its interleaved (gsnr, throughput) cells. "%.12g" and FLOAT_FMT
     # round through the same dtoa, so the bytes match per-cell formatting.
-    template = "".join(f"\0,{FLOAT_FMT.format(p)},%.12g,%.12g\n"
-                       for p in grid.edfa_power_dbm.tolist())
-    losses = grid.loss_db_per_km.tolist()
-    k = max(1, min(_usable_cpus(), grid.gsnr_db.size // MIN_CELLS_PER_WORKER, len(losses)))
-    cuts = [len(losses) * i // k for i in range(k + 1)]
-    chunks = [(template, losses[a:b], grid.gsnr_db[a:b], grid.throughput_tbps[a:b])
-              for a, b in zip(cuts, cuts[1:])]
+    powers = sweep.edfa_power_dbm
+    template = "".join(f"\0,{FLOAT_FMT.format(p)},%.12g,%.12g\n" for p in powers)
+    n_rows = len(sweep.loss_db_per_km)
+    k = max(1, min(_usable_cpus(), n_rows * len(powers) // MIN_CELLS_PER_WORKER, n_rows))
+    cuts = [n_rows * i // k for i in range(k + 1)]
+    # Each chunk's rows are a generator: a worker evaluates its own rows.
+    chunks = [(template, sweep.rows(a, b)) for a, b in zip(cuts, cuts[1:])]
     workers: list[tuple[int, int]] = []
     try:
         for rows in chunks[1:]:
@@ -112,15 +113,14 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _format_rows(template: str, losses: list[float], gsnr, tput) -> Iterator[str]:
-    """The CSV text of each loss row of a grid chunk."""
-    import numpy as np
-
-    cells = np.empty(2 * gsnr.shape[1])
-    for loss, g, t in zip(losses, gsnr, tput):
-        cells[0::2] = g
-        cells[1::2] = t
-        yield template.replace("\0", FLOAT_FMT.format(loss)) % tuple(cells.tolist())
+def _format_rows(template: str, rows: Iterable[tuple[float, list[float], list[float]]]
+                 ) -> Iterator[str]:
+    """The CSV text of each (loss, GSNR cells, throughput cells) row of a chunk."""
+    for loss, gsnr, tput in rows:
+        cells = gsnr * 2
+        cells[0::2] = gsnr
+        cells[1::2] = tput
+        yield template.replace("\0", FLOAT_FMT.format(loss)) % tuple(cells)
 
 
 def _fork_worker(rows: tuple) -> tuple[int, int]:
@@ -128,10 +128,11 @@ def _fork_worker(rows: tuple) -> tuple[int, int]:
     the child's pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
-        # Python 3.12+ warns that fork() in a multi-threaded process (numpy's
-        # OpenBLAS pool is one) may deadlock the child on a lock another thread
-        # held. This child takes no such lock: it runs only the row formatter
-        # (numpy slicing and str %) and leaves through os._exit.
+        # Python 3.12+ warns that fork() in a multi-threaded process may deadlock
+        # the child on a lock another thread held; a library caller may run
+        # threads (numpy's OpenBLAS pool is one). This child takes no such lock:
+        # it runs only the row kernel and formatter (float arithmetic and str %)
+        # and leaves through os._exit.
         warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                 DeprecationWarning)
         try:
@@ -175,12 +176,13 @@ def write_json(document: dict, fh: IO[str]) -> None:
     fh.write(json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def grid_document(grid: SweepGrid) -> dict:
+def grid_document(sweep: SweepRows) -> dict:
+    rows = list(sweep.rows())
     return {
-        "loss_db_per_km": grid.loss_db_per_km.tolist(),
-        "edfa_power_dbm": grid.edfa_power_dbm.tolist(),
-        "gsnr_db": grid.gsnr_db.tolist(),
-        "throughput_tbps": grid.throughput_tbps.tolist(),
+        "loss_db_per_km": list(sweep.loss_db_per_km),
+        "edfa_power_dbm": sweep.edfa_power_dbm,
+        "gsnr_db": [gsnr for _, gsnr, _ in rows],
+        "throughput_tbps": [tput for _, _, tput in rows],
     }
 
 

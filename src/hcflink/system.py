@@ -4,6 +4,8 @@ Builds the channel grid, assembles the GSNR budget at an operating point,
 maps GSNR to net throughput through a transceiver model, and evaluates the
 electrical power feed and propagation latency. It owns the closed forms of
 1/GSNR = A/p + B*p^2 + C: terms, forward law, rising root, peak, target inverse.
+Each transceiver's rate law has one sequence form in plain floats, net_rates_gbps,
+and net_rate_gbps is its one-element wrapper; nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .impairments import (
     AmplifierSpec,
@@ -37,9 +39,6 @@ from .units import PhysicalConstants, dbm_to_watt
 from .impairments import ase_inv_snr  # noqa: F401
 from .impairments import gn_nli_psd_per_span  # noqa: F401
 from .units import db_to_linear  # noqa: F401
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_CONSTANTS = PhysicalConstants()
 
@@ -215,23 +214,24 @@ class ShannonGapTransceiver:
         if not self.max_rate_gbps > 0:
             raise ValueError(f"max_rate_gbps must be > 0, got {self.max_rate_gbps}")
 
-    def net_rate_gbps(self, gsnr_db: float | np.ndarray,
-                      symbol_rate_hz: float) -> float | np.ndarray:
-        """Rate at a finite GSNR or at every element of an array of them; a
-        Python number goes through math, so it needs no numpy."""
-        if isinstance(gsnr_db, (int, float)):
-            log2, minimum = math.log2, min
-        else:
-            import numpy as np
-
-            log2, minimum = np.log2, np.minimum
+    def net_rates_gbps(self, gsnrs_db: Sequence[float], symbol_rate_hz: float) -> list[float]:
+        """Rate at each of a sequence of finite GSNRs, in one loop of math calls."""
+        gap, cap, log2, two_rs = self.gap_db, self.max_rate_gbps, math.log2, 2.0 * symbol_rate_hz
         try:
-            snr = 10.0 ** ((gsnr_db - self.gap_db) / 10.0)
-        except OverflowError:  # a Python float past 10^308; arrays give inf
-            raise ValueError(f"gsnr_db = {gsnr_db} puts SNR/gap beyond float range "
-                             f"(gap_db = {self.gap_db})") from None
-        rate = 2.0 * symbol_rate_hz * log2(1.0 + snr) / 1e9
-        return minimum(rate, self.max_rate_gbps) if self.max_rate_gbps < math.inf else rate
+            rates = [two_rs * log2(1.0 + 10.0 ** ((g - gap) / 10.0)) / 1e9 for g in gsnrs_db]
+        except OverflowError:  # name the first GSNR whose SNR/gap is past 10^308
+            for g in gsnrs_db:
+                try:
+                    10.0 ** ((g - gap) / 10.0)
+                except OverflowError:
+                    raise ValueError(f"gsnr_db = {g} puts SNR/gap beyond float range "
+                                     f"(gap_db = {gap})") from None
+            raise
+        return [cap if cap < rate else rate for rate in rates] if cap < math.inf else rates
+
+    def net_rate_gbps(self, gsnr_db: float, symbol_rate_hz: float) -> float:
+        """The net_rates_gbps of one GSNR."""
+        return self.net_rates_gbps((gsnr_db,), symbol_rate_hz)[0]
 
     def required_gsnr_db(self, rate_gbps: float, symbol_rate_hz: float) -> float:
         """Least GSNR (dB) whose rate reaches rate_gbps, SNR = gap * (2^(R/2Rs) - 1):
@@ -267,11 +267,36 @@ class TabulatedTransceiver:
         object.__setattr__(self, "_gsnr_db", gsnr)
         object.__setattr__(self, "_rate_gbps", rate)
 
-    def net_rate_gbps(self, gsnr_db: float | np.ndarray, symbol_rate_hz: float) -> np.ndarray:
-        """Rate at a finite GSNR or at every element of an array of them."""
-        import numpy as np
+    def net_rates_gbps(self, gsnrs_db: Sequence[float], symbol_rate_hz: float) -> list[float]:
+        """Rate at each of a sequence of GSNRs, by np.interp's rule bit for bit: the
+        end rates outside the table and at its last point, the point's rate on a
+        point, else slope*(x - g[j]) + r[j] on the segment g[j] < x < g[j+1], then
+        from g[j+1] if that is NaN, then r[j] on a flat segment; NaN stays NaN
+        except in a one-point table."""
+        gsnr, rate = self._gsnr_db, self._rate_gbps
+        last = len(gsnr) - 1
+        rates = []
+        for x in gsnrs_db:
+            j = bisect.bisect_right(gsnr, x) - 1  # gsnr[j] <= x < gsnr[j+1]
+            if x != x:
+                y = x if last else rate[0]
+            elif j < 0:
+                y = rate[0]
+            elif j == last or gsnr[j] == x:
+                y = rate[j]
+            else:
+                slope = (rate[j + 1] - rate[j]) / (gsnr[j + 1] - gsnr[j])
+                y = slope * (x - gsnr[j]) + rate[j]
+                if y != y:
+                    y = slope * (x - gsnr[j + 1]) + rate[j + 1]
+                    if y != y and rate[j] == rate[j + 1]:
+                        y = rate[j]
+            rates.append(y)
+        return rates
 
-        return np.interp(gsnr_db, self._gsnr_db, self._rate_gbps)
+    def net_rate_gbps(self, gsnr_db: float, symbol_rate_hz: float) -> float:
+        """The net_rates_gbps of one GSNR."""
+        return self.net_rates_gbps((gsnr_db,), symbol_rate_hz)[0]
 
     def required_gsnr_db(self, rate_gbps: float, symbol_rate_hz: float) -> float:
         """Least GSNR (dB) whose rate reaches rate_gbps: the left end of a flat
@@ -464,7 +489,7 @@ def channel_net_rate(trx: TransceiverModel, gsnr_db: float, symbol_rate_hz: floa
     gsnr_db = float(gsnr_db)  # a numpy scalar would overflow to inf where a float raises
     if not math.isfinite(gsnr_db):
         raise ValueError(f"gsnr_db must be finite, got {gsnr_db}")
-    return float(trx.net_rate_gbps(gsnr_db, symbol_rate_hz))
+    return trx.net_rate_gbps(gsnr_db, symbol_rate_hz)
 
 
 def cable_throughput(plan: LinkPlan, trx: TransceiverModel, op: OperatingPoint,

@@ -407,6 +407,49 @@ def test_grid_size_bounded_before_allocation(capsys, tmp_path, monkeypatch):
     assert "sweep.loss_steps" in message and "sweep.power_steps" in message
 
 
+# Loss and lumped losses near 0, no NLI and IMI below the least float: 1/GSNR
+# underflows to a subnormal or to 0, and its inverse to inf.
+_NON_FINITE_GRID = """[fiber]
+loss_db_per_km = 1e-20
+gamma_per_w_km = 0
+imi_db_per_km = -3130
+[amplifier]
+pre_input_loss_db = 0
+post_output_loss_db = 0
+[transceiver]
+gap_db = 1
+[sweep]
+loss_min = 1e-20
+loss_max = 1e-19
+"""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_non_finite_grid_is_refused_before_the_first_byte(capsys, tmp_path, monkeypatch, fmt,
+                                                          to_file):
+    """The refusal comes before any row is written and before any worker forks,
+    even where the grid would be split over workers."""
+    def no_fork(rows):
+        raise AssertionError("a non-finite grid must be refused before any fork")
+
+    monkeypatch.setattr(outputs, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(outputs, "MIN_CELLS_PER_WORKER", 1)
+    monkeypatch.setattr(outputs, "_fork_worker", no_fork)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_NON_FINITE_GRID)
+    out = tmp_path / "grid.out"
+    argv = ["contour", "--config", str(cfg), "--format", fmt]
+    assert main(argv + (["--output", str(out)] if to_file else [])) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {"code": "config",
+                                             "message": "grid contains non-finite cells"}
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
 def test_extreme_sweep_power_is_a_config_error(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text('{"sweep": {"power_max": 5000}}')

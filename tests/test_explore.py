@@ -22,6 +22,7 @@ from hcflink.explore import (
     sensitivity_delta,
     span_length_curve,
     sweep_grid,
+    sweep_rows,
 )
 from hcflink.system import (
     InfeasibleError,
@@ -758,21 +759,44 @@ def test_bad_loss_is_refused_without_a_full_span(reference_plan, calibrated_trx,
 
 
 def _row_by_row_sweep(plan, trx, grid, include_rbs):
-    """The row-by-row form of sweep_grid: one gsnr_terms and one array row per loss."""
+    """The per-cell formula, row by row: one gsnr_terms per loss, 1/p and p^2 once
+    per power, and each cell's rate from the scalar form, in plain floats."""
+    losses = np.linspace(grid.loss_min, grid.loss_max, grid.loss_steps).tolist()
+    powers = np.linspace(grid.power_min, grid.power_max, grid.power_steps).tolist()
+    power_mw = [10.0 ** (p / 10.0) for p in powers]
+    gsnr, throughput = [], []
+    for loss in losses:
+        ase, nli, imi, rbs = gsnr_terms(plan, loss, plan.n_spans, include_rbs)
+        row = [10.0 * math.log10(1.0 / (ase * (1.0 / p) + nli * (p * p) + (imi + rbs)))
+               for p in power_mw]
+        gsnr.append(row)
+        throughput.append([trx.net_rate_gbps(g, plan.symbol_rate_hz) * (plan.n_carriers / 1e3)
+                           for g in row])
+    return losses, powers, gsnr, throughput
+
+
+def _numpy_broadcast_sweep(plan, trx, grid, include_rbs):
+    """The whole-grid numpy broadcast sweep_grid once was, with numpy's rate."""
     losses = np.linspace(grid.loss_min, grid.loss_max, grid.loss_steps)
     powers = np.linspace(grid.power_min, grid.power_max, grid.power_steps)
-    gsnr = np.empty((grid.loss_steps, grid.power_steps))
+    ase, nli, imi, rbs = np.array([gsnr_terms(plan, loss, plan.n_spans, include_rbs)
+                                   for loss in losses.tolist()]).T
     power_mw = 10.0 ** (powers / 10.0)
-    inv_power_mw = 1.0 / power_mw
-    power_mw_sq = power_mw * power_mw
-    for i, loss in enumerate(losses.tolist()):
-        ase, nli, imi, rbs = gsnr_terms(plan, loss, plan.n_spans, include_rbs)
-        inv = ase * inv_power_mw + nli * power_mw_sq
-        inv += imi + rbs
-        gsnr[i] = 10.0 * np.log10(1.0 / inv)
-    throughput = trx.net_rate_gbps(gsnr, plan.symbol_rate_hz)
-    throughput *= plan.n_carriers / 1e3
-    return losses, powers, gsnr, throughput
+    gsnr = np.multiply.outer(ase, 1.0 / power_mw)
+    gsnr += np.multiply.outer(nli, power_mw * power_mw)
+    gsnr += (imi + rbs)[:, None]
+    gsnr = 10.0 * np.log10(1.0 / gsnr)
+    if isinstance(trx, TabulatedTransceiver):
+        gsnr_knots, rate_knots = zip(*trx.points)
+        rate = np.interp(gsnr, gsnr_knots, rate_knots)
+    else:
+        snr = 10.0 ** ((gsnr - trx.gap_db) / 10.0)
+        rate = np.minimum(2.0 * plan.symbol_rate_hz * np.log2(1.0 + snr) / 1e9, trx.max_rate_gbps)
+    return gsnr, rate * (plan.n_carriers / 1e3)
+
+
+_SWEEP_TRX = TabulatedTransceiver(((5.0, 100.0), (8.0, 300.0), (10.0, 300.0), (14.0, 500.0),
+                                   (20.0, 600.0)))
 
 
 @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(0.0451, 0.0849, 37, 13.3, 27.7, 53)],
@@ -781,11 +805,71 @@ def _row_by_row_sweep(plan, trx, grid, include_rbs):
 @pytest.mark.parametrize("tabulated", [False, True])
 def test_sweep_broadcast_is_the_row_by_row_sweep(reference_plan, calibrated_trx, grid,
                                                  include_rbs, tabulated):
-    """The whole-grid broadcast gives every cell the row-by-row formula's bits."""
-    trx = (TabulatedTransceiver(((5.0, 100.0), (8.0, 300.0), (10.0, 300.0), (14.0, 500.0),
-                                 (20.0, 600.0))) if tabulated else calibrated_trx)
+    """sweep_grid, a whole-grid broadcast before its row kernel, gives every cell
+    the bits of the per-cell formula evaluated row by row in plain floats."""
+    trx = _SWEEP_TRX if tabulated else calibrated_trx
     swept = sweep_grid(reference_plan, trx, grid, include_rbs)
     expected = _row_by_row_sweep(reference_plan, trx, grid, include_rbs)
     for got, want in zip((swept.loss_db_per_km, swept.edfa_power_dbm, swept.gsnr_db,
                           swept.throughput_tbps), expected):
-        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("grid", [GridSpec(), GridSpec(0.0451, 0.0849, 37, 13.3, 27.7, 53)],
+                         ids=["default", "odd"])
+@pytest.mark.parametrize("include_rbs", [False, True])
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_sweep_cells_are_the_numpy_broadcasts_within_2e_15(reference_plan, calibrated_trx, grid,
+                                                           include_rbs, tabulated):
+    """numpy's vectorised power, log10 and log2 may differ from the C library's by
+    an ulp: the row kernel's cells stay within 2e-15 relative of the numpy
+    broadcast's, GSNR and throughput alike."""
+    trx = _SWEEP_TRX if tabulated else calibrated_trx
+    swept = sweep_grid(reference_plan, trx, grid, include_rbs)
+    gsnr, throughput = _numpy_broadcast_sweep(reference_plan, trx, grid, include_rbs)
+    np.testing.assert_allclose(swept.gsnr_db, gsnr, rtol=2e-15, atol=0.0)
+    np.testing.assert_allclose(swept.throughput_tbps, throughput, rtol=2e-15, atol=0.0)
+
+
+_TERM = (st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-30, 1.0, 1e30, 1e300, 1.7e308])
+         | st.floats(-330.0, 308.0).map(lambda e: 10.0 ** e) | st.floats(0.0, 1e-2))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(terms=st.lists(st.tuples(_TERM, _TERM, _TERM, _TERM), min_size=2, max_size=4),
+       powers=st.lists(st.floats(-300.0, 300.0) | st.sampled_from([-300.0, 0.0, 300.0]),
+                       min_size=2, max_size=2, unique=True).map(sorted),
+       power_steps=st.integers(2, 9),
+       trx=st.sampled_from([ShannonGapTransceiver(0.0), ShannonGapTransceiver(60.0, 600.0),
+                            TabulatedTransceiver(((0.0, 0.0), (100.0, 1.5e308)))]))
+def test_non_finite_check_refuses_exactly_the_grids_with_a_non_finite_cell(
+        reference_plan, terms, powers, power_steps, trx):
+    """With extreme terms in every row, sweep_rows refuses a grid exactly when
+    the cell formula, evaluated at every cell in plain floats, has a non-finite
+    cell (1/0, log10(0) and a rate past float range count as non-finite)."""
+    grid = GridSpec(0.05, 0.06, len(terms), powers[0], powers[1], power_steps)
+    losses = tuple(np.linspace(0.05, 0.06, len(terms)).tolist())
+    scale = reference_plan.n_carriers / 1e3
+
+    def finite(a, b, c, p):
+        try:
+            g = 10.0 * math.log10(1.0 / (a * (1.0 / p) + b * (p * p) + c))
+            t = trx.net_rate_gbps(g, reference_plan.symbol_rate_hz) * scale
+        except (ZeroDivisionError, ValueError):
+            return False
+        return math.isfinite(g) and math.isfinite(t)
+
+    power_mw = [10.0 ** (p / 10.0) for p in np.linspace(*powers, power_steps).tolist()]
+    every_cell_finite = all(finite(a, b, imi + rbs, p) for a, b, imi, rbs in terms
+                            for p in power_mw)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(explore, "_row_terms", lambda *args: (losses, tuple(terms)))
+        try:
+            sweep = sweep_rows(reference_plan, trx, grid)
+        except ValueError as exc:
+            assert str(exc) == "grid contains non-finite cells"
+            assert not every_cell_finite
+            return
+    assert every_cell_finite
+    for _, gsnr, tput in sweep.rows():
+        assert all(map(math.isfinite, gsnr + tput))

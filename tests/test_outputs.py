@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hcflink import outputs
 from hcflink.config import DEFAULTS, GridSpec
-from hcflink.explore import SpanCurvePoint, SweepGrid
+from hcflink.explore import SpanCurvePoint, SweepRows, sweep_grid, sweep_rows
 from hcflink.outputs import (
     FLOAT_FMT,
     GRID_CSV_HEADER,
@@ -26,12 +26,23 @@ from hcflink.outputs import (
 )
 
 
+def _rows(xs, ys, gsnr, thr) -> SweepRows:
+    """A sweep fed by hand: rows(start, stop) hands out the given cells as
+    Python floats, as sweep_rows' kernel does."""
+    xs, gsnr, thr = (np.asarray(a, dtype=float).tolist() for a in (xs, gsnr, thr))
+
+    def rows(start=0, stop=None):
+        return zip(xs[start:stop], gsnr[start:stop], thr[start:stop])
+
+    return SweepRows(tuple(xs), np.asarray(ys, dtype=float).tolist(), rows)
+
+
 def _small_grid():
-    xs = np.array([0.05, 0.07])
-    ys = np.array([18.0, 22.5])
-    gsnr = np.array([[16.0722837, 14.5], [18.1, 16.4306]])
-    thr = np.array([[983.260595693, 700.0], [1250.0, 1011.34884043]])
-    return SweepGrid(xs, ys, gsnr, thr)
+    xs = [0.05, 0.07]
+    ys = [18.0, 22.5]
+    gsnr = [[16.0722837, 14.5], [18.1, 16.4306]]
+    thr = [[983.260595693, 700.0], [1250.0, 1011.34884043]]
+    return _rows(xs, ys, gsnr, thr)
 
 
 def test_grid_csv_layout():
@@ -57,17 +68,15 @@ def test_csv_keeps_nine_significant_digits():
     assert parsed == pytest.approx(16.0722837, rel=1e-9)
 
 
-def _per_cell_csv(grid: SweepGrid) -> str:
+def _per_cell_csv(grid: SweepRows) -> str:
     """The grid CSV with every cell formatted on its own through FLOAT_FMT."""
     expected = io.StringIO()
     for line in config_echo_lines(DEFAULTS):
         expected.write(line + "\n")
     expected.write(GRID_CSV_HEADER + "\n")
-    for i, loss in enumerate(grid.loss_db_per_km):
-        for j, power in enumerate(grid.edfa_power_dbm):
-            row = (float(loss), float(power), float(grid.gsnr_db[i, j]),
-                   float(grid.throughput_tbps[i, j]))
-            expected.write(",".join(FLOAT_FMT.format(v) for v in row) + "\n")
+    for loss, gsnr, tput in grid.rows():
+        for power, g, t in zip(grid.edfa_power_dbm, gsnr, tput):
+            expected.write(",".join(FLOAT_FMT.format(v) for v in (loss, power, g, t)) + "\n")
     return expected.getvalue()
 
 
@@ -95,19 +104,19 @@ def test_grid_csv_matches_per_cell_format():
                      [16.0722837, 5e-324, -0.0, 1234567.890123456],
                      [math.pi, -math.e, 1e16, 99999999999.95]])
     thr = gsnr[::-1] * 7.0
-    grid = SweepGrid(xs, ys, gsnr, thr)
+    grid = _rows(xs, ys, gsnr, thr)
     buf = io.StringIO()
     write_grid_csv(grid, DEFAULTS, buf)
     assert buf.getvalue() == _per_cell_csv(grid)
     assert "e+21" in buf.getvalue() and "e-07" in buf.getvalue()
 
 
-def _seven_row_grid() -> SweepGrid:
+def _seven_row_grid() -> SweepRows:
     """7 loss rows (no k in 2..6 divides them) with exponent-notation cells."""
     xs = np.array([1e-7, 0.0625, 0.07, 1.5e-5, 3.0, 123456789012345.0, 0.1])
     ys = np.array([-3.5e-5, 14.0, 2.5e21, 7.0, 1e-300])
     gsnr = np.arange(35.0).reshape(7, 5) / 3.0 * np.array([1e-7, 1.0, 1e16, -2.5e21, 5e-324])
-    return SweepGrid(xs, ys, gsnr, gsnr[::-1] * 7.0 + 1e-9)
+    return _rows(xs, ys, gsnr, gsnr[::-1] * 7.0 + 1e-9)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -133,9 +142,9 @@ _CELL = st.one_of(
 def _grids(draw):
     n_loss, n_power = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     cells = st.lists(_CELL, min_size=n_loss * n_power, max_size=n_loss * n_power)
-    return SweepGrid(
-        np.array(draw(st.lists(_CELL, min_size=n_loss, max_size=n_loss))),
-        np.array(draw(st.lists(_CELL, min_size=n_power, max_size=n_power))),
+    return _rows(
+        draw(st.lists(_CELL, min_size=n_loss, max_size=n_loss)),
+        draw(st.lists(_CELL, min_size=n_power, max_size=n_power)),
         np.array(draw(cells)).reshape(n_loss, n_power),
         np.array(draw(cells)).reshape(n_loss, n_power),
     )
@@ -149,8 +158,8 @@ def test_grid_csv_splits_only_from_two_workers_worth_of_cells(monkeypatch, steps
     forked = _force_workers(monkeypatch, 64, outputs.MIN_CELLS_PER_WORKER)
     n_loss, n_power = steps
     cells = np.full((n_loss, n_power), 16.0722837)
-    grid = SweepGrid(np.linspace(0.05, 0.07, n_loss), np.linspace(14.0, 25.0, n_power),
-                     cells, cells * 61.0)
+    grid = _rows(np.linspace(0.05, 0.07, n_loss), np.linspace(14.0, 25.0, n_power),
+                 cells, cells * 61.0)
     write_grid_csv(grid, DEFAULTS, io.StringIO())
     assert len(forked) == workers
 
@@ -182,8 +191,8 @@ class _RecordingHandle(io.StringIO):
 def test_grid_csv_writes_at_most_a_row_or_a_copy_slice(monkeypatch, k):
     _force_workers(monkeypatch, k)
     monkeypatch.setattr(outputs, "COPY_SLICE", 4096)
-    grid = SweepGrid(np.linspace(0.05, 0.07, 10), np.linspace(14.0, 25.0, 100),
-                     np.full((10, 100), 16.0722837), np.full((10, 100), 983.260595693))
+    grid = _rows(np.linspace(0.05, 0.07, 10), np.linspace(14.0, 25.0, 100),
+                 np.full((10, 100), 16.0722837), np.full((10, 100), 983.260595693))
     fh = _RecordingHandle()
     write_grid_csv(grid, DEFAULTS, fh)
     rows = fh.getvalue().splitlines(keepends=True)[-1000:]
@@ -351,8 +360,9 @@ def test_svg_embeds_config_echo():
 
 def test_fork_warning_of_a_threaded_process_does_not_escape(monkeypatch):
     """Python 3.12+ warns at fork() when the process runs other threads (numpy's
-    OpenBLAS pool is one). The workers run only the row formatter, so the writer
-    silences that warning at its fork; nothing reaches stderr."""
+    OpenBLAS pool, in a library caller that loaded numpy, is one). The workers
+    run only the row kernel and formatter, so the writer silences that warning at
+    its fork; nothing reaches stderr."""
     fork = os.fork
 
     def fork_as_in_a_threaded_process():
@@ -369,3 +379,18 @@ def test_fork_warning_of_a_threaded_process_does_not_escape(monkeypatch):
         write_grid_csv(grid, DEFAULTS, buf)
     assert len(forked) == 1
     assert buf.getvalue() == _per_cell_csv(grid)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_grid_csv_of_split_rows_is_sweep_grids_cells(monkeypatch, reference_plan,
+                                                     calibrated_trx, k):
+    """Split over k workers, each evaluating its own rows through the kernel, the
+    CSV holds sweep_grid's array cells, each formatted on its own."""
+    forked = _force_workers(monkeypatch, k)
+    spec = GridSpec(0.045, 0.085, 9, 14.0, 25.0, 13)
+    buf = io.StringIO()
+    write_grid_csv(sweep_rows(reference_plan, calibrated_trx, spec, True), DEFAULTS, buf)
+    assert len(forked) == k - 1
+    grid = sweep_grid(reference_plan, calibrated_trx, spec, True)
+    assert buf.getvalue() == _per_cell_csv(_rows(grid.loss_db_per_km, grid.edfa_power_dbm,
+                                                 grid.gsnr_db, grid.throughput_tbps))

@@ -1,9 +1,12 @@
-"""What `import hcflink` and the scalar subcommands load.
+"""What `import hcflink` and the subcommands load.
 
-budget, rbs, powerfeed, latency, span-curve and contour --format svg evaluate
-scalar closed forms, so they must start without numpy; the package exports its
-names lazily for the same reason. budget, rbs, powerfeed and latency need none
-of the studies either, so they must start without importing explore.
+No subcommand loads numpy: budget, rbs, powerfeed, latency, span-curve and
+contour --format svg evaluate scalar closed forms, contour --format csv|json
+evaluates its grid through explore's pure-Python row kernel, and a tabulated
+transceiver interpolates with bisect. Only the library's sweep_grid, which
+returns numpy arrays, imports it. The package exports its names lazily for the
+same reason. budget, rbs, powerfeed and latency need none of the studies
+either, so they must start without importing explore.
 """
 
 from __future__ import annotations
@@ -86,9 +89,43 @@ def test_contour_svg_does_not_load_numpy(tmp_path, table):
     assert _run_main(["contour", *flags]) == {"code": 0, "numpy": False, "explore": True}
 
 
-def test_contour_loads_numpy():
-    # The probe can tell: the array commands do load it, and the studies load explore.
-    assert _run_main(["contour"]) == {"code": 0, "numpy": True, "explore": True}
+_TABLE = "5,100\n8,300\n10,300\n14,500\n20,600\n"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--format", "csv"], ["--format", "json"], ["--format", "svg"], ["--include-rbs", "true"],
+     ["--trx-table"]],
+    ids=" ".join,
+)
+def test_contour_does_not_load_numpy(tmp_path, flags):
+    # Its grid comes from the row kernel in plain floats, one loss row at a time.
+    if flags == ["--trx-table"]:
+        table = tmp_path / "trx.csv"
+        table.write_text(_TABLE, encoding="utf-8")
+        flags = ["--trx-table", str(table), "--format", "json"]
+    assert _run_main(["contour", *flags]) == {"code": 0, "numpy": False, "explore": True}
+
+
+def test_budget_with_a_table_does_not_load_numpy(tmp_path):
+    # The table's rate is a bisect and np.interp's arithmetic in plain floats.
+    table = tmp_path / "trx.csv"
+    table.write_text(_TABLE, encoding="utf-8")
+    assert _run_main(["budget", "--trx-table", str(table)]) == {
+        "code": 0, "numpy": False, "explore": False}
+
+
+def test_sweep_grid_loads_numpy():
+    # The probe can tell: sweep_grid's arrays do load it.
+    probe = ("import sys\n"
+             "from hcflink.config import parse_config, resolve_transceiver\n"
+             "from hcflink.explore import sweep_grid\n"
+             "cfg = parse_config('')\n"
+             "plan = cfg.plan()\n"
+             "before = 'numpy' in sys.modules\n"
+             "sweep_grid(plan, resolve_transceiver(cfg, plan)[0], cfg.grid())\n"
+             "print(before, 'numpy' in sys.modules)")
+    assert _fresh_python(probe).split() == ["False", "True"]
 
 
 # Every name the package exported when it imported its modules eagerly.

@@ -167,17 +167,23 @@ def test_tabulated_checks_every_row_before_the_order():
         TabulatedTransceiver(((10.0, 400.0), (5.0, 300.0), (20, 700)))
 
 
-def test_rate_models_accept_arrays():
+def test_rate_models_have_a_sequence_form():
     gsnr = np.linspace(-10.0, 30.0, 81)
-    for trx in (
-        ShannonGapTransceiver(gap_db=4.5, max_rate_gbps=900.0),
-        TabulatedTransceiver(((0.0, 100.0), (10.0, 400.0), (20.0, 700.0))),
+    shannon = ShannonGapTransceiver(gap_db=4.5, max_rate_gbps=900.0)
+    table = TabulatedTransceiver(((0.0, 100.0), (10.0, 400.0), (20.0, 700.0)))
+    for trx, numpy_rates in (
+        (shannon, np.minimum(2.0 * 73.5e9 * np.log2(1.0 + 10.0 ** ((gsnr - 4.5) / 10.0)) / 1e9,
+                             900.0)),
+        (table, np.interp(gsnr, (0.0, 10.0, 20.0), (100.0, 400.0, 700.0))),
     ):
-        rates = trx.net_rate_gbps(gsnr, 73.5e9)
-        assert rates.shape == gsnr.shape
-        # numpy's vectorised power/log2 may differ from the scalar path by an ulp
-        scalar = [channel_net_rate(trx, g, 73.5e9) for g in gsnr.tolist()]
-        np.testing.assert_allclose(rates, scalar, rtol=1e-14, atol=0.0)
+        rates = trx.net_rates_gbps(gsnr.tolist(), 73.5e9)
+        assert type(rates) is list and len(rates) == len(gsnr)
+        assert all(type(rate) is float for rate in rates)
+        # numpy's vectorised power/log2 may differ from the math calls by an ulp
+        np.testing.assert_allclose(rates, numpy_rates, rtol=1e-14, atol=0.0)
+        # The scalar form is the sequence form of one GSNR, bit for bit.
+        assert rates == [channel_net_rate(trx, g, 73.5e9) for g in gsnr.tolist()]
+        assert trx.net_rates_gbps((), 73.5e9) == []
         assert type(channel_net_rate(trx, 15.0, 73.5e9)) is float
 
 
@@ -187,14 +193,14 @@ def test_rate_models_accept_arrays():
     gap_db=st.floats(min_value=0.0, max_value=60.0),
     max_rate_gbps=st.sampled_from([math.inf, 600.0]),
 )
-def test_shannon_scalar_and_array_rates_agree(gsnr_db, gap_db, max_rate_gbps):
-    """A Python float goes through math.log2 and min, an array through numpy.
+def test_shannon_scalar_and_sequence_rates_agree(gsnr_db, gap_db, max_rate_gbps):
+    """The scalar form is the sequence form of one GSNR, and both use math.log2.
 
     math.log2 and numpy's log2 differ by at most 1 ulp, which the scaling by
-    2*Rs/1e9 can spread to 3 ulps of the rate: that bounds the scalar path
-    against numpy's log2 of the same float. The array path's power may also
-    differ from Python's by an ulp, which can move 1 + SNR/gap by one ulp of
-    its own: log2 moves by up to 2^-52/ln 2 more, times 2*Rs/1e9.
+    2*Rs/1e9 can spread to 3 ulps of the rate: that bounds the math path against
+    numpy's log2 of the same float. numpy's vectorised power may also differ from
+    Python's by an ulp, which can move 1 + SNR/gap by one ulp of its own: log2
+    moves by up to 2^-52/ln 2 more, times 2*Rs/1e9.
     """
     rs = 73.5e9
     trx = ShannonGapTransceiver(gap_db, max_rate_gbps)
@@ -203,8 +209,53 @@ def test_shannon_scalar_and_array_rates_agree(gsnr_db, gap_db, max_rate_gbps):
     ulps = 3 * math.ulp(scalar)
     numpy_log2 = 2.0 * rs * float(np.log2(1.0 + 10.0 ** ((gsnr_db - gap_db) / 10.0))) / 1e9
     assert abs(scalar - min(numpy_log2, max_rate_gbps)) <= ulps
-    array = float(trx.net_rate_gbps(np.array([gsnr_db]), rs)[0])
+    assert trx.net_rates_gbps([gsnr_db, gsnr_db], rs) == [scalar, scalar]
+    array = float(np.minimum(
+        2.0 * rs * np.log2(1.0 + 10.0 ** ((np.array([gsnr_db]) - gap_db) / 10.0)) / 1e9,
+        max_rate_gbps)[0])
     assert abs(scalar - array) <= ulps + 2.0 * rs / 1e9 * 2.0**-52 / math.log(2.0)
+
+
+def _knots(n):
+    """n strictly increasing GSNR knots and n nondecreasing rates of any sign."""
+    ends = [-1.7e308, 1.7e308]  # a segment whose width and rise overflow: a NaN slope
+    gsnr = st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300, 5e-324, *ends]),
+                    min_size=n, max_size=n, unique=True).map(sorted)
+    rate = st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1e-300, 5e-324, *ends]),
+                    min_size=n, max_size=n).map(sorted)
+    return st.tuples(gsnr, rate).filter(lambda gr: all(b > a for a, b in zip(gr[0], gr[0][1:])))
+
+
+@st.composite
+def _tables_and_gsnrs(draw):
+    n = draw(st.integers(1, 6))
+    gsnr, rate = draw(_knots(n))
+    if n > 1 and draw(st.booleans()):  # a flat segment
+        j = draw(st.integers(0, n - 2))
+        rate[j + 1] = rate[j]
+    near = [x for g in gsnr
+            for x in (g, math.nextafter(g, -math.inf), math.nextafter(g, math.inf))]
+    xs = draw(st.lists(st.sampled_from(near) | st.floats(-2e6, 2e6)
+                       | st.sampled_from([gsnr[0] - 1.0, gsnr[-1] + 1.0, -math.inf, math.inf,
+                                          math.nan]),
+                       min_size=1, max_size=12))
+    return TabulatedTransceiver(tuple(zip(gsnr, rate))), xs
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(_tables_and_gsnrs())
+def test_tabulated_rates_are_np_interp_bit_for_bit(table_xs):
+    """One-point tables, flat segments, every knot and one nextafter either side
+    of it, and GSNRs beyond both ends: the sequence and the scalar form give
+    np.interp's float, NaN where it gives NaN."""
+    table, xs = table_xs
+    gsnr, rate = zip(*table.points)
+    want = np.interp(np.array(xs), np.array(gsnr), np.array(rate)).tolist()
+    got = table.net_rates_gbps(xs, 73.5e9)
+    scalar = [table.net_rate_gbps(x, 73.5e9) for x in xs]
+    for w, g, one in zip(want, got, scalar):
+        assert (math.isnan(w) and math.isnan(g) and math.isnan(one)) or (
+            float.hex(g) == float.hex(w) == float.hex(one))
 
 
 def test_rate_monotone_in_gsnr_both_variants():
@@ -490,9 +541,9 @@ def test_shannon_rate_beyond_float_range_is_a_value_error():
     with pytest.raises(ValueError, match="gsnr_db"):
         channel_net_rate(trx, 4000.0, 73.5e9)
     assert math.isfinite(channel_net_rate(trx, 3000.0, 73.5e9))
-    # Arrays keep numpy's overflow to inf; only the scalar path raises.
-    with np.errstate(over="ignore"):
-        assert trx.net_rate_gbps(np.array([20.0, 4000.0]), 73.5e9)[1] == math.inf
+    # The sequence form raises too, naming the first GSNR past float range.
+    with pytest.raises(ValueError, match=r"^gsnr_db = 4000.0 puts SNR/gap beyond float range"):
+        trx.net_rates_gbps([20.0, 4000.0, 5000.0], 73.5e9)
 
 
 def test_shannon_rate_overflow_is_the_same_error_for_a_numpy_scalar():
