@@ -223,13 +223,10 @@ def resolve_transceiver(
 
 
 def _parse_json(text: str) -> dict[str, Any]:
-    try:
-        data = json.loads(text)
+    try:  # parse_config sends only text that starts with '{': a JSON document is an object
+        return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over Python's digit limit
         raise ConfigError(f"invalid JSON config: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("JSON config must be an object of sections")
-    return data
 
 
 # A line's body, then its comment: a '#' at the start of the line or after

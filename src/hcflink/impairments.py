@@ -179,8 +179,6 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
         raise ValueError(f"launch_psd_w_hz must be >= 0, got {launch_psd_w_hz}")
     if not comb_bw_hz > 0:
         raise ValueError(f"comb_bw_hz must be > 0, got {comb_bw_hz}")
-    if fiber.dispersion_ps_nm_km == 0:
-        raise ValueError("nonlinear interference is singular at zero dispersion")
     loss = fiber.loss_db_per_km if loss_db_per_km is None else loss_db_per_km
     _check_loss_floor(loss, name)
     alpha = attenuation_db_to_per_km(loss)

@@ -149,11 +149,9 @@ def _fork_worker(rows: tuple) -> tuple[int, int]:
             os.close(read_fd)
             # Format the whole chunk first: the parent reads this pipe only
             # after its own chunk, and a full pipe would stall the worker.
-            text = "".join(_format_rows(*rows))
-            for start in range(0, len(text), COPY_SLICE):
-                view = memoryview(text[start:start + COPY_SLICE].encode("ascii"))
-                while view:
-                    view = view[os.write(write_fd, view):]
+            lines = [row.encode("ascii") for row in _format_rows(*rows)]
+            with open(write_fd, "wb") as pipe:  # buffered: it retries a short write
+                pipe.writelines(lines)
             status = 0
         finally:
             os._exit(status)

@@ -263,6 +263,11 @@ class TabulatedTransceiver:
                 raise ValueError(f"table gsnr_db must be strictly increasing: {g0} then {g1}")
             if r1 < r0:
                 raise ValueError(f"table net_rate_gbps must be nondecreasing: {r0} then {r1}")
+        # A finite width and slope keep slope*(x - g[j]) + r[j] free of NaN.
+        for row, (g0, g1, r0, r1) in enumerate(zip(gsnr, gsnr[1:], rate, rate[1:]), 1):
+            if not (math.isfinite(g1 - g0) and math.isfinite((r1 - r0) / (g1 - g0))):
+                raise ValueError(f"table rows {row} ({g0}, {r0}) and {row + 1} ({g1}, {r1}): "
+                                 f"the segment's width or slope is beyond float range")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "_gsnr_db", gsnr)
         object.__setattr__(self, "_rate_gbps", rate)
@@ -270,9 +275,8 @@ class TabulatedTransceiver:
     def net_rates_gbps(self, gsnrs_db: Sequence[float], symbol_rate_hz: float) -> list[float]:
         """Rate at each of a sequence of GSNRs, by np.interp's rule bit for bit: the
         end rates outside the table and at its last point, the point's rate on a
-        point, else slope*(x - g[j]) + r[j] on the segment g[j] < x < g[j+1], then
-        from g[j+1] if that is NaN, then r[j] on a flat segment; NaN stays NaN
-        except in a one-point table."""
+        point, else slope*(x - g[j]) + r[j] on the segment g[j] < x < g[j+1]; NaN
+        stays NaN except in a one-point table."""
         gsnr, rate = self._gsnr_db, self._rate_gbps
         last = len(gsnr) - 1
         rates = []
@@ -287,10 +291,6 @@ class TabulatedTransceiver:
             else:
                 slope = (rate[j + 1] - rate[j]) / (gsnr[j + 1] - gsnr[j])
                 y = slope * (x - gsnr[j]) + rate[j]
-                if y != y:
-                    y = slope * (x - gsnr[j + 1]) + rate[j + 1]
-                    if y != y and rate[j] == rate[j + 1]:
-                        y = rate[j]
             rates.append(y)
         return rates
 

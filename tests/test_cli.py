@@ -290,6 +290,19 @@ def test_exit_code_missing_trx_table(capsys, tmp_path):
     assert main(["budget", "--trx-table", str(tmp_path / "absent.csv")]) == EXIT_IO
 
 
+@pytest.mark.parametrize("command,fmt", [(c, f) for c in ("budget", "span-curve", "contour")
+                                         for f in FORMATS[c]])
+def test_table_segment_that_overflows_is_named(capsys, tmp_path, command, fmt):
+    """A table whose one segment's width and rise overflow is refused before any
+    output, naming its two rows, by every command and format that reads it."""
+    table = tmp_path / "trx.csv"
+    table.write_text("-1.7e308,-1.7e308\n1.7e308,1.7e308\n")
+    assert main([command, "--format", fmt, "--trx-table", str(table)]) == EXIT_CONFIG
+    assert _one_config_error(capsys) == (
+        "table rows 1 (-1.7e+308, -1.7e+308) and 2 (1.7e+308, 1.7e+308): "
+        "the segment's width or slope is beyond float range")
+
+
 def test_run_command_rejects_unknown_command():
     cfg = parse_config("")
     with pytest.raises(ValueError):
@@ -539,6 +552,14 @@ _NON_FINITE = [
         ('{"link": {"band_hz": 5e10}}', ["link.band_hz", "link.channel_spacing_hz"]),
         ('{"sweep": {"power_min": 30, "power_max": 20}}', ["sweep.power_min", "sweep.power_max"]),
         ('{"sweep": {"loss_min": 0.09}}', ["sweep.loss_min", "sweep.loss_max"]),
+        # The parser's own errors.
+        ("[ ]\n", ["line 1: empty section name"]),
+        ("[fiber]\n = 1\n", ["line 2: empty key"]),
+        ("fiber. = 1\n", ["line 1: malformed dotted key"]),
+        (".x = 1\n", ["line 1: malformed dotted key"]),
+        ('{"fiber": 1}', ["section 'fiber' must hold key/value pairs"]),
+        # Only text that starts with '{' is read as JSON; this is a section line.
+        ("[1]", ["unknown section '1'"]),
     ],
     ids=lambda value: value if isinstance(value, str) else None,
 )

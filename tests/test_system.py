@@ -8,12 +8,21 @@ from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hcflink import system
 from hcflink.config import GridSpec
-from hcflink.impairments import MIN_LOSS_DB_PER_KM, AmplifierSpec, gn_nli_psds_per_span
+from hcflink.impairments import (
+    MIN_LOSS_DB_PER_KM,
+    AmplifierSpec,
+    FiberSpec,
+    gn_nli_psds_per_span,
+    imi_inv_snr,
+    nli_inv_snrs,
+    rbs_brute_force,
+    rbs_power,
+)
 from hcflink.system import (
     DEFAULT_CONSTANTS,
     MAX_SPAN_GAIN_DB,
@@ -167,6 +176,31 @@ def test_tabulated_checks_every_row_before_the_order():
         TabulatedTransceiver(((10.0, 400.0), (5.0, 300.0), (20, 700)))
 
 
+@pytest.mark.parametrize(
+    "points, named",
+    [
+        (((-1.7e308, -1.7e308), (1.7e308, 1.7e308)),
+         "rows 1 (-1.7e+308, -1.7e+308) and 2 (1.7e+308, 1.7e+308)"),
+        (((-1.7e308, 5.0), (1.7e308, 5.0)), "rows 1 (-1.7e+308, 5.0) and 2 (1.7e+308, 5.0)"),
+        (((0.0, -1.7e308), (1.0, 1.7e308)), "rows 1 (0.0, -1.7e+308) and 2 (1.0, 1.7e+308)"),
+        (((10.0, 400.0), (20.0, 700.0), (20.000000000000004, 1e300)),
+         "rows 2 (20.0, 700.0) and 3 (20.000000000000004, 1e+300)"),
+    ],
+)
+def test_tabulated_rejects_a_segment_that_overflows(points, named):
+    """A segment whose width g1 - g0 or slope (r1 - r0)/(g1 - g0) is beyond float
+    range is refused, naming both rows."""
+    with pytest.raises(ValueError, match=f"^table {re.escape(named)}: the segment's width or "
+                                         f"slope is beyond float range$"):
+        TabulatedTransceiver(points)
+
+
+def test_tabulated_checks_the_order_before_the_segments():
+    """Rows 1 and 2 overflow, but row 3 breaks the order, and that is named."""
+    with pytest.raises(ValueError, match="^table gsnr_db must be strictly increasing"):
+        TabulatedTransceiver(((-1.7e308, 0.0), (1.7e308, 1.0), (0.0, 2.0)))
+
+
 def test_rate_models_have_a_sequence_form():
     gsnr = np.linspace(-10.0, 30.0, 81)
     shannon = ShannonGapTransceiver(gap_db=4.5, max_rate_gbps=900.0)
@@ -218,7 +252,7 @@ def test_shannon_scalar_and_sequence_rates_agree(gsnr_db, gap_db, max_rate_gbps)
 
 def _knots(n):
     """n strictly increasing GSNR knots and n nondecreasing rates of any sign."""
-    ends = [-1.7e308, 1.7e308]  # a segment whose width and rise overflow: a NaN slope
+    ends = [-1.7e308, 1.7e308]  # a segment between them overflows: the table is refused
     gsnr = st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300, 5e-324, *ends]),
                     min_size=n, max_size=n, unique=True).map(sorted)
     rate = st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1e-300, 5e-324, *ends]),
@@ -239,23 +273,39 @@ def _tables_and_gsnrs(draw):
                        | st.sampled_from([gsnr[0] - 1.0, gsnr[-1] + 1.0, -math.inf, math.inf,
                                           math.nan]),
                        min_size=1, max_size=12))
-    return TabulatedTransceiver(tuple(zip(gsnr, rate))), xs
+    try:
+        table = TabulatedTransceiver(tuple(zip(gsnr, rate)))
+    except ValueError:  # a segment whose width or slope overflows
+        assume(False)
+    return table, xs
 
 
 @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
 @given(_tables_and_gsnrs())
+@example((TabulatedTransceiver(((-8.9e307, 2.0), (0.0, 2.0), (8.9e307, 3.0))),
+          [-1e307, -0.0, math.nextafter(0.0, -1.0), 1e307, math.nextafter(8.9e307, 0.0)]))
+@example((TabulatedTransceiver(((-1.0, 2.0), (8.9e307, 2.0))), [0.0, 8.8e307]))
+@example((TabulatedTransceiver(((0.0, -0.0), (1.0, 0.0), (2.0, 5.0))),
+          [-math.inf, math.inf, 0.5, 1.5, -1.0, 3.0]))
+@example((TabulatedTransceiver(((5.0, 100.0),)), [math.nan, 5.0, -math.inf, math.inf]))
+@example((TabulatedTransceiver(((0.0, 1.0), (1.0, 2.0), (2.0, 2.0))), [math.nan, 1.5]))
+@example((TabulatedTransceiver(((-0.0, 1.0), (1.0, 2.0))), [-0.0, 0.0, 5e-324]))
 def test_tabulated_rates_are_np_interp_bit_for_bit(table_xs):
-    """One-point tables, flat segments, every knot and one nextafter either side
-    of it, and GSNRs beyond both ends: the sequence and the scalar form give
-    np.interp's float, NaN where it gives NaN."""
+    """Accepted tables only: one-point tables, flat segments, every knot and one
+    nextafter either side of it, and GSNRs beyond both ends: the sequence and the
+    scalar form give np.interp's float, NaN only for a NaN GSNR in a table of two
+    or more points. The examples run each branch of net_rates_gbps: a flat
+    segment beside a +-8.9e307 knot, a +-inf GSNR, NaN in a one-point and a
+    longer table, and x on a -0.0 knot."""
     table, xs = table_xs
     gsnr, rate = zip(*table.points)
     want = np.interp(np.array(xs), np.array(gsnr), np.array(rate)).tolist()
     got = table.net_rates_gbps(xs, 73.5e9)
     scalar = [table.net_rate_gbps(x, 73.5e9) for x in xs]
-    for w, g, one in zip(want, got, scalar):
+    for x, w, g, one in zip(xs, want, got, scalar):
         assert (math.isnan(w) and math.isnan(g) and math.isnan(one)) or (
             float.hex(g) == float.hex(w) == float.hex(one))
+        assert not math.isnan(g) or (math.isnan(x) and len(gsnr) > 1)
 
 
 def test_rate_monotone_in_gsnr_both_variants():
@@ -264,6 +314,44 @@ def test_rate_monotone_in_gsnr_both_variants():
     for trx in (shannon, table):
         rates = [channel_net_rate(trx, g, 73.5e9) for g in np.linspace(-10.0, 30.0, 81)]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: ShannonGapTransceiver(-0.5), "gap_db must be >= 0, got -0.5",
+                     id="shannon-gap"),
+        pytest.param(lambda: ShannonGapTransceiver(1.0, 0.0),
+                     "max_rate_gbps must be > 0, got 0.0", id="shannon-cap"),
+        pytest.param(lambda: per_channel_launch(20.0, 10, -1.0),
+                     "post_output_loss_db must be >= 0, got -1.0", id="per_channel_launch"),
+        pytest.param(lambda: power_feed(PowerFeedSpec(), -1.0, 3),
+                     "total_length_km must be >= 0, got -1.0", id="power_feed-length"),
+        pytest.param(lambda: power_feed(PowerFeedSpec(), 100.0, -1),
+                     "n_repeaters must be >= 0, got -1", id="power_feed-repeaters"),
+        pytest.param(lambda: propagation_latency(-1.0, 1.0),
+                     "total_length_km must be >= 0, got -1.0", id="propagation_latency"),
+        pytest.param(lambda: imi_inv_snr(-30.0, -1.0),
+                     "total_length_km must be >= 0, got -1.0", id="imi_inv_snr"),
+        pytest.param(lambda: calibrate_trx_gap(LinkPlan(FiberSpec(), AmplifierSpec()),
+                                               OperatingPoint(0.06, 20.3), 0.0),
+                     "target_tbps must be > 0, got 0.0", id="calibrate_trx_gap"),
+        pytest.param(lambda: nli_inv_snrs([(-1e-30, 3)], 73.5e9, 1e-3),
+                     "psd_per_span_w_hz must be >= 0, got -1e-30", id="nli_inv_snrs"),
+        pytest.param(lambda: rbs_power(-1.0, -70.0, 100.0, 12.0),
+                     "launch_w must be >= 0, got -1.0", id="rbs_power"),
+        pytest.param(lambda: rbs_brute_force(-1.0, -70.0, 0.06, 200.0, 3, 1.0),
+                     "launch_w must be >= 0, got -1.0", id="rbs_brute_force-launch"),
+        pytest.param(lambda: rbs_brute_force(1e-3, -70.0, 0.06, 0.0, 3, 1.0),
+                     "span_km must be > 0, got 0.0", id="rbs_brute_force-span"),
+        pytest.param(lambda: rbs_brute_force(1e-3, -70.0, 0.06, 200.0, -1, 1.0),
+                     "n_spans must be >= 0, got -1", id="rbs_brute_force-count"),
+    ],
+)
+def test_library_argument_check_names_its_argument(call, message):
+    """The argument checks no command reaches, each with its message."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_channel_net_rate_rejects_non_finite():
