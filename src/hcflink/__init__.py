@@ -2,7 +2,10 @@
 hollow-core-fiber submarine cables.
 
 Names are exported lazily (PEP 562): `from hcflink import link_gsnr` imports
-only the module that defines it, so the scalar commands never load numpy.
+only the module that defines it. That is not what keeps numpy out, since no
+module imports numpy when it is imported. It keeps start-up short: the CLI
+imports this package first, and budget, rbs, powerfeed and latency never
+import explore (tests/test_startup.py).
 """
 
 from __future__ import annotations

@@ -82,19 +82,14 @@ def write_command(
         outputs.write_json({"command": command, **doc}, fh)
 
 
-def _echo(cfg: RunConfig, trx_values: dict | None = None) -> dict:
-    """The config to echo; the writers only read it, so it shares cfg.values."""
-    return cfg.values if trx_values is None else {**cfg.values, "transceiver": trx_values}
-
-
 def _run_budget(cfg: RunConfig, *, include_rbs, trx_table, **_) -> dict:
     plan = cfg.plan()
-    trx, trx_values = resolve_transceiver(cfg, plan, trx_table)
+    trx, section = resolve_transceiver(cfg, plan, trx_table)
     op = cfg.operating_point()
     budget = system.link_gsnr(plan, op, include_rbs)
     rate_gbps = system.channel_net_rate(trx, budget.gsnr_db, plan.symbol_rate_hz)
     return {
-        "config": _echo(cfg, trx_values),
+        "config": cfg.echo(section),
         "operating_point": {"loss_db_per_km": op.loss_db_per_km,
                             "edfa_total_output_dbm": op.edfa_total_output_dbm},
         "include_rbs": include_rbs,
@@ -117,9 +112,9 @@ def _run_contour(cfg: RunConfig, *, fh: IO[str], fmt, include_rbs, levels, field
     from . import explore
 
     plan, spec = cfg.plan(), cfg.grid()
-    trx, trx_values = resolve_transceiver(cfg, plan, trx_table)
+    trx, section = resolve_transceiver(cfg, plan, trx_table)
     grid = None if fmt == "svg" else explore.sweep_rows(plan, trx, spec, include_rbs)
-    echo = _echo(cfg, trx_values)
+    echo = cfg.echo(section)
     if fmt == "csv":
         outputs.write_grid_csv(grid, echo, fh)
         return None
@@ -144,12 +139,12 @@ def _run_span_curve(cfg: RunConfig, *, fh: IO[str], fmt, include_rbs, target_tbp
     plan = cfg.plan()
     explore.check_span_range(plan.total_length_km, span_min, span_max, span_points,
                              ("link.total_length_km", "--span-min", "--span-max", "--span-points"))
-    trx, trx_values = resolve_transceiver(cfg, plan, trx_table)
+    trx, section = resolve_transceiver(cfg, plan, trx_table)
     loss = plan.fiber.loss_db_per_km
     points = explore.span_length_curve(
         plan, trx, loss, span_min, span_max, span_points, target_tbps, include_rbs
     )
-    echo = _echo(cfg, trx_values)
+    echo = cfg.echo(section)
     if fmt == "csv":
         outputs.write_span_curve_csv(points, echo, fh)
         return None
@@ -185,7 +180,7 @@ def _run_rbs(cfg: RunConfig, *, losses, **_) -> dict:
             "gsnr_rbs_db": -linear_to_db(inv),
         })
     return {
-        "config": _echo(cfg),
+        "config": cfg.values,
         "launch_power_w": launch_w,
         "backscatter_db_per_km": backscatter_db,
         "rows": rows,
@@ -197,7 +192,7 @@ def _run_powerfeed(cfg: RunConfig, **_) -> dict:
     n_repeaters = plan.n_spans - 1  # LinkPlan has checked the partition
     result = system.power_feed(feed, plan.total_length_km, n_repeaters)
     return {
-        "config": _echo(cfg),
+        "config": cfg.values,
         "n_repeaters": n_repeaters,
         "supply_limit_w": feed.supply_limit_w,
         "cable_w": result.cable_w, "repeaters_w": result.repeaters_w,
@@ -209,7 +204,7 @@ def _run_latency(cfg: RunConfig, **_) -> dict:
     plan = cfg.plan()
     total_km, group_index = plan.total_length_km, plan.fiber.group_index
     return {
-        "config": _echo(cfg),
+        "config": cfg.values,
         "total_length_km": total_km,
         "hollow_core_group_index": group_index,
         "solid_core_group_index": SOLID_CORE_GROUP_INDEX,

@@ -156,6 +156,10 @@ class RunConfig:
     def power_feed(self) -> PowerFeedSpec:
         return self._power_feed
 
+    def echo(self, transceiver: dict[str, Any]) -> dict[str, dict[str, Any]]:
+        """values, with the transceiver section that resolve_transceiver returned."""
+        return {**self.values, "transceiver": transceiver}
+
     def operating_point(self) -> OperatingPoint:
         plan = self._plan
         return OperatingPoint(plan.fiber.loss_db_per_km, plan.amp.total_output_power_dbm)
@@ -198,28 +202,32 @@ def resolve_transceiver(
 ) -> tuple[TransceiverModel, dict[str, Any]]:
     """Build the transceiver model, calibrating the default gap when needed.
 
-    Without an explicit gap, the Shannon-gap model is pinned so the plan hits
-    transceiver.calibration_target_tbps at the configured operating point with
-    backscatter off. Returns the model plus the config's transceiver section,
-    with the table path or the calibrated gap filled in, for echoing.
+    A table_path (--trx-table), else the tabulated variant's, gives a tabulated
+    curve, refused when its greatest rate on every carrier of the plan overflows.
+    Else, without an explicit gap, the Shannon-gap model is pinned so the plan
+    hits transceiver.calibration_target_tbps at the configured operating point
+    with backscatter off. Each choice reads the kept TransceiverSpec; the config's
+    transceiver section, with the table path or the calibrated gap filled in, is
+    only written, and returned with the model for RunConfig.echo.
     """
     spec = cfg.transceiver()
-    echo = dict(cfg.values["transceiver"])
-    if table_path is not None:
-        echo.update(variant="tabulated", table_path=str(table_path))
-    if echo["variant"] == "tabulated":
-        if not echo["table_path"]:
+    section = dict(cfg.values["transceiver"])
+    if table_path is not None or spec.variant == "tabulated":
+        path = spec.table_path if table_path is None else str(table_path)
+        if not path:
             raise ConfigError("transceiver.table_path is required for the tabulated variant")
-        try:
-            model: TransceiverModel = load_transceiver_table(echo["table_path"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return model, echo
-    if spec.gap_db is None:
-        echo["gap_db"] = calibrate_trx_gap(plan, cfg.operating_point(),
-                                           spec.calibration_target_tbps, include_rbs=False)
-    max_rate = math.inf if spec.max_rate_gbps is None else spec.max_rate_gbps
-    return ShannonGapTransceiver(echo["gap_db"], max_rate), echo
+        model = load_transceiver_table(path)
+        rate = max(abs(model.points[0][1]), abs(model.points[-1][1]))
+        if not math.isfinite(plan.n_carriers * rate / 1e3):
+            raise ConfigError(f"{path}: net_rate_gbps {rate!r} on {plan.n_carriers} carriers "
+                              f"takes the cable throughput beyond float range")
+        section.update(variant="tabulated", table_path=path)
+        return model, section
+    gap_db = spec.gap_db
+    if gap_db is None:
+        section["gap_db"] = gap_db = calibrate_trx_gap(
+            plan, cfg.operating_point(), spec.calibration_target_tbps, include_rbs=False)
+    return ShannonGapTransceiver(gap_db, spec.max_rate_gbps or math.inf), section
 
 
 def _parse_json(text: str) -> dict[str, Any]:

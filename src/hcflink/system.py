@@ -53,6 +53,10 @@ SOLID_CORE_GROUP_INDEX = 1.468
 # float overflow before the count is rounded to an int.
 MAX_SPANS = 100_000
 
+# Most channels a band may hold: with at most 1e6 fibers the carrier count stays
+# an exact float, and band/spacing stays below float overflow before int().
+MAX_CHANNELS = 1_000_000
+
 # Largest span gain: fiber span loss plus the lumped losses around the EDFA.
 # The linear gain and the backscatter build-up sinh(x)/x overflow near 3000 dB.
 MAX_SPAN_GAIN_DB = 1000.0
@@ -79,13 +83,20 @@ def span_count(total_length_km: float, span_length_km: float,
     return int(ratio + 0.5)
 
 
-def channels_in_band(band_hz: float, spacing_hz: float) -> int:
-    """How many channels of the given spacing fit in the band."""
+def channels_in_band(band_hz: float, spacing_hz: float,
+                     names: tuple[str, str] = ("band_hz", "spacing_hz")) -> int:
+    """How many channels of the given spacing fit in the band. Raises, naming
+    the two by `names`, unless both are > 0 and they give at most MAX_CHANNELS."""
+    band_name, spacing_name = names
     if not band_hz > 0:
-        raise ValueError(f"band_hz must be > 0, got {band_hz}")
+        raise ValueError(f"{band_name} must be > 0, got {band_hz}")
     if not spacing_hz > 0:
-        raise ValueError(f"spacing_hz must be > 0, got {spacing_hz}")
-    return int(math.floor(band_hz / spacing_hz + 1e-9))
+        raise ValueError(f"{spacing_name} must be > 0, got {spacing_hz}")
+    ratio = band_hz / spacing_hz
+    if ratio > MAX_CHANNELS:
+        raise ValueError(f"{band_name}={band_hz:g} Hz at {spacing_name}={spacing_hz:g} Hz "
+                         f"exceeds MAX_CHANNELS = {MAX_CHANNELS}")
+    return int(math.floor(ratio + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,8 @@ class LinkPlan:
             raise ValueError(
                 f"link.n_fibers_per_direction must be <= 1e6, got {self.n_fibers_per_direction}"
             )
-        n_channels = channels_in_band(self.band_hz, self.channel_spacing_hz)
+        n_channels = channels_in_band(self.band_hz, self.channel_spacing_hz,
+                                      ("link.band_hz", "link.channel_spacing_hz"))
         if n_channels < 1:
             raise ValueError(
                 f"link.band_hz={self.band_hz} holds no channel at "

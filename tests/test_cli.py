@@ -303,6 +303,36 @@ def test_table_segment_that_overflows_is_named(capsys, tmp_path, command, fmt):
         "the segment's width or slope is beyond float range")
 
 
+@pytest.mark.parametrize("command,fmt", [(c, f) for c in ("budget", "span-curve", "contour")
+                                         for f in FORMATS[c]])
+def test_table_rates_that_overflow_the_throughput_are_named(capsys, tmp_path, command, fmt):
+    """Finite rates whose product with the plan's 26 x 66 carriers overflows are
+    refused before any output, naming the table and its greatest rate."""
+    table = tmp_path / "trx.csv"
+    table.write_text("10,1e306\n20,1.7e308\n")
+    assert main([command, "--format", fmt, "--trx-table", str(table)]) == EXIT_CONFIG
+    assert _one_config_error(capsys) == (
+        f"{table}: net_rate_gbps 1.7e+308 on 1716 carriers "
+        "takes the cable throughput beyond float range")
+
+
+@pytest.mark.parametrize("command", sorted(FORMATS))
+@pytest.mark.parametrize("document", [
+    {"link": {"channel_spacing_hz": 1e-300, "symbol_rate_hz": 1e-300}},
+    {"link": {"channel_spacing_hz": 1e-295, "symbol_rate_hz": 1e-295,
+              "n_fibers_per_direction": 1_000_000}},
+])
+def test_channel_count_past_the_bound_is_named(capsys, tmp_path, command, document):
+    """A spacing so small that the band holds more than MAX_CHANNELS used to
+    crash: band/spacing overflowed int(), or the carriers overflowed a float."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(document))
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    message = _one_config_error(capsys)
+    assert "link.band_hz" in message and "link.channel_spacing_hz" in message
+    assert message.endswith(f"exceeds MAX_CHANNELS = {system.MAX_CHANNELS}")
+
+
 def test_run_command_rejects_unknown_command():
     cfg = parse_config("")
     with pytest.raises(ValueError):

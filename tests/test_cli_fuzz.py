@@ -253,3 +253,31 @@ def test_main_over_a_huge_loss_on_tiny_spans(files, documents):
             fh.write("\n".join(lines) + "\n")
         for command in sorted(_COMMAND_FLAGS):
             _run_main([command, f"--config={files['fuzz.cfg']}"], files["out.txt"])
+
+
+@st.composite
+def _channel_grid_documents(draw) -> list[str]:
+    """A symbol rate s down to subnormals, a spacing s*m with m >= 1 that the
+    no-overlap rule accepts, and up to 1e6 fibers: a tiny spacing drawn alone
+    meets the default symbol rate and is refused for overlap, so the per-key
+    draws above never reach a huge channel or carrier count. The spacing's
+    decade is drawn from three ranges: one where the 5 THz band over it leaves
+    float range, one where it holds 1e6 to 1e290 channels, and one where it
+    holds at most MAX_CHANNELS, so the plan is built and the tiny rate goes on."""
+    low, high = draw(st.sampled_from([(-323, -290), (-289, 6), (6, 12)]))
+    scale = draw(st.integers(low, high))
+    rate = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-323, scale))
+    spacing = max(rate, draw(st.floats(1.0, 10.0)) * 10.0 ** scale)
+    fibers = draw(st.one_of(st.integers(0, 52), st.integers(0, 1_000_000)))
+    return ["sweep.loss_steps = 5", "sweep.power_steps = 6", f"link.symbol_rate_hz = {rate!r}",
+            f"link.channel_spacing_hz = {spacing!r}", f"link.n_fibers_per_direction = {fibers}"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lines=_channel_grid_documents())
+def test_main_over_a_paired_symbol_rate_and_spacing(files, lines):
+    with open(files["fuzz.cfg"], "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    for command in sorted(_COMMAND_FLAGS):
+        _run_main([command, f"--config={files['fuzz.cfg']}"], files["out.txt"])

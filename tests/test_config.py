@@ -246,6 +246,18 @@ def test_transceiver_echo_is_the_resolved_section(tmp_path, case):
     assert cfg.values["transceiver"] == parsed
 
 
+def test_echo_is_values_with_the_resolved_section():
+    """RunConfig.echo puts resolve_transceiver's section in place of the parsed
+    one and shares the other sections with values. The section stays the second
+    value of resolve_transceiver: perfbench's set-up probe reads its gap_db."""
+    cfg = parse_config("")
+    _, section = resolve_transceiver(cfg, cfg.plan())
+    echo = cfg.echo(section)
+    assert list(echo) == list(cfg.values)
+    assert echo["transceiver"] is section and section["gap_db"] > 0
+    assert all(echo[name] is cfg.values[name] for name in cfg.values if name != "transceiver")
+
+
 def test_defaults_have_one_source():
     cfg = parse_config("")
     assert cfg.plan() == LinkPlan(FiberSpec(), AmplifierSpec())

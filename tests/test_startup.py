@@ -4,9 +4,9 @@ No subcommand loads numpy: budget, rbs, powerfeed, latency, span-curve and
 contour --format svg evaluate scalar closed forms, contour --format csv|json
 evaluates its grid through explore's pure-Python row kernel, and a tabulated
 transceiver interpolates with bisect. Only the library's sweep_grid, which
-returns numpy arrays, imports it. The package exports its names lazily for the
-same reason. budget, rbs, powerfeed and latency need none of the studies
-either, so they must start without importing explore.
+returns numpy arrays, imports it, when it is called. budget, rbs, powerfeed and
+latency need none of the studies either, so they must start without importing
+explore: that is what the package's lazy exports keep.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from hcflink.impairments import (
 )
 from hcflink.system import (
     DEFAULT_CONSTANTS,
+    MAX_CHANNELS,
     MAX_SPAN_GAIN_DB,
     MAX_SPANS,
     InfeasibleError,
@@ -53,10 +54,22 @@ def test_channels_in_band():
     assert channels_in_band(5e12, 75e9) == 66
     assert channels_in_band(75e9, 75e9) == 1
     assert channels_in_band(5e12, 5e12) == 1
+    assert channels_in_band(float(MAX_CHANNELS), 1.0) == MAX_CHANNELS
+    assert channels_in_band(5e12, 5e12 / MAX_CHANNELS) == MAX_CHANNELS
     with pytest.raises(ValueError):
         channels_in_band(0.0, 75e9)
     with pytest.raises(ValueError):
         channels_in_band(5e12, 0.0)
+
+
+@pytest.mark.parametrize("band,spacing", [(0.0, 75e9), (5e12, -1.0), (5e12, 1e-300),
+                                          (MAX_CHANNELS + 1.0, 1.0)])
+def test_channels_in_band_names_its_widths(band, spacing):
+    with pytest.raises(ValueError) as info:
+        channels_in_band(band, spacing, ("the-band", "the-spacing"))
+    wanted = {"the-band"} if band <= 0 else {"the-spacing"} if spacing <= 0 else {
+        "the-band", "the-spacing", "MAX_CHANNELS"}
+    assert all(name in str(info.value) for name in wanted)
 
 
 def test_per_channel_launch():
