@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto the analyses: ``budget`` (GSNR breakdown and
 throughput), ``contour`` (full sweep grid with level lines), ``span-curve``
 (required EDFA power vs span length), ``rbs`` (backscatter table),
-``powerfeed`` and ``latency``.
+``powerfeed`` and ``latency``. Each has one handler, which takes (cfg, fh, fmt)
+and the command's own flags as keyword-only parameters holding their defaults.
 
 Exit codes: 0 success, 2 config error (a usage error too), 3 infeasible solve,
 4 I/O error. Each command writes straight to stdout or to its ``--output`` file,
@@ -49,25 +50,12 @@ def run_command(command: str, cfg: RunConfig, **options) -> str:
     return buf.getvalue()
 
 
-def write_command(
-    command: str,
-    cfg: RunConfig,
-    fh: IO[str],
-    *,
-    fmt: str | None = None,
-    include_rbs: bool = False,
-    target_tbps: float = 1000.0,
-    levels: tuple[float, ...] = (1000.0,),
-    field: str = "throughput",
-    span_min: float = 150.0,
-    span_max: float = 250.0,
-    span_points: int = 21,
-    losses: tuple[float, ...] = (0.05, 0.06, 0.07),
-    trx_table: str | Path | None = None,
-) -> None:
+def write_command(command: str, cfg: RunConfig, fh: IO[str], *, fmt: str | None = None,
+                  **options) -> None:
     """Run one subcommand against a parsed config and write its output to fh, in
     fmt or else the command's first format in FORMATS. Every check runs before
-    the first write. Each keyword is the dest of the flag that sets it. A handler
+    the first write. The options go to the command's handler, whose keywords
+    hold their defaults; one it does not take raises TypeError. A handler
     returns its JSON document's fields, or None once it has written CSV or SVG."""
     if command not in FORMATS:
         raise ConfigError(f"unknown command {command!r}")
@@ -75,14 +63,13 @@ def write_command(
     fmt = formats[0] if fmt is None else fmt
     if fmt not in formats:
         raise ConfigError(f"{command} supports --format {'|'.join(formats)}, got {fmt!r}")
-    doc = _HANDLERS[command](cfg, fh=fh, fmt=fmt, include_rbs=include_rbs, target_tbps=target_tbps,
-                             levels=levels, field=field, span_min=span_min, span_max=span_max,
-                             span_points=span_points, losses=losses, trx_table=trx_table)
+    doc = _HANDLERS[command](cfg, fh, fmt, **options)
     if doc is not None:
         outputs.write_json({"command": command, **doc}, fh)
 
 
-def _run_budget(cfg: RunConfig, *, include_rbs, trx_table, **_) -> dict:
+def _run_budget(cfg: RunConfig, fh: IO[str], fmt: str, *, include_rbs: bool = False,
+                trx_table: str | Path | None = None) -> dict:
     plan = cfg.plan()
     trx, section = resolve_transceiver(cfg, plan, trx_table)
     op = cfg.operating_point()
@@ -107,8 +94,9 @@ def _run_budget(cfg: RunConfig, *, include_rbs, trx_table, **_) -> dict:
     }
 
 
-def _run_contour(cfg: RunConfig, *, fh: IO[str], fmt, include_rbs, levels, field, trx_table,
-                 **_) -> dict | None:
+def _run_contour(cfg: RunConfig, fh: IO[str], fmt: str, *, include_rbs: bool = False,
+                 trx_table: str | Path | None = None, levels: tuple[float, ...] = (1000.0,),
+                 field: str = "throughput") -> dict | None:
     from . import explore
 
     plan, spec = cfg.plan(), cfg.grid()
@@ -132,8 +120,10 @@ def _run_contour(cfg: RunConfig, *, fh: IO[str], fmt, include_rbs, levels, field
     }
 
 
-def _run_span_curve(cfg: RunConfig, *, fh: IO[str], fmt, include_rbs, target_tbps,
-                    span_min, span_max, span_points, trx_table, **_) -> dict | None:
+def _run_span_curve(cfg: RunConfig, fh: IO[str], fmt: str, *, include_rbs: bool = False,
+                    trx_table: str | Path | None = None, target_tbps: float = 1000.0,
+                    span_min: float = 150.0, span_max: float = 250.0,
+                    span_points: int = 21) -> dict | None:
     from . import explore
 
     plan = cfg.plan()
@@ -161,7 +151,8 @@ def _run_span_curve(cfg: RunConfig, *, fh: IO[str], fmt, include_rbs, target_tbp
     }
 
 
-def _run_rbs(cfg: RunConfig, *, losses, **_) -> dict:
+def _run_rbs(cfg: RunConfig, fh: IO[str], fmt: str, *,
+             losses: tuple[float, ...] = (0.05, 0.06, 0.07)) -> dict:
     plan = cfg.plan()
     launch_w = system.per_channel_launch(
         plan.amp.total_output_power_dbm, plan.n_channels, plan.amp.post_output_loss_db
@@ -177,7 +168,7 @@ def _run_rbs(cfg: RunConfig, *, losses, **_) -> dict:
             "span_loss_db": span_loss_db,
             "enhancement": impairments.rbs_enhancement(span_loss_db),
             "rbs_power_w": impairments.rbs_power(launch_w, backscatter_db, total_km, span_loss_db),
-            "gsnr_rbs_db": -linear_to_db(inv),
+            "gsnr_rbs_db": -linear_to_db(inv) if inv else None,  # the budget's rule
         })
     return {
         "config": cfg.values,
@@ -187,7 +178,7 @@ def _run_rbs(cfg: RunConfig, *, losses, **_) -> dict:
     }
 
 
-def _run_powerfeed(cfg: RunConfig, **_) -> dict:
+def _run_powerfeed(cfg: RunConfig, fh: IO[str], fmt: str) -> dict:
     plan, feed = cfg.plan(), cfg.power_feed()
     n_repeaters = plan.n_spans - 1  # LinkPlan has checked the partition
     result = system.power_feed(feed, plan.total_length_km, n_repeaters)
@@ -200,7 +191,7 @@ def _run_powerfeed(cfg: RunConfig, **_) -> dict:
     }
 
 
-def _run_latency(cfg: RunConfig, **_) -> dict:
+def _run_latency(cfg: RunConfig, fh: IO[str], fmt: str) -> dict:
     plan = cfg.plan()
     total_km, group_index = plan.total_length_km, plan.fiber.group_index
     return {
@@ -219,7 +210,7 @@ _HANDLERS = {"budget": _run_budget, "contour": _run_contour, "span-curve": _run_
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose flags are absent from the namespace unless given, so that
-    write_command's signature holds every default, and whose usage errors raise
+    each command's handler holds its flags' defaults, and whose usage errors raise
     ConfigError, so that they leave as the one JSON error line."""
 
     def __init__(self, **kwargs) -> None:

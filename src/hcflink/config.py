@@ -184,8 +184,9 @@ def parse_config(text: str) -> RunConfig:
         plan = LinkPlan(FiberSpec(**values["fiber"]), AmplifierSpec(**values["amplifier"]),
                         **values["span"], **values["link"])
         grid = GridSpec(**values["sweep"])
-        gn_nli_psds_per_span(plan.fiber, 0.0, (), plan.band_hz, DEFAULT_CONSTANTS, grid.loss_min,
-                             "sweep.loss_min")  # the NLI's loss checks alone
+        # The NLI's checks alone; the least loss gives the longest effective length.
+        gn_nli_psds_per_span(plan.fiber, 0.0, (plan.effective_span_km,), plan.band_hz,
+                             DEFAULT_CONSTANTS, grid.loss_min, "sweep.loss_min")
         plan.span_gain_db(grid.loss_max, name="sweep.loss_max")
         gn_nli_psds_per_span(plan.fiber, 0.0, (), plan.band_hz, DEFAULT_CONSTANTS, grid.loss_max,
                              "sweep.loss_max")

@@ -32,6 +32,9 @@ MAX_GAMMA_PER_W_KM = 1e6
 MAX_AMPLIFIER_DB = 100.0
 MAX_ABS_POWER_DBM = 300.0
 
+# Longest NLI effective length whose square is a finite float.
+MAX_EFFECTIVE_LENGTH_KM = math.sqrt(sys.float_info.max)
+
 # Least loss whose attenuation (1/km) is a normal float; below it the
 # attenuation underflows to a subnormal or 0 and the NLI's 1/alpha to inf.
 MIN_LOSS_DB_PER_KM = DB_PER_NEPER * sys.float_info.min
@@ -173,7 +176,8 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
     one whose asinh argument 0.5*pi^2*|beta2|*B^2/alpha is beyond float range
     (below about 1.1e-305 dB/km at 3 ps/(nm km) and 5 THz) and one whose
     denominator pi*|beta2|/alpha underflows to 0 (above about 2e301 dB/km at
-    3 ps/(nm km), and an infinite loss).
+    3 ps/(nm km), and an infinite loss). A span whose effective length passes
+    MAX_EFFECTIVE_LENGTH_KM (about 1.3e154 km) is refused, naming `name` and the span.
     """
     if launch_psd_w_hz < 0:
         raise ValueError(f"launch_psd_w_hz must be >= 0, got {launch_psd_w_hz}")
@@ -201,6 +205,9 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
         if not span_km > 0:
             raise ValueError(f"span_km must be > 0, got {span_km}")
         l_eff = -math.expm1(-alpha * span_km) / alpha
+        if l_eff > MAX_EFFECTIVE_LENGTH_KM:
+            raise ValueError(f"{name}={loss} gives a {span_km:g} km span the NLI effective "
+                             f"length {l_eff:g} km, whose square is beyond float range")
         psds.append(prefix * l_eff**2 * asinh_value / denominator)
     return psds
 
@@ -339,7 +346,8 @@ def combine_gsnr(components: Sequence[float]) -> SnrBudget:
         if not (math.isfinite(v) and v >= 0):
             raise ValueError(f"1/SNR components must be finite and >= 0, got {v}")
     values += [0.0] * (len(COMPONENTS) - len(values))
-    total = sum(values)
+    # Left to right, as sum() adds floats before Python 3.12 and not after.
+    total = values[0] + values[1] + values[2] + values[3]
     if total == 0:
         raise ValueError("all components are zero: infinite GSNR is not an operating point")
     gsnr = 1.0 / total

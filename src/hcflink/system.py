@@ -130,7 +130,8 @@ class LinkPlan:
         if not 0 < self.band_hz < DEFAULT_CONSTANTS.reference_frequency_hz:
             raise ValueError(f"link.band_hz must lie between 0 and the carrier frequency "
                              f"{DEFAULT_CONSTANTS.reference_frequency_hz:g} Hz, got {self.band_hz}")
-        gn_nli_psds_per_span(self.fiber, 0.0, (), self.band_hz, DEFAULT_CONSTANTS)  # loss checks
+        gn_nli_psds_per_span(self.fiber, 0.0, (self.effective_span_km,), self.band_hz,
+                             DEFAULT_CONSTANTS)  # the NLI's loss and span checks
         if self.n_fibers_per_direction < 0:
             raise ValueError(
                 f"link.n_fibers_per_direction must be >= 0, got {self.n_fibers_per_direction}"
@@ -356,7 +357,10 @@ def _parse_transceiver_table(path: str, text: str) -> TabulatedTransceiver:
         points.append(row)
     if not points:
         raise ValueError(f"{path}: empty transceiver table")
-    return TabulatedTransceiver(tuple(points))
+    try:
+        return TabulatedTransceiver(tuple(points))
+    except ValueError as exc:  # the order and segment rules, which name no file
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def per_channel_launch(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import inspect
+import io
 import json
 import math
 import os
@@ -15,6 +17,7 @@ import pytest
 
 from hcflink import explore, outputs, system
 from hcflink.cli import (
+    _HANDLERS,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -294,12 +297,12 @@ def test_exit_code_missing_trx_table(capsys, tmp_path):
                                          for f in FORMATS[c]])
 def test_table_segment_that_overflows_is_named(capsys, tmp_path, command, fmt):
     """A table whose one segment's width and rise overflow is refused before any
-    output, naming its two rows, by every command and format that reads it."""
+    output, naming the file and its two rows, by every command and format that reads it."""
     table = tmp_path / "trx.csv"
     table.write_text("-1.7e308,-1.7e308\n1.7e308,1.7e308\n")
     assert main([command, "--format", fmt, "--trx-table", str(table)]) == EXIT_CONFIG
     assert _one_config_error(capsys) == (
-        "table rows 1 (-1.7e+308, -1.7e+308) and 2 (1.7e+308, 1.7e+308): "
+        f"{table}: table rows 1 (-1.7e+308, -1.7e+308) and 2 (1.7e+308, 1.7e+308): "
         "the segment's width or slope is beyond float range")
 
 
@@ -331,6 +334,50 @@ def test_channel_count_past_the_bound_is_named(capsys, tmp_path, command, docume
     message = _one_config_error(capsys)
     assert "link.band_hz" in message and "link.channel_spacing_hz" in message
     assert message.endswith(f"exceeds MAX_CHANNELS = {system.MAX_CHANNELS}")
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("10,400\n8,500\n", "table gsnr_db must be strictly increasing: 10.0 then 8.0"),
+    ("8,500\n10,400\n", "table net_rate_gbps must be nondecreasing: 500.0 then 400.0"),
+], ids=["gsnr-order", "rate-order"])
+def test_table_order_error_names_the_file(capsys, tmp_path, rows, message):
+    table = tmp_path / "trx.csv"
+    table.write_text(rows)
+    assert main(["budget", "--trx-table", str(table)]) == EXIT_CONFIG
+    assert _one_config_error(capsys) == f"{table}: {message}"
+
+
+@pytest.mark.parametrize("document,argv,message", [
+    # The plan's spans fit; span-curve's range does not.
+    ({"link": {"total_length_km": 1e158}, "span": {"span_length_km": 1e153},
+      "fiber": {"loss_db_per_km": 1e-160}, "sweep": {"loss_min": 1e-160, "loss_max": 2e-160},
+      "transceiver": {"gap_db": 0}}, ["span-curve", "--span-min", "1e154", "--span-max", "1e155"],
+     "loss_db_per_km=1e-160 gives a 1.44991e+154 km span the NLI effective length "
+     "1.44991e+154 km"),
+    # rbs once wrote -inf here and failed in the JSON writer.
+    ({"link": {"total_length_km": 1e300}, "span": {"span_length_km": 1e296},
+      "fiber": {"loss_db_per_km": 1e-294, "backscatter_db_per_km": 0},
+      "sweep": {"loss_min": 1e-294, "loss_max": 2e-294}}, ["rbs", "--losses", "1e-294"],
+     "fiber.loss_db_per_km=1e-294 gives a 1e+296 km span the NLI effective length "
+     "4.34294e+294 km"),
+], ids=["span-curve-range", "rbs"])
+def test_nli_effective_length_names_what_stretches_it(capsys, tmp_path, document, argv, message):
+    """Runs with flags past the NLI effective-length bound exit 2 naming the loss."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(document))
+    assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+    assert _one_config_error(capsys) == f"{message}, whose square is beyond float range"
+
+
+def test_rbs_whose_ratio_underflows_has_no_gsnr(capsys, tmp_path):
+    """A backscatter whose linear ratio underflows to 0 has no SNR, as in the budget."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[fiber]\nbackscatter_db_per_km = -3240\n")
+    budget = _run_json(capsys, ["budget", "--include-rbs", "true", "--config", str(cfg)])
+    assert budget["budget"]["snr_rbs_db"] is None
+    doc = _run_json(capsys, ["rbs", "--config", str(cfg)])
+    assert [row["gsnr_rbs_db"] for row in doc["rows"]] == [None] * 3
+    assert [row["rbs_power_w"] for row in doc["rows"]] == [0.0] * 3
 
 
 def test_run_command_rejects_unknown_command():
@@ -411,12 +458,44 @@ def test_flag_the_command_does_not_read_is_refused(capsys, tmp_path, command, fl
     ids=" ".join,
 )
 def test_flags_map_onto_write_command_keywords(argv):
-    """Only the flags given reach the namespace, each as a write_command keyword."""
+    """Only the flags given reach the namespace: --format as write_command's fmt,
+    each other flag as a keyword of the command's handler."""
     flags = vars(build_parser().parse_args(argv))
     assert flags.pop("command") == argv[0]
     flags.pop("config", None)
     assert len(flags) == len(argv[1::2]) - ("--config" in argv)
-    assert set(flags) <= set(inspect.signature(write_command).parameters)
+    assert flags.pop("fmt", None) in (None, *FORMATS[argv[0]])
+    assert set(flags) <= _keyword_only(_HANDLERS[argv[0]])
+
+
+def _keyword_only(handler) -> set[str]:
+    return {name for name, param in inspect.signature(handler).parameters.items()
+            if param.kind is inspect.Parameter.KEYWORD_ONLY}
+
+
+def test_each_subparser_sets_exactly_its_handler_keywords():
+    """Each command's flags, past --config, --output and --format, are its
+    handler's keyword-only parameters, which hold their defaults."""
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(_HANDLERS) == set(FORMATS)
+    for command, parser in commands.choices.items():
+        dests = {action.dest for action in parser._actions} - {"help", "config", "output", "fmt"}
+        assert dests == _keyword_only(_HANDLERS[command]), command
+    assert set(inspect.signature(write_command).parameters) == {
+        "command", "cfg", "fh", "fmt", "options"}
+
+
+def test_keyword_the_command_does_not_take_is_a_type_error():
+    """A library caller's keyword that the command does not take is refused
+    before the first write, as its flag is on the command line."""
+    cfg = parse_config("")
+    with pytest.raises(TypeError, match="include_rbs"):
+        run_command("rbs", cfg, include_rbs=True)
+    buf = io.StringIO()
+    with pytest.raises(TypeError, match="losses"):
+        write_command("budget", cfg, buf, losses=(0.06,))
+    assert buf.getvalue() == ""
 
 
 @pytest.mark.parametrize("key", ["loss_min", "loss_max", "power_min", "power_max"])
@@ -643,10 +722,12 @@ def _one_config_error(capsys) -> str:
         # A latency past float range used to reach the JSON writer as inf.
         ("latency", {"fiber": {"group_index": 1e308}},
          ["link.total_length_km", "group index 1e+308"]),
+        # A link this long needs spans whose NLI effective length, squared, leaves
+        # float range, so the plan refuses it before the latency is computed.
         ("latency", {"link": {"total_length_km": 1.7976931348623157e308},
                      "span": {"span_length_km": 1e305}, "fiber": {"loss_db_per_km": 1e-303},
                      "sweep": {"loss_min": 1e-303, "loss_max": 2e-303}},
-         ["link.total_length_km=1.79769e+308"]),
+         ["fiber.loss_db_per_km=1e-303 gives a 9.99829e+304 km span"]),
         ("latency", {"fiber": {"group_index": 1e308}}, ["fiber.group_index"]),
         # A huge loss over tiny spans keeps its span gain but underflows the NLI's
         # denominator pi*|beta2|/alpha to 0; it used to divide by zero.
@@ -656,6 +737,20 @@ def _one_config_error(capsys) -> str:
         ("contour", {"span": {"span_length_km": 1e-299}, "link": {"total_length_km": 1e-297},
                      "sweep": {"loss_max": 3e301}}, ["sweep.loss_max"]),
         ("contour", {"sweep": {"loss_min": 1e302, "loss_max": 1e303}}, ["sweep.loss_min"]),
+        # A tiny loss over spans whose NLI effective length, squared, leaves float
+        # range; it used to overflow in the kernel.
+        *[(command, {"link": {"total_length_km": 1e160}, "span": {"span_length_km": 1e155},
+                     "fiber": {"loss_db_per_km": 1e-160},
+                     "sweep": {"loss_min": 1e-160, "loss_max": 2e-160}},
+           ["fiber.loss_db_per_km=1e-160 gives a 1e+155 km span the NLI effective length "
+            "9.99999e+154 km, whose square is beyond float range"])
+          for command in ("budget", "span-curve", "contour")],
+        # The fiber's effective length fits; the sweep's least loss stretches it.
+        ("contour", {"link": {"total_length_km": 1e157}, "span": {"span_length_km": 1e156},
+                     "fiber": {"loss_db_per_km": 5e-154},
+                     "sweep": {"loss_min": 1e-160, "loss_max": 2e-160},
+                     "transceiver": {"gap_db": 0}},
+         ["sweep.loss_min=1e-160 gives a 1e+156 km span the NLI effective length"]),
     ],
 )
 def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document, keys):

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hcflink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, FORMATS, main
-from hcflink.config import DEFAULTS, _kind
+from hcflink.config import DEFAULTS, _kind, parse_config
 from hcflink.explore import MAX_SPAN_POINTS
 
 _CODES = {EXIT_CONFIG: "config", EXIT_INFEASIBLE: "infeasible", EXIT_IO: "io"}
@@ -281,3 +281,71 @@ def test_main_over_a_paired_symbol_rate_and_spacing(files, lines):
         fh.write("\n".join(lines) + "\n")
     for command in sorted(_COMMAND_FLAGS):
         _run_main([command, f"--config={files['fuzz.cfg']}"], files["out.txt"])
+
+
+@st.composite
+def _tiny_loss_documents(draw) -> tuple[list[list[str]], dict[str, list[str]]]:
+    """The mirror of _huge_loss_documents: a tiny loss over spans so long that
+    the NLI effective length passes or nears sqrt(float max), about 1.3e154 km,
+    with a span gain under the 1000 dB bound. It is the fiber loss and the
+    sweep's least loss, or the sweep's least loss beside another fiber loss;
+    the gap is pinned in half the draws, so the sweep and the solves run past
+    the calibration. span-curve's range and rbs's losses follow the span and the
+    loss, since their defaults stop at the span count or the span gain."""
+    span_km = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(
+        st.one_of(st.integers(148, 160), st.integers(140, 307)))
+    loss, other = (draw(st.floats(0.0, 500.0)) / span_km for _ in range(2))
+    link_km = span_km * draw(st.one_of(st.integers(1, 100), st.integers(1, 120_000)))
+    gap = draw(st.sampled_from(["none", "0"]))
+    lines = ["sweep.loss_steps = 5", "sweep.power_steps = 6", f"transceiver.gap_db = {gap}",
+             f"span.span_length_km = {span_km!r}", f"link.total_length_km = {link_km!r}",
+             f"sweep.loss_min = {loss!r}", f"sweep.loss_max = {2.0 * max(loss, other)!r}"]
+    flags = {"span-curve": [f"--span-min={span_km!r}", f"--span-max={2.0 * span_km!r}"],
+             "rbs": [f"--losses={loss!r}"]}
+    return ([[*lines, f"fiber.loss_db_per_km = {loss!r}"],
+             [*lines, f"fiber.loss_db_per_km = {other!r}"]], flags)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=_tiny_loss_documents())
+def test_main_over_a_tiny_loss_on_huge_spans(files, drawn):
+    documents, flags = drawn
+    for lines in documents:
+        with open(files["fuzz.cfg"], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        for command in sorted(_COMMAND_FLAGS):
+            _run_main([command, f"--config={files['fuzz.cfg']}", *flags.get(command, [])],
+                      files["out.txt"])
+
+
+@st.composite
+def _backscatter_documents(draw) -> list[str]:
+    """A backscatter down past where its linear ratio underflows to 0 (about
+    -3240 dB/km) and any launch power, on the default link at a drawn loss or on
+    a tiny loss over huge spans."""
+    backscatter = draw(st.one_of(st.floats(-3300.0, -3000.0), st.floats(-5000.0, 0.0)))
+    power = draw(st.one_of(st.just(20.3), st.floats(-300.0, 300.0)))
+    if draw(st.booleans()):
+        gap = draw(st.sampled_from(["none", "0"]))
+        lines = ["sweep.loss_steps = 5", "sweep.power_steps = 6", f"transceiver.gap_db = {gap}",
+                 f"fiber.loss_db_per_km = {draw(st.floats(0.01, 0.3))!r}"]
+    else:
+        lines = draw(_tiny_loss_documents())[0][0]
+    return [*lines, f"fiber.backscatter_db_per_km = {backscatter!r}",
+            f"amplifier.total_output_power_dbm = {power!r}"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lines=_backscatter_documents())
+def test_rbs_at_the_fiber_loss_runs_where_the_budget_with_rbs_runs(files, lines):
+    """The rbs table at the fiber's own loss holds the budget's backscatter term,
+    so it is written wherever the budget with that term is."""
+    text = "\n".join(lines) + "\n"
+    with open(files["fuzz.cfg"], "w", encoding="utf-8") as fh:
+        fh.write(text)
+    config = f"--config={files['fuzz.cfg']}"
+    if _run_main(["budget", config, "--include-rbs=true"], files["out.txt"]) == EXIT_OK:
+        loss = parse_config(text).plan().fiber.loss_db_per_km
+        assert _run_main(["rbs", config, f"--losses={loss!r}"], files["out.txt"]) == EXIT_OK

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcflink.impairments import (
+    MAX_EFFECTIVE_LENGTH_KM,
     MIN_LOSS_DB_PER_KM,
     AmplifierSpec,
     FiberSpec,
@@ -444,6 +445,14 @@ def test_combine_bounded_by_smallest_component():
             assert budget.gsnr_linear == pytest.approx(smallest_snr, rel=1e-12)
 
 
+def test_combine_adds_left_to_right():
+    """The total is ((ase + nli) + imi) + rbs on every Python: a compensated sum,
+    which sum() is from 3.12, would keep the two 1e-16 terms."""
+    components = [1.0, 1e-16, 1e-16, 0.0]
+    assert 1.0 / math.fsum(components) != 1.0
+    assert combine_gsnr(components).gsnr_linear == 1.0
+
+
 def test_component_snr_db_reporting():
     budget = combine_gsnr([0.01, 0.0, 0.001, 0.0])
     assert budget.component_snr_db("ase") == pytest.approx(20.0, abs=1e-12)
@@ -475,3 +484,15 @@ def test_gn_psd_refuses_a_loss_that_underflows_its_denominator(const, loss, name
         with pytest.raises(ValueError, match=f"^{shown} puts the NLI's denominator"):
             gn_nli_psds_per_span(fiber, 1e-14, spans, 5e12, const, *args)
     assert gn_nli_psds_per_span(FiberSpec(), 1e-14, (), 5e12, const, 1e301) == []
+
+
+def test_gn_psd_refuses_a_span_whose_effective_length_squared_overflows(const):
+    """The square of an effective length past MAX_EFFECTIVE_LENGTH_KM leaves float
+    range; the kernel names the loss and the span. One just below it is finite."""
+    fiber = FiberSpec(loss_db_per_km=1e-160)
+    with pytest.raises(ValueError, match=r"^loss_db_per_km=1e-160 gives a 2e\+154 km span "
+                                         r"the NLI effective length 2e\+154 km, whose square"):
+        gn_nli_psds_per_span(fiber, 1e-14, (200.0, 2e154), 5e12, const, 1e-160,
+                             "loss_db_per_km")
+    [psd] = gn_nli_psds_per_span(fiber, 1e-14, (MAX_EFFECTIVE_LENGTH_KM,), 5e12, const)
+    assert math.isfinite(psd) and psd > 0
