@@ -119,6 +119,12 @@ DEFAULTS: dict[str, dict[str, Any]] = {
     section: {f.name: f.default for f in section_fields}
     for section, section_fields in _SECTIONS.items()
 }
+# The class that holds and checks each section other than span and link; its
+# object at the defaults is built, and so checked, once at import, and a document
+# that leaves the section out shares it.
+_SPECS = {"fiber": FiberSpec, "amplifier": AmplifierSpec, "transceiver": TransceiverSpec,
+          "powerfeed": PowerFeedSpec, "sweep": GridSpec}
+_DEFAULT_SPECS = {section: cls(**DEFAULTS[section]) for section, cls in _SPECS.items()}
 # A key's kind is its annotation: "float", "int" or "str", with '?' when it may be None.
 _KINDS = {
     section: {f.name: f.type.replace(" | None", "?") for f in section_fields}
@@ -133,7 +139,8 @@ def _kind(section: str, key: str) -> str:
 class RunConfig:
     """Fully-resolved parameter set: `values` is echoed into every output, and
     the accessors return the sections' objects that parse_config built once
-    from it. Build one with parse_config and treat `values` as frozen: an edit
+    from it, or the objects built at import for the sections the document left
+    out. Build one with parse_config and treat `values` as frozen: an edit
     would change the echo but not the objects the results come from."""
 
     __slots__ = ("values", "_plan", "_transceiver", "_grid", "_power_feed")
@@ -167,7 +174,8 @@ class RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     """Parse a config document; defaults fill gaps, and building each section's
-    dataclass once validates every key."""
+    dataclass once validates every key. A section the document does not name is
+    the object built at import; the plan and the sweep's NLI checks run always."""
     data = _parse_json(text) if text.lstrip().startswith("{") else _parse_lines(text)
     values = {section: dict(entries) for section, entries in DEFAULTS.items()}
     for section, entries in data.items():
@@ -179,18 +187,21 @@ def parse_config(text: str) -> RunConfig:
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown key '{section}.{key}'")
             values[section][key] = _coerce(raw, _kind(section, key), f"{section}.{key}")
+
+    def spec(section: str) -> Any:
+        return _SPECS[section](**values[section]) if section in data else _DEFAULT_SPECS[section]
+
     try:
-        transceiver = TransceiverSpec(**values["transceiver"])
-        plan = LinkPlan(FiberSpec(**values["fiber"]), AmplifierSpec(**values["amplifier"]),
-                        **values["span"], **values["link"])
-        grid = GridSpec(**values["sweep"])
+        transceiver = spec("transceiver")
+        plan = LinkPlan(spec("fiber"), spec("amplifier"), **values["span"], **values["link"])
+        grid = spec("sweep")
         # The NLI's checks alone; the least loss gives the longest effective length.
         gn_nli_psds_per_span(plan.fiber, 0.0, (plan.effective_span_km,), plan.band_hz,
                              DEFAULT_CONSTANTS, grid.loss_min, "sweep.loss_min")
         plan.span_gain_db(grid.loss_max, name="sweep.loss_max")
         gn_nli_psds_per_span(plan.fiber, 0.0, (), plan.band_hz, DEFAULT_CONSTANTS, grid.loss_max,
                              "sweep.loss_max")
-        power_feed = PowerFeedSpec(**values["powerfeed"])
+        power_feed = spec("powerfeed")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return RunConfig(values, plan, transceiver, grid, power_feed)

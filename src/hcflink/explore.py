@@ -274,6 +274,19 @@ def check_span_range(total_length_km: float, span_min_km: float, span_max_km: fl
         raise ValueError(f"{max_name} must be finite, got {span_max_km}")
 
 
+@functools.lru_cache(maxsize=8)
+def _span_counts(total_km: float, span_min_km: float, span_max_km: float,
+                 n_points: int) -> tuple[int, ...]:
+    """The distinct span counts, in sample order, that span_length_curve's samples
+    snap to, computed once per link length, range and sample count."""
+    # The samples snapped by span_count's rounding (floor is int for positive ratios);
+    # check_span_range's count of the shortest span covers them all, so none is checked.
+    counts = dict.fromkeys([math.floor(total_km / span + 0.5)
+                            for span in _linspace(span_min_km, span_max_km, n_points)])
+    counts.pop(0, None)  # samples over twice the link length leave no full span
+    return tuple(counts)
+
+
 def span_length_curve(
     plan: LinkPlan,
     trx: TransceiverModel,
@@ -296,11 +309,7 @@ def span_length_curve(
     total = plan.total_length_km
     check_span_range(total, span_min_km, span_max_km, n_points,
                      ("plan.total_length_km", "span_min_km", "span_max_km", "n_points"))
-    # The samples snapped by span_count's rounding (floor is int for positive ratios);
-    # check_span_range's count of the shortest span covers them all, so none is checked.
-    counts = dict.fromkeys([math.floor(total / span + 0.5)
-                            for span in _linspace(span_min_km, span_max_km, n_points)])
-    counts.pop(0, None)  # samples over twice the link length leave no full span
+    counts = _span_counts(total, span_min_km, span_max_km, n_points)
     inv_gsnr = _target_inv_gsnr(plan, trx, target_tbps)
     powers = _solve_powers_dbm(span_terms(plan, loss_db_per_km, counts, include_rbs), inv_gsnr)
     low, high = settings.power_bracket_dbm

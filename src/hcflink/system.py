@@ -147,6 +147,20 @@ class LinkPlan:
                 f"link.band_hz={self.band_hz} holds no channel at "
                 f"link.channel_spacing_hz={self.channel_spacing_hz}"
             )
+        # The NLI kernel's prefix (8/27)*gamma^2*PSD^3 at span_terms' 1 mW reference.
+        launch_w = per_channel_launch(0.0, n_channels, self.amp.post_output_loss_db)
+        psd = launch_w / self.channel_spacing_hz
+        try:
+            prefix = (8.0 / 27.0) * self.fiber.gamma_per_w_km**2 * psd**3
+        except OverflowError:
+            prefix = math.inf
+        if not prefix < math.inf:  # NaN too: no NLI (gamma = 0) times an infinite PSD
+            raise ValueError(
+                f"link.band_hz={self.band_hz:g} Hz in {n_channels} channels at "
+                f"link.channel_spacing_hz={self.channel_spacing_hz:g} Hz puts the launch PSD "
+                f"at 1 mW at {psd:g} W/Hz, whose NLI prefix (8/27)*gamma^2*PSD^3 is beyond "
+                f"float range"
+            )
         object.__setattr__(self, "n_channels", n_channels)
         object.__setattr__(self, "n_carriers", self.n_fibers_per_direction * n_channels)
 

@@ -380,6 +380,36 @@ def test_rbs_whose_ratio_underflows_has_no_gsnr(capsys, tmp_path):
     assert [row["rbs_power_w"] for row in doc["rows"]] == [0.0] * 3
 
 
+def _ten_channels(spacing_hz: float, **fiber) -> dict:
+    return {"link": {"band_hz": 10 * spacing_hz, "channel_spacing_hz": spacing_hz,
+                     "symbol_rate_hz": spacing_hz},
+            "fiber": fiber, "transceiver": {"gap_db": 0}}
+
+
+@pytest.mark.parametrize("document,spacing", [
+    # The NLI prefix's cube used to leave float range as an uncaught OverflowError.
+    (_ten_channels(1e-291), "1e-291"),
+    # An infinite launch PSD without NLI: 0 * inf used to reach the kernels as NaN.
+    (_ten_channels(5e-324, gamma_per_w_km=0), "4.94066e-324"),
+], ids=["cube-overflows", "psd-overflows"])
+@pytest.mark.parametrize("command", FORMATS)
+def test_channel_grid_whose_nli_prefix_overflows_is_named(capsys, tmp_path, command, document,
+                                                          spacing):
+    """The plan refuses, in every command and format, channels so narrow that the
+    NLI prefix at the 1 mW reference leaves float range; ten channels of 1e-106 Hz
+    still compute."""
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(document))
+    good.write_text(json.dumps(_ten_channels(1e-106)))
+    for fmt in FORMATS[command]:
+        assert main([command, "--format", fmt, "--config", str(bad)]) == EXIT_CONFIG
+        message = _one_config_error(capsys)
+        assert f"link.channel_spacing_hz={spacing} Hz" in message
+        assert message.startswith("link.band_hz=") and message.endswith("beyond float range")
+        assert main([command, "--format", fmt, "--config", str(good)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
 def test_run_command_rejects_unknown_command():
     cfg = parse_config("")
     with pytest.raises(ValueError):

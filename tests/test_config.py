@@ -202,8 +202,10 @@ _SECTION_CLASSES = (FiberSpec, AmplifierSpec, LinkPlan, TransceiverSpec, GridSpe
 
 
 def test_each_section_is_built_once(monkeypatch):
-    """parse_config builds and checks every section once; the accessors and
-    resolve_transceiver hand out those objects instead of building new ones."""
+    """parse_config builds and checks the plan, and each section the document
+    names, once; a section it leaves out is the object built at import. The
+    accessors and resolve_transceiver hand out those objects instead of building
+    new ones."""
     built: Counter[str] = Counter()
     for cls in _SECTION_CLASSES:
         def counting(self, check=cls.__post_init__, name=cls.__name__):
@@ -215,9 +217,45 @@ def test_each_section_is_built_once(monkeypatch):
     for _ in range(2):
         cfg.plan(), cfg.transceiver(), cfg.grid(), cfg.power_feed()
         resolve_transceiver(cfg, cfg.plan())
-    assert built == {cls.__name__: 1 for cls in _SECTION_CLASSES}
+    assert built == {"TransceiverSpec": 1, "LinkPlan": 1}
     assert cfg.plan() is cfg.plan()
     assert cfg.transceiver() is cfg.transceiver()
+    assert cfg.plan().fiber is parse_config("").plan().fiber
+    built.clear()
+    every = parse_config(json.dumps(DEFAULTS))
+    assert built == {cls.__name__: 1 for cls in _SECTION_CLASSES}
+    assert every.values == DEFAULTS and every.grid() == cfg.grid()
+
+
+@pytest.mark.parametrize("document,message", [
+    ({"fiber": {"gamma_per_w_km": -1}}, "fiber.gamma_per_w_km must lie in [0, 1e+06], got -1.0"),
+    ({"span": {"span_length_km": 7000}},
+     "span.span_length_km=7000.0 must not exceed link.total_length_km=6600.0"),
+    ({"link": {"n_fibers_per_direction": -1}},
+     "link.n_fibers_per_direction must be >= 0, got -1"),
+    ({"amplifier": {"noise_figure_db": 0}},
+     "amplifier.noise_figure_db must lie in (0, 100] dB, got 0.0"),
+    ({"transceiver": {"gap_db": -1}}, "transceiver.gap_db must be >= 0 (got -1.0)"),
+    ({"powerfeed": {"supply_limit_w": 0}}, "powerfeed.supply_limit_w must be > 0, got 0.0"),
+    ({"sweep": {"loss_steps": 1}}, "sweep.loss_steps and sweep.power_steps must be >= 2"),
+    ({"sweep": {"loss_max": 5}},
+     "sweep.loss_max=5.0 must be >= 0 and keep the span gain (loss x 200 km + amplifier."
+     "pre_input_loss_db + amplifier.post_output_loss_db = 1004 dB) <= 1000 dB"),
+    # Two bad sections: the first refused is the first built, transceiver to powerfeed.
+    ({"amplifier": {"noise_figure_db": 0}, "transceiver": {"gap_db": -1}},
+     "transceiver.gap_db must be >= 0 (got -1.0)"),
+    ({"powerfeed": {"supply_limit_w": 0}, "sweep": {"loss_steps": 1}},
+     "sweep.loss_steps and sweep.power_steps must be >= 2"),
+    ({"fiber": {"group_index": 0.5}, "amplifier": {"pre_input_loss_db": -1}},
+     "fiber.group_index must be >= 1, got 0.5"),
+], ids=["fiber", "span", "link", "amplifier", "transceiver", "powerfeed", "sweep",
+        "sweep-nli", "transceiver-first", "sweep-first", "fiber-first"])
+def test_bad_section_keeps_its_message(document, message):
+    """A section built only when named still refuses a bad value as it did when
+    every section was built on each parse, and in the same order."""
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(document))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("case", ["pinned gap", "calibrated gap", "tabulated", "--trx-table"])

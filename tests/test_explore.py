@@ -495,6 +495,32 @@ def test_span_samples_are_numpys_linspace_snapped(reference_plan, calibrated_trx
     assert [p.span_km for p in curve] == [total / n for n in counts]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    total=st.floats(50.0, 10_000.0),
+    lo_share=st.floats(1e-3, 3.0),
+    width_share=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    n_points=st.one_of(st.sampled_from([1, 2, 101]), st.integers(1, 300)),
+)
+def test_memoised_span_counts_are_the_inline_rule(reference_plan, calibrated_trx, total,
+                                                  lo_share, width_share, n_points):
+    """_span_counts is the rule span_length_curve applied inline: the distinct
+    floor(total/span + 0.5) of the _linspace samples, in order, without 0. A
+    curve drawn with the counts cached gives the points it gave with none."""
+    lo = total * lo_share
+    hi = lo + total * width_share
+    counts = dict.fromkeys([math.floor(total / span + 0.5)
+                            for span in explore._linspace(lo, hi, n_points)])
+    counts.pop(0, None)
+    plan = replace(reference_plan, total_length_km=total, span_length_km=total)
+    explore._span_counts.cache_clear()
+    cold = span_length_curve(plan, calibrated_trx, 0.06, lo, hi, n_points, 1000.0)
+    warm = span_length_curve(plan, calibrated_trx, 0.06, lo, hi, n_points, 1000.0)
+    assert explore._span_counts.cache_info()[:2] == (1, 1)  # one hit, one miss
+    assert explore._span_counts(total, lo, hi, n_points) == tuple(counts)
+    assert repr(warm) == repr(cold)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     gamma=st.floats(0.0, 1.0),
