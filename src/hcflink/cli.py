@@ -127,10 +127,11 @@ def _run_span_curve(cfg: RunConfig, fh: IO[str], fmt: str, *, include_rbs: bool 
     from . import explore
 
     plan = cfg.plan()
-    explore.check_span_range(plan.total_length_km, span_min, span_max, span_points,
-                             ("link.total_length_km", "--span-min", "--span-max", "--span-points"))
-    trx, section = resolve_transceiver(cfg, plan, trx_table)
     loss = plan.fiber.loss_db_per_km
+    explore.check_span_range(plan.total_length_km, loss, span_min, span_max, span_points,
+                             ("link.total_length_km", "fiber.loss_db_per_km", "--span-min",
+                              "--span-max", "--span-points"))
+    trx, section = resolve_transceiver(cfg, plan, trx_table)
     points = explore.span_length_curve(
         plan, trx, loss, span_min, span_max, span_points, target_tbps, include_rbs
     )

@@ -18,6 +18,7 @@ from itertools import groupby
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .config import MAX_GRID_POINTS, GridSpec  # noqa: F401  (re-exported)
+from .impairments import MAX_EFFECTIVE_LENGTH_KM, _check_loss_floor
 from .system import (
     InfeasibleError,
     LinkPlan,
@@ -31,6 +32,7 @@ from .system import (
     span_count,
     span_terms,
 )
+from .units import attenuation_db_to_per_km
 # perfbench's traced run patches these two names here.
 from .system import cable_throughput, link_gsnr  # noqa: F401
 
@@ -146,7 +148,8 @@ def sweep_rows(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
 
 def sweep_grid(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
                include_rbs: bool = False) -> SweepGrid:
-    """The cells of sweep_rows as numpy arrays, the one place explore needs numpy.
+    """The cells of sweep_rows as numpy arrays, the one place the package needs
+    numpy (the `arrays` extra); without it, the import raises ModuleNotFoundError.
 
     Cells match per-point link_gsnr + channel_net_rate to within 1e-12 dB of
     GSNR and 1e-12 relative throughput, not bit for bit: the row form computes
@@ -259,12 +262,16 @@ def required_edfa_power(
     return power_dbm
 
 
-def check_span_range(total_length_km: float, span_min_km: float, span_max_km: float,
-                     n_points: int, names: tuple[str, str, str, str]) -> None:
-    """Raise, naming each value by `names` (in the order of the parameters),
+def check_span_range(total_length_km: float, loss_db_per_km: float, span_min_km: float,
+                     span_max_km: float, n_points: int,
+                     names: tuple[str, str, str, str, str]) -> tuple[int, ...]:
+    """The span counts the range samples (_span_counts). Raises, naming the link
+    length and each other value by `names` (in the order of the parameters),
     unless n_points lies in 1..MAX_SPAN_POINTS, span_count accepts the shortest
-    span and the range is finite and not empty. Spans may be longer than the link."""
-    total_name, min_name, max_name, points_name = names
+    span, the range is finite and not empty, the loss passes its floor and the
+    NLI effective length of the longest span sampled squares within float range.
+    Spans may be longer than the link."""
+    total_name, loss_name, min_name, max_name, points_name = names
     if not 1 <= n_points <= MAX_SPAN_POINTS:
         raise ValueError(f"{points_name} must lie in 1..{MAX_SPAN_POINTS}, got {n_points}")
     span_count(total_length_km, span_min_km, (total_name, min_name))
@@ -272,6 +279,17 @@ def check_span_range(total_length_km: float, span_min_km: float, span_max_km: fl
         raise ValueError(f"{min_name}={span_min_km} must not exceed {max_name}={span_max_km}")
     if span_max_km == math.inf:
         raise ValueError(f"{max_name} must be finite, got {span_max_km}")
+    _check_loss_floor(loss_db_per_km, loss_name)
+    counts = _span_counts(total_length_km, span_min_km, span_max_km, n_points)
+    if counts:
+        longest = total_length_km / counts[-1]  # the counts fall as the samples grow
+        alpha = attenuation_db_to_per_km(loss_db_per_km)
+        l_eff = -math.expm1(-alpha * longest) / alpha  # as the NLI kernel computes it
+        if l_eff > MAX_EFFECTIVE_LENGTH_KM:
+            raise ValueError(f"{max_name}={span_max_km:g} samples a {longest:g} km span, where "
+                             f"{loss_name}={loss_db_per_km} gives the NLI effective length "
+                             f"{l_eff:g} km, whose square is beyond float range")
+    return counts
 
 
 @functools.lru_cache(maxsize=8)
@@ -307,9 +325,9 @@ def span_length_curve(
     flagged gaps rather than aborting the curve.
     """
     total = plan.total_length_km
-    check_span_range(total, span_min_km, span_max_km, n_points,
-                     ("plan.total_length_km", "span_min_km", "span_max_km", "n_points"))
-    counts = _span_counts(total, span_min_km, span_max_km, n_points)
+    counts = check_span_range(total, loss_db_per_km, span_min_km, span_max_km, n_points,
+                              ("plan.total_length_km", "loss_db_per_km", "span_min_km",
+                               "span_max_km", "n_points"))
     inv_gsnr = _target_inv_gsnr(plan, trx, target_tbps)
     powers = _solve_powers_dbm(span_terms(plan, loss_db_per_km, counts, include_rbs), inv_gsnr)
     low, high = settings.power_bracket_dbm

@@ -161,6 +161,15 @@ def ase_inv_snr(amp: AmplifierSpec, per_channel_output_w: float, gain_db: float,
     return ase_inv_snrs(amp, per_channel_output_w, ((gain_db, n_amps),), noise_bw_hz, const)[0]
 
 
+def _nli_prefix(gamma_per_w_km: float, launch_psd_w_hz: float) -> float:
+    """The GN closed form's factor (8/27)*gamma^2*PSD^3: inf where it leaves float
+    range, and NaN for no NLI (gamma = 0) times an infinite PSD."""
+    try:
+        return (8.0 / 27.0) * gamma_per_w_km**2 * launch_psd_w_hz**3
+    except OverflowError:
+        return math.inf
+
+
 def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Iterable[float],
                          comb_bw_hz: float, const: PhysicalConstants,
                          loss_db_per_km: float | None = None,
@@ -176,8 +185,9 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
     one whose asinh argument 0.5*pi^2*|beta2|*B^2/alpha is beyond float range
     (below about 1.1e-305 dB/km at 3 ps/(nm km) and 5 THz) and one whose
     denominator pi*|beta2|/alpha underflows to 0 (above about 2e301 dB/km at
-    3 ps/(nm km), and an infinite loss). A span whose effective length passes
-    MAX_EFFECTIVE_LENGTH_KM (about 1.3e154 km) is refused, naming `name` and the span.
+    3 ps/(nm km), and an infinite loss). A PSD whose factor leaves float range, or
+    is NaN, is refused next, and a span whose effective length passes
+    MAX_EFFECTIVE_LENGTH_KM (about 1.3e154 km) last, naming `name` and the span.
     """
     if launch_psd_w_hz < 0:
         raise ValueError(f"launch_psd_w_hz must be >= 0, got {launch_psd_w_hz}")
@@ -198,7 +208,11 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
     if denominator == 0:
         raise ValueError(f"{name}={loss} puts the NLI's denominator pi*|beta2|/alpha below "
                          f"float range at fiber.dispersion_ps_nm_km={fiber.dispersion_ps_nm_km:g}")
-    prefix = (8.0 / 27.0) * fiber.gamma_per_w_km**2 * launch_psd_w_hz**3
+    prefix = _nli_prefix(fiber.gamma_per_w_km, launch_psd_w_hz)
+    if not prefix < math.inf:
+        raise ValueError(f"launch_psd_w_hz={launch_psd_w_hz:g} puts the NLI prefix (8/27)*gamma^2*"
+                         f"PSD^3 beyond float range at fiber.gamma_per_w_km="
+                         f"{fiber.gamma_per_w_km:g}")
     asinh_value = math.asinh(asinh_arg)
     psds = []
     for span_km in spans_km:
@@ -324,12 +338,10 @@ def rbs_brute_force(
     steps = round(span_km / dz_km)
     if steps < 1 or abs(steps * dz_km - span_km) > 1e-9 * span_km:
         raise ValueError(f"dz_km={dz_km} does not divide span_km={span_km}")
-    import numpy as np
-
     alpha = attenuation_db_to_per_km(loss_db_per_km)
     b_lin = db_to_linear(backscatter_db_per_km)
-    midpoints = (np.arange(steps) + 0.5) * dz_km
-    per_span = float(np.sum(launch_w * np.exp(-2.0 * alpha * midpoints) * b_lin * dz_km))
+    per_span = math.fsum(launch_w * math.exp(-2.0 * alpha * ((k + 0.5) * dz_km)) * b_lin * dz_km
+                         for k in range(steps))
     # Backward gain restores transparency at each span start; the return path
     # through earlier spans has net gain 1, so every span contributes equally.
     return n_spans * per_span * math.exp(alpha * span_km)

@@ -25,6 +25,7 @@ from .impairments import (
     SnrBudget,
     _check_loss_floor,
     _check_power,
+    _nli_prefix,
     ase_inv_snrs,
     combine_gsnr,
     gn_nli_psds_per_span,
@@ -150,11 +151,7 @@ class LinkPlan:
         # The NLI kernel's prefix (8/27)*gamma^2*PSD^3 at span_terms' 1 mW reference.
         launch_w = per_channel_launch(0.0, n_channels, self.amp.post_output_loss_db)
         psd = launch_w / self.channel_spacing_hz
-        try:
-            prefix = (8.0 / 27.0) * self.fiber.gamma_per_w_km**2 * psd**3
-        except OverflowError:
-            prefix = math.inf
-        if not prefix < math.inf:  # NaN too: no NLI (gamma = 0) times an infinite PSD
+        if not _nli_prefix(self.fiber.gamma_per_w_km, psd) < math.inf:  # NaN too
             raise ValueError(
                 f"link.band_hz={self.band_hz:g} Hz in {n_channels} channels at "
                 f"link.channel_spacing_hz={self.channel_spacing_hz:g} Hz puts the launch PSD "

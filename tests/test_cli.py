@@ -352,8 +352,8 @@ def test_table_order_error_names_the_file(capsys, tmp_path, rows, message):
     ({"link": {"total_length_km": 1e158}, "span": {"span_length_km": 1e153},
       "fiber": {"loss_db_per_km": 1e-160}, "sweep": {"loss_min": 1e-160, "loss_max": 2e-160},
       "transceiver": {"gap_db": 0}}, ["span-curve", "--span-min", "1e154", "--span-max", "1e155"],
-     "loss_db_per_km=1e-160 gives a 1.44991e+154 km span the NLI effective length "
-     "1.44991e+154 km"),
+     "--span-max=1e+155 samples a 1e+155 km span, where fiber.loss_db_per_km=1e-160 gives the "
+     "NLI effective length 9.99999e+154 km"),
     # rbs once wrote -inf here and failed in the JSON writer.
     ({"link": {"total_length_km": 1e300}, "span": {"span_length_km": 1e296},
       "fiber": {"loss_db_per_km": 1e-294, "backscatter_db_per_km": 0},
@@ -362,7 +362,8 @@ def test_table_order_error_names_the_file(capsys, tmp_path, rows, message):
      "4.34294e+294 km"),
 ], ids=["span-curve-range", "rbs"])
 def test_nli_effective_length_names_what_stretches_it(capsys, tmp_path, document, argv, message):
-    """Runs with flags past the NLI effective-length bound exit 2 naming the loss."""
+    """Runs with flags past the NLI effective-length bound exit 2 naming the loss,
+    and span-curve the flag that stretched the span."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(document))
     assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG

@@ -284,6 +284,35 @@ def test_main_over_a_paired_symbol_rate_and_spacing(files, lines):
 
 
 @st.composite
+def _co_scaled_widths_documents(draw) -> list[str]:
+    """The band, channel spacing and symbol rate at one common decade, anywhere
+    in float range, with band/spacing up to 10^5.5 and the symbol rate at most
+    the spacing: the per-key draws move one width at a time, and the draw above
+    keeps the 5 THz band, so neither reaches a tiny band of few channels, whose
+    launch PSD at 1 mW is huge. The gap is pinned in half the draws, so the
+    solves run past the calibration."""
+    spacing = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-323, 13))
+    band = spacing * 10.0 ** draw(st.floats(0.0, 5.5))
+    rate = spacing * draw(st.floats(0.0, 1.0))
+    gap = draw(st.sampled_from(["none", "0"]))
+    return ["sweep.loss_steps = 5", "sweep.power_steps = 6", f"transceiver.gap_db = {gap}",
+            f"link.band_hz = {band!r}", f"link.channel_spacing_hz = {spacing!r}",
+            f"link.symbol_rate_hz = {rate!r}"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lines=_co_scaled_widths_documents())
+def test_main_over_co_scaled_widths(files, lines):
+    with open(files["fuzz.cfg"], "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    for command in sorted(_COMMAND_FLAGS):
+        for fmt in FORMATS[command]:
+            _run_main([command, f"--config={files['fuzz.cfg']}", f"--format={fmt}"],
+                      files["out.txt"])
+
+
+@st.composite
 def _tiny_loss_documents(draw) -> tuple[list[list[str]], dict[str, list[str]]]:
     """The mirror of _huge_loss_documents: a tiny loss over spans so long that
     the NLI effective length passes or nears sqrt(float max), about 1.3e154 km,

@@ -24,7 +24,9 @@ from hcflink.explore import (
     sweep_grid,
     sweep_rows,
 )
+from hcflink.impairments import FiberSpec, gn_nli_psds_per_span
 from hcflink.system import (
+    DEFAULT_CONSTANTS,
     InfeasibleError,
     OperatingPoint,
     ShannonGapTransceiver,
@@ -782,6 +784,34 @@ def test_bad_loss_is_refused_without_a_full_span(reference_plan, calibrated_trx,
     with pytest.raises(ValueError) as curve:
         span_length_curve(reference_plan, calibrated_trx, loss, 14000.0, 20000.0, 5, 1000.0)
     assert str(curve.value) == str(single.value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    loss_exp=st.floats(-160.0, -150.0),
+    total_exp=st.floats(150.0, 160.0),
+    lo_exp=st.floats(-3.0, 0.0),
+    width=st.floats(1.0, 3.0),
+    n_points=st.integers(1, 50),
+)
+def test_span_range_check_refuses_what_the_nli_kernel_refuses(loss_exp, total_exp, lo_exp,
+                                                              width, n_points):
+    """check_span_range's effective-length bound is the NLI kernel's, at the
+    longest span sampled: a range it refuses holds a span the kernel refuses,
+    and the spans of a range it accepts all pass the kernel."""
+    loss, total = 10.0 ** loss_exp, 10.0 ** total_exp
+    lo = total * 10.0 ** lo_exp
+    hi = lo * width
+    names = ("total", "loss", "lo", "hi", "n")
+    spans = [total / n for n in explore._span_counts(total, lo, hi, n_points)]
+    try:
+        explore.check_span_range(total, loss, lo, hi, n_points, names)
+    except ValueError as exc:
+        assert str(exc).startswith(f"hi={hi:g} samples a "), exc
+        with pytest.raises(ValueError, match="NLI effective length .* whose square is beyond"):
+            gn_nli_psds_per_span(FiberSpec(), 0.0, spans, 5e12, DEFAULT_CONSTANTS, loss)
+    else:
+        gn_nli_psds_per_span(FiberSpec(), 0.0, spans, 5e12, DEFAULT_CONSTANTS, loss)
 
 
 def _row_by_row_sweep(plan, trx, grid, include_rbs):

@@ -40,6 +40,9 @@ CASES = {
     "budget_table.json": ["budget", *TABLE],
     "span_curve_rbs_table.json": ["span-curve", "--format", "json", *RBS, *TABLE],
     "contour_sweep_9x7_rbs_table.json": ["contour", *SWEEP, "--format", "json", *RBS, *TABLE],
+    "contour_sweep_9x7_rbs_table.csv": ["contour", *SWEEP, "--format", "csv", *RBS, *TABLE],
+    "contour_sweep_9x7_rbs_table.svg": ["contour", *SWEEP, "--format", "svg", *RBS, *TABLE],
+    "span_curve_rbs_table.csv": ["span-curve", "--format", "csv", *RBS, *TABLE],
 }
 
 

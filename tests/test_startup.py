@@ -116,7 +116,8 @@ def test_budget_with_a_table_does_not_load_numpy(tmp_path):
 
 
 def test_sweep_grid_loads_numpy():
-    # The probe can tell: sweep_grid's arrays do load it.
+    # The probe can tell: sweep_grid's arrays do load it, where numpy is installed.
+    pytest.importorskip("numpy")
     probe = ("import sys\n"
              "from hcflink.config import parse_config, resolve_transceiver\n"
              "from hcflink.explore import sweep_grid\n"

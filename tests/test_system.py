@@ -17,6 +17,7 @@ from hcflink.impairments import (
     MIN_LOSS_DB_PER_KM,
     AmplifierSpec,
     FiberSpec,
+    gn_nli_psd_per_span,
     gn_nli_psds_per_span,
     imi_inv_snr,
     nli_inv_snrs,
@@ -359,6 +360,15 @@ def test_rate_monotone_in_gsnr_both_variants():
                      "span_km must be > 0, got 0.0", id="rbs_brute_force-span"),
         pytest.param(lambda: rbs_brute_force(1e-3, -70.0, 0.06, 200.0, -1, 1.0),
                      "n_spans must be >= 0, got -1", id="rbs_brute_force-count"),
+        # The NLI prefix's cube used to leave float range as an uncaught OverflowError.
+        pytest.param(lambda: gn_nli_psd_per_span(FiberSpec(), 1e103, 100.0, 5e12,
+                                                 DEFAULT_CONSTANTS),
+                     "launch_psd_w_hz=1e+103 puts the NLI prefix (8/27)*gamma^2*PSD^3 beyond "
+                     "float range at fiber.gamma_per_w_km=0.0005", id="gn_nli-prefix-overflow"),
+        pytest.param(lambda: gn_nli_psd_per_span(FiberSpec(gamma_per_w_km=0.0), math.inf, 100.0,
+                                                 5e12, DEFAULT_CONSTANTS),
+                     "launch_psd_w_hz=inf puts the NLI prefix (8/27)*gamma^2*PSD^3 beyond "
+                     "float range at fiber.gamma_per_w_km=0", id="gn_nli-prefix-nan"),
     ],
 )
 def test_library_argument_check_names_its_argument(call, message):
