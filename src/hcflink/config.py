@@ -58,6 +58,9 @@ class TransceiverSpec:
         if self.variant not in ("shannon_gap", "tabulated"):
             raise ValueError(f"transceiver.variant must be 'shannon_gap' or 'tabulated' "
                              f"(got {self.variant!r})")
+        if self.variant == "tabulated" and not self.table_path:
+            raise ValueError("transceiver.table_path is required for the tabulated variant "
+                             "(transceiver.variant)")
         if self.gap_db is not None and not self.gap_db >= 0:
             raise ValueError(f"transceiver.gap_db must be >= 0 (got {self.gap_db!r})")
         if self.max_rate_gbps is not None and not self.max_rate_gbps > 0:
@@ -226,8 +229,6 @@ def resolve_transceiver(
     section = dict(cfg.values["transceiver"])
     if table_path is not None or spec.variant == "tabulated":
         path = spec.table_path if table_path is None else str(table_path)
-        if not path:
-            raise ConfigError("transceiver.table_path is required for the tabulated variant")
         model = load_transceiver_table(path)
         rate = max(abs(model.points[0][1]), abs(model.points[-1][1]))
         if not math.isfinite(plan.n_carriers * rate / 1e3):

@@ -122,7 +122,7 @@ def sweep_rows(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
         return gsnr, [rate * scale for rate in rates(gsnr, symbol_rate)]
 
     last = len(columns) - 1
-    for a, b, imi, rbs in terms:
+    for loss, (a, b, imi, rbs) in zip(losses, terms):
         picks = {0, last}
         if a > 0 and b > 0:  # and the two powers around P_opt
             k = bisect.bisect_left(power_mw, (a / (2.0 * b)) ** (1.0 / 3.0))
@@ -136,7 +136,9 @@ def sweep_rows(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
         except (ZeroDivisionError, ValueError):  # 1/0, log10(0), a rate past float range
             finite = False
         if not finite:
-            raise ValueError("grid contains non-finite cells")
+            raise ValueError(f"grid contains non-finite cells in its row at loss {loss!r} dB/km,"
+                             f" between sweep.loss_min={grid.loss_min!r} and sweep.loss_max="
+                             f"{grid.loss_max!r}")
 
     def rows(start: int = 0, stop: int | None = None
              ) -> Iterator[tuple[float, list[float], list[float]]]:

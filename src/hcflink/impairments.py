@@ -360,7 +360,8 @@ def combine_gsnr(components: Sequence[float]) -> SnrBudget:
     values += [0.0] * (len(COMPONENTS) - len(values))
     # Left to right, as sum() adds floats before Python 3.12 and not after.
     total = values[0] + values[1] + values[2] + values[3]
-    if total == 0:
-        raise ValueError("all components are zero: infinite GSNR is not an operating point")
+    if total == 0 or 1.0 / total == math.inf:
+        raise ValueError(f"the components sum to {total:g}: infinite GSNR is not an operating "
+                         "point")
     gsnr = 1.0 / total
     return SnrBudget(*values, gsnr_linear=gsnr, gsnr_db=linear_to_db(gsnr))

@@ -103,8 +103,9 @@ def channels_in_band(band_hz: float, spacing_hz: float,
 @dataclass(frozen=True)
 class LinkPlan:
     """Topology and channel grid of one cable direction. Building it sets n_spans,
-    effective_span_km (the span snapped to an integer partition of the link),
-    n_channels and n_carriers (channels summed over the fibers of one direction)."""
+    effective_span_km (the span snapped to an integer partition of the link), n_channels,
+    n_carriers (channels summed over the fibers of one direction) and span_terms' 1 mW
+    reference: channel_output_w, channel_launch_w, launch_psd_w_hz and inv_snr_imi."""
 
     fiber: FiberSpec
     amp: AmplifierSpec
@@ -148,7 +149,7 @@ class LinkPlan:
                 f"link.band_hz={self.band_hz} holds no channel at "
                 f"link.channel_spacing_hz={self.channel_spacing_hz}"
             )
-        # The NLI kernel's prefix (8/27)*gamma^2*PSD^3 at span_terms' 1 mW reference.
+        # The NLI kernel's prefix (8/27)*gamma^2*PSD^3 at the 1 mW reference.
         launch_w = per_channel_launch(0.0, n_channels, self.amp.post_output_loss_db)
         psd = launch_w / self.channel_spacing_hz
         if not _nli_prefix(self.fiber.gamma_per_w_km, psd) < math.inf:  # NaN too
@@ -160,6 +161,11 @@ class LinkPlan:
             )
         object.__setattr__(self, "n_channels", n_channels)
         object.__setattr__(self, "n_carriers", self.n_fibers_per_direction * n_channels)
+        object.__setattr__(self, "channel_output_w", dbm_to_watt(-10.0 * math.log10(n_channels)))
+        object.__setattr__(self, "channel_launch_w", launch_w)
+        object.__setattr__(self, "launch_psd_w_hz", psd)
+        object.__setattr__(self, "inv_snr_imi",
+                           imi_inv_snr(self.fiber.imi_db_per_km, self.total_length_km))
 
     def span_gains_db(self, loss_db_per_km: float, spans_km: Iterable[float],
                       name: str = "fiber.loss_db_per_km") -> list[float]:
@@ -400,34 +406,33 @@ def span_terms(plan: LinkPlan, loss_db_per_km: float, counts: Iterable[int],
     losses. The backscatter term uses the fiber-only span loss and is 0
     unless include_rbs is set.
 
-    The launch powers and the IMI term are built once per call, and each
-    sequence kernel runs its count-independent checks and factors once; per
-    count there are only the span gain, the effective length and the terms'
-    last products, each with its own checks. The checks run in this order:
-    the loss floor, counts >= 1, each span gain, then the NLI
-    kernel's loss checks, which run even for empty counts.
+    The launch powers, launch PSD and IMI term are the plan's. Each sequence kernel
+    runs its count-independent checks and factors once; per count there are only the
+    span gain, the effective length and the terms' last products. Checks run in this
+    order: the loss floor, counts >= 1, each span gain, the NLI kernel's loss checks
+    (even for empty counts), then the NLI terms' float range.
     """
     fiber = plan.fiber
     _check_loss_floor(loss_db_per_km, "loss_db_per_km")
     counts = list(counts)
     if min(counts, default=1) < 1:
         raise ValueError(f"n_spans must be >= 1, got {min(counts)}")
-    n_channels = plan.n_channels
-    p_out_w = dbm_to_watt(-10.0 * math.log10(n_channels))
-    p_launch_w = per_channel_launch(0.0, n_channels, plan.amp.post_output_loss_db)
-    launch_psd = p_launch_w / plan.channel_spacing_hz
-    inv_imi = imi_inv_snr(fiber.imi_db_per_km, plan.total_length_km)
     total_km = plan.total_length_km
     spans_km = [total_km / n for n in counts]
     gains_db = plan.span_gains_db(loss_db_per_km, spans_km, "loss_db_per_km")
-    psds = gn_nli_psds_per_span(fiber, launch_psd, spans_km, plan.band_hz, DEFAULT_CONSTANTS,
-                                loss_db_per_km, "loss_db_per_km")
-    ases = ase_inv_snrs(plan.amp, p_out_w, zip(gains_db, counts), plan.symbol_rate_hz,
-                        DEFAULT_CONSTANTS)
-    nlis = nli_inv_snrs(zip(psds, counts), plan.symbol_rate_hz, p_launch_w)
+    psds = gn_nli_psds_per_span(fiber, plan.launch_psd_w_hz, spans_km, plan.band_hz,
+                                DEFAULT_CONSTANTS, loss_db_per_km, "loss_db_per_km")
+    ases = ase_inv_snrs(plan.amp, plan.channel_output_w, zip(gains_db, counts),
+                        plan.symbol_rate_hz, DEFAULT_CONSTANTS)
+    nlis = nli_inv_snrs(zip(psds, counts), plan.symbol_rate_hz, plan.channel_launch_w)
+    # The one term an accepted plan can overflow; an inf or a NaN term fails the sum too.
+    if not sum(nlis) < math.inf:
+        raise ValueError(f"fiber.gamma_per_w_km={fiber.gamma_per_w_km:g} and the 1 mW launch PSD "
+                         f"{plan.launch_psd_w_hz:g} W/Hz (link.band_hz, link.channel_spacing_hz) "
+                         f"put the NLI 1/SNR at loss_db_per_km={loss_db_per_km} out of float range")
     rbss = ([rbs_inv_snr(fiber.backscatter_db_per_km, total_km, loss_db_per_km * span_km)
              for span_km in spans_km] if include_rbs else repeat(0.0))
-    return list(zip(ases, nlis, repeat(inv_imi), rbss))
+    return list(zip(ases, nlis, repeat(plan.inv_snr_imi), rbss))
 
 
 def gsnr_terms(plan: LinkPlan, loss_db_per_km: float, n_spans: int,
@@ -438,10 +443,18 @@ def gsnr_terms(plan: LinkPlan, loss_db_per_km: float, n_spans: int,
 
 
 def link_gsnr(plan: LinkPlan, op: OperatingPoint, include_rbs: bool = False) -> SnrBudget:
-    """The four-impairment budget at one operating point, from gsnr_terms."""
+    """The four-impairment budget at one operating point, from gsnr_terms. Raises,
+    naming the keys behind each term, where combine_gsnr refuses the terms."""
     ase, nli, imi, rbs = gsnr_terms(plan, op.loss_db_per_km, plan.n_spans, include_rbs)
     p_mw = 10.0 ** (op.edfa_total_output_dbm / 10.0)
-    return combine_gsnr([ase / p_mw, nli * p_mw * p_mw, imi, rbs])
+    try:
+        return combine_gsnr([ase / p_mw, nli * p_mw * p_mw, imi, rbs])
+    except ValueError as exc:  # a GSNR or a term beyond float range
+        raise ValueError(
+            f"the 1/SNR terms at amplifier.total_output_power_dbm={op.edfa_total_output_dbm:g} "
+            f"are refused ({exc}): ASE from fiber.loss_db_per_km, amplifier.pre_input_loss_db "
+            f"and amplifier.post_output_loss_db, NLI from fiber.gamma_per_w_km, IMI from "
+            f"fiber.imi_db_per_km, RBS from fiber.backscatter_db_per_km") from None
 
 
 def _inv_db(level_db: float) -> float:

@@ -550,7 +550,7 @@ def test_grid_size_bounded_before_allocation(capsys, tmp_path, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("an oversized grid must be refused before the sweep runs")
 
-    monkeypatch.setattr(explore, "sweep_grid", no_sweep)
+    monkeypatch.setattr(explore, "sweep_rows", no_sweep)
     cfg = tmp_path / "run.json"
     cfg.write_text('{"sweep": {"loss_steps": 100000, "power_steps": 100000}}')
     assert main(["contour", "--config", str(cfg)]) == EXIT_CONFIG
@@ -598,8 +598,9 @@ def test_non_finite_grid_is_refused_before_the_first_byte(capsys, tmp_path, monk
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == {"code": "config",
-                                             "message": "grid contains non-finite cells"}
+    assert json.loads(lines[0])["error"] == {
+        "code": "config", "message": "grid contains non-finite cells in its row at loss 1e-20 "
+                                     "dB/km, between sweep.loss_min=1e-20 and sweep.loss_max=1e-19"}
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
@@ -726,6 +727,12 @@ def _one_config_error(capsys) -> str:
     return err["message"]
 
 
+# The 1/SNR terms of this config all round to 0 at every operating point.
+_ZERO_TERMS = {"fiber": {"gamma_per_w_km": 0, "imi_db_per_km": -4000, "loss_db_per_km": 1e-20},
+               "amplifier": {"pre_input_loss_db": 0, "post_output_loss_db": 0},
+               "sweep": {"loss_min": 1e-20, "loss_max": 2e-20}, "transceiver": {"gap_db": 0}}
+
+
 @pytest.mark.parametrize(
     "command,document,keys",
     [
@@ -782,6 +789,20 @@ def _one_config_error(capsys) -> str:
                      "sweep": {"loss_min": 1e-160, "loss_max": 2e-160},
                      "transceiver": {"gap_db": 0}},
          ["sweep.loss_min=1e-160 gives a 1e+156 km span the NLI effective length"]),
+        # No NLI, IMI below the least float and span gains whose G - 1 rounds to 0: the
+        # terms sum to 0, or so little that the GSNR overflows. Both used to name no key.
+        ("budget", _ZERO_TERMS, ["fiber.gamma_per_w_km", "fiber.imi_db_per_km"]),
+        ("budget", {**_ZERO_TERMS, "fiber": {**_ZERO_TERMS["fiber"], "imi_db_per_km": -3230}},
+         ["fiber.gamma_per_w_km", "fiber.imi_db_per_km"]),
+        # A 1 mW launch PSD whose NLI prefix is finite, but whose product with the
+        # effective length squared is not; it used to name no key.
+        *[(command, {"link": {"band_hz": 1e-100, "channel_spacing_hz": 1e-100,
+                              "symbol_rate_hz": 1e-100},
+                     "fiber": {"gamma_per_w_km": 1e6, "loss_db_per_km": 1e-4},
+                     "span": {"span_length_km": 6600}, "amplifier": {"post_output_loss_db": 0},
+                     "sweep": {"loss_min": 1e-4, "loss_max": 2e-4}},
+           ["fiber.gamma_per_w_km", "link.channel_spacing_hz", "link.band_hz"])
+          for command in ("budget", "contour")],
     ],
 )
 def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document, keys):
@@ -795,6 +816,38 @@ def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document,
         messages.add(_one_config_error(capsys))
     (message,) = messages
     assert all(key in message for key in keys)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_sweep_row_is_named(capsys, tmp_path, fmt):
+    """The grid formats name the sweep's loss range and the row at fault; the svg
+    format draws no grid, and its empty contour set is written as before."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_ZERO_TERMS))
+    assert main(["contour", "--format", fmt, "--config", str(cfg)]) == EXIT_CONFIG
+    assert _one_config_error(capsys) == ("grid contains non-finite cells in its row at loss "
+                                         "1e-20 dB/km, between sweep.loss_min=1e-20 and "
+                                         "sweep.loss_max=2e-20")
+    assert main(["contour", "--format", "svg", "--config", str(cfg)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command] for command in sorted(FORMATS)]
+    + [[command, "--trx-table"] for command in ("budget", "contour", "span-curve")],
+    ids=" ".join,
+)
+def test_tabulated_variant_without_a_table_is_refused_by_every_command(capsys, tmp_path, argv):
+    """The config is refused when it is parsed, so every command refuses it with
+    one message, and --trx-table does not rescue it."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[transceiver]\nvariant = tabulated\n")
+    table = tmp_path / "table.csv"
+    table.write_text("10,400\n20,700\n")
+    argv = [*argv, str(table)] if "--trx-table" in argv else argv
+    assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+    assert _one_config_error(capsys) == ("transceiver.table_path is required for the tabulated "
+                                         "variant (transceiver.variant)")
 
 
 @pytest.mark.parametrize(

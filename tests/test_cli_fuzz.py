@@ -1,9 +1,11 @@
 """Hypothesis fuzz of cli.main over every subcommand's flags and every config key.
 
 Each run ends in exit 0, 2, 3 or 4. A failure writes exactly one JSON error line
-on stderr and nothing on stdout. A success writes no error text, and no NaN or
-infinity reaches its output; the one exception is the span-curve CSV, which marks
-an infeasible row with ``nan,false``.
+on stderr and nothing on stdout, and a config error (exit 2) names its cause: a
+config key, a flag, or the config or table file that could not be read or parsed.
+A success writes no error text, and no NaN or infinity reaches its output; the
+one exception is the span-curve CSV, which marks an infeasible row with
+``nan,false``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 import warnings
@@ -115,6 +118,16 @@ def _argv(draw, files: dict[str, str]) -> tuple[list[str], bool]:
 
 _NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
+# What a config error names: a config key, a flag, or a file under the fuzz's
+# directory, where every config and table file it reads lives.
+_NAMES = [*(f"{section}.{key}" for section, keys in DEFAULTS.items() for key in keys),
+          "--config", "--output", *_ALL_FLAGS]
+
+
+def _names_its_cause(message: str, out_file: str) -> bool:
+    return (any(name in message for name in _NAMES)
+            or os.path.dirname(out_file) + os.sep in message)
+
 
 def _assert_finite(text: str) -> None:
     if text.startswith("{"):
@@ -128,8 +141,8 @@ def _assert_finite(text: str) -> None:
 
 def _run_main(argv: list[str], out_file: str) -> int:
     """Run main(argv) and check its streams: exactly one JSON error line and no
-    stdout on failure, and on success no error text and a finite output, which
-    goes to out_file when argv names it."""
+    stdout on failure, a config error naming its cause, and on success no error
+    text and a finite output, which goes to out_file when argv names it."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -145,6 +158,8 @@ def _run_main(argv: list[str], out_file: str) -> int:
         assert error["code"] == _CODES[code], argv
         # A non-finite value that reached the JSON writer would surface as a config error.
         assert "JSON compliant" not in error["message"], argv
+        if code == EXIT_CONFIG:
+            assert _names_its_cause(error["message"], out_file), (argv, error["message"])
         return code
     assert err == "", argv
     if f"--output={out_file}" in argv:
@@ -378,3 +393,34 @@ def test_rbs_at_the_fiber_loss_runs_where_the_budget_with_rbs_runs(files, lines)
     if _run_main(["budget", config, "--include-rbs=true"], files["out.txt"]) == EXIT_OK:
         loss = parse_config(text).plan().fiber.loss_db_per_km
         assert _run_main(["rbs", config, f"--losses={loss!r}"], files["out.txt"]) == EXIT_OK
+
+
+@st.composite
+def _vanishing_terms_documents(draw) -> list[str]:
+    """No NLI or a tiny one, an IMI near or below the least float, span gains whose
+    G - 1 rounds to 0 and a backscatter near or below the least float, drawn
+    together: the four 1/SNR terms sum to 0, or to so little that the GSNR
+    overflows, where the per-key draws above move one term at a time."""
+    loss = 10.0 ** draw(st.floats(-300.0, -10.0))
+    gamma = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-100)))
+    lumped = draw(st.sampled_from(["0", "0", "1e-300"]))
+    gap = draw(st.sampled_from(["none", "0"]))
+    return ["sweep.loss_steps = 5", "sweep.power_steps = 6", f"transceiver.gap_db = {gap}",
+            f"fiber.loss_db_per_km = {loss!r}", f"sweep.loss_min = {loss!r}",
+            f"sweep.loss_max = {2.0 * loss!r}", f"fiber.gamma_per_w_km = {gamma!r}",
+            f"fiber.imi_db_per_km = {draw(st.floats(-4000.0, -3000.0))!r}",
+            f"fiber.backscatter_db_per_km = {draw(st.floats(-4000.0, -3000.0))!r}",
+            f"amplifier.pre_input_loss_db = {lumped}", f"amplifier.post_output_loss_db = {lumped}"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lines=_vanishing_terms_documents())
+def test_main_over_vanishing_terms(files, lines):
+    with open(files["fuzz.cfg"], "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    config = f"--config={files['fuzz.cfg']}"
+    for command in sorted(_COMMAND_FLAGS):
+        for fmt in FORMATS[command]:
+            _run_main([command, config, f"--format={fmt}"], files["out.txt"])
+    _run_main(["budget", config, "--include-rbs=true"], files["out.txt"])

@@ -193,9 +193,9 @@ def test_resolve_transceiver_opens_a_table_path_holding_hash(tmp_path, quote):
 
 
 def test_resolve_transceiver_tabulated_requires_path():
-    cfg = parse_config("transceiver.variant = tabulated\n")
+    # TransceiverSpec holds the rule, so the document is refused when it is parsed.
     with pytest.raises(ConfigError, match="table_path"):
-        resolve_transceiver(cfg, cfg.plan())
+        parse_config("transceiver.variant = tabulated\n")
 
 
 _SECTION_CLASSES = (FiberSpec, AmplifierSpec, LinkPlan, TransceiverSpec, GridSpec, PowerFeedSpec)

@@ -923,7 +923,10 @@ def test_non_finite_check_refuses_exactly_the_grids_with_a_non_finite_cell(
         try:
             sweep = sweep_rows(reference_plan, trx, grid)
         except ValueError as exc:
-            assert str(exc) == "grid contains non-finite cells"
+            loss = next(loss for loss, (a, b, imi, rbs) in zip(losses, terms)
+                        if not all(finite(a, b, imi + rbs, p) for p in power_mw))
+            assert str(exc) == (f"grid contains non-finite cells in its row at loss {loss!r} "
+                                f"dB/km, between sweep.loss_min=0.05 and sweep.loss_max=0.06")
             assert not every_cell_finite
             return
     assert every_cell_finite

@@ -424,6 +424,8 @@ def test_combine_errors():
         combine_gsnr([])
     with pytest.raises(ValueError):
         combine_gsnr([0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="infinite GSNR"):
+        combine_gsnr([6.52e-320])  # 1/total overflows
     with pytest.raises(ValueError):
         combine_gsnr([-0.1])
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import warnings
@@ -795,6 +796,36 @@ def test_span_terms_keep_their_bits(reference_plan, gamma):
     plan = replace(reference_plan, fiber=replace(reference_plan.fiber, gamma_per_w_km=gamma))
     terms = span_terms(plan, 0.06, (20, 33, 44, 66), True)
     assert [tuple(x.hex() for x in t) for t in terms] == _PINNED_TERMS[gamma]
+
+
+# sha256 of the float.hex of every term of span_terms(plan, 0.06, range(1, 67), include_rbs)
+# at the reference plan, as span_terms computed them when it built the 1 mW reference itself.
+_REFERENCE_TERMS_SHA256 = {
+    False: "57aee787cf0867a3fa72d129e53e3d01eec603c9c25052e47c047f58f413e619",
+    True: "cc4afff6c9a6172c5a2d4900352deadf8925976ae213cd5c7255dfaff6e6c1ec",
+}
+
+
+def test_span_terms_read_the_plans_1mw_reference(reference_plan, monkeypatch):
+    """LinkPlan builds the 1 mW output, launch, launch PSD and IMI term once, as
+    plain attributes that replace() recomputes; span_terms reads them, builds
+    none of them, and keeps every term's bits."""
+    assert not {f.name for f in fields(LinkPlan)} & {
+        "channel_output_w", "channel_launch_w", "launch_psd_w_hz", "inv_snr_imi"}
+    wider = replace(reference_plan, channel_spacing_hz=100e9)
+    assert wider.launch_psd_w_hz == wider.channel_launch_w / 100e9
+    assert wider.launch_psd_w_hz != reference_plan.launch_psd_w_hz
+    assert wider == LinkPlan(reference_plan.fiber, reference_plan.amp, channel_spacing_hz=100e9)
+
+    def rebuilt(*args):
+        raise AssertionError("span_terms rebuilt a quantity of the plan's 1 mW reference")
+
+    for name in ("per_channel_launch", "dbm_to_watt", "imi_inv_snr"):
+        monkeypatch.setattr(system, name, rebuilt)
+    for include_rbs, digest in _REFERENCE_TERMS_SHA256.items():
+        terms = span_terms(reference_plan, 0.06, range(1, 67), include_rbs)
+        assert hashlib.sha256(" ".join(x.hex() for t in terms for x in t).encode()
+                              ).hexdigest() == digest
 
 
 def test_span_counts_check_the_total_then_name_a_bad_sample():
