@@ -30,6 +30,7 @@ from typing import IO, Iterator, NoReturn
 
 from . import impairments, outputs, system
 from .config import ConfigError, RunConfig, parse_config, resolve_transceiver
+from .domain import check_value
 from .system import SOLID_CORE_GROUP_INDEX, InfeasibleError
 from .units import linear_to_db
 
@@ -128,9 +129,9 @@ def _run_span_curve(cfg: RunConfig, fh: IO[str], fmt: str, *, include_rbs: bool 
 
     plan = cfg.plan()
     loss = plan.fiber.loss_db_per_km
-    explore.check_span_range(plan.total_length_km, loss, span_min, span_max, span_points,
-                             ("link.total_length_km", "fiber.loss_db_per_km", "--span-min",
-                              "--span-max", "--span-points"))
+    explore.check_span_range(plan.total_length_km, span_min, span_max, span_points,
+                             ("link.total_length_km", "--span-min", "--span-max",
+                              "--span-points"))
     trx, section = resolve_transceiver(cfg, plan, trx_table)
     points = explore.span_length_curve(
         plan, trx, loss, span_min, span_max, span_points, target_tbps, include_rbs
@@ -161,6 +162,7 @@ def _run_rbs(cfg: RunConfig, fh: IO[str], fmt: str, *,
     backscatter_db, total_km = plan.fiber.backscatter_db_per_km, plan.total_length_km
     rows = []
     for loss in losses:
+        check_value(loss, "fiber.loss_db_per_km", "--losses")
         plan.span_gain_db(loss, name="--losses")
         span_loss_db = loss * plan.effective_span_km
         inv = impairments.rbs_inv_snr(backscatter_db, total_km, span_loss_db)
@@ -169,7 +171,7 @@ def _run_rbs(cfg: RunConfig, fh: IO[str], fmt: str, *,
             "span_loss_db": span_loss_db,
             "enhancement": impairments.rbs_enhancement(span_loss_db),
             "rbs_power_w": impairments.rbs_power(launch_w, backscatter_db, total_km, span_loss_db),
-            "gsnr_rbs_db": -linear_to_db(inv) if inv else None,  # the budget's rule
+            "gsnr_rbs_db": -linear_to_db(inv),
         })
     return {
         "config": cfg.values,

@@ -10,15 +10,14 @@ the rows into arrays, imports numpy.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .config import MAX_GRID_POINTS, GridSpec  # noqa: F401  (re-exported)
-from .impairments import MAX_EFFECTIVE_LENGTH_KM, _check_loss_floor
+from .domain import check_value
 from .system import (
     InfeasibleError,
     LinkPlan,
@@ -32,7 +31,6 @@ from .system import (
     span_count,
     span_terms,
 )
-from .units import attenuation_db_to_per_km
 # perfbench's traced run patches these two names here.
 from .system import cable_throughput, link_gsnr  # noqa: F401
 
@@ -102,12 +100,8 @@ def sweep_rows(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
     A row's cells are 10*log10(1/(A*(1/p) + B*p^2 + C)) at p mW for its gsnr_terms
     A, B and C = IMI + RBS, with 1/p and p^2 computed once per power; its
     throughput is one call of the transceiver's rate sequence, times n_carriers/1e3.
-
-    A grid with a non-finite cell raises ValueError here, before any row is given
-    out. Each row's 1/GSNR is convex in p, so its extremes lie at the end powers
-    and at the two around P_opt = (A/2B)^(1/3), and the rate is monotone in the
-    GSNR: a row whose cells there lie within +-3000 dB and 1e300 Tb/s holds no
-    non-finite cell. Any other row is evaluated whole.
+    The domain of the plan and the grid keeps every cell finite: C is at least the
+    plan's IMI term, above 0, and A, B and the powers are bounded.
     """
     losses, terms = _row_terms(plan, grid, include_rbs)
     powers = _linspace(grid.power_min, grid.power_max, grid.power_steps)
@@ -116,34 +110,12 @@ def sweep_rows(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
     rates, symbol_rate, scale = trx.net_rates_gbps, plan.symbol_rate_hz, plan.n_carriers / 1e3
     log10 = math.log10
 
-    def cells(a: float, b: float, c: float, columns: Iterable[tuple[float, float]]
-              ) -> tuple[list[float], list[float]]:
-        gsnr = [10.0 * log10(1.0 / (a * inv_p + b * p_sq + c)) for inv_p, p_sq in columns]
-        return gsnr, [rate * scale for rate in rates(gsnr, symbol_rate)]
-
-    last = len(columns) - 1
-    for loss, (a, b, imi, rbs) in zip(losses, terms):
-        picks = {0, last}
-        if a > 0 and b > 0:  # and the two powers around P_opt
-            k = bisect.bisect_left(power_mw, (a / (2.0 * b)) ** (1.0 / 3.0))
-            picks |= {max(k - 1, 0), min(k, last)}
-        try:
-            gsnr, tput = cells(a, b, imi + rbs, [columns[j] for j in picks])
-            if not (all(-3000.0 <= g <= 3000.0 for g in gsnr)
-                    and all(abs(t) <= 1e300 for t in tput)):
-                gsnr, tput = cells(a, b, imi + rbs, columns)
-            finite = all(map(math.isfinite, gsnr + tput))
-        except (ZeroDivisionError, ValueError):  # 1/0, log10(0), a rate past float range
-            finite = False
-        if not finite:
-            raise ValueError(f"grid contains non-finite cells in its row at loss {loss!r} dB/km,"
-                             f" between sweep.loss_min={grid.loss_min!r} and sweep.loss_max="
-                             f"{grid.loss_max!r}")
-
     def rows(start: int = 0, stop: int | None = None
              ) -> Iterator[tuple[float, list[float], list[float]]]:
         for loss, (a, b, imi, rbs) in zip(losses[start:stop], terms[start:stop]):
-            yield (loss, *cells(a, b, imi + rbs, columns))
+            c = imi + rbs
+            gsnr = [10.0 * log10(1.0 / (a * inv_p + b * p_sq + c)) for inv_p, p_sq in columns]
+            yield loss, gsnr, [rate * scale for rate in rates(gsnr, symbol_rate)]
 
     return SweepRows(losses, powers, rows)
 
@@ -264,34 +236,22 @@ def required_edfa_power(
     return power_dbm
 
 
-def check_span_range(total_length_km: float, loss_db_per_km: float, span_min_km: float,
-                     span_max_km: float, n_points: int,
-                     names: tuple[str, str, str, str, str]) -> tuple[int, ...]:
+def check_span_range(total_length_km: float, span_min_km: float, span_max_km: float,
+                     n_points: int, names: tuple[str, str, str, str]) -> tuple[int, ...]:
     """The span counts the range samples (_span_counts). Raises, naming the link
     length and each other value by `names` (in the order of the parameters),
     unless n_points lies in 1..MAX_SPAN_POINTS, span_count accepts the shortest
-    span, the range is finite and not empty, the loss passes its floor and the
-    NLI effective length of the longest span sampled squares within float range.
-    Spans may be longer than the link."""
-    total_name, loss_name, min_name, max_name, points_name = names
+    span, both ends lie in the domain row of span.span_length_km and the range is
+    not empty. Spans may be longer than the link."""
+    total_name, min_name, max_name, points_name = names
     if not 1 <= n_points <= MAX_SPAN_POINTS:
         raise ValueError(f"{points_name} must lie in 1..{MAX_SPAN_POINTS}, got {n_points}")
     span_count(total_length_km, span_min_km, (total_name, min_name))
+    check_value(span_min_km, "span.span_length_km", min_name)
+    check_value(span_max_km, "span.span_length_km", max_name)
     if not span_min_km <= span_max_km:
         raise ValueError(f"{min_name}={span_min_km} must not exceed {max_name}={span_max_km}")
-    if span_max_km == math.inf:
-        raise ValueError(f"{max_name} must be finite, got {span_max_km}")
-    _check_loss_floor(loss_db_per_km, loss_name)
-    counts = _span_counts(total_length_km, span_min_km, span_max_km, n_points)
-    if counts:
-        longest = total_length_km / counts[-1]  # the counts fall as the samples grow
-        alpha = attenuation_db_to_per_km(loss_db_per_km)
-        l_eff = -math.expm1(-alpha * longest) / alpha  # as the NLI kernel computes it
-        if l_eff > MAX_EFFECTIVE_LENGTH_KM:
-            raise ValueError(f"{max_name}={span_max_km:g} samples a {longest:g} km span, where "
-                             f"{loss_name}={loss_db_per_km} gives the NLI effective length "
-                             f"{l_eff:g} km, whose square is beyond float range")
-    return counts
+    return _span_counts(total_length_km, span_min_km, span_max_km, n_points)
 
 
 @functools.lru_cache(maxsize=8)
@@ -327,9 +287,8 @@ def span_length_curve(
     flagged gaps rather than aborting the curve.
     """
     total = plan.total_length_km
-    counts = check_span_range(total, loss_db_per_km, span_min_km, span_max_km, n_points,
-                              ("plan.total_length_km", "loss_db_per_km", "span_min_km",
-                               "span_max_km", "n_points"))
+    counts = check_span_range(total, span_min_km, span_max_km, n_points,
+                              ("plan.total_length_km", "span_min_km", "span_max_km", "n_points"))
     inv_gsnr = _target_inv_gsnr(plan, trx, target_tbps)
     powers = _solve_powers_dbm(span_terms(plan, loss_db_per_km, counts, include_rbs), inv_gsnr)
     low, high = settings.power_bracket_dbm

@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .domain import check_domain
 from .units import (
     DB_PER_NEPER,
     PhysicalConstants,
@@ -24,12 +25,10 @@ from .units import (
 # The 1/SNR components of a budget, in SnrBudget field order.
 COMPONENTS = ("ase", "nli", "imi", "rbs")
 
-# Bounds, far beyond any real component, that keep every 1/SNR term finite:
-# beta2 underflows near |D| = 1e-280, gamma^2 overflows near 1e154, a dB value
-# near 3000, and the NLI term, cubic in power, near 1500 dBm.
+# The least |D| of a fiber, since the NLI divides by |beta2|, and the power window
+# of an OperatingPoint: the NLI term, cubic in power, leaves float range near
+# 1500 dBm.
 MIN_ABS_DISPERSION_PS_NM_KM = 1e-6
-MAX_GAMMA_PER_W_KM = 1e6
-MAX_AMPLIFIER_DB = 100.0
 MAX_ABS_POWER_DBM = 300.0
 
 # Longest NLI effective length whose square is a finite float.
@@ -46,15 +45,11 @@ def _check_loss_floor(loss_db_per_km: float, name: str = "fiber.loss_db_per_km")
                          f"attenuation must not underflow), got {loss_db_per_km}")
 
 
-def _check_power(power_dbm: float, name: str) -> None:
-    if not abs(power_dbm) <= MAX_ABS_POWER_DBM:
-        raise ValueError(f"{name} must lie within +/-{MAX_ABS_POWER_DBM:g} dBm, got {power_dbm}")
-
-
 @dataclass(frozen=True)
 class FiberSpec:
     """Physical fiber parameters (the config's fiber section); the defaults
-    are the reference hollow-core fiber.
+    are the reference hollow-core fiber. Each lies in its domain row, and
+    |dispersion_ps_nm_km| is at least MIN_ABS_DISPERSION_PS_NM_KM.
 
     imi_db_per_km and backscatter_db_per_km are per-km power ratios below
     unity, hence nonpositive in dB.
@@ -68,27 +63,17 @@ class FiberSpec:
     group_index: float = 1.0003
 
     def __post_init__(self) -> None:
-        _check_loss_floor(self.loss_db_per_km)
+        check_domain(self, "fiber")
         if not abs(self.dispersion_ps_nm_km) >= MIN_ABS_DISPERSION_PS_NM_KM:
             raise ValueError(f"fiber.dispersion_ps_nm_km must have magnitude >= "
                              f"{MIN_ABS_DISPERSION_PS_NM_KM:g}, got {self.dispersion_ps_nm_km}")
-        if not 0 <= self.gamma_per_w_km <= MAX_GAMMA_PER_W_KM:
-            raise ValueError(f"fiber.gamma_per_w_km must lie in [0, {MAX_GAMMA_PER_W_KM:g}], "
-                             f"got {self.gamma_per_w_km}")
-        if self.imi_db_per_km > 0:
-            raise ValueError(f"fiber.imi_db_per_km must be <= 0, got {self.imi_db_per_km}")
-        if self.backscatter_db_per_km > 0:
-            raise ValueError(
-                f"fiber.backscatter_db_per_km must be <= 0, got {self.backscatter_db_per_km}"
-            )
-        if not self.group_index >= 1:
-            raise ValueError(f"fiber.group_index must be >= 1, got {self.group_index}")
 
 
 @dataclass(frozen=True)
 class AmplifierSpec:
     """Repeater gain block: the EDFA plus the lumped losses around it (the
-    config's amplifier section); the defaults are the reference repeater."""
+    config's amplifier section); the defaults are the reference repeater. Each
+    lies in its domain row."""
 
     noise_figure_db: float = 4.6
     total_output_power_dbm: float = 20.3
@@ -96,14 +81,7 @@ class AmplifierSpec:
     post_output_loss_db: float = 2.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.noise_figure_db <= MAX_AMPLIFIER_DB:
-            raise ValueError(f"amplifier.noise_figure_db must lie in (0, {MAX_AMPLIFIER_DB:g}] "
-                             f"dB, got {self.noise_figure_db}")
-        _check_power(self.total_output_power_dbm, "amplifier.total_output_power_dbm")
-        for name in ("pre_input_loss_db", "post_output_loss_db"):
-            if not 0 <= getattr(self, name) <= MAX_AMPLIFIER_DB:
-                raise ValueError(f"amplifier.{name} must lie in [0, {MAX_AMPLIFIER_DB:g}] dB, "
-                                 f"got {getattr(self, name)}")
+        check_domain(self, "amplifier")
 
 
 @dataclass(frozen=True)
@@ -161,15 +139,6 @@ def ase_inv_snr(amp: AmplifierSpec, per_channel_output_w: float, gain_db: float,
     return ase_inv_snrs(amp, per_channel_output_w, ((gain_db, n_amps),), noise_bw_hz, const)[0]
 
 
-def _nli_prefix(gamma_per_w_km: float, launch_psd_w_hz: float) -> float:
-    """The GN closed form's factor (8/27)*gamma^2*PSD^3: inf where it leaves float
-    range, and NaN for no NLI (gamma = 0) times an infinite PSD."""
-    try:
-        return (8.0 / 27.0) * gamma_per_w_km**2 * launch_psd_w_hz**3
-    except OverflowError:
-        return math.inf
-
-
 def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Iterable[float],
                          comb_bw_hz: float, const: PhysicalConstants,
                          loss_db_per_km: float | None = None,
@@ -208,8 +177,11 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
     if denominator == 0:
         raise ValueError(f"{name}={loss} puts the NLI's denominator pi*|beta2|/alpha below "
                          f"float range at fiber.dispersion_ps_nm_km={fiber.dispersion_ps_nm_km:g}")
-    prefix = _nli_prefix(fiber.gamma_per_w_km, launch_psd_w_hz)
-    if not prefix < math.inf:
+    try:
+        prefix = (8.0 / 27.0) * fiber.gamma_per_w_km**2 * launch_psd_w_hz**3
+    except OverflowError:
+        prefix = math.inf
+    if not prefix < math.inf:  # NaN too: no NLI (gamma = 0) times an infinite PSD
         raise ValueError(f"launch_psd_w_hz={launch_psd_w_hz:g} puts the NLI prefix (8/27)*gamma^2*"
                          f"PSD^3 beyond float range at fiber.gamma_per_w_km="
                          f"{fiber.gamma_per_w_km:g}")

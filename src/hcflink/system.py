@@ -19,13 +19,13 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
+from .domain import check_domain
 from .impairments import (
+    MAX_ABS_POWER_DBM,
     AmplifierSpec,
     FiberSpec,
     SnrBudget,
     _check_loss_floor,
-    _check_power,
-    _nli_prefix,
     ase_inv_snrs,
     combine_gsnr,
     gn_nli_psds_per_span,
@@ -54,8 +54,8 @@ SOLID_CORE_GROUP_INDEX = 1.468
 # float overflow before the count is rounded to an int.
 MAX_SPANS = 100_000
 
-# Most channels a band may hold: with at most 1e6 fibers the carrier count stays
-# an exact float, and band/spacing stays below float overflow before int().
+# Most channels a band may hold: the carrier count over the fibers stays an exact
+# float, and band/spacing stays below float overflow before int() in library calls.
 MAX_CHANNELS = 1_000_000
 
 # Largest span gain: fiber span loss plus the lumped losses around the EDFA.
@@ -102,9 +102,13 @@ def channels_in_band(band_hz: float, spacing_hz: float,
 
 @dataclass(frozen=True)
 class LinkPlan:
-    """Topology and channel grid of one cable direction. Building it sets n_spans,
-    effective_span_km (the span snapped to an integer partition of the link), n_channels,
-    n_carriers (channels summed over the fibers of one direction) and span_terms' 1 mW
+    """Topology and channel grid of one cable direction. Each number lies in its
+    domain row (span and link), the span is no longer than the link and cuts it
+    into at most MAX_SPANS spans, the span gain at the fiber loss is at most
+    MAX_SPAN_GAIN_DB, the spacing is at least the symbol rate, and the band holds
+    1 to MAX_CHANNELS channels. Building it sets n_spans, effective_span_km (the
+    span snapped to an integer partition of the link), n_channels, n_carriers
+    (channels summed over the fibers of one direction) and span_terms' 1 mW
     reference: channel_output_w, channel_launch_w, launch_psd_w_hz and inv_snr_imi."""
 
     fiber: FiberSpec
@@ -117,30 +121,16 @@ class LinkPlan:
     n_fibers_per_direction: int = 26
 
     def __post_init__(self) -> None:
+        check_domain(self, "span", "link")
         n_spans = repeater_count(self.total_length_km, self.span_length_km,
                                  ("link.total_length_km", "span.span_length_km")) + 1
         object.__setattr__(self, "n_spans", n_spans)
         object.__setattr__(self, "effective_span_km", self.total_length_km / n_spans)
         self.span_gain_db(self.fiber.loss_db_per_km)
-        if not self.symbol_rate_hz > 0:
-            raise ValueError(f"link.symbol_rate_hz must be > 0, got {self.symbol_rate_hz}")
         if self.channel_spacing_hz < self.symbol_rate_hz:
             raise ValueError(
                 f"link.channel_spacing_hz={self.channel_spacing_hz} must be >= "
                 f"link.symbol_rate_hz={self.symbol_rate_hz} (no spectral overlap)"
-            )
-        if not 0 < self.band_hz < DEFAULT_CONSTANTS.reference_frequency_hz:
-            raise ValueError(f"link.band_hz must lie between 0 and the carrier frequency "
-                             f"{DEFAULT_CONSTANTS.reference_frequency_hz:g} Hz, got {self.band_hz}")
-        gn_nli_psds_per_span(self.fiber, 0.0, (self.effective_span_km,), self.band_hz,
-                             DEFAULT_CONSTANTS)  # the NLI's loss and span checks
-        if self.n_fibers_per_direction < 0:
-            raise ValueError(
-                f"link.n_fibers_per_direction must be >= 0, got {self.n_fibers_per_direction}"
-            )
-        if self.n_fibers_per_direction > 1e6:  # far beyond any cable; the count stays a float
-            raise ValueError(
-                f"link.n_fibers_per_direction must be <= 1e6, got {self.n_fibers_per_direction}"
             )
         n_channels = channels_in_band(self.band_hz, self.channel_spacing_hz,
                                       ("link.band_hz", "link.channel_spacing_hz"))
@@ -149,21 +139,12 @@ class LinkPlan:
                 f"link.band_hz={self.band_hz} holds no channel at "
                 f"link.channel_spacing_hz={self.channel_spacing_hz}"
             )
-        # The NLI kernel's prefix (8/27)*gamma^2*PSD^3 at the 1 mW reference.
         launch_w = per_channel_launch(0.0, n_channels, self.amp.post_output_loss_db)
-        psd = launch_w / self.channel_spacing_hz
-        if not _nli_prefix(self.fiber.gamma_per_w_km, psd) < math.inf:  # NaN too
-            raise ValueError(
-                f"link.band_hz={self.band_hz:g} Hz in {n_channels} channels at "
-                f"link.channel_spacing_hz={self.channel_spacing_hz:g} Hz puts the launch PSD "
-                f"at 1 mW at {psd:g} W/Hz, whose NLI prefix (8/27)*gamma^2*PSD^3 is beyond "
-                f"float range"
-            )
         object.__setattr__(self, "n_channels", n_channels)
         object.__setattr__(self, "n_carriers", self.n_fibers_per_direction * n_channels)
         object.__setattr__(self, "channel_output_w", dbm_to_watt(-10.0 * math.log10(n_channels)))
         object.__setattr__(self, "channel_launch_w", launch_w)
-        object.__setattr__(self, "launch_psd_w_hz", psd)
+        object.__setattr__(self, "launch_psd_w_hz", launch_w / self.channel_spacing_hz)
         object.__setattr__(self, "inv_snr_imi",
                            imi_inv_snr(self.fiber.imi_db_per_km, self.total_length_km))
 
@@ -198,12 +179,15 @@ class OperatingPoint:
 
     def __post_init__(self) -> None:
         _check_loss_floor(self.loss_db_per_km, "loss_db_per_km")
-        _check_power(self.edfa_total_output_dbm, "edfa_total_output_dbm")
+        if not abs(self.edfa_total_output_dbm) <= MAX_ABS_POWER_DBM:
+            raise ValueError(f"edfa_total_output_dbm must lie within +/-{MAX_ABS_POWER_DBM:g} "
+                             f"dBm, got {self.edfa_total_output_dbm}")
 
 
 @dataclass(frozen=True)
 class PowerFeedSpec:
-    """Electrical supply model: conductor dissipation plus repeater load."""
+    """Electrical supply model: conductor dissipation plus repeater load. Each
+    value lies in its domain row."""
 
     feed_current_a: float = 1.0
     cable_resistance_ohm_per_km: float = 1.0
@@ -211,16 +195,7 @@ class PowerFeedSpec:
     supply_limit_w: float = 18000.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "feed_current_a",
-            "cable_resistance_ohm_per_km",
-            "repeater_power_w",
-            "supply_limit_w",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"powerfeed.{name} must be > 0, got {getattr(self, name)}")
-        if self.feed_current_a > 1e6:  # far beyond any real feed; I^2 stays a finite float
-            raise ValueError(f"powerfeed.feed_current_a must be <= 1e6, got {self.feed_current_a}")
+        check_domain(self, "powerfeed")
 
 
 @dataclass(frozen=True)
@@ -409,8 +384,8 @@ def span_terms(plan: LinkPlan, loss_db_per_km: float, counts: Iterable[int],
     The launch powers, launch PSD and IMI term are the plan's. Each sequence kernel
     runs its count-independent checks and factors once; per count there are only the
     span gain, the effective length and the terms' last products. Checks run in this
-    order: the loss floor, counts >= 1, each span gain, the NLI kernel's loss checks
-    (even for empty counts), then the NLI terms' float range.
+    order: the loss floor, counts >= 1, each span gain, then the NLI kernel's loss
+    checks (even for empty counts).
     """
     fiber = plan.fiber
     _check_loss_floor(loss_db_per_km, "loss_db_per_km")
@@ -425,11 +400,6 @@ def span_terms(plan: LinkPlan, loss_db_per_km: float, counts: Iterable[int],
     ases = ase_inv_snrs(plan.amp, plan.channel_output_w, zip(gains_db, counts),
                         plan.symbol_rate_hz, DEFAULT_CONSTANTS)
     nlis = nli_inv_snrs(zip(psds, counts), plan.symbol_rate_hz, plan.channel_launch_w)
-    # The one term an accepted plan can overflow; an inf or a NaN term fails the sum too.
-    if not sum(nlis) < math.inf:
-        raise ValueError(f"fiber.gamma_per_w_km={fiber.gamma_per_w_km:g} and the 1 mW launch PSD "
-                         f"{plan.launch_psd_w_hz:g} W/Hz (link.band_hz, link.channel_spacing_hz) "
-                         f"put the NLI 1/SNR at loss_db_per_km={loss_db_per_km} out of float range")
     rbss = ([rbs_inv_snr(fiber.backscatter_db_per_km, total_km, loss_db_per_km * span_km)
              for span_km in spans_km] if include_rbs else repeat(0.0))
     return list(zip(ases, nlis, repeat(plan.inv_snr_imi), rbss))
@@ -443,18 +413,12 @@ def gsnr_terms(plan: LinkPlan, loss_db_per_km: float, n_spans: int,
 
 
 def link_gsnr(plan: LinkPlan, op: OperatingPoint, include_rbs: bool = False) -> SnrBudget:
-    """The four-impairment budget at one operating point, from gsnr_terms. Raises,
-    naming the keys behind each term, where combine_gsnr refuses the terms."""
+    """The four-impairment budget at one operating point, from gsnr_terms. The
+    plan's domain keeps every term finite and their sum at least its IMI term,
+    above 0, so combine_gsnr accepts them."""
     ase, nli, imi, rbs = gsnr_terms(plan, op.loss_db_per_km, plan.n_spans, include_rbs)
     p_mw = 10.0 ** (op.edfa_total_output_dbm / 10.0)
-    try:
-        return combine_gsnr([ase / p_mw, nli * p_mw * p_mw, imi, rbs])
-    except ValueError as exc:  # a GSNR or a term beyond float range
-        raise ValueError(
-            f"the 1/SNR terms at amplifier.total_output_power_dbm={op.edfa_total_output_dbm:g} "
-            f"are refused ({exc}): ASE from fiber.loss_db_per_km, amplifier.pre_input_loss_db "
-            f"and amplifier.post_output_loss_db, NLI from fiber.gamma_per_w_km, IMI from "
-            f"fiber.imi_db_per_km, RBS from fiber.backscatter_db_per_km") from None
+    return combine_gsnr([ase / p_mw, nli * p_mw * p_mw, imi, rbs])
 
 
 def _inv_db(level_db: float) -> float:
@@ -512,15 +476,15 @@ def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]],
 def _throughput_peak(plan: LinkPlan, trx: TransceiverModel,
                      terms: tuple[float, float, float, float]) -> tuple[float, float]:
     """Power P_opt (dBm) of the GSNR peak 1/(1.5*A/P_opt + C) and the throughput
-    there (Tb/s); without NLI or without ASE the peak is 1/C, at +inf or -inf dBm."""
+    there (Tb/s); without NLI or without ASE the peak is 1/C, at +inf or -inf dBm.
+    C holds the plan's IMI term, so the peak GSNR is finite."""
     a, b, imi, rbs = terms
     if a > 0 and b > 0:
         p_opt_mw = (a / (2.0 * b)) ** (1.0 / 3.0)
         p_opt_dbm, inv_gsnr = 10.0 * math.log10(p_opt_mw), 1.5 * a / p_opt_mw + (imi + rbs)
     else:
         p_opt_dbm, inv_gsnr = (math.inf if b == 0 else -math.inf), imi + rbs
-    # Below the least normal float the peak counts as +inf: 10**(GSNR/10) would overflow.
-    peak_db = -10.0 * math.log10(inv_gsnr) if inv_gsnr >= sys.float_info.min else math.inf
+    peak_db = -10.0 * math.log10(inv_gsnr)
     return p_opt_dbm, plan.n_carriers * trx.net_rate_gbps(peak_db, plan.symbol_rate_hz) / 1e3
 
 

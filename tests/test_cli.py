@@ -321,13 +321,13 @@ def test_table_rates_that_overflow_the_throughput_are_named(capsys, tmp_path, co
 
 @pytest.mark.parametrize("command", sorted(FORMATS))
 @pytest.mark.parametrize("document", [
-    {"link": {"channel_spacing_hz": 1e-300, "symbol_rate_hz": 1e-300}},
-    {"link": {"channel_spacing_hz": 1e-295, "symbol_rate_hz": 1e-295,
-              "n_fibers_per_direction": 1_000_000}},
+    {"link": {"band_hz": 1.9e14, "channel_spacing_hz": 1e6, "symbol_rate_hz": 1e6}},
+    {"link": {"channel_spacing_hz": 1e6, "symbol_rate_hz": 1e6,
+              "n_fibers_per_direction": 10_000}},
 ])
 def test_channel_count_past_the_bound_is_named(capsys, tmp_path, command, document):
-    """A spacing so small that the band holds more than MAX_CHANNELS used to
-    crash: band/spacing overflowed int(), or the carriers overflowed a float."""
+    """A band holding more than MAX_CHANNELS channels of a spacing inside the
+    domain is refused by the channel-count rule, which names both widths."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(document))
     assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
@@ -348,37 +348,36 @@ def test_table_order_error_names_the_file(capsys, tmp_path, rows, message):
 
 
 @pytest.mark.parametrize("document,argv,message", [
-    # The plan's spans fit; span-curve's range does not.
-    ({"link": {"total_length_km": 1e158}, "span": {"span_length_km": 1e153},
-      "fiber": {"loss_db_per_km": 1e-160}, "sweep": {"loss_min": 1e-160, "loss_max": 2e-160},
-      "transceiver": {"gap_db": 0}}, ["span-curve", "--span-min", "1e154", "--span-max", "1e155"],
-     "--span-max=1e+155 samples a 1e+155 km span, where fiber.loss_db_per_km=1e-160 gives the "
-     "NLI effective length 9.99999e+154 km"),
+    # The plan's spans fit; span-curve's range leaves the span row.
+    ({"transceiver": {"gap_db": 0}}, ["span-curve", "--span-min", "1e3", "--span-max", "1e5"],
+     "--span-max must lie in [0.001, 10000], got 100000.0"),
     # rbs once wrote -inf here and failed in the JSON writer.
-    ({"link": {"total_length_km": 1e300}, "span": {"span_length_km": 1e296},
-      "fiber": {"loss_db_per_km": 1e-294, "backscatter_db_per_km": 0},
-      "sweep": {"loss_min": 1e-294, "loss_max": 2e-294}}, ["rbs", "--losses", "1e-294"],
-     "fiber.loss_db_per_km=1e-294 gives a 1e+296 km span the NLI effective length "
-     "4.34294e+294 km"),
+    ({"fiber": {"backscatter_db_per_km": 0}}, ["rbs", "--losses", "1e-294"],
+     "--losses must lie in [0.0001, 10], got 1e-294"),
 ], ids=["span-curve-range", "rbs"])
 def test_nli_effective_length_names_what_stretches_it(capsys, tmp_path, document, argv, message):
-    """Runs with flags past the NLI effective-length bound exit 2 naming the loss,
-    and span-curve the flag that stretched the span."""
+    """A flag that would stretch the NLI effective length, a span past the span
+    row or a loss below the loss row, exits 2 naming the flag and the row of the
+    key it stands for."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(document))
     assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
-    assert _one_config_error(capsys) == f"{message}, whose square is beyond float range"
+    assert _one_config_error(capsys) == message
 
 
 def test_rbs_whose_ratio_underflows_has_no_gsnr(capsys, tmp_path):
-    """A backscatter whose linear ratio underflows to 0 has no SNR, as in the budget."""
+    """A backscatter whose linear ratio would underflow to 0 lies outside the
+    domain; at the row's floor the rbs table's SNR is the budget's, a number."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[fiber]\nbackscatter_db_per_km = -3240\n")
+    for argv in (["budget", "--include-rbs", "true"], ["rbs"]):
+        assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+        assert _one_config_error(capsys) == ("fiber.backscatter_db_per_km must lie in [-300, 0], "
+                                             "got -3240.0")
+    cfg.write_text("[fiber]\nbackscatter_db_per_km = -300\n")
     budget = _run_json(capsys, ["budget", "--include-rbs", "true", "--config", str(cfg)])
-    assert budget["budget"]["snr_rbs_db"] is None
-    doc = _run_json(capsys, ["rbs", "--config", str(cfg)])
-    assert [row["gsnr_rbs_db"] for row in doc["rows"]] == [None] * 3
-    assert [row["rbs_power_w"] for row in doc["rows"]] == [0.0] * 3
+    doc = _run_json(capsys, ["rbs", "--config", str(cfg), "--losses", "0.06"])
+    assert doc["rows"][0]["gsnr_rbs_db"] == budget["budget"]["snr_rbs_db"] > 250
 
 
 def _ten_channels(spacing_hz: float, **fiber) -> dict:
@@ -387,26 +386,24 @@ def _ten_channels(spacing_hz: float, **fiber) -> dict:
             "fiber": fiber, "transceiver": {"gap_db": 0}}
 
 
-@pytest.mark.parametrize("document,spacing", [
+@pytest.mark.parametrize("document", [
     # The NLI prefix's cube used to leave float range as an uncaught OverflowError.
-    (_ten_channels(1e-291), "1e-291"),
+    _ten_channels(1e-291),
     # An infinite launch PSD without NLI: 0 * inf used to reach the kernels as NaN.
-    (_ten_channels(5e-324, gamma_per_w_km=0), "4.94066e-324"),
+    _ten_channels(5e-324, gamma_per_w_km=0),
 ], ids=["cube-overflows", "psd-overflows"])
 @pytest.mark.parametrize("command", FORMATS)
-def test_channel_grid_whose_nli_prefix_overflows_is_named(capsys, tmp_path, command, document,
-                                                          spacing):
-    """The plan refuses, in every command and format, channels so narrow that the
-    NLI prefix at the 1 mW reference leaves float range; ten channels of 1e-106 Hz
-    still compute."""
+def test_channel_grid_whose_nli_prefix_overflows_is_named(capsys, tmp_path, command, document):
+    """Every command and format refuses channels so narrow that the NLI prefix at
+    the 1 mW reference would leave float range, naming the band's domain row;
+    ten channels of 1 MHz, the narrowest the domain holds, compute."""
     bad, good = tmp_path / "bad.json", tmp_path / "good.json"
     bad.write_text(json.dumps(document))
-    good.write_text(json.dumps(_ten_channels(1e-106)))
+    good.write_text(json.dumps(_ten_channels(1e6)))
     for fmt in FORMATS[command]:
         assert main([command, "--format", fmt, "--config", str(bad)]) == EXIT_CONFIG
-        message = _one_config_error(capsys)
-        assert f"link.channel_spacing_hz={spacing} Hz" in message
-        assert message.startswith("link.band_hz=") and message.endswith("beyond float range")
+        assert _one_config_error(capsys) == (f"link.band_hz must lie in [1e+06, 1.934e+14], "
+                                             f"got {document['link']['band_hz']}")
         assert main([command, "--format", fmt, "--config", str(good)]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
@@ -561,7 +558,8 @@ def test_grid_size_bounded_before_allocation(capsys, tmp_path, monkeypatch):
 
 
 # Loss and lumped losses near 0, no NLI and IMI below the least float: 1/GSNR
-# underflows to a subnormal or to 0, and its inverse to inf.
+# would underflow to a subnormal or to 0, and its inverse to inf. The loss lies
+# outside its domain row.
 _NON_FINITE_GRID = """[fiber]
 loss_db_per_km = 1e-20
 gamma_per_w_km = 0
@@ -581,8 +579,9 @@ loss_max = 1e-19
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
 def test_non_finite_grid_is_refused_before_the_first_byte(capsys, tmp_path, monkeypatch, fmt,
                                                           to_file):
-    """The refusal comes before any row is written and before any worker forks,
-    even where the grid would be split over workers."""
+    """The refusal of a grid that would hold non-finite cells comes before any row
+    is written and before any worker forks, even where the grid would be split over
+    workers: the domain refuses its loss."""
     def no_fork(rows):
         raise AssertionError("a non-finite grid must be refused before any fork")
 
@@ -599,8 +598,7 @@ def test_non_finite_grid_is_refused_before_the_first_byte(capsys, tmp_path, monk
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == {
-        "code": "config", "message": "grid contains non-finite cells in its row at loss 1e-20 "
-                                     "dB/km, between sweep.loss_min=1e-20 and sweep.loss_max=1e-19"}
+        "code": "config", "message": "fiber.loss_db_per_km must lie in [0.0001, 10], got 1e-20"}
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
@@ -613,12 +611,12 @@ def test_extreme_sweep_power_is_a_config_error(capsys, tmp_path):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert (json.loads(lines[0])["error"]["message"]
-            == "sweep.power_max must lie within +/-300 dBm, got 5000.0")
+            == "sweep.power_max must lie in [-60, 60], got 5000.0")
 
 
 def test_sweep_at_the_power_bounds_is_finite(capsys, tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text('{"sweep": {"power_min": -300, "power_max": 300}}')
+    cfg.write_text('{"sweep": {"power_min": -60, "power_max": 60}}')
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fmt in ("csv", "json"):
@@ -627,8 +625,8 @@ def test_sweep_at_the_power_bounds_is_finite(capsys, tmp_path):
             assert captured.err == ""
             assert "nan" not in captured.out.lower() and "inf" not in captured.out.lower()
     doc = json.loads(captured.out)
-    assert doc["grid"]["edfa_power_dbm"][0] == -300.0
-    assert doc["grid"]["edfa_power_dbm"][-1] == 300.0
+    assert doc["grid"]["edfa_power_dbm"][0] == -60.0
+    assert doc["grid"]["edfa_power_dbm"][-1] == 60.0
 
 
 _HUGE_INT = "1" + "0" * 400
@@ -648,7 +646,8 @@ def test_huge_fiber_count_is_a_config_error(capsys, tmp_path, command, document)
     text = json.dumps({**document, "link": {"n_fibers_per_direction": "HUGE"}})
     cfg.write_text(text.replace('"HUGE"', _HUGE_INT))
     assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
-    assert _one_config_error(capsys).startswith("link.n_fibers_per_direction must be <= 1e6")
+    assert _one_config_error(capsys) == (f"link.n_fibers_per_direction must lie in [0, 10000], "
+                                         f"got {_HUGE_INT}")
 
 
 @pytest.mark.parametrize("key", ["fiber.loss_db_per_km", "link.total_length_km",
@@ -741,7 +740,7 @@ _ZERO_TERMS = {"fiber": {"gamma_per_w_km": 0, "imi_db_per_km": -4000, "loss_db_p
         ("budget", {"fiber": {"loss_db_per_km": 1000}}, ["fiber.loss_db_per_km"]),
         ("budget", {"amplifier": {"total_output_power_dbm": 1500}},
          ["amplifier.total_output_power_dbm"]),
-        ("budget", {"link": {"total_length_km": 1e300}, "span": {"span_length_km": 1e-10}},
+        ("budget", {"link": {"total_length_km": 1e5}, "span": {"span_length_km": 1e-3}},
          ["link.total_length_km", "span.span_length_km"]),
         ("budget", {"span": {"span_length_km": 8000}},
          ["span.span_length_km", "link.total_length_km"]),
@@ -753,47 +752,45 @@ _ZERO_TERMS = {"fiber": {"gamma_per_w_km": 0, "imi_db_per_km": -4000, "loss_db_p
         ("budget", {"fiber": {"loss_db_per_km": 5e-324}}, ["fiber.loss_db_per_km"]),
         ("span-curve", {"fiber": {"loss_db_per_km": 1e-310}}, ["fiber.loss_db_per_km"]),
         ("contour", {"sweep": {"loss_min": 5e-324}}, ["sweep.loss_min"]),
-        # A feed budget past float range used to reach the JSON writer as inf.
+        # A feed budget past float range used to reach the JSON writer as inf; the
+        # domain holds it below 1e12 W.
         ("powerfeed", {"powerfeed": {"cable_resistance_ohm_per_km": 1e306}},
          ["powerfeed.cable_resistance_ohm_per_km"]),
         ("powerfeed", {"powerfeed": {"repeater_power_w": 1e307}}, ["powerfeed.repeater_power_w"]),
-        # A latency past float range used to reach the JSON writer as inf.
-        ("latency", {"fiber": {"group_index": 1e308}},
-         ["link.total_length_km", "group index 1e+308"]),
-        # A link this long needs spans whose NLI effective length, squared, leaves
-        # float range, so the plan refuses it before the latency is computed.
+        # A latency past float range used to reach the JSON writer as inf; the
+        # domain holds the link and the group index far below it.
+        ("latency", {"link": {"total_length_km": 1e300}}, ["link.total_length_km"]),
         ("latency", {"link": {"total_length_km": 1.7976931348623157e308},
                      "span": {"span_length_km": 1e305}, "fiber": {"loss_db_per_km": 1e-303},
                      "sweep": {"loss_min": 1e-303, "loss_max": 2e-303}},
-         ["fiber.loss_db_per_km=1e-303 gives a 9.99829e+304 km span"]),
+         ["fiber.loss_db_per_km must lie in [0.0001, 10], got 1e-303"]),
         ("latency", {"fiber": {"group_index": 1e308}}, ["fiber.group_index"]),
-        # A huge loss over tiny spans keeps its span gain but underflows the NLI's
-        # denominator pi*|beta2|/alpha to 0; it used to divide by zero.
+        # A huge loss over tiny spans keeps its span gain but would underflow the
+        # NLI's denominator pi*|beta2|/alpha to 0; it used to divide by zero.
         *[(command, {"fiber": {"loss_db_per_km": 3e301}, "span": {"span_length_km": 1e-299},
                      "link": {"total_length_km": 1e-297}}, ["fiber.loss_db_per_km"])
           for command in ("budget", "span-curve", "contour")],
-        ("contour", {"span": {"span_length_km": 1e-299}, "link": {"total_length_km": 1e-297},
-                     "sweep": {"loss_max": 3e301}}, ["sweep.loss_max"]),
+        ("contour", {"sweep": {"loss_max": 3e301}}, ["sweep.loss_max"]),
         ("contour", {"sweep": {"loss_min": 1e302, "loss_max": 1e303}}, ["sweep.loss_min"]),
-        # A tiny loss over spans whose NLI effective length, squared, leaves float
-        # range; it used to overflow in the kernel.
+        # A tiny loss over spans whose NLI effective length, squared, would leave
+        # float range; it used to overflow in the kernel.
         *[(command, {"link": {"total_length_km": 1e160}, "span": {"span_length_km": 1e155},
                      "fiber": {"loss_db_per_km": 1e-160},
                      "sweep": {"loss_min": 1e-160, "loss_max": 2e-160}},
-           ["fiber.loss_db_per_km=1e-160 gives a 1e+155 km span the NLI effective length "
-            "9.99999e+154 km, whose square is beyond float range"])
+           ["fiber.loss_db_per_km must lie in [0.0001, 10], got 1e-160"])
           for command in ("budget", "span-curve", "contour")],
-        # The fiber's effective length fits; the sweep's least loss stretches it.
-        ("contour", {"link": {"total_length_km": 1e157}, "span": {"span_length_km": 1e156},
-                     "fiber": {"loss_db_per_km": 5e-154},
-                     "sweep": {"loss_min": 1e-160, "loss_max": 2e-160},
+        # The fiber's effective length fits; the sweep's least loss would stretch it.
+        ("contour", {"sweep": {"loss_min": 1e-160, "loss_max": 2e-160},
                      "transceiver": {"gap_db": 0}},
-         ["sweep.loss_min=1e-160 gives a 1e+156 km span the NLI effective length"]),
+         ["sweep.loss_min must lie in [0.0001, 10], got 1e-160"]),
         # No NLI, IMI below the least float and span gains whose G - 1 rounds to 0: the
-        # terms sum to 0, or so little that the GSNR overflows. Both used to name no key.
-        ("budget", _ZERO_TERMS, ["fiber.gamma_per_w_km", "fiber.imi_db_per_km"]),
-        ("budget", {**_ZERO_TERMS, "fiber": {**_ZERO_TERMS["fiber"], "imi_db_per_km": -3230}},
-         ["fiber.gamma_per_w_km", "fiber.imi_db_per_km"]),
+        # terms would sum to 0, or so little that the GSNR overflows. Both used to name
+        # no key; the loss row, then the IMI row, refuses them.
+        ("budget", _ZERO_TERMS, ["fiber.loss_db_per_km must lie in [0.0001, 10], got 1e-20"]),
+        ("budget", {**_ZERO_TERMS, "fiber": {**_ZERO_TERMS["fiber"], "loss_db_per_km": 1e-4,
+                                             "imi_db_per_km": -3230},
+                    "sweep": {"loss_min": 1e-4, "loss_max": 2e-4}},
+         ["fiber.imi_db_per_km must lie in [-300, 0], got -3230.0"]),
         # A 1 mW launch PSD whose NLI prefix is finite, but whose product with the
         # effective length squared is not; it used to name no key.
         *[(command, {"link": {"band_hz": 1e-100, "channel_spacing_hz": 1e-100,
@@ -801,8 +798,15 @@ _ZERO_TERMS = {"fiber": {"gamma_per_w_km": 0, "imi_db_per_km": -4000, "loss_db_p
                      "fiber": {"gamma_per_w_km": 1e6, "loss_db_per_km": 1e-4},
                      "span": {"span_length_km": 6600}, "amplifier": {"post_output_loss_db": 0},
                      "sweep": {"loss_min": 1e-4, "loss_max": 2e-4}},
-           ["fiber.gamma_per_w_km", "link.channel_spacing_hz", "link.band_hz"])
+           ["fiber.gamma_per_w_km must lie in [0, 100], got 1000000.0"])
           for command in ("budget", "contour")],
+        # A span gain that underflows to 0 dB reached ase_inv_snrs, which named no
+        # key, and rbs, powerfeed and latency computed.
+        *[(command, {"link": {"total_length_km": 1e-30}, "span": {"span_length_km": 1e-30},
+                     "fiber": {"loss_db_per_km": 1e-300},
+                     "amplifier": {"pre_input_loss_db": 0, "post_output_loss_db": 0}},
+           ["fiber.loss_db_per_km must lie in [0.0001, 10], got 1e-300"])
+          for command in sorted(FORMATS)],
     ],
 )
 def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document, keys):
@@ -820,15 +824,15 @@ def test_out_of_range_config_value_is_named(capsys, tmp_path, command, document,
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_sweep_row_is_named(capsys, tmp_path, fmt):
-    """The grid formats name the sweep's loss range and the row at fault; the svg
-    format draws no grid, and its empty contour set is written as before."""
+    """A config whose sweep rows would hold non-finite cells lies outside the
+    domain: the grid formats and the svg format, which draws no grid, refuse it
+    alike, naming the key."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(_ZERO_TERMS))
-    assert main(["contour", "--format", fmt, "--config", str(cfg)]) == EXIT_CONFIG
-    assert _one_config_error(capsys) == ("grid contains non-finite cells in its row at loss "
-                                         "1e-20 dB/km, between sweep.loss_min=1e-20 and "
-                                         "sweep.loss_max=2e-20")
-    assert main(["contour", "--format", "svg", "--config", str(cfg)]) == EXIT_OK
+    for argv in (["--format", fmt], ["--format", "svg"]):
+        assert main(["contour", *argv, "--config", str(cfg)]) == EXIT_CONFIG
+        assert _one_config_error(capsys) == ("fiber.loss_db_per_km must lie in [0.0001, 10], "
+                                             "got 1e-20")
 
 
 @pytest.mark.parametrize(
@@ -911,19 +915,19 @@ def test_span_min_at_max_spans_runs(capsys):
     ],
 )
 def test_loss_that_overflows_the_nli_is_named(capsys, tmp_path, command, document, key):
-    # Above the attenuation floor, yet 0.5*pi^2*|beta2|*B^2/alpha overflows.
+    # Above the attenuation floor, yet 0.5*pi^2*|beta2|*B^2/alpha would overflow:
+    # the loss row refuses such a loss first.
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(document))
     assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
-    message = _one_config_error(capsys)
-    assert key in message and "asinh argument" in message
+    assert _one_config_error(capsys).startswith(f"{key} must lie in [0.0001, 10], got ")
 
 
 @pytest.mark.parametrize(
     "argv,document",
     [
-        (["budget"], {"fiber": {"loss_db_per_km": 1e-300}}),
-        (["contour", "--format", "json"], {"sweep": {"loss_min": 1e-300}}),
+        (["budget"], {"fiber": {"loss_db_per_km": 1e-4}}),
+        (["contour", "--format", "json"], {"sweep": {"loss_min": 1e-4}}),
     ],
 )
 def test_tiny_loss_keeps_a_finite_budget(capsys, tmp_path, argv, document):

@@ -13,18 +13,22 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import sys
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from hcflink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, FORMATS, main
 from hcflink.config import DEFAULTS, _kind, parse_config
+from hcflink.domain import DOMAIN
 from hcflink.explore import MAX_SPAN_POINTS
+from hcflink.impairments import MIN_ABS_DISPERSION_PS_NM_KM
+from hcflink.system import MAX_CHANNELS, MAX_SPAN_GAIN_DB, MAX_SPANS, span_count
 
 _CODES = {EXIT_CONFIG: "config", EXIT_INFEASIBLE: "infeasible", EXIT_IO: "io"}
 
@@ -424,3 +428,85 @@ def test_main_over_vanishing_terms(files, lines):
         for fmt in FORMATS[command]:
             _run_main([command, config, f"--format={fmt}"], files["out.txt"])
     _run_main(["budget", config, "--include-rbs=true"], files["out.txt"])
+
+
+@st.composite
+def _domain_documents(draw) -> tuple[list[str], dict[str, list[str]]]:
+    """A whole document inside the domain, each key at a bound of its row or drawn
+    log-uniform within it (uniform where the row holds 0 or less), moved inward only
+    as far as a cross-key rule asks. gamma is 0 in half the draws, the fiber count
+    0, 26 or 1e4, and the sweep takes 2 to 5 steps a side. The gap is calibrated or
+    pinned, and span-curve's range and rbs's losses keep their span gains within
+    MAX_SPAN_GAIN_DB."""
+    def value(key: str, low: float = -math.inf, high: float = math.inf) -> float:
+        low, high = max(DOMAIN[key][0], low), min(DOMAIN[key][1], high)
+        assume(low <= high)
+        if draw(st.booleans()):
+            return draw(st.sampled_from([low, high]))
+        if low > 0:
+            exponents = sorted((math.log10(low), math.log10(high)))
+            return min(max(10.0 ** draw(st.floats(*exponents)), low), high)
+        return draw(st.floats(low, high))
+
+    link = value("link.total_length_km")
+    span = value("span.span_length_km", low=link / (0.999 * MAX_SPANS), high=link)
+    pre, post = value("amplifier.pre_input_loss_db"), value("amplifier.post_output_loss_db")
+    top_loss = 0.999 * (MAX_SPAN_GAIN_DB - pre - post) * span_count(link, span) / link
+    loss = value("fiber.loss_db_per_km", high=top_loss)
+    loss_min, loss_max = sorted(value("sweep.loss_min", high=top_loss) for _ in range(2))
+    power_min, power_max = sorted(value("sweep.power_min") for _ in range(2))
+    assume(loss_min < loss_max and power_min < power_max)
+    spacing = value("link.channel_spacing_hz")
+    symbol_rate = value("link.symbol_rate_hz", high=spacing)
+    band = value("link.band_hz", low=spacing, high=0.999 * MAX_CHANNELS * spacing)
+    dispersion = draw(st.sampled_from([1.0, -1.0])) * value(
+        "fiber.dispersion_ps_nm_km", low=MIN_ABS_DISPERSION_PS_NM_KM)
+    gamma = draw(st.sampled_from([0.0, value("fiber.gamma_per_w_km")]))
+    gap = draw(st.sampled_from(["none", repr(value("transceiver.gap_db"))]))
+    max_rate = draw(st.sampled_from(["none", repr(value("transceiver.max_rate_gbps"))]))
+    lines = [
+        f"fiber.loss_db_per_km = {loss!r}", f"fiber.dispersion_ps_nm_km = {dispersion!r}",
+        f"fiber.gamma_per_w_km = {gamma!r}",
+        *(f"{key} = {value(key)!r}" for key in (
+            "fiber.imi_db_per_km", "fiber.backscatter_db_per_km", "fiber.group_index",
+            "amplifier.noise_figure_db", "amplifier.total_output_power_dbm",
+            "transceiver.calibration_target_tbps",
+            *(f"powerfeed.{key}" for key in DEFAULTS["powerfeed"]))),
+        f"span.span_length_km = {span!r}", f"link.total_length_km = {link!r}",
+        f"link.channel_spacing_hz = {spacing!r}", f"link.symbol_rate_hz = {symbol_rate!r}",
+        f"link.band_hz = {band!r}",
+        f"link.n_fibers_per_direction = {draw(st.sampled_from([0, 26, 10_000]))}",
+        f"amplifier.pre_input_loss_db = {pre!r}", f"amplifier.post_output_loss_db = {post!r}",
+        f"transceiver.gap_db = {gap}", f"transceiver.max_rate_gbps = {max_rate}",
+        f"sweep.loss_min = {loss_min!r}", f"sweep.loss_max = {loss_max!r}",
+        f"sweep.power_min = {power_min!r}", f"sweep.power_max = {power_max!r}",
+        f"sweep.loss_steps = {draw(st.integers(2, 5))}",
+        f"sweep.power_steps = {draw(st.integers(2, 5))}",
+    ]
+    # The longest span a sample snaps to is at most twice the sample.
+    span_max = value("span.span_length_km",
+                     high=0.999 * (MAX_SPAN_GAIN_DB - pre - post) / (2.0 * loss))
+    span_min = value("span.span_length_km", low=link / (0.999 * MAX_SPANS), high=span_max)
+    flags = {"span-curve": [f"--span-min={span_min!r}", f"--span-max={span_max!r}",
+                            f"--span-points={draw(st.integers(1, 5))}"],
+             "rbs": [f"--losses={loss!r},{loss_min!r}"]}
+    return lines, flags
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(drawn=_domain_documents())
+def test_main_inside_the_domain(files, drawn):
+    """Inside the domain every command and format computes: exit 0 with a finite
+    output, or exit 3 where the gap calibration cannot meet its target."""
+    lines, flags = drawn
+    with open(files["fuzz.cfg"], "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    calibrated = "transceiver.gap_db = none" in lines
+    for command in sorted(_COMMAND_FLAGS):
+        for fmt in FORMATS[command]:
+            argv = [command, f"--config={files['fuzz.cfg']}", f"--format={fmt}",
+                    *flags.get(command, [])]
+            code = _run_main(argv, files["out.txt"])
+            assert code == EXIT_OK or code == EXIT_INFEASIBLE and calibrated and command in (
+                "budget", "contour", "span-curve"), argv

@@ -5,6 +5,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,9 @@ from hcflink.config import (
     parse_config,
     resolve_transceiver,
 )
+from hcflink.domain import DOMAIN
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_empty_document_yields_defaults():
@@ -228,26 +232,27 @@ def test_each_section_is_built_once(monkeypatch):
 
 
 @pytest.mark.parametrize("document,message", [
-    ({"fiber": {"gamma_per_w_km": -1}}, "fiber.gamma_per_w_km must lie in [0, 1e+06], got -1.0"),
+    ({"fiber": {"gamma_per_w_km": -1}}, "fiber.gamma_per_w_km must lie in [0, 100], got -1.0"),
     ({"span": {"span_length_km": 7000}},
      "span.span_length_km=7000.0 must not exceed link.total_length_km=6600.0"),
     ({"link": {"n_fibers_per_direction": -1}},
-     "link.n_fibers_per_direction must be >= 0, got -1"),
-    ({"amplifier": {"noise_figure_db": 0}},
-     "amplifier.noise_figure_db must lie in (0, 100] dB, got 0.0"),
-    ({"transceiver": {"gap_db": -1}}, "transceiver.gap_db must be >= 0 (got -1.0)"),
-    ({"powerfeed": {"supply_limit_w": 0}}, "powerfeed.supply_limit_w must be > 0, got 0.0"),
-    ({"sweep": {"loss_steps": 1}}, "sweep.loss_steps and sweep.power_steps must be >= 2"),
+     "link.n_fibers_per_direction must lie in [0, 10000], got -1"),
+    ({"amplifier": {"noise_figure_db": -1}},
+     "amplifier.noise_figure_db must lie in [0, 30], got -1.0"),
+    ({"transceiver": {"gap_db": -1}}, "transceiver.gap_db must lie in [0, 60], got -1.0"),
+    ({"powerfeed": {"supply_limit_w": 0}},
+     "powerfeed.supply_limit_w must lie in [1e-06, 1e+12], got 0.0"),
+    ({"sweep": {"loss_steps": 1}}, "sweep.loss_steps must lie in [2, 2e+06], got 1"),
     ({"sweep": {"loss_max": 5}},
      "sweep.loss_max=5.0 must be >= 0 and keep the span gain (loss x 200 km + amplifier."
      "pre_input_loss_db + amplifier.post_output_loss_db = 1004 dB) <= 1000 dB"),
     # Two bad sections: the first refused is the first built, transceiver to powerfeed.
-    ({"amplifier": {"noise_figure_db": 0}, "transceiver": {"gap_db": -1}},
-     "transceiver.gap_db must be >= 0 (got -1.0)"),
+    ({"amplifier": {"noise_figure_db": -1}, "transceiver": {"gap_db": -1}},
+     "transceiver.gap_db must lie in [0, 60], got -1.0"),
     ({"powerfeed": {"supply_limit_w": 0}, "sweep": {"loss_steps": 1}},
-     "sweep.loss_steps and sweep.power_steps must be >= 2"),
+     "sweep.loss_steps must lie in [2, 2e+06], got 1"),
     ({"fiber": {"group_index": 0.5}, "amplifier": {"pre_input_loss_db": -1}},
-     "fiber.group_index must be >= 1, got 0.5"),
+     "fiber.group_index must lie in [1, 2], got 0.5"),
 ], ids=["fiber", "span", "link", "amplifier", "transceiver", "powerfeed", "sweep",
         "sweep-nli", "transceiver-first", "sweep-first", "fiber-first"])
 def test_bad_section_keeps_its_message(document, message):
@@ -340,10 +345,11 @@ def test_defaults_match_the_reference_table():
     [
         ("transceiver.variant = psk",
          "transceiver.variant must be 'shannon_gap' or 'tabulated' (got 'psk')"),
-        ("transceiver.gap_db = -1", "transceiver.gap_db must be >= 0 (got -1.0)"),
-        ("transceiver.max_rate_gbps = 0", "transceiver.max_rate_gbps must be > 0 (got 0.0)"),
+        ("transceiver.gap_db = -1", "transceiver.gap_db must lie in [0, 60], got -1.0"),
+        ("transceiver.max_rate_gbps = 0",
+         "transceiver.max_rate_gbps must lie in [0.001, 1e+06], got 0.0"),
         ("transceiver.calibration_target_tbps = -5",
-         "transceiver.calibration_target_tbps must be > 0 (got -5.0)"),
+         "transceiver.calibration_target_tbps must lie in [0.001, 1e+09], got -5.0"),
     ],
 )
 def test_transceiver_checks_keep_their_messages(line, message):
@@ -405,3 +411,58 @@ def test_every_key_survives_the_corpus(section, key):
 )
 def test_parse_config_fuzz_names_the_key(target, value):
     _check_one_key(*target, value)
+
+
+def test_domain_table_is_readmes_copy():
+    """README's domain table holds each key's row, bound for bound, in table order."""
+    rows = [line.split("|")[1:4] for line in README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `") and "." in line.split("|")[1]]
+    assert [(key.strip().strip("`"), float(low), float(high)) for key, low, high in rows] == [
+        (key, float(low), float(high)) for key, (low, high) in DOMAIN.items()]
+
+
+def test_every_numeric_key_has_a_domain_row():
+    numeric = [f"{section}.{key}" for section, keys in DEFAULTS.items() for key in keys
+               if _kind(section, key).rstrip("?") in ("float", "int")]
+    assert numeric == list(DOMAIN)
+    for key, (low, high) in DOMAIN.items():
+        section, name = key.split(".")
+        default = DEFAULTS[section][name]
+        assert low < high and (default is None or low <= default <= high), key
+
+
+def _outside(key: str, bound: float, outward: float) -> float | int:
+    """The nearest value past bound: the next float, or the next integer of an int key."""
+    section, name = key.split(".")
+    if _kind(section, name) == "int":
+        return int(bound) + int(outward)
+    return math.nextafter(bound, outward * math.inf)
+
+
+@pytest.mark.parametrize("key", list(DOMAIN))
+def test_value_just_outside_each_bound_is_refused_by_key(key):
+    """One step past either bound of a key's row, alone in a document, is refused
+    with the row's message, before any cross-key rule."""
+    section, name = key.split(".")
+    low, high = DOMAIN[key]
+    for bound, outward in ((low, -1.0), (high, 1.0)):
+        value = _outside(key, bound, outward)
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps({section: {name: value}}))
+        assert str(info.value) == f"{key} must lie in [{low:g}, {high:g}], got {value}"
+
+
+@pytest.mark.parametrize("flag,key,argv", [
+    ("--span-min", "span.span_length_km", ["span-curve", "--span-max", "250", "--span-min"]),
+    ("--span-max", "span.span_length_km", ["span-curve", "--span-min", "150", "--span-max"]),
+    ("--losses", "fiber.loss_db_per_km", ["rbs", "--losses"]),
+])
+def test_flags_use_the_rows_of_their_keys(capsys, tmp_path, flag, key, argv):
+    # A 1 km link, so that the least span passes MAX_SPANS and reaches its row.
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"link": {"total_length_km": 1}, "span": {"span_length_km": 1}}')
+    low, high = DOMAIN[key]
+    for value in (math.nextafter(low, 0.0), math.nextafter(high, math.inf)):
+        assert main([*argv, repr(value), "--config", str(cfg)]) == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"] == f"{flag} must lie in [{low:g}, {high:g}], got {value}"

@@ -22,7 +22,6 @@ from hcflink.explore import (
     sensitivity_delta,
     span_length_curve,
     sweep_grid,
-    sweep_rows,
 )
 from hcflink.impairments import FiberSpec, gn_nli_psds_per_span
 from hcflink.system import (
@@ -63,7 +62,7 @@ def test_grid_spec_bounds_point_count():
     GridSpec(0.045, 0.085, 1001, 14.0, 25.0, 1001)
     GridSpec(0.045, 0.085, 2, 14.0, 25.0, MAX_GRID_POINTS // 2)
     with pytest.raises(ValueError, match="sweep.loss_steps \\* sweep.power_steps"):
-        GridSpec(0.045, 0.085, 2, 14.0, 25.0, MAX_GRID_POINTS // 2 + 1)
+        GridSpec(0.045, 0.085, 2001, 14.0, 25.0, MAX_GRID_POINTS // 2000 + 1)
 
 
 def test_solver_settings_validation():
@@ -292,7 +291,7 @@ def test_contour_walk_closes_within_interior_rows(reference_plan, calibrated_trx
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(gamma=st.sampled_from([0.0, 5e-4, 0.05, 1.0, 1e6]),
+@given(gamma=st.sampled_from([0.0, 5e-4, 0.05, 1.0, 100.0]),
        n_fibers=st.sampled_from([0, 26]),
        trx=st.sampled_from([ShannonGapTransceiver(4.0), ShannonGapTransceiver(4.0, 600.0),
                             _FLAT_TABLE]),
@@ -300,19 +299,19 @@ def test_contour_walk_closes_within_interior_rows(reference_plan, calibrated_trx
                     | st.tuples(st.just("throughput"), st.floats(500.0, 1500.0))
                     | st.tuples(st.sampled_from(["gsnr", "throughput"]),
                                 st.floats(-1e308, 1e308) | st.sampled_from([-1e308, 0.0, 1e308]))),
-       loss_min=(st.floats(0.01, 0.2) | st.floats(impairments.MIN_LOSS_DB_PER_KM, 5.0)
-                 | st.sampled_from([impairments.MIN_LOSS_DB_PER_KM, 1e-20])),
+       loss_min=(st.floats(0.01, 0.2) | st.floats(1e-4, 5.0) | st.sampled_from([1e-4, 5.0])),
        loss_width=st.floats(1e-9, 0.2),
-       powers=st.lists(st.floats(-300.0, 300.0) | st.floats(0.0, 40.0)
-                       | st.sampled_from([-300.0, 300.0]),
+       powers=st.lists(st.floats(-60.0, 60.0) | st.floats(0.0, 40.0)
+                       | st.sampled_from([-60.0, 60.0]),
                        min_size=2, max_size=2, unique=True).map(sorted),
        include_rbs=st.booleans())
 @example(gamma=0.05, n_fibers=26, trx=ShannonGapTransceiver(4.0),
-         field_level=("throughput", 1000.0), loss_min=impairments.MIN_LOSS_DB_PER_KM,
-         loss_width=0.1, powers=[-300.0, 300.0], include_rbs=True)
+         field_level=("throughput", 1000.0), loss_min=1e-4,
+         loss_width=0.1, powers=[-60.0, 60.0], include_rbs=True)
 def test_contour_never_crashes(reference_plan, gamma, n_fibers, trx, field_level, loss_min,
                                loss_width, powers, include_rbs):
-    """Finite vertices on the loss rows inside the window, or sweep_grid's ValueError."""
+    """Finite vertices on the loss rows inside the window of a grid in the domain, or
+    sweep_grid's ValueError (a span gain past MAX_SPAN_GAIN_DB)."""
     field, level = field_level
     plan = replace(reference_plan, fiber=replace(reference_plan.fiber, gamma_per_w_km=gamma),
                    n_fibers_per_direction=n_fibers)
@@ -473,7 +472,7 @@ def _numpy_solve_power_dbm(plan, trx, loss_db_per_km, span_counts, target_tbps, 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    total=st.floats(50.0, 10_000.0),
+    total=st.floats(50.0, 1600.0),
     lo_share=st.floats(1e-3, 3.0),
     width_share=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
     n_points=st.one_of(st.sampled_from([1, 2, 3, 101]), st.integers(1, 300)),
@@ -499,7 +498,7 @@ def test_span_samples_are_numpys_linspace_snapped(reference_plan, calibrated_trx
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
-    total=st.floats(50.0, 10_000.0),
+    total=st.floats(50.0, 1600.0),
     lo_share=st.floats(1e-3, 3.0),
     width_share=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
     n_points=st.one_of(st.sampled_from([1, 2, 101]), st.integers(1, 300)),
@@ -560,22 +559,18 @@ def test_target_below_any_gsnr_needs_no_power(reference_plan, calibrated_trx):
 
 
 def test_infeasible_message_peak_at_the_kernel_limits(reference_plan, calibrated_trx):
-    """The peak the message reports without NLI (gamma = 0), without ASE (a unit
-    span gain) and with a crosstalk floor below the least normal float."""
+    """The peak the message reports without NLI (gamma = 0) and without ASE (a unit
+    span gain: no lumped losses and a loss argument whose span loss rounds to 0 dB)."""
     capped = ShannonGapTransceiver(calibrated_trx.gap_db, 500.0)  # 1716 carriers: 858 Tb/s
     fiber = reference_plan.fiber
     no_nli = replace(reference_plan, fiber=replace(fiber, gamma_per_w_km=0.0))
     with pytest.raises(InfeasibleError, match=r"peak 858 Tb/s \(at inf dBm\)"):
         required_edfa_power(no_nli, capped, 0.06, 200.0, 1000.0)
-    no_ase = replace(reference_plan, fiber=replace(fiber, loss_db_per_km=1e-20),
-                     amp=replace(reference_plan.amp, pre_input_loss_db=0.0,
-                                 post_output_loss_db=0.0))
+    no_ase = replace(reference_plan, amp=replace(reference_plan.amp, pre_input_loss_db=0.0,
+                                                 post_output_loss_db=0.0))
     assert gsnr_terms(no_ase, 1e-20, no_ase.n_spans)[0] == 0.0
     with pytest.raises(InfeasibleError, match=r"\(at -inf dBm\)"):
         required_edfa_power(no_ase, calibrated_trx, 1e-20, 200.0, 1e6)
-    subnormal_floor = replace(no_nli, fiber=replace(no_nli.fiber, imi_db_per_km=-3130.0))
-    with pytest.raises(InfeasibleError, match=r"peak 858 Tb/s \(at inf dBm\)"):
-        required_edfa_power(subnormal_floor, capped, 0.06, 200.0, 1000.0)
 
 
 def test_span_curve_increasing(reference_plan, calibrated_trx):
@@ -646,7 +641,7 @@ def test_sensitivity_rbs_activation(reference_plan, calibrated_trx):
         ((0.0, 0.085, 81, 14.0, 25.0, 111), ["sweep.loss_min"]),
         ((0.085, 0.045, 81, 14.0, 25.0, 111), ["sweep.loss_min", "sweep.loss_max"]),
         ((0.045, 0.085, 81, 25.0, 14.0, 111), ["sweep.power_min", "sweep.power_max"]),
-        ((0.045, 0.085, 1, 14.0, 25.0, 111), ["sweep.loss_steps", "sweep.power_steps"]),
+        ((0.045, 0.085, 1, 14.0, 25.0, 111), ["sweep.loss_steps"]),
     ],
 )
 def test_grid_spec_errors_name_sweep_keys(args, keys):
@@ -685,9 +680,8 @@ def test_span_curve_equals_per_span_solves(
 
 def test_span_curve_without_a_full_span_is_empty(reference_plan, calibrated_trx):
     # Spans longer than twice the link round to zero spans: no point is left.
-    assert span_length_curve(
-        reference_plan, calibrated_trx, 0.06, 14000.0, 20000.0, 5, 1000.0
-    ) == []
+    short = replace(reference_plan, total_length_km=4000.0)
+    assert span_length_curve(short, calibrated_trx, 0.06, 8001.0, 10000.0, 5, 1000.0) == []
 
 
 def test_span_points_bounded_before_allocation(reference_plan, calibrated_trx, monkeypatch):
@@ -717,8 +711,8 @@ def test_span_points_bounded_before_the_samples_are_counted(reference_plan, cali
 
 @pytest.mark.parametrize("span_min,span_max,match", [(1e-300, 250.0, "span_min_km.*MAX_SPANS"),
                                                      (300.0, 200.0, "span_min_km.*span_max_km"),
-                                                     (100.0, math.inf, "^span_max_km must be "
-                                                      "finite, got inf$")])
+                                                     (100.0, math.inf, "^span_max_km must lie in .*, "
+                                                      "got inf$")])
 def test_span_curve_names_its_bad_range(reference_plan, calibrated_trx, span_min, span_max, match):
     with pytest.raises(ValueError, match=match):
         span_length_curve(reference_plan, calibrated_trx, 0.06, span_min, span_max, 21, 1000.0)
@@ -779,39 +773,38 @@ def test_bad_loss_gives_one_message_on_both_solves(reference_plan, calibrated_tr
 @pytest.mark.parametrize("loss", [loss for loss, message in _BAD_LOSSES[:4]])
 def test_bad_loss_is_refused_without_a_full_span(reference_plan, calibrated_trx, loss):
     """The loss checks that need no span count run even when no count is left."""
+    short = replace(reference_plan, total_length_km=4000.0)
     with pytest.raises(ValueError) as single:
-        required_edfa_power(reference_plan, calibrated_trx, loss, 200.0, 1000.0)
+        required_edfa_power(short, calibrated_trx, loss, 200.0, 1000.0)
     with pytest.raises(ValueError) as curve:
-        span_length_curve(reference_plan, calibrated_trx, loss, 14000.0, 20000.0, 5, 1000.0)
+        span_length_curve(short, calibrated_trx, loss, 8001.0, 10000.0, 5, 1000.0)
     assert str(curve.value) == str(single.value)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
-    loss_exp=st.floats(-160.0, -150.0),
-    total_exp=st.floats(150.0, 160.0),
+    loss_exp=st.floats(-300.0, 1.0),
+    total_exp=st.one_of(st.floats(-3.0, 5.0), st.floats(5.0, 160.0)),
     lo_exp=st.floats(-3.0, 0.0),
     width=st.floats(1.0, 3.0),
     n_points=st.integers(1, 50),
 )
 def test_span_range_check_refuses_what_the_nli_kernel_refuses(loss_exp, total_exp, lo_exp,
                                                               width, n_points):
-    """check_span_range's effective-length bound is the NLI kernel's, at the
-    longest span sampled: a range it refuses holds a span the kernel refuses,
-    and the spans of a range it accepts all pass the kernel."""
+    """check_span_range refuses, by the span row alone, every range that samples a
+    span whose NLI effective length the kernel refuses: a range it accepts samples
+    spans of at most 1e4 km, whose effective lengths pass the kernel at any loss."""
     loss, total = 10.0 ** loss_exp, 10.0 ** total_exp
     lo = total * 10.0 ** lo_exp
     hi = lo * width
-    names = ("total", "loss", "lo", "hi", "n")
-    spans = [total / n for n in explore._span_counts(total, lo, hi, n_points)]
+    names = ("total", "lo", "hi", "n")
     try:
-        explore.check_span_range(total, loss, lo, hi, n_points, names)
+        counts = explore.check_span_range(total, lo, hi, n_points, names)
     except ValueError as exc:
-        assert str(exc).startswith(f"hi={hi:g} samples a "), exc
-        with pytest.raises(ValueError, match="NLI effective length .* whose square is beyond"):
-            gn_nli_psds_per_span(FiberSpec(), 0.0, spans, 5e12, DEFAULT_CONSTANTS, loss)
+        assert str(exc).startswith(("lo must lie in", "hi must lie in", "total=")), exc
     else:
-        gn_nli_psds_per_span(FiberSpec(), 0.0, spans, 5e12, DEFAULT_CONSTANTS, loss)
+        gn_nli_psds_per_span(FiberSpec(), 0.0, [total / n for n in counts], 5e12,
+                             DEFAULT_CONSTANTS, loss)
 
 
 def _row_by_row_sweep(plan, trx, grid, include_rbs):
@@ -885,50 +878,3 @@ def test_sweep_cells_are_the_numpy_broadcasts_within_2e_15(reference_plan, calib
     gsnr, throughput = _numpy_broadcast_sweep(reference_plan, trx, grid, include_rbs)
     np.testing.assert_allclose(swept.gsnr_db, gsnr, rtol=2e-15, atol=0.0)
     np.testing.assert_allclose(swept.throughput_tbps, throughput, rtol=2e-15, atol=0.0)
-
-
-_TERM = (st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-30, 1.0, 1e30, 1e300, 1.7e308])
-         | st.floats(-330.0, 308.0).map(lambda e: 10.0 ** e) | st.floats(0.0, 1e-2))
-
-
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(terms=st.lists(st.tuples(_TERM, _TERM, _TERM, _TERM), min_size=2, max_size=4),
-       powers=st.lists(st.floats(-300.0, 300.0) | st.sampled_from([-300.0, 0.0, 300.0]),
-                       min_size=2, max_size=2, unique=True).map(sorted),
-       power_steps=st.integers(2, 9),
-       trx=st.sampled_from([ShannonGapTransceiver(0.0), ShannonGapTransceiver(60.0, 600.0),
-                            TabulatedTransceiver(((0.0, 0.0), (100.0, 1.5e308)))]))
-def test_non_finite_check_refuses_exactly_the_grids_with_a_non_finite_cell(
-        reference_plan, terms, powers, power_steps, trx):
-    """With extreme terms in every row, sweep_rows refuses a grid exactly when
-    the cell formula, evaluated at every cell in plain floats, has a non-finite
-    cell (1/0, log10(0) and a rate past float range count as non-finite)."""
-    grid = GridSpec(0.05, 0.06, len(terms), powers[0], powers[1], power_steps)
-    losses = tuple(np.linspace(0.05, 0.06, len(terms)).tolist())
-    scale = reference_plan.n_carriers / 1e3
-
-    def finite(a, b, c, p):
-        try:
-            g = 10.0 * math.log10(1.0 / (a * (1.0 / p) + b * (p * p) + c))
-            t = trx.net_rate_gbps(g, reference_plan.symbol_rate_hz) * scale
-        except (ZeroDivisionError, ValueError):
-            return False
-        return math.isfinite(g) and math.isfinite(t)
-
-    power_mw = [10.0 ** (p / 10.0) for p in np.linspace(*powers, power_steps).tolist()]
-    every_cell_finite = all(finite(a, b, imi + rbs, p) for a, b, imi, rbs in terms
-                            for p in power_mw)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(explore, "_row_terms", lambda *args: (losses, tuple(terms)))
-        try:
-            sweep = sweep_rows(reference_plan, trx, grid)
-        except ValueError as exc:
-            loss = next(loss for loss, (a, b, imi, rbs) in zip(losses, terms)
-                        if not all(finite(a, b, imi + rbs, p) for p in power_mw))
-            assert str(exc) == (f"grid contains non-finite cells in its row at loss {loss!r} "
-                                f"dB/km, between sweep.loss_min=0.05 and sweep.loss_max=0.06")
-            assert not every_cell_finite
-            return
-    assert every_cell_finite
-    for _, gsnr, tput in sweep.rows():
-        assert all(map(math.isfinite, gsnr + tput))

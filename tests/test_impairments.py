@@ -59,7 +59,7 @@ def test_amplifier_spec_validation():
     amp = AmplifierSpec(4.6, 20.3)
     assert amp.pre_input_loss_db == 2.0 and amp.post_output_loss_db == 2.0
     with pytest.raises(ValueError):
-        AmplifierSpec(0.0, 20.3)
+        AmplifierSpec(-1.0, 20.3)
     with pytest.raises(ValueError):
         AmplifierSpec(4.6, math.inf)
     with pytest.raises(ValueError):
@@ -113,18 +113,22 @@ def test_gn_psd_cubic_scaling(reference_fiber, const):
 def test_gn_psd_keeps_the_effective_length_at_tiny_loss(reference_fiber, const):
     # At alpha*L ~ 5e-19, 1 - exp(-alpha*L) rounds to 0; expm1 keeps
     # L_eff = L, so the PSD grows as L_eff^2 with the span.
-    fiber = replace(reference_fiber, loss_db_per_km=1e-20)
-    short, long = (gn_nli_psd_per_span(fiber, REF_P_LAUNCH_W / 75e9, span, 5e12, const)
-                   for span in (100.0, 200.0))
+    short, long = gn_nli_psds_per_span(reference_fiber, REF_P_LAUNCH_W / 75e9, (100.0, 200.0),
+                                       5e12, const, 1e-20)
     assert 0 < short < math.inf
     assert long / short == pytest.approx(4.0, rel=1e-12)
 
 
-def test_fiber_loss_whose_attenuation_underflows_is_rejected():
+def test_fiber_loss_whose_attenuation_underflows_is_rejected(const):
+    """The NLI kernel's loss floor, which its loss argument reaches; a FiberSpec's
+    loss row lies far above it."""
     assert attenuation_db_to_per_km(MIN_LOSS_DB_PER_KM) == sys.float_info.min
-    FiberSpec(loss_db_per_km=MIN_LOSS_DB_PER_KM)
+    # A 1 Hz comb keeps the asinh argument finite at the floor.
+    assert gn_nli_psds_per_span(FiberSpec(), 0.0, (), 1.0, const, MIN_LOSS_DB_PER_KM) == []
     for loss in (math.nextafter(MIN_LOSS_DB_PER_KM, 0.0), 1e-310, 5e-324, 0.0):
         with pytest.raises(ValueError, match="fiber.loss_db_per_km must be >= 9.663e-308"):
+            gn_nli_psds_per_span(FiberSpec(), 0.0, (), 5e12, const, loss)
+        with pytest.raises(ValueError, match=r"^fiber.loss_db_per_km must lie in \[0.0001, 10\]"):
             FiberSpec(loss_db_per_km=loss)
 
 
@@ -479,22 +483,22 @@ def test_rbs_past_the_sinh_overflow_is_a_value_error():
 ])
 def test_gn_psd_refuses_a_loss_that_underflows_its_denominator(const, loss, name, shown):
     """Above about 2e301 dB/km pi*|beta2|/alpha underflows to 0; the kernel's
-    count-independent checks name the loss, even for no spans."""
-    fiber = FiberSpec(loss_db_per_km=loss) if name is None else FiberSpec()
-    args = () if name is None else (loss, name)
+    count-independent checks name the loss (by default fiber.loss_db_per_km),
+    even for no spans."""
+    args = (loss,) if name is None else (loss, name)
     for spans in ((), (1e-299, 200.0)):
         with pytest.raises(ValueError, match=f"^{shown} puts the NLI's denominator"):
-            gn_nli_psds_per_span(fiber, 1e-14, spans, 5e12, const, *args)
+            gn_nli_psds_per_span(FiberSpec(), 1e-14, spans, 5e12, const, *args)
     assert gn_nli_psds_per_span(FiberSpec(), 1e-14, (), 5e12, const, 1e301) == []
 
 
 def test_gn_psd_refuses_a_span_whose_effective_length_squared_overflows(const):
     """The square of an effective length past MAX_EFFECTIVE_LENGTH_KM leaves float
     range; the kernel names the loss and the span. One just below it is finite."""
-    fiber = FiberSpec(loss_db_per_km=1e-160)
+    fiber = FiberSpec()
     with pytest.raises(ValueError, match=r"^loss_db_per_km=1e-160 gives a 2e\+154 km span "
                                          r"the NLI effective length 2e\+154 km, whose square"):
         gn_nli_psds_per_span(fiber, 1e-14, (200.0, 2e154), 5e12, const, 1e-160,
                              "loss_db_per_km")
-    [psd] = gn_nli_psds_per_span(fiber, 1e-14, (MAX_EFFECTIVE_LENGTH_KM,), 5e12, const)
+    [psd] = gn_nli_psds_per_span(fiber, 1e-14, (MAX_EFFECTIVE_LENGTH_KM,), 5e12, const, 1e-160)
     assert math.isfinite(psd) and psd > 0

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from hcflink import system
 from hcflink.config import GridSpec
+from hcflink.domain import DOMAIN
+from hcflink.explore import sweep_rows
 from hcflink.impairments import (
     MIN_LOSS_DB_PER_KM,
     AmplifierSpec,
@@ -511,8 +513,10 @@ def test_power_feed_linear_in_repeaters():
 
 
 @pytest.mark.parametrize("feed,total_km,n_repeaters", [
-    (PowerFeedSpec(cable_resistance_ohm_per_km=1e306), 6600.0, 32),
-    (PowerFeedSpec(repeater_power_w=1e307), 6600.0, 99),
+    # The domain's feeds at their bounds overflow only with a raw length or count.
+    pytest.param(PowerFeedSpec(feed_current_a=100.0, cable_resistance_ohm_per_km=1e3), 1e303, 32,
+                 id="cable"),
+    pytest.param(PowerFeedSpec(repeater_power_w=1e6), 6600.0, 10**303, id="repeaters"),
     (PowerFeedSpec(), math.inf, 0),
 ])
 def test_power_feed_refuses_an_overflowing_budget(feed, total_km, n_repeaters):
@@ -605,7 +609,7 @@ def test_gsnr_terms_follow_the_span_count(reference_plan):
     [
         ({"span_length_km": 8000.0}, ["span.span_length_km", "link.total_length_km"]),
         ({"span_length_km": -1.0}, ["span.span_length_km"]),
-        ({"total_length_km": 1e300, "span_length_km": 1e-10},
+        ({"total_length_km": 1e5, "span_length_km": 1e-3},
          ["link.total_length_km", "span.span_length_km"]),
         ({"band_hz": 1e300}, ["link.band_hz"]),
     ],
@@ -622,17 +626,19 @@ def test_operating_point_power_is_bounded(power):
         OperatingPoint(0.06, power)
 
 
-@pytest.mark.parametrize("build,name", [
-    (lambda p: AmplifierSpec(total_output_power_dbm=p), "amplifier.total_output_power_dbm"),
-    (lambda p: OperatingPoint(0.06, p), "edfa_total_output_dbm"),
-    (lambda p: GridSpec(power_min=p), "sweep.power_min"),
-    (lambda p: GridSpec(power_max=p), "sweep.power_max"),
+@pytest.mark.parametrize("build,message", [
+    (lambda p: AmplifierSpec(total_output_power_dbm=p),
+     "amplifier.total_output_power_dbm must lie in [-60, 60], got {}"),
+    (lambda p: OperatingPoint(0.06, p), "edfa_total_output_dbm must lie within +/-300 dBm, got {}"),
+    (lambda p: GridSpec(power_min=p), "sweep.power_min must lie in [-60, 60], got {}"),
+    (lambda p: GridSpec(power_max=p), "sweep.power_max must lie in [-60, 60], got {}"),
 ], ids=["amplifier", "operating-point", "sweep-min", "sweep-max"])
 @pytest.mark.parametrize("power", [300.5, -301.0, 1e6])
-def test_power_window_has_one_message(build, name, power):
-    """Every power key is held to +/-300 dBm with the same wording."""
-    message = f"{name} must lie within +/-300 dBm, got {power}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+def test_power_window_has_one_message(build, message, power):
+    """Every power key of the config is held to its domain row, +/-60 dBm, with the
+    row's wording; an OperatingPoint, which the library builds from any power, to
+    +/-300 dBm."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(power))}$"):
         build(power)
 
 
@@ -671,10 +677,11 @@ def test_shannon_rate_overflow_is_the_same_error_for_a_numpy_scalar():
 
 @pytest.mark.parametrize("count", [10**6 + 1, 10**400])
 def test_fiber_count_is_bounded(reference_fiber, reference_amp, count):
-    with pytest.raises(ValueError, match=r"link\.n_fibers_per_direction must be <= 1e6"):
+    with pytest.raises(ValueError,
+                       match=r"^link\.n_fibers_per_direction must lie in \[0, 10000\], got "):
         LinkPlan(fiber=reference_fiber, amp=reference_amp, n_fibers_per_direction=count)
-    plan = LinkPlan(fiber=reference_fiber, amp=reference_amp, n_fibers_per_direction=10**6)
-    assert plan.n_fibers_per_direction == 10**6
+    plan = LinkPlan(fiber=reference_fiber, amp=reference_amp, n_fibers_per_direction=10**4)
+    assert plan.n_fibers_per_direction == 10**4
 
 
 def _searchsorted_required_gsnr_db(table: TabulatedTransceiver, rate_gbps: float) -> float:
@@ -711,7 +718,7 @@ def test_tabulated_inverse_matches_searchsorted(steps, pick, rate):
 @given(
     exponent=st.floats(-307.99, -295.0),
     band_hz=st.floats(75e9, 1.9e14),
-    dispersion=st.floats(1e-6, 1e6),
+    dispersion=st.floats(1e-6, 1e3),
 )
 def test_tiny_loss_is_named_or_gives_finite_terms(reference_plan, exponent, band_hz, dispersion):
     """Near the NLI's asinh overflow a loss either is refused by the NLI kernel's loss checks,
@@ -966,3 +973,61 @@ def test_plan_counts_are_set_once_when_built(monkeypatch, reference_fiber, refer
     assert calls == {"repeater_count": 1, "channels_in_band": 1}
     with pytest.raises(FrozenInstanceError):
         plan.n_spans = 5
+
+
+@st.composite
+def _corner_plans(draw) -> LinkPlan:
+    """A plan with every key at a bound of its domain row, moved inward only as far
+    as a cross-key rule asks: the span within the link and MAX_SPANS, the band
+    within 1..MAX_CHANNELS channels, the symbol rate within the spacing and the
+    loss within the span-gain bound. |dispersion| is 1e-6 or 1e3."""
+    def corner(key):
+        return draw(st.sampled_from(DOMAIN[key]))
+
+    link = corner("link.total_length_km")
+    span = min(max(corner("span.span_length_km"), link / (0.999 * MAX_SPANS)), link)
+    spacing = corner("link.channel_spacing_hz")
+    band = min(max(corner("link.band_hz"), spacing), 0.999 * MAX_CHANNELS * spacing)
+    amp = AmplifierSpec(*(corner(f"amplifier.{f.name}") for f in fields(AmplifierSpec)))
+    gain_db = MAX_SPAN_GAIN_DB - amp.pre_input_loss_db - amp.post_output_loss_db
+    loss = min(corner("fiber.loss_db_per_km"), 0.999 * gain_db * span_count(link, span) / link)
+    fiber = FiberSpec(loss, draw(st.sampled_from([-1e3, -1e-6, 1e-6, 1e3])),
+                      *(corner(f"fiber.{key}") for key in ("gamma_per_w_km", "imi_db_per_km",
+                                                          "backscatter_db_per_km", "group_index")))
+    return LinkPlan(fiber, amp, link, span, band, spacing,
+                    min(corner("link.symbol_rate_hz"), spacing),
+                    corner("link.n_fibers_per_direction"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(plan=_corner_plans(),
+       loss=st.sampled_from([MIN_LOSS_DB_PER_KM, 1e-300, 1e-20, 1e-4, 10.0, 1e10]),
+       count=st.sampled_from([1, MAX_SPANS, 10**6]),
+       power=st.sampled_from([-300.0, -60.0, 60.0, 300.0]),
+       gap=st.sampled_from(DOMAIN["transceiver.gap_db"]),
+       include_rbs=st.booleans())
+def test_domain_corners_keep_every_term_finite(plan, loss, count, power, gap, include_rbs):
+    """The executable half of the domain's audit. At the domain's corners the
+    plan's 1 mW reference is bounded, and so is every term: span_terms at any
+    loss and count a library caller passes (or a kernel's own check refuses the
+    loss, naming it), the budget at any power an OperatingPoint takes, with the
+    IMI term holding 1/GSNR at 1e-33 or above, and every sweep cell."""
+    assert 0 < plan.launch_psd_w_hz <= 1e-9 and 1e-33 <= plan.inv_snr_imi <= 1e5
+    for n in (count, plan.n_spans):
+        try:
+            [terms] = span_terms(plan, loss, (n,), include_rbs)
+        except ValueError as exc:
+            assert str(exc).startswith("loss_db_per_km"), exc
+            continue
+        assert all(0 <= term < math.inf for term in terms)
+    for op_loss in (loss, plan.fiber.loss_db_per_km):
+        try:
+            budget = link_gsnr(plan, OperatingPoint(op_loss, power), include_rbs)
+        except ValueError as exc:
+            assert str(exc).startswith("loss_db_per_km"), exc
+            continue
+        assert 0 < budget.gsnr_linear <= 1e33
+    gain_db = MAX_SPAN_GAIN_DB - plan.amp.pre_input_loss_db - plan.amp.post_output_loss_db
+    grid = GridSpec(1e-4, min(0.999 * gain_db / plan.effective_span_km, 10.0), 2, -60.0, 60.0, 3)
+    for _, gsnr, tput in sweep_rows(plan, ShannonGapTransceiver(gap), grid, include_rbs).rows():
+        assert all(map(math.isfinite, gsnr + tput))
