@@ -91,7 +91,7 @@ def _run_budget(cfg: RunConfig, fh: IO[str], fmt: str, *, include_rbs: bool = Fa
             "gsnr_db": budget.gsnr_db,
         },
         "channel_net_rate_gbps": rate_gbps,
-        "cable_throughput_tbps": plan.n_carriers * rate_gbps / 1e3,
+        "cable_throughput_tbps": rate_gbps * (plan.n_carriers / 1e3),
     }
 
 

@@ -3,9 +3,9 @@
 Full rectangular sweeps, one pure-Python loss row at a time, with contour
 extraction, required-power solves at fixed throughput targets, span-length
 trade-off curves, and sensitivity deltas between plans. Of the 1/GSNR law's
-closed forms, system holds all but the two with one caller here: sweep_rows'
-per-cell form and extract_contour's falling root. Only sweep_grid, which packs
-the rows into arrays, imports numpy.
+closed forms, system holds all but extract_contour's falling root, its one
+caller's; sweep_rows' cells are system's row kernel. Only sweep_grid, which
+packs the rows into arrays, imports numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from .system import (
     InfeasibleError,
     LinkPlan,
     TransceiverModel,
+    _cable_rows,
     _inv_db,
+    _power_column,
     _solve_powers_dbm,
     _target_inv_gsnr,
     _throughput_peak,
@@ -95,27 +97,17 @@ class SweepRows(NamedTuple):
 
 def sweep_rows(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
                include_rbs: bool = False) -> SweepRows:
-    """GSNR and throughput at every lattice point, evaluated one loss row at a time.
-
-    A row's cells are 10*log10(1/(A*(1/p) + B*p^2 + C)) at p mW for its gsnr_terms
-    A, B and C = IMI + RBS, with 1/p and p^2 computed once per power; its
-    throughput is one call of the transceiver's rate sequence, times n_carriers/1e3.
-    The domain of the plan and the grid keeps every cell finite: C is at least the
-    plan's IMI term, above 0, and A, B and the powers are bounded.
-    """
+    """GSNR and throughput at every lattice point, one loss row at a time: a row is
+    system._cable_rows at its gsnr_terms over the grid's power columns, so each cell
+    is link_gsnr's GSNR and cable_throughput's Tb/s at its point, bit for bit."""
     losses, terms = _row_terms(plan, grid, include_rbs)
     powers = _linspace(grid.power_min, grid.power_max, grid.power_steps)
-    power_mw = [10.0 ** (p / 10.0) for p in powers]
-    columns = [(1.0 / p, p * p) for p in power_mw]
-    rates, symbol_rate, scale = trx.net_rates_gbps, plan.symbol_rate_hz, plan.n_carriers / 1e3
-    log10 = math.log10
+    columns = [_power_column(p) for p in powers]
 
     def rows(start: int = 0, stop: int | None = None
              ) -> Iterator[tuple[float, list[float], list[float]]]:
-        for loss, (a, b, imi, rbs) in zip(losses[start:stop], terms[start:stop]):
-            c = imi + rbs
-            gsnr = [10.0 * log10(1.0 / (a * inv_p + b * p_sq + c)) for inv_p, p_sq in columns]
-            yield loss, gsnr, [rate * scale for rate in rates(gsnr, symbol_rate)]
+        for loss, row_terms in zip(losses[start:stop], terms[start:stop]):
+            yield loss, *_cable_rows(plan, trx, row_terms, columns)
 
     return SweepRows(losses, powers, rows)
 
@@ -123,12 +115,7 @@ def sweep_rows(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
 def sweep_grid(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec,
                include_rbs: bool = False) -> SweepGrid:
     """The cells of sweep_rows as numpy arrays, the one place the package needs
-    numpy (the `arrays` extra); without it, the import raises ModuleNotFoundError.
-
-    Cells match per-point link_gsnr + channel_net_rate to within 1e-12 dB of
-    GSNR and 1e-12 relative throughput, not bit for bit: the row form computes
-    A*(1/p) where link_gsnr computes A/p.
-    """
+    numpy (the `arrays` extra); without it, the import raises ModuleNotFoundError."""
     import numpy as np
 
     sweep = sweep_rows(plan, trx, grid, include_rbs)

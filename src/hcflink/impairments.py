@@ -330,8 +330,8 @@ def combine_gsnr(components: Sequence[float]) -> SnrBudget:
         if not (math.isfinite(v) and v >= 0):
             raise ValueError(f"1/SNR components must be finite and >= 0, got {v}")
     values += [0.0] * (len(COMPONENTS) - len(values))
-    # Left to right, as sum() adds floats before Python 3.12 and not after.
-    total = values[0] + values[1] + values[2] + values[3]
+    # (ase + nli) + (imi + rbs): the order of system._cable_rows' cells.
+    total = (values[0] + values[1]) + (values[2] + values[3])
     if total == 0 or 1.0 / total == math.inf:
         raise ValueError(f"the components sum to {total:g}: infinite GSNR is not an operating "
                          "point")

@@ -3,9 +3,10 @@
 Builds the channel grid, assembles the GSNR budget at an operating point,
 maps GSNR to net throughput through a transceiver model, and evaluates the
 electrical power feed and propagation latency. It owns the closed forms of
-1/GSNR = A/p + B*p^2 + C: terms, forward law, rising root, peak, target inverse.
-Each transceiver's rate law has one sequence form in plain floats, net_rates_gbps,
-and net_rate_gbps is its one-element wrapper; nothing here needs numpy.
+1/GSNR = A/p + B*p^2 + C: terms, forward law (one row kernel, _cable_rows, whose
+bits link_gsnr's budget has), rising root, peak, target inverse. Each transceiver's
+rate law has one sequence form in plain floats, net_rates_gbps, and net_rate_gbps
+is its one-element wrapper; nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -412,13 +413,28 @@ def gsnr_terms(plan: LinkPlan, loss_db_per_km: float, n_spans: int,
     return span_terms(plan, loss_db_per_km, (n_spans,), include_rbs)[0]
 
 
+def _power_column(power_dbm: float) -> tuple[float, float]:
+    """(1/p, p^2) for a total EDFA output of p mW: the column _cable_rows reads."""
+    p_mw = 10.0 ** (power_dbm / 10.0)
+    return 1.0 / p_mw, p_mw * p_mw
+
+
+def _cable_rows(plan: LinkPlan, trx: TransceiverModel, terms: tuple[float, float, float, float],
+                columns: Sequence[tuple[float, float]]) -> tuple[list[float], list[float]]:
+    """GSNR 10*log10(1/(A*(1/p) + B*p^2 + (IMI + RBS))) (dB) and rate x n_carriers/1e3
+    (Tb/s) at each _power_column, for one span count's gsnr_terms A, B, IMI and RBS."""
+    a, b, imi, rbs = terms
+    c, log10, scale = imi + rbs, math.log10, plan.n_carriers / 1e3
+    gsnr = [10.0 * log10(1.0 / (a * inv_p + b * p_sq + c)) for inv_p, p_sq in columns]
+    return gsnr, [rate * scale for rate in trx.net_rates_gbps(gsnr, plan.symbol_rate_hz)]
+
+
 def link_gsnr(plan: LinkPlan, op: OperatingPoint, include_rbs: bool = False) -> SnrBudget:
-    """The four-impairment budget at one operating point, from gsnr_terms. The
-    plan's domain keeps every term finite and their sum at least its IMI term,
-    above 0, so combine_gsnr accepts them."""
+    """The four-impairment budget at one operating point, from gsnr_terms and the
+    products and sum of _cable_rows, whose cell its gsnr_db is bit for bit."""
     ase, nli, imi, rbs = gsnr_terms(plan, op.loss_db_per_km, plan.n_spans, include_rbs)
-    p_mw = 10.0 ** (op.edfa_total_output_dbm / 10.0)
-    return combine_gsnr([ase / p_mw, nli * p_mw * p_mw, imi, rbs])
+    inv_p, p_sq = _power_column(op.edfa_total_output_dbm)
+    return combine_gsnr([ase * inv_p, nli * p_sq, imi, rbs])
 
 
 def _inv_db(level_db: float) -> float:
@@ -475,17 +491,16 @@ def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]],
 
 def _throughput_peak(plan: LinkPlan, trx: TransceiverModel,
                      terms: tuple[float, float, float, float]) -> tuple[float, float]:
-    """Power P_opt (dBm) of the GSNR peak 1/(1.5*A/P_opt + C) and the throughput
-    there (Tb/s); without NLI or without ASE the peak is 1/C, at +inf or -inf dBm.
-    C holds the plan's IMI term, so the peak GSNR is finite."""
-    a, b, imi, rbs = terms
+    """Power P_opt = (A/2B)^(1/3) (dBm) of the GSNR peak and cable_throughput there
+    (Tb/s). Without NLI or without ASE the peak is 1/C, the kernel at the column (0, 0),
+    at +inf or -inf dBm; C holds the plan's IMI term, so the peak GSNR is finite."""
+    a, b, _, _ = terms
     if a > 0 and b > 0:
-        p_opt_mw = (a / (2.0 * b)) ** (1.0 / 3.0)
-        p_opt_dbm, inv_gsnr = 10.0 * math.log10(p_opt_mw), 1.5 * a / p_opt_mw + (imi + rbs)
+        p_opt_dbm = 10.0 * math.log10((a / (2.0 * b)) ** (1.0 / 3.0))
+        column = _power_column(p_opt_dbm)
     else:
-        p_opt_dbm, inv_gsnr = (math.inf if b == 0 else -math.inf), imi + rbs
-    peak_db = -10.0 * math.log10(inv_gsnr)
-    return p_opt_dbm, plan.n_carriers * trx.net_rate_gbps(peak_db, plan.symbol_rate_hz) / 1e3
+        p_opt_dbm, column = (math.inf if b == 0 else -math.inf), (0.0, 0.0)
+    return p_opt_dbm, _cable_rows(plan, trx, terms, (column,))[1][0]
 
 
 def channel_net_rate(trx: TransceiverModel, gsnr_db: float, symbol_rate_hz: float) -> float:
@@ -498,12 +513,9 @@ def channel_net_rate(trx: TransceiverModel, gsnr_db: float, symbol_rate_hz: floa
 
 def cable_throughput(plan: LinkPlan, trx: TransceiverModel, op: OperatingPoint,
                      include_rbs: bool = False) -> float:
-    """Net cable throughput in one direction, in Tb/s."""
-    if plan.n_fibers_per_direction == 0:
-        return 0.0
-    budget = link_gsnr(plan, op, include_rbs)
-    rate_gbps = channel_net_rate(trx, budget.gsnr_db, plan.symbol_rate_hz)
-    return plan.n_carriers * rate_gbps / 1e3
+    """Net cable throughput in one direction, in Tb/s: _cable_rows at one point."""
+    terms = gsnr_terms(plan, op.loss_db_per_km, plan.n_spans, include_rbs)
+    return _cable_rows(plan, trx, terms, (_power_column(op.edfa_total_output_dbm),))[1][0]
 
 
 def repeater_count(total_length_km: float, span_length_km: float,
@@ -563,10 +575,10 @@ def calibrate_trx_gap(plan: LinkPlan, reference: OperatingPoint, target_tbps: fl
     """
     if not target_tbps > 0:
         raise ValueError(f"target_tbps must be > 0, got {target_tbps}")
-    gsnr_db = link_gsnr(plan, reference, include_rbs).gsnr_db
+    terms = gsnr_terms(plan, reference.loss_db_per_km, plan.n_spans, include_rbs)
     zero_gap_trx = ShannonGapTransceiver(0.0)
-    n_carriers = plan.n_carriers
-    zero_gap = n_carriers * channel_net_rate(zero_gap_trx, gsnr_db, plan.symbol_rate_hz) / 1e3
+    column = _power_column(reference.edfa_total_output_dbm)
+    [gsnr_db], [zero_gap] = _cable_rows(plan, zero_gap_trx, terms, (column,))
     if target_tbps > zero_gap:
         raise InfeasibleError(
             f"target {target_tbps:g} Tb/s exceeds the zero-gap Shannon throughput "
@@ -574,7 +586,7 @@ def calibrate_trx_gap(plan: LinkPlan, reference: OperatingPoint, target_tbps: fl
         )
     if abs(zero_gap - target_tbps) <= 1e-6 * target_tbps:
         return 0.0
-    rate_gbps = target_tbps * 1e3 / n_carriers
+    rate_gbps = target_tbps * 1e3 / plan.n_carriers
     gap_db = gsnr_db - zero_gap_trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz)
     if gap_db > 60.0:
         raise InfeasibleError(f"target {target_tbps:g} Tb/s would need a shaping gap above 60 dB")

@@ -90,27 +90,6 @@ def test_budget_reference_point(capsys):
     assert doc["budget"]["snr_rbs_db"] is None
 
 
-def test_budget_at_defaults_is_pinned(capsys):
-    # The scalar rate path (math.log2) gives the bytes numpy's log2 gave.
-    golden = Path(__file__).with_name("golden") / "budget_default.json"
-    assert main(["budget"]) == EXIT_OK
-    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_span_curve_at_defaults_is_pinned(capsys, fmt):
-    # The scalar math solve gives the bytes the numpy array solve gave.
-    golden = Path(__file__).with_name("golden") / f"span_curve_default.{fmt}"
-    assert main(["span-curve", "--format", fmt]) == EXIT_OK
-    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
-
-
-def test_contour_svg_at_defaults_is_pinned(capsys):
-    golden = Path(__file__).with_name("golden") / "contour_default.svg"
-    assert main(["contour", "--format", "svg", "--levels", "950,1000,1050"]) == EXIT_OK
-    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
-
-
 def _echoed_table_path(text: str, fmt: str) -> str | None:
     """transceiver.table_path as the output echoes it, decoded."""
     if fmt == "json":

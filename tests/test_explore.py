@@ -31,7 +31,6 @@ from hcflink.system import (
     ShannonGapTransceiver,
     TabulatedTransceiver,
     cable_throughput,
-    channel_net_rate,
     gsnr_terms,
     link_gsnr,
     span_count,
@@ -90,7 +89,7 @@ def test_sweep_cells_match_direct_evaluation(reference_plan, calibrated_trx):
             direct = cable_throughput(
                 reference_plan, calibrated_trx, OperatingPoint(float(loss), float(power))
             )
-            assert grid.throughput_tbps[i, j] == pytest.approx(direct, rel=1e-12)
+            assert grid.throughput_tbps[i, j] == direct
 
 
 _TABLE_TRX = TabulatedTransceiver(((6.0, 200.0), (10.0, 400.0), (14.0, 560.0), (18.0, 680.0)))
@@ -102,19 +101,16 @@ _TABLE_TRX = TabulatedTransceiver(((6.0, 200.0), (10.0, 400.0), (14.0, 560.0), (
 def test_sweep_matches_scalar_budget_at_every_point(
     reference_plan, calibrated_trx, gamma, include_rbs, tabulated
 ):
-    # The sweep evaluates 1/GSNR = A/p + B*p^2 + C per row; the reference is
-    # the per-point scalar budget and rate, which the sweep must track to
-    # within the documented 1e-12 bounds.
+    # The sweep's rows and the per-point budget and throughput evaluate
+    # 1/GSNR = A/p + B*p^2 + C through one kernel, so they agree bit for bit.
     plan = replace(reference_plan, fiber=replace(reference_plan.fiber, gamma_per_w_km=gamma))
     trx = _TABLE_TRX if tabulated else calibrated_trx
     grid = sweep_grid(plan, trx, GridSpec(0.045, 0.085, 9, 5.0, 30.0, 26), include_rbs)
-    scale = plan.n_fibers_per_direction * plan.n_channels / 1e3
-    for i, loss in enumerate(grid.loss_db_per_km):
-        for j, power in enumerate(grid.edfa_power_dbm):
-            budget = link_gsnr(plan, OperatingPoint(float(loss), float(power)), include_rbs)
-            rate = channel_net_rate(trx, budget.gsnr_db, plan.symbol_rate_hz)
-            assert abs(grid.gsnr_db[i, j] - budget.gsnr_db) <= 1e-12
-            assert abs(grid.throughput_tbps[i, j] / (scale * rate) - 1.0) <= 1e-12
+    for i, loss in enumerate(grid.loss_db_per_km.tolist()):
+        for j, power in enumerate(grid.edfa_power_dbm.tolist()):
+            op = OperatingPoint(loss, power)
+            assert grid.gsnr_db[i, j] == link_gsnr(plan, op, include_rbs).gsnr_db
+            assert grid.throughput_tbps[i, j] == cable_throughput(plan, trx, op, include_rbs)
 
 
 def test_sweep_monotone_along_power_axis(reference_plan, calibrated_trx):
@@ -846,6 +842,31 @@ def _numpy_broadcast_sweep(plan, trx, grid, include_rbs):
 
 _SWEEP_TRX = TabulatedTransceiver(((5.0, 100.0), (8.0, 300.0), (10.0, 300.0), (14.0, 500.0),
                                    (20.0, 600.0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gamma=st.floats(0.0, 1.0), imi=st.floats(-90.0, -40.0), backscatter=st.floats(-90.0, -50.0),
+       total=st.floats(1000.0, 12000.0), span=st.floats(50.0, 300.0), fibers=st.integers(0, 40),
+       loss_min=st.floats(0.02, 0.15), power_min=st.floats(-10.0, 15.0),
+       power_max=st.floats(15.5, 35.0), include_rbs=st.booleans(), tabulated=st.booleans())
+def test_every_sweep_cell_is_the_budget_at_its_point(reference_plan, calibrated_trx, gamma, imi,
+                                                     backscatter, total, span, fibers, loss_min,
+                                                     power_min, power_max, include_rbs, tabulated):
+    """Each cell of a 7 x 9 sweep of a plan in the domain is link_gsnr's GSNR and
+    cable_throughput's Tb/s at its point, bit for bit, with and without RBS, for
+    both transceivers."""
+    fiber = replace(reference_plan.fiber, gamma_per_w_km=gamma, imi_db_per_km=imi,
+                    backscatter_db_per_km=backscatter)
+    plan = replace(reference_plan, fiber=fiber, total_length_km=total, span_length_km=span,
+                   n_fibers_per_direction=fibers)
+    trx = _SWEEP_TRX if tabulated else calibrated_trx
+    grid = GridSpec(loss_min, loss_min + 0.05, 7, power_min, power_max, 9)
+    sweep = explore.sweep_rows(plan, trx, grid, include_rbs)
+    for loss, gsnr, throughput in sweep.rows():
+        for power, cell_db, cell_tbps in zip(sweep.edfa_power_dbm, gsnr, throughput):
+            op = OperatingPoint(loss, power)
+            assert cell_db == link_gsnr(plan, op, include_rbs).gsnr_db
+            assert cell_tbps == cable_throughput(plan, trx, op, include_rbs)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(0.0451, 0.0849, 37, 13.3, 27.7, 53)],

@@ -1,4 +1,4 @@
-"""Byte-for-byte goldens of the outputs that tests/test_cli.py does not pin.
+"""Byte-for-byte goldens of the command outputs, one table for every file.
 
 Each case runs `hcflink.cli.main` in process from the tests/ directory and
 compares stdout with a file in tests/golden/, byte for byte, and stderr with the
@@ -31,6 +31,10 @@ TABLE = ["--trx-table", "golden/trx_table.csv"]
 RBS = ["--include-rbs", "true"]
 
 CASES = {
+    "budget_default.json": ["budget"],
+    "span_curve_default.csv": ["span-curve", "--format", "csv"],
+    "span_curve_default.json": ["span-curve", "--format", "json"],
+    "contour_default.svg": ["contour", "--format", "svg", "--levels", "950,1000,1050"],
     "rbs_default.json": ["rbs"],
     "powerfeed_default.json": ["powerfeed"],
     "latency_default.json": ["latency"],

@@ -17,19 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from test_goldens import CASES
+from test_goldens import CASES as GOLDENS
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
-
-# The goldens tests/test_cli.py pins, with the arguments it runs them with.
-OTHER_GOLDENS = {
-    "budget_default.json": ["budget"],
-    "span_curve_default.csv": ["span-curve", "--format", "csv"],
-    "span_curve_default.json": ["span-curve", "--format", "json"],
-    "contour_default.svg": ["contour", "--format", "svg", "--levels", "950,1000,1050"],
-}
-GOLDENS = {**CASES, **OTHER_GOLDENS}
 
 _NO_NUMPY = (
     "import sys\n"

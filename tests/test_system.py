@@ -1031,3 +1031,25 @@ def test_domain_corners_keep_every_term_finite(plan, loss, count, power, gap, in
     grid = GridSpec(1e-4, min(0.999 * gain_db / plan.effective_span_km, 10.0), 2, -60.0, 60.0, 3)
     for _, gsnr, tput in sweep_rows(plan, ShannonGapTransceiver(gap), grid, include_rbs).rows():
         assert all(map(math.isfinite, gsnr + tput))
+
+
+# Rates across the peak GSNRs of the plans below, so the peak is no table end.
+_PEAK_TABLE = TabulatedTransceiver(((10.0, 200.0), (16.0, 400.0), (22.0, 550.0), (28.0, 640.0)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(gamma=st.floats(1e-3, 1.0), loss=st.floats(0.03, 0.12), include_rbs=st.booleans(),
+       tabulated=st.booleans())
+def test_throughput_peak_is_cable_throughput_at_p_opt(reference_plan, calibrated_trx, gamma, loss,
+                                                      include_rbs, tabulated):
+    """The peak _throughput_peak reports is cable_throughput at its P_opt, bit for
+    bit, and no cell of a fine power row around P_opt lies above it by more than
+    1e-12 relative."""
+    plan = replace(reference_plan, fiber=replace(reference_plan.fiber, gamma_per_w_km=gamma))
+    trx = _PEAK_TABLE if tabulated else calibrated_trx
+    p_opt_dbm, peak_tbps = system._throughput_peak(
+        plan, trx, gsnr_terms(plan, loss, plan.n_spans, include_rbs))
+    assert peak_tbps == cable_throughput(plan, trx, OperatingPoint(loss, p_opt_dbm), include_rbs)
+    grid = GridSpec(loss, loss + 0.01, 2, p_opt_dbm - 1.0, p_opt_dbm + 1.0, 2001)
+    _, _, row = next(sweep_rows(plan, trx, grid, include_rbs).rows())
+    assert max(row) <= peak_tbps * (1.0 + 1e-12)
