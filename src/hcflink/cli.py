@@ -213,11 +213,12 @@ _HANDLERS = {"budget": _run_budget, "contour": _run_contour, "span-curve": _run_
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose flags are absent from the namespace unless given, so that
-    each command's handler holds its flags' defaults, and whose usage errors raise
-    ConfigError, so that they leave as the one JSON error line."""
+    each command's handler holds its flags' defaults, which takes no prefix of a
+    flag for the flag, and whose usage errors raise ConfigError, so that they
+    leave as the one JSON error line."""
 
     def __init__(self, **kwargs) -> None:
-        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+        super().__init__(argument_default=argparse.SUPPRESS, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> NoReturn:
         raise ConfigError(f"{self.prog}: {message}")

@@ -296,7 +296,13 @@ def _coerce(value: Any, kind: str, keypath: str) -> Any:
             try:
                 return int(value, 10)
             except ValueError:
-                raise ConfigError(f"{keypath}: expected an integer, got {value!r}") from None
+                pass
+            try:  # "1e2" or "81.0" reads as that JSON number does
+                number = float(value)
+            except ValueError:
+                number = math.nan
+            if number.is_integer():
+                return int(number)
         raise ConfigError(f"{keypath}: expected an integer, got {value!r}")
     if base == "float":
         if not isinstance(value, (int, float, str)):

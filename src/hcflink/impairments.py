@@ -8,11 +8,10 @@ crosstalk, Rayleigh backscattering) is expressed as a dimensionless linear
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .domain import check_domain
+from .domain import check_domain, check_value
 from .units import (
     DB_PER_NEPER,
     PhysicalConstants,
@@ -25,24 +24,8 @@ from .units import (
 # The 1/SNR components of a budget, in SnrBudget field order.
 COMPONENTS = ("ase", "nli", "imi", "rbs")
 
-# The least |D| of a fiber, since the NLI divides by |beta2|, and the power window
-# of an OperatingPoint: the NLI term, cubic in power, leaves float range near
-# 1500 dBm.
+# The least |D| of a fiber, since the NLI divides by |beta2|.
 MIN_ABS_DISPERSION_PS_NM_KM = 1e-6
-MAX_ABS_POWER_DBM = 300.0
-
-# Longest NLI effective length whose square is a finite float.
-MAX_EFFECTIVE_LENGTH_KM = math.sqrt(sys.float_info.max)
-
-# Least loss whose attenuation (1/km) is a normal float; below it the
-# attenuation underflows to a subnormal or 0 and the NLI's 1/alpha to inf.
-MIN_LOSS_DB_PER_KM = DB_PER_NEPER * sys.float_info.min
-
-
-def _check_loss_floor(loss_db_per_km: float, name: str = "fiber.loss_db_per_km") -> None:
-    if not loss_db_per_km >= MIN_LOSS_DB_PER_KM:
-        raise ValueError(f"{name} must be >= {MIN_LOSS_DB_PER_KM:.4g} (its "
-                         f"attenuation must not underflow), got {loss_db_per_km}")
 
 
 @dataclass(frozen=True)
@@ -150,20 +133,20 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
     comb of PSD `launch_psd_w_hz` spanning `comb_bw_hz`. The checks, the
     factor (8/27)*gamma^2*PSD^3, the asinh term and the denominator need no
     span length, so they run once; each span adds only its effective length.
-    Those checks refuse a loss below FiberSpec's floor, then, naming `name`,
-    one whose asinh argument 0.5*pi^2*|beta2|*B^2/alpha is beyond float range
-    (below about 1.1e-305 dB/km at 3 ps/(nm km) and 5 THz) and one whose
-    denominator pi*|beta2|/alpha underflows to 0 (above about 2e301 dB/km at
-    3 ps/(nm km), and an infinite loss). A PSD whose factor leaves float range, or
-    is NaN, is refused next, and a span whose effective length passes
-    MAX_EFFECTIVE_LENGTH_KM (about 1.3e154 km) last, naming `name` and the span.
+    Those checks refuse a comb width outside the row of link.band_hz, naming
+    `comb_bw_hz`, and a loss outside the row of fiber.loss_db_per_km, naming
+    `name`. Inside the rows, at the C band, the asinh argument
+    0.5*pi^2*|beta2|*B^2/alpha and the denominator pi*|beta2|/alpha are finite
+    and above 0, and the effective length is at most 1/alpha <= 43,429 km; a
+    PhysicalConstants far from the C band can still put the argument beyond
+    float range or the denominator at 0, refused naming `name`. A PSD whose
+    factor leaves float range, or is NaN, is refused next.
     """
     if launch_psd_w_hz < 0:
         raise ValueError(f"launch_psd_w_hz must be >= 0, got {launch_psd_w_hz}")
-    if not comb_bw_hz > 0:
-        raise ValueError(f"comb_bw_hz must be > 0, got {comb_bw_hz}")
+    check_value(comb_bw_hz, "link.band_hz", "comb_bw_hz")
     loss = fiber.loss_db_per_km if loss_db_per_km is None else loss_db_per_km
-    _check_loss_floor(loss, name)
+    check_value(loss, "fiber.loss_db_per_km", name)
     alpha = attenuation_db_to_per_km(loss)
     l_eff_a = 1.0 / alpha
     beta2 = (abs(fiber.dispersion_ps_nm_km) * 1e-3 * const.reference_wavelength_m**2
@@ -191,9 +174,6 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
         if not span_km > 0:
             raise ValueError(f"span_km must be > 0, got {span_km}")
         l_eff = -math.expm1(-alpha * span_km) / alpha
-        if l_eff > MAX_EFFECTIVE_LENGTH_KM:
-            raise ValueError(f"{name}={loss} gives a {span_km:g} km span the NLI effective "
-                             f"length {l_eff:g} km, whose square is beyond float range")
         psds.append(prefix * l_eff**2 * asinh_value / denominator)
     return psds
 

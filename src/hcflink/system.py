@@ -20,13 +20,11 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from .domain import check_domain
+from .domain import check_domain, check_value
 from .impairments import (
-    MAX_ABS_POWER_DBM,
     AmplifierSpec,
     FiberSpec,
     SnrBudget,
-    _check_loss_floor,
     ase_inv_snrs,
     combine_gsnr,
     gn_nli_psds_per_span,
@@ -173,16 +171,16 @@ class LinkPlan:
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """One point of the design plane: fiber loss and total EDFA output power."""
+    """One point of the design plane: fiber loss and total EDFA output power, each
+    in its config key's domain row (fiber.loss_db_per_km, amplifier.total_output_power_dbm)."""
 
     loss_db_per_km: float
     edfa_total_output_dbm: float
 
     def __post_init__(self) -> None:
-        _check_loss_floor(self.loss_db_per_km, "loss_db_per_km")
-        if not abs(self.edfa_total_output_dbm) <= MAX_ABS_POWER_DBM:
-            raise ValueError(f"edfa_total_output_dbm must lie within +/-{MAX_ABS_POWER_DBM:g} "
-                             f"dBm, got {self.edfa_total_output_dbm}")
+        check_value(self.loss_db_per_km, "fiber.loss_db_per_km", "loss_db_per_km")
+        check_value(self.edfa_total_output_dbm, "amplifier.total_output_power_dbm",
+                    "edfa_total_output_dbm")
 
 
 @dataclass(frozen=True)
@@ -385,14 +383,16 @@ def span_terms(plan: LinkPlan, loss_db_per_km: float, counts: Iterable[int],
     The launch powers, launch PSD and IMI term are the plan's. Each sequence kernel
     runs its count-independent checks and factors once; per count there are only the
     span gain, the effective length and the terms' last products. Checks run in this
-    order: the loss floor, counts >= 1, each span gain, then the NLI kernel's loss
-    checks (even for empty counts).
+    order: the loss in the row of fiber.loss_db_per_km, counts in 1..MAX_SPANS (as
+    span_count's), each span gain, then the NLI kernel's checks (even for empty counts).
     """
     fiber = plan.fiber
-    _check_loss_floor(loss_db_per_km, "loss_db_per_km")
+    check_value(loss_db_per_km, "fiber.loss_db_per_km", "loss_db_per_km")
     counts = list(counts)
     if min(counts, default=1) < 1:
         raise ValueError(f"n_spans must be >= 1, got {min(counts)}")
+    if max(counts, default=1) > MAX_SPANS:
+        raise ValueError(f"n_spans must be <= MAX_SPANS = {MAX_SPANS}, got {max(counts)}")
     total_km = plan.total_length_km
     spans_km = [total_km / n for n in counts]
     gains_db = plan.span_gains_db(loss_db_per_km, spans_km, "loss_db_per_km")
@@ -472,7 +472,7 @@ def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]],
         d = inv_gsnr - (imi + rbs)
         if not d > 0:
             p = math.nan
-        elif (r := a / d) == 0:  # the root without NLI: D = inf (a target rate <= 0), or no ASE
+        elif (r := a / d) == 0:  # D = inf (a target rate <= 0): A > 0 in the domain
             p = -math.inf
         elif not (eps := b * r * r * r / a) <= 4.0 / 27.0:
             p = math.nan
@@ -491,15 +491,15 @@ def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]],
 
 def _throughput_peak(plan: LinkPlan, trx: TransceiverModel,
                      terms: tuple[float, float, float, float]) -> tuple[float, float]:
-    """Power P_opt = (A/2B)^(1/3) (dBm) of the GSNR peak and cable_throughput there
-    (Tb/s). Without NLI or without ASE the peak is 1/C, the kernel at the column (0, 0),
-    at +inf or -inf dBm; C holds the plan's IMI term, so the peak GSNR is finite."""
+    """Power P_opt = (A/2B)^(1/3) (dBm) of the GSNR peak, A > 0 in the domain, and
+    cable_throughput there (Tb/s). Without NLI the peak is 1/C, the kernel at the column
+    (0, 0), at +inf dBm; C holds the plan's IMI term, so the peak GSNR is finite."""
     a, b, _, _ = terms
-    if a > 0 and b > 0:
+    if b > 0:
         p_opt_dbm = 10.0 * math.log10((a / (2.0 * b)) ** (1.0 / 3.0))
         column = _power_column(p_opt_dbm)
     else:
-        p_opt_dbm, column = (math.inf if b == 0 else -math.inf), (0.0, 0.0)
+        p_opt_dbm, column = math.inf, (0.0, 0.0)
     return p_opt_dbm, _cable_rows(plan, trx, terms, (column,))[1][0]
 
 

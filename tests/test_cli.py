@@ -421,12 +421,23 @@ def test_run_command_defaults_to_the_cli_format(capsys, tmp_path, command):
         (["latency", "--bogus"], "--bogus"),
         ([], "command"),
         (["contour", "--levels"], "--levels"),
+        # A prefix of a flag is no flag: argparse's abbreviations are off.
+        (["budget", "--inc", "true"], "--inc"),
+        (["span-curve", "--target", "900"], "--target"),
+        (["rbs", "--loss", "0.05"], "--loss"),
     ],
-    ids=["span-points-abc", "budget-format-csv", "unknown-flag", "no-command", "levels-no-value"],
+    ids=["span-points-abc", "budget-format-csv", "unknown-flag", "no-command", "levels-no-value",
+         "budget-inc-prefix", "span-curve-target-prefix", "rbs-loss-prefix"],
 )
 def test_usage_error_is_one_json_line(capsys, argv, named):
     assert main(argv) == EXIT_CONFIG
     assert named in _one_config_error(capsys)
+
+
+def test_flag_with_its_value_after_an_equals_sign_is_read(capsys):
+    argv = ["span-curve", "--span-points=3", "--format=json"]
+    assert main([*argv, "--target-tbps=900"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["target_tbps"] == 900.0
 
 
 def test_help_still_exits_0_with_the_usage(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import asdict, replace
@@ -114,6 +115,30 @@ def test_type_error_names_key_path():
 def test_int_field_rejects_fraction():
     with pytest.raises(ConfigError, match="link.n_fibers_per_direction"):
         parse_config("link.n_fibers_per_direction = 26.5\n")
+
+
+@pytest.mark.parametrize("spelling", ["100", "100.0", "1e2", "1E2", "1.0e2", "81.0", "8.1e1"])
+def test_integer_key_reads_alike_in_text_and_json(spelling):
+    """An integral number is an integer key's value in both forms: the text form reads
+    "1e2" or "81.0" as JSON reads the number 1e2 or 81.0, and both give one RunConfig."""
+    text_cfg = parse_config(f"[sweep]\nloss_steps = {spelling}\nlink.n_fibers_per_direction = "
+                            f"{spelling}\n")
+    json_cfg = parse_config(json.dumps({"sweep": {"loss_steps": json.loads(spelling)},
+                                        "link": {"n_fibers_per_direction": json.loads(spelling)}}))
+    steps = int(float(spelling))
+    assert text_cfg.values == json_cfg.values
+    assert text_cfg.values["sweep"]["loss_steps"] == steps
+    assert type(text_cfg.values["sweep"]["loss_steps"]) is int
+    for section in ("plan", "transceiver", "grid", "power_feed"):
+        assert getattr(text_cfg, section)() == getattr(json_cfg, section)()
+    assert text_cfg.grid().loss_steps == text_cfg.plan().n_fibers_per_direction == steps
+
+
+@pytest.mark.parametrize("spelling", ["81.5", "8.15e1", "1e-2", "inf", "nan", "1e400", "0x51"])
+def test_integer_key_refuses_what_is_not_an_integral_number(spelling):
+    message = f"sweep.loss_steps: expected an integer, got '{spelling}'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(f"[sweep]\nloss_steps = {spelling}\n")
 
 
 def test_invariant_violation_names_key():

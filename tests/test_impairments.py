@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-import sys
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcflink.impairments import (
-    MAX_EFFECTIVE_LENGTH_KM,
-    MIN_LOSS_DB_PER_KM,
     AmplifierSpec,
     FiberSpec,
     ase_inv_snr,
@@ -27,7 +25,7 @@ from hcflink.impairments import (
     rbs_inv_snr,
     rbs_power,
 )
-from hcflink.units import attenuation_db_to_per_km, db_to_linear, dbm_to_watt, linear_to_db
+from hcflink.units import PhysicalConstants, attenuation_db_to_per_km, db_to_linear, linear_to_db
 
 # Reference chain values, frozen from independent evaluation of the closed
 # forms (h = 6.62607015e-34 J s, nu = 193.4 THz, lambda = 1550 nm).
@@ -111,25 +109,28 @@ def test_gn_psd_cubic_scaling(reference_fiber, const):
 
 
 def test_gn_psd_keeps_the_effective_length_at_tiny_loss(reference_fiber, const):
-    # At alpha*L ~ 5e-19, 1 - exp(-alpha*L) rounds to 0; expm1 keeps
-    # L_eff = L, so the PSD grows as L_eff^2 with the span.
-    short, long = gn_nli_psds_per_span(reference_fiber, REF_P_LAUNCH_W / 75e9, (100.0, 200.0),
-                                       5e12, const, 1e-20)
+    # At the least loss of the row, 1e-4 dB/km, over 1 m and 2 m spans alpha*L ~ 2e-8:
+    # 1 - exp(-alpha*L) keeps about 8 digits of it, expm1 all of them, so the PSD
+    # grows as the series L_eff = L*(1 - x/2 + x^2/6), x = alpha*L, squared.
+    alpha = attenuation_db_to_per_km(1e-4)
+    short, long = gn_nli_psds_per_span(reference_fiber, REF_P_LAUNCH_W / 75e9, (1e-3, 2e-3),
+                                       5e12, const, 1e-4)
+    series = [span * (1.0 - alpha * span / 2.0 + (alpha * span) ** 2 / 6.0)
+              for span in (1e-3, 2e-3)]
     assert 0 < short < math.inf
-    assert long / short == pytest.approx(4.0, rel=1e-12)
+    assert long / short == pytest.approx((series[1] / series[0]) ** 2, rel=1e-12)
 
 
 def test_fiber_loss_whose_attenuation_underflows_is_rejected(const):
-    """The NLI kernel's loss floor, which its loss argument reaches; a FiberSpec's
-    loss row lies far above it."""
-    assert attenuation_db_to_per_km(MIN_LOSS_DB_PER_KM) == sys.float_info.min
-    # A 1 Hz comb keeps the asinh argument finite at the floor.
-    assert gn_nli_psds_per_span(FiberSpec(), 0.0, (), 1.0, const, MIN_LOSS_DB_PER_KM) == []
-    for loss in (math.nextafter(MIN_LOSS_DB_PER_KM, 0.0), 1e-310, 5e-324, 0.0):
-        with pytest.raises(ValueError, match="fiber.loss_db_per_km must be >= 9.663e-308"):
-            gn_nli_psds_per_span(FiberSpec(), 0.0, (), 5e12, const, loss)
-        with pytest.raises(ValueError, match=r"^fiber.loss_db_per_km must lie in \[0.0001, 10\]"):
-            FiberSpec(loss_db_per_km=loss)
+    """The NLI kernel holds its loss argument to the row of fiber.loss_db_per_km, with
+    a FiberSpec's message: a loss whose attenuation underflows lies far below it."""
+    assert gn_nli_psds_per_span(FiberSpec(), 0.0, (), 5e12, const, 1e-4) == []
+    for loss in (math.nextafter(1e-4, 0.0), 1e-310, 5e-324, 0.0):
+        for build in (lambda: gn_nli_psds_per_span(FiberSpec(), 0.0, (), 5e12, const, loss),
+                      lambda: FiberSpec(loss_db_per_km=loss)):
+            with pytest.raises(ValueError, match=r"^fiber.loss_db_per_km must lie in "
+                                                 rf"\[0.0001, 10\], got {loss}$"):
+                build()
 
 
 def test_gn_psd_domain_errors(reference_fiber, const):
@@ -151,8 +152,10 @@ def test_sequence_kernels_check_before_an_empty_sequence(reference_amp, referenc
         ase_inv_snrs(reference_amp, 1e-3, (), 0.0, const)
     with pytest.raises(ValueError, match="^launch_psd_w_hz must be >= 0"):
         gn_nli_psds_per_span(reference_fiber, -psd, (), 5e12, const)
-    with pytest.raises(ValueError, match="^comb_bw_hz must be > 0"):
-        gn_nli_psds_per_span(reference_fiber, psd, (), 0.0, const)
+    for comb_bw_hz in (0.0, 1e160):  # 1e160 Hz squared is beyond float range
+        message = f"comb_bw_hz must lie in [1e+06, 1.934e+14], got {comb_bw_hz}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gn_nli_psds_per_span(reference_fiber, psd, (), comb_bw_hz, const)
     with pytest.raises(ValueError, match="^channel_bw_hz must be >= 0"):
         nli_inv_snrs((), -1.0, REF_P_LAUNCH_W)
     with pytest.raises(ValueError, match="^per_channel_launch_w must be > 0"):
@@ -476,29 +479,28 @@ def test_rbs_past_the_sinh_overflow_is_a_value_error():
             call()
 
 
-@pytest.mark.parametrize("loss,name,shown", [
-    (math.inf, None, "fiber.loss_db_per_km=inf"),
-    (1e302, "loss_db_per_km", r"loss_db_per_km=1e\+302"),
-    (3e301, "sweep.loss_max", r"sweep.loss_max=3e\+301"),
+@pytest.mark.parametrize("name,shown", [
+    (None, "fiber.loss_db_per_km=10.0"),
+    ("loss_db_per_km", "loss_db_per_km=10.0"),
+    ("sweep.loss_max", "sweep.loss_max=10.0"),
 ])
-def test_gn_psd_refuses_a_loss_that_underflows_its_denominator(const, loss, name, shown):
-    """Above about 2e301 dB/km pi*|beta2|/alpha underflows to 0; the kernel's
-    count-independent checks name the loss (by default fiber.loss_db_per_km),
-    even for no spans."""
-    args = (loss,) if name is None else (loss, name)
-    for spans in ((), (1e-299, 200.0)):
+def test_gn_psd_refuses_a_loss_that_underflows_its_denominator(name, shown):
+    """Constants far from the C band (a 1e-160 m wavelength) underflow |beta2|, and with
+    it pi*|beta2|/alpha, to 0 at a loss inside its row; the kernel's count-independent
+    checks name the loss (by default fiber.loss_db_per_km), even for no spans."""
+    far = PhysicalConstants(reference_frequency_hz=2.99792458e168, reference_wavelength_m=1e-160)
+    args = (10.0,) if name is None else (10.0, name)
+    for spans in ((), (1e-3, 200.0)):
         with pytest.raises(ValueError, match=f"^{shown} puts the NLI's denominator"):
-            gn_nli_psds_per_span(FiberSpec(), 1e-14, spans, 5e12, const, *args)
-    assert gn_nli_psds_per_span(FiberSpec(), 1e-14, (), 5e12, const, 1e301) == []
+            gn_nli_psds_per_span(FiberSpec(), 1e-14, spans, 5e12, far, *args)
+    assert all(map(math.isfinite, gn_nli_psds_per_span(FiberSpec(), 1e-14, (1e-3, 200.0),
+                                                       5e12, PhysicalConstants(), *args)))
 
 
-def test_gn_psd_refuses_a_span_whose_effective_length_squared_overflows(const):
-    """The square of an effective length past MAX_EFFECTIVE_LENGTH_KM leaves float
-    range; the kernel names the loss and the span. One just below it is finite."""
-    fiber = FiberSpec()
-    with pytest.raises(ValueError, match=r"^loss_db_per_km=1e-160 gives a 2e\+154 km span "
-                                         r"the NLI effective length 2e\+154 km, whose square"):
-        gn_nli_psds_per_span(fiber, 1e-14, (200.0, 2e154), 5e12, const, 1e-160,
-                             "loss_db_per_km")
-    [psd] = gn_nli_psds_per_span(fiber, 1e-14, (MAX_EFFECTIVE_LENGTH_KM,), 5e12, const, 1e-160)
-    assert math.isfinite(psd) and psd > 0
+def test_gn_psd_refuses_constants_that_overflow_its_asinh_argument():
+    """A 1e150 m wavelength puts 0.5*pi^2*|beta2|*B^2/alpha beyond float range at a
+    loss and comb inside their rows; the kernel names the loss and the comb."""
+    far = PhysicalConstants(reference_frequency_hz=2.99792458e-142, reference_wavelength_m=1e150)
+    with pytest.raises(ValueError, match=r"^loss_db_per_km=0.06 puts the NLI's asinh argument .*"
+                                         r"link.band_hz=5e\+12$"):
+        gn_nli_psds_per_span(FiberSpec(), 1e-14, (), 5e12, far, 0.06, "loss_db_per_km")

@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from hcflink import system
 from hcflink.config import GridSpec
 from hcflink.domain import DOMAIN
-from hcflink.explore import sweep_rows
+from hcflink.explore import required_edfa_power, sensitivity_delta, span_length_curve, sweep_rows
 from hcflink.impairments import (
-    MIN_LOSS_DB_PER_KM,
     AmplifierSpec,
     FiberSpec,
     gn_nli_psd_per_span,
@@ -629,27 +628,29 @@ def test_operating_point_power_is_bounded(power):
 @pytest.mark.parametrize("build,message", [
     (lambda p: AmplifierSpec(total_output_power_dbm=p),
      "amplifier.total_output_power_dbm must lie in [-60, 60], got {}"),
-    (lambda p: OperatingPoint(0.06, p), "edfa_total_output_dbm must lie within +/-300 dBm, got {}"),
+    (lambda p: OperatingPoint(0.06, p), "edfa_total_output_dbm must lie in [-60, 60], got {}"),
     (lambda p: GridSpec(power_min=p), "sweep.power_min must lie in [-60, 60], got {}"),
     (lambda p: GridSpec(power_max=p), "sweep.power_max must lie in [-60, 60], got {}"),
 ], ids=["amplifier", "operating-point", "sweep-min", "sweep-max"])
-@pytest.mark.parametrize("power", [300.5, -301.0, 1e6])
+@pytest.mark.parametrize("power", [300.5, -301.0, 1e6, 60.01, -60.01])
 def test_power_window_has_one_message(build, message, power):
-    """Every power key of the config is held to its domain row, +/-60 dBm, with the
-    row's wording; an OperatingPoint, which the library builds from any power, to
-    +/-300 dBm."""
+    """Every power key of the config, and an OperatingPoint's power, which the library
+    builds from any float, is held to its domain row, +/-60 dBm, with the row's wording;
+    the OperatingPoint names its own argument."""
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(power))}$"):
         build(power)
 
 
 def test_operating_point_holds_its_loss_to_the_floor():
-    """A subnormal loss is refused where the point is built, under its own name."""
-    with pytest.raises(ValueError, match="^loss_db_per_km must be >= 9.663e-308"):
+    """A subnormal loss is refused where the point is built, under its own name, with
+    the row of fiber.loss_db_per_km."""
+    with pytest.raises(ValueError,
+                       match=r"^loss_db_per_km must lie in \[0.0001, 10\], got 1e-310$"):
         OperatingPoint(1e-310, 20.0)
 
 
 def test_link_gsnr_at_power_bound_is_finite(reference_plan):
-    for power in (-300.0, 300.0):
+    for power in (-60.0, 60.0):
         budget = link_gsnr(reference_plan, OperatingPoint(0.06, power))
         assert math.isfinite(budget.gsnr_db)
 
@@ -714,27 +715,6 @@ def test_tabulated_inverse_matches_searchsorted(steps, pick, rate):
         assert table.required_gsnr_db(x, 73.5e9) == _searchsorted_required_gsnr_db(table, x)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(
-    exponent=st.floats(-307.99, -295.0),
-    band_hz=st.floats(75e9, 1.9e14),
-    dispersion=st.floats(1e-6, 1e3),
-)
-def test_tiny_loss_is_named_or_gives_finite_terms(reference_plan, exponent, band_hz, dispersion):
-    """Near the NLI's asinh overflow a loss either is refused by the NLI kernel's loss checks,
-    naming its key, or gives finite gsnr_terms; never an inf term."""
-    fiber = replace(reference_plan.fiber, dispersion_ps_nm_km=dispersion)
-    plan = replace(reference_plan, fiber=fiber, band_hz=band_hz)
-    loss = max(10.0**exponent, MIN_LOSS_DB_PER_KM)
-    try:
-        gn_nli_psds_per_span(plan.fiber, 0.0, (), plan.band_hz, DEFAULT_CONSTANTS, loss,
-                             "sweep.loss_min")
-    except ValueError as exc:
-        assert "sweep.loss_min" in str(exc) and "asinh argument" in str(exc)
-        return
-    assert all(math.isfinite(term) for term in gsnr_terms(plan, loss, plan.n_spans))
-
-
 def _terms_or_error(call):
     try:
         return [tuple(term.hex() for term in terms) for terms in call()]
@@ -747,11 +727,12 @@ def _terms_or_error(call):
     gamma=st.floats(0.0, 1.0),
     loss=st.one_of(
         st.floats(0.03, 0.1),
-        st.floats(-307.99, -300.0).map(lambda e: max(10.0**e, MIN_LOSS_DB_PER_KM)),
-        st.sampled_from([MIN_LOSS_DB_PER_KM, 5e-324, 0.0]),
+        st.floats(-4.0, -3.0).map(lambda e: max(10.0**e, 1e-4)),
+        st.sampled_from([1e-4, 9.99e-5, 5e-324, 0.0, 10.01]),
     ),
     counts=st.lists(st.one_of(st.just(1), st.integers(1, 300), st.integers(1, MAX_SPANS),
-                              st.just(MAX_SPANS)), min_size=1, max_size=8),
+                              st.just(MAX_SPANS), st.just(MAX_SPANS + 1)), min_size=1,
+                    max_size=8),
     include_rbs=st.booleans(),
     fibers=st.sampled_from([26, 0]),
 )
@@ -767,8 +748,9 @@ def test_span_terms_are_the_per_count_gsnr_terms(reference_plan, gamma, loss, co
 
 
 def test_link_gsnr_names_a_tiny_loss(reference_plan):
-    # The loss passes FiberSpec, but the NLI's asinh argument overflows at it.
-    with pytest.raises(ValueError, match="^loss_db_per_km=1e-307 puts the NLI"):
+    # 1e-307 dB/km lies far below the loss row, which refuses it before the NLI kernel.
+    with pytest.raises(ValueError,
+                       match=r"^loss_db_per_km must lie in \[0.0001, 10\], got 1e-307$"):
         link_gsnr(reference_plan, OperatingPoint(1e-307, 20.3))
 
 
@@ -932,8 +914,52 @@ def test_span_count_below_one_is_named(reference_plan, call, least):
 
 
 def test_loss_floor_comes_before_the_span_counts(reference_plan):
-    with pytest.raises(ValueError, match="^loss_db_per_km must be >= "):
-        span_terms(reference_plan, 0.0, [1, 0])
+    for counts in ([1, 0], [1, MAX_SPANS + 1]):
+        with pytest.raises(ValueError, match=r"^loss_db_per_km must lie in \[0.0001, 10\]"):
+            span_terms(reference_plan, 0.0, counts)
+
+
+@pytest.mark.parametrize("loss", [9.99e-5, 10.01, 0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call,name", [
+    pytest.param(lambda plan, trx, loss: OperatingPoint(loss, 20.3), "loss_db_per_km",
+                 id="OperatingPoint"),
+    pytest.param(lambda plan, trx, loss: span_terms(plan, loss, (33, 20)), "loss_db_per_km",
+                 id="span_terms"),
+    pytest.param(lambda plan, trx, loss: gsnr_terms(plan, loss, 33), "loss_db_per_km",
+                 id="gsnr_terms"),
+    pytest.param(lambda plan, trx, loss: gn_nli_psds_per_span(
+        plan.fiber, 1e-14, (200.0,), 5e12, DEFAULT_CONSTANTS, loss), "fiber.loss_db_per_km",
+                 id="gn_nli_psds_per_span"),
+    pytest.param(lambda plan, trx, loss: gn_nli_psds_per_span(
+        plan.fiber, 1e-14, (), 5e12, DEFAULT_CONSTANTS, loss, "sweep.loss_min"),
+                 "sweep.loss_min", id="gn_nli_psds_per_span-named"),
+    pytest.param(lambda plan, trx, loss: required_edfa_power(plan, trx, loss, 200.0, 1000.0),
+                 "loss_db_per_km", id="required_edfa_power"),
+    pytest.param(lambda plan, trx, loss: span_length_curve(plan, trx, loss, 150.0, 250.0, 5,
+                                                           1000.0),
+                 "loss_db_per_km", id="span_length_curve"),
+    pytest.param(lambda plan, trx, loss: sensitivity_delta(plan, trx, loss, plan, 1000.0),
+                 "loss_db_per_km", id="sensitivity_delta"),
+])
+def test_library_loss_outside_its_row_is_refused(reference_plan, calibrated_trx, call, name,
+                                                 loss):
+    """Every library entry point that takes a raw loss holds it to the row of
+    fiber.loss_db_per_km, with the row's message, naming its own argument."""
+    message = f"{name} must lie in [0.0001, 10], got {loss}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(reference_plan, calibrated_trx, loss)
+
+
+@pytest.mark.parametrize("call", [
+    lambda plan: span_terms(plan, 0.06, (33, MAX_SPANS + 1, 20)),
+    lambda plan: gsnr_terms(plan, 0.06, MAX_SPANS + 1),
+], ids=["span_terms", "gsnr_terms"])
+def test_span_count_above_max_spans_is_named(reference_plan, call):
+    """span_terms holds its counts to span_count's range 1..MAX_SPANS; MAX_SPANS passes."""
+    with pytest.raises(ValueError, match=f"^n_spans must be <= MAX_SPANS = {MAX_SPANS}, "
+                                         f"got {MAX_SPANS + 1}$"):
+        call(reference_plan)
+    assert all(map(math.isfinite, gsnr_terms(reference_plan, 0.06, MAX_SPANS)))
 
 
 def test_plan_record_is_its_fields_only(reference_plan):
@@ -1001,17 +1027,19 @@ def _corner_plans(draw) -> LinkPlan:
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(plan=_corner_plans(),
-       loss=st.sampled_from([MIN_LOSS_DB_PER_KM, 1e-300, 1e-20, 1e-4, 10.0, 1e10]),
-       count=st.sampled_from([1, MAX_SPANS, 10**6]),
-       power=st.sampled_from([-300.0, -60.0, 60.0, 300.0]),
+       loss=st.sampled_from(DOMAIN["fiber.loss_db_per_km"]),
+       count=st.sampled_from([1, MAX_SPANS]),
+       power=st.sampled_from(DOMAIN["amplifier.total_output_power_dbm"]),
        gap=st.sampled_from(DOMAIN["transceiver.gap_db"]),
        include_rbs=st.booleans())
 def test_domain_corners_keep_every_term_finite(plan, loss, count, power, gap, include_rbs):
     """The executable half of the domain's audit. At the domain's corners the
-    plan's 1 mW reference is bounded, and so is every term: span_terms at any
-    loss and count a library caller passes (or a kernel's own check refuses the
-    loss, naming it), the budget at any power an OperatingPoint takes, with the
-    IMI term holding 1/GSNR at 1e-33 or above, and every sweep cell."""
+    plan's 1 mW reference is bounded, and so is every term: span_terms at the ends
+    of the loss row and of the counts 1..MAX_SPANS (or the span gain refuses the
+    loss, naming it), with the ASE term A above 0, so the GSNR peak has a finite
+    P_opt wherever NLI is present; the budget at the ends of an OperatingPoint's
+    power row, with the IMI term holding 1/GSNR at 1e-33 or above; and every sweep
+    cell."""
     assert 0 < plan.launch_psd_w_hz <= 1e-9 and 1e-33 <= plan.inv_snr_imi <= 1e5
     for n in (count, plan.n_spans):
         try:
@@ -1019,7 +1047,9 @@ def test_domain_corners_keep_every_term_finite(plan, loss, count, power, gap, in
         except ValueError as exc:
             assert str(exc).startswith("loss_db_per_km"), exc
             continue
-        assert all(0 <= term < math.inf for term in terms)
+        assert 0 < terms[0] and all(0 <= term < math.inf for term in terms)
+        p_opt_dbm, _ = system._throughput_peak(plan, ShannonGapTransceiver(gap), terms)
+        assert math.isfinite(p_opt_dbm) or terms[1] == 0
     for op_loss in (loss, plan.fiber.loss_db_per_km):
         try:
             budget = link_gsnr(plan, OperatingPoint(op_loss, power), include_rbs)
