@@ -96,10 +96,16 @@ def _run_budget(cfg: RunConfig, fh: IO[str], fmt: str, *, include_rbs: bool = Fa
 
 
 def _run_contour(cfg: RunConfig, fh: IO[str], fmt: str, *, include_rbs: bool = False,
-                 trx_table: str | Path | None = None, levels: tuple[float, ...] = (1000.0,),
-                 field: str = "throughput") -> dict | None:
+                 trx_table: str | Path | None = None, levels: tuple[float, ...] | None = None,
+                 field: str | None = None) -> dict | None:
     from . import explore
 
+    # levels and field default to (1000.0,) and "throughput"; the CSV grid reads neither.
+    if fmt == "csv" and (levels is not None or field is not None):
+        flag = "--levels" if levels is not None else "--field"
+        raise ConfigError(f"{flag} goes with contour --format json|svg, not csv")
+    levels = (1000.0,) if levels is None else levels
+    field = "throughput" if field is None else field
     plan, spec = cfg.plan(), cfg.grid()
     trx, section = resolve_transceiver(cfg, plan, trx_table)
     grid = None if fmt == "svg" else explore.sweep_rows(plan, trx, spec, include_rbs)

@@ -135,12 +135,10 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
     span length, so they run once; each span adds only its effective length.
     Those checks refuse a comb width outside the row of link.band_hz, naming
     `comb_bw_hz`, and a loss outside the row of fiber.loss_db_per_km, naming
-    `name`. Inside the rows, at the C band, the asinh argument
-    0.5*pi^2*|beta2|*B^2/alpha and the denominator pi*|beta2|/alpha are finite
-    and above 0, and the effective length is at most 1/alpha <= 43,429 km; a
-    PhysicalConstants far from the C band can still put the argument beyond
-    float range or the denominator at 0, refused naming `name`. A PSD whose
-    factor leaves float range, or is NaN, is refused next.
+    `name`. Inside the rows, at any carrier PhysicalConstants holds, the asinh
+    argument 0.5*pi^2*|beta2|*B^2/alpha is at most 3.85e13, the denominator
+    pi*|beta2|/alpha at least 6.4e-32 and the effective length at most 43,429 km.
+    A PSD whose factor leaves float range, or is NaN, is refused next.
     """
     if launch_psd_w_hz < 0:
         raise ValueError(f"launch_psd_w_hz must be >= 0, got {launch_psd_w_hz}")
@@ -152,14 +150,7 @@ def gn_nli_psds_per_span(fiber: FiberSpec, launch_psd_w_hz: float, spans_km: Ite
     beta2 = (abs(fiber.dispersion_ps_nm_km) * 1e-3 * const.reference_wavelength_m**2
              / (2.0 * math.pi * (const.light_speed_km_s * 1e3)))
     asinh_arg = 0.5 * math.pi**2 * beta2 * l_eff_a * comb_bw_hz**2
-    if asinh_arg == math.inf:
-        raise ValueError(f"{name}={loss} puts the NLI's asinh argument 0.5*pi^2*|beta2|*B^2/"
-                         f"alpha beyond float range at fiber.dispersion_ps_nm_km="
-                         f"{fiber.dispersion_ps_nm_km:g} and link.band_hz={comb_bw_hz:g}")
     denominator = math.pi * beta2 * l_eff_a
-    if denominator == 0:
-        raise ValueError(f"{name}={loss} puts the NLI's denominator pi*|beta2|/alpha below "
-                         f"float range at fiber.dispersion_ps_nm_km={fiber.dispersion_ps_nm_km:g}")
     try:
         prefix = (8.0 / 27.0) * fiber.gamma_per_w_km**2 * launch_psd_w_hz**3
     except OverflowError:
@@ -209,11 +200,10 @@ def nli_inv_snr(psd_per_span_w_hz: float, n_spans: int, channel_bw_hz: float,
 
 
 def imi_inv_snr(imi_db_per_km: float, total_length_km: float) -> float:
-    """Inter-modal crosstalk ratio accumulated linearly over the link length."""
-    if imi_db_per_km > 0:
-        raise ValueError(f"imi_db_per_km must be <= 0, got {imi_db_per_km}")
-    if total_length_km < 0:
-        raise ValueError(f"total_length_km must be >= 0, got {total_length_km}")
+    """Inter-modal crosstalk ratio accumulated linearly over the link length; each
+    argument lies in its key's row (fiber.imi_db_per_km, link.total_length_km)."""
+    check_value(imi_db_per_km, "fiber.imi_db_per_km", "imi_db_per_km")
+    check_value(total_length_km, "link.total_length_km", "total_length_km")
     return total_length_km * db_to_linear(imi_db_per_km)
 
 
@@ -236,16 +226,13 @@ def rbs_power(
     """Total backscattered power (W) returned to the link input.
 
     Closed form for a transparent multi-span bidirectional link:
-    L_tot * P_ch * B * enh(A_dB).
+    L_tot * P_ch * B * enh(A_dB). The launch power is >= 0, the length and ratio
+    in the rows of link.total_length_km and fiber.backscatter_db_per_km.
     """
     if launch_w < 0:
         raise ValueError(f"launch_w must be >= 0, got {launch_w}")
-    if total_length_km < 0:
-        raise ValueError(f"total_length_km must be >= 0, got {total_length_km}")
-    if backscatter_db_per_km > 0:
-        raise ValueError(
-            f"backscatter_db_per_km must be <= 0, got {backscatter_db_per_km}"
-        )
+    check_value(total_length_km, "link.total_length_km", "total_length_km")
+    check_value(backscatter_db_per_km, "fiber.backscatter_db_per_km", "backscatter_db_per_km")
     return (
         total_length_km
         * launch_w

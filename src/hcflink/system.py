@@ -359,11 +359,13 @@ def per_channel_launch(
     n_channels: int,
     post_output_loss_db: float,
 ) -> float:
-    """Per-channel power (W) entering the fiber after the post-EDFA losses."""
-    if n_channels < 1:
-        raise ValueError(f"n_channels must be >= 1, got {n_channels}")
-    if post_output_loss_db < 0:
-        raise ValueError(f"post_output_loss_db must be >= 0, got {post_output_loss_db}")
+    """Per-channel power (W) entering the fiber after the post-EDFA losses. Raises,
+    naming the argument, for a power or loss outside its amplifier row or a channel
+    count outside 1..MAX_CHANNELS."""
+    check_value(edfa_total_output_dbm, "amplifier.total_output_power_dbm", "edfa_total_output_dbm")
+    if not 1 <= n_channels <= MAX_CHANNELS:
+        raise ValueError(f"n_channels must lie in [1, {MAX_CHANNELS:g}], got {n_channels}")
+    check_value(post_output_loss_db, "amplifier.post_output_loss_db", "post_output_loss_db")
     return dbm_to_watt(
         edfa_total_output_dbm - 10.0 * math.log10(n_channels) - post_output_loss_db
     )
@@ -535,34 +537,26 @@ def power_feed(
     total_length_km: float,
     n_repeaters: int,
 ) -> PowerFeedResult:
-    """Electrical budget: I^2*R conductor dissipation plus repeater load."""
-    if total_length_km < 0:
-        raise ValueError(f"total_length_km must be >= 0, got {total_length_km}")
-    if n_repeaters < 0:
-        raise ValueError(f"n_repeaters must be >= 0, got {n_repeaters}")
+    """Electrical budget: I^2*R conductor dissipation plus repeater load. Raises,
+    naming the argument, for a length outside the row of link.total_length_km or a
+    repeater count outside repeater_count's 0..MAX_SPANS - 1."""
+    check_value(total_length_km, "link.total_length_km", "total_length_km")
+    if not 0 <= n_repeaters <= MAX_SPANS - 1:
+        raise ValueError(f"n_repeaters must lie in [0, {MAX_SPANS - 1:g}], got {n_repeaters}")
     cable_w = feed.feed_current_a**2 * feed.cable_resistance_ohm_per_km * total_length_km
     repeaters_w = n_repeaters * feed.repeater_power_w
     total_w = cable_w + repeaters_w
-    if not math.isfinite(total_w):
-        raise ValueError(f"the feed budget (powerfeed.feed_current_a^2 x "
-                         f"powerfeed.cable_resistance_ohm_per_km x {total_length_km:g} km + "
-                         f"{n_repeaters} x powerfeed.repeater_power_w) is beyond float range")
     return PowerFeedResult(cable_w, repeaters_w, total_w, total_w <= feed.supply_limit_w)
 
 
 def propagation_latency(total_length_km: float, group_index: float,
                         name: str = "group_index") -> float:
-    """One-way propagation time in milliseconds. Raises, naming the group
-    index by `name`, for an index below 1 or a latency beyond float range."""
-    if group_index < 1:
-        raise ValueError(f"{name} must be >= 1, got {group_index}")
-    if total_length_km < 0:
-        raise ValueError(f"total_length_km must be >= 0, got {total_length_km}")
-    latency_ms = total_length_km * group_index / DEFAULT_CONSTANTS.light_speed_km_s * 1e3
-    if not math.isfinite(latency_ms):
-        raise ValueError(f"the latency over link.total_length_km={total_length_km:g} km at group "
-                         f"index {group_index:g} ({name}) is beyond float range")
-    return latency_ms
+    """One-way propagation time in milliseconds. Raises, naming the argument (the
+    group index by `name`), for a length or index outside the row of
+    link.total_length_km or fiber.group_index."""
+    check_value(total_length_km, "link.total_length_km", "total_length_km")
+    check_value(group_index, "fiber.group_index", name)
+    return total_length_km * group_index / DEFAULT_CONSTANTS.light_speed_km_s * 1e3
 
 
 def calibrate_trx_gap(plan: LinkPlan, reference: OperatingPoint, target_tbps: float,

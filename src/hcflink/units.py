@@ -17,18 +17,22 @@ _SINHC_SERIES_CUTOFF = 1e-4
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Constants shared by the noise models."""
+    """Constants shared by the noise models: Planck's constant, the speed of light
+    and a reference carrier. The carrier is optical, its frequency in [1e14, 1e15] Hz
+    (0.3-3 um), and frequency * wavelength agrees with c to within 0.3% (C-band
+    centering is a convention); anything else, NaN too, is refused."""
 
-    planck_j_s: float = 6.62607015e-34
-    light_speed_km_s: float = 299792.458
+    planck_j_s = 6.62607015e-34
+    light_speed_km_s = 299792.458
     reference_frequency_hz: float = 193.4e12
     reference_wavelength_m: float = 1550e-9
 
     def __post_init__(self) -> None:
-        # C-band centering is a convention: frequency * wavelength only has
-        # to agree with c to within 0.3%.
+        if not 1e14 <= self.reference_frequency_hz <= 1e15:
+            raise ValueError(f"reference_frequency_hz must lie in [1e+14, 1e+15], "
+                             f"got {self.reference_frequency_hz}")
         c_km_s = self.reference_frequency_hz * self.reference_wavelength_m / 1e3
-        if abs(c_km_s - self.light_speed_km_s) > 3e-3 * self.light_speed_km_s:
+        if not abs(c_km_s - self.light_speed_km_s) <= 3e-3 * self.light_speed_km_s:
             raise ValueError(
                 "reference_frequency_hz * reference_wavelength_m deviates from "
                 "the speed of light by more than 0.3%"

@@ -28,7 +28,7 @@ from hcflink.cli import (
     run_command,
     write_command,
 )
-from hcflink.config import DEFAULTS, _kind, parse_config
+from hcflink.config import DEFAULTS, ConfigError, _kind, parse_config
 
 
 def _run_json(capsys, argv):
@@ -453,14 +453,37 @@ def test_help_still_exits_0_with_the_usage(capsys):
     "command,flag",
     [(command, flag) for command in ("rbs", "powerfeed", "latency")
      for flag in ("--include-rbs", "--target-tbps", "--trx-table")]
-    + [("budget", "--target-tbps"), ("contour", "--target-tbps")],
+    + [("budget", "--target-tbps"), ("contour", "--target-tbps"),
+       # contour's default format, csv, writes the grid and reads no contour flag.
+       ("contour", "--levels"), ("contour", "--field")],
 )
 def test_flag_the_command_does_not_read_is_refused(capsys, tmp_path, command, flag):
     table = tmp_path / "trx.csv"
     table.write_text("10,400\n20,700\n")
-    value = {"--include-rbs": "true", "--target-tbps": "1000", "--trx-table": str(table)}[flag]
+    value = {"--include-rbs": "true", "--target-tbps": "1000", "--trx-table": str(table),
+             "--levels": "900", "--field": "gsnr"}[flag]
     assert main([command, flag, value]) == EXIT_CONFIG
     assert flag in _one_config_error(capsys)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["contour", "--format", "csv", "--levels", "950,1000"], "--levels"),
+    (["contour", "--field", "throughput", "--format", "csv"], "--field"),
+    (["contour", "--levels", "900", "--field", "gsnr"], "--levels"),
+], ids=" ".join)
+def test_contour_csv_refuses_the_contour_flags_before_the_first_write(capsys, tmp_path, argv,
+                                                                     flag):
+    """--levels and --field go with --format json|svg: the CSV grid refuses them,
+    naming the flag, before any output, and so does a library call."""
+    out = tmp_path / "grid.csv"
+    assert main([*argv, "--output", str(out)]) == EXIT_CONFIG
+    assert _one_config_error(capsys) == f"{flag} goes with contour --format json|svg, not csv"
+    assert not out.exists()
+    cfg, buf = parse_config(""), io.StringIO()
+    keyword = {"--levels": {"levels": (1000.0,)}, "--field": {"field": "throughput"}}[flag]
+    with pytest.raises(ConfigError, match=f"^{flag} goes with"):
+        write_command("contour", cfg, buf, fmt="csv", **keyword)
+    assert buf.getvalue() == ""
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -25,6 +26,7 @@ from hcflink.impairments import (
     rbs_inv_snr,
     rbs_power,
 )
+from hcflink.domain import DOMAIN
 from hcflink.units import PhysicalConstants, attenuation_db_to_per_km, db_to_linear, linear_to_db
 
 # Reference chain values, frozen from independent evaluation of the closed
@@ -241,14 +243,14 @@ def test_nli_inv_snr_chain():
 def test_imi_examples():
     assert imi_inv_snr(-65.0, 6600.0) == pytest.approx(REF_INV_IMI, rel=1e-12)
     assert -linear_to_db(imi_inv_snr(-65.0, 6600.0)) == pytest.approx(26.80, abs=5e-3)
-    assert imi_inv_snr(-65.0, 0.0) == 0.0
+    assert imi_inv_snr(-65.0, 1e-3) == 1e-3 * db_to_linear(-65.0)
     assert imi_inv_snr(-60.0, 6600.0) == pytest.approx(6.6e-3, rel=1e-12)
     with pytest.raises(ValueError):
         imi_inv_snr(0.1, 6600.0)
 
 
 def test_imi_monotone_in_length():
-    values = [imi_inv_snr(-65.0, l) for l in range(0, 10001, 500)]
+    values = [imi_inv_snr(-65.0, l) for l in (1e-3, *range(500, 10001, 500))]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -290,10 +292,12 @@ def test_rbs_power_independence_of_launch():
 
 def _rbs_inv_snr_own_body(backscatter_db_per_km, total_length_km, span_loss_db):
     """rbs_inv_snr with checks and a product of its own, kept as a reference."""
-    if total_length_km < 0:
-        raise ValueError(f"total_length_km must be >= 0, got {total_length_km}")
-    if backscatter_db_per_km > 0:
-        raise ValueError(f"backscatter_db_per_km must be <= 0, got {backscatter_db_per_km}")
+    for value, name, key in ((total_length_km, "total_length_km", "link.total_length_km"),
+                             (backscatter_db_per_km, "backscatter_db_per_km",
+                              "fiber.backscatter_db_per_km")):
+        low, high = DOMAIN[key]
+        if not low <= value <= high:
+            raise ValueError(f"{name} must lie in [{low:g}, {high:g}], got {value}")
     return total_length_km * db_to_linear(backscatter_db_per_km) * rbs_enhancement(span_loss_db)
 
 
@@ -309,7 +313,7 @@ _ODD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308, math.nan, m
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(
     backscatter=st.one_of(st.floats(-200.0, 0.0), st.floats(), st.sampled_from(_ODD_FLOATS)),
-    total=st.one_of(st.floats(0.0, 1e5), st.floats(), st.sampled_from(_ODD_FLOATS)),
+    total=st.one_of(st.floats(1e-3, 1e5), st.floats(), st.sampled_from(_ODD_FLOATS)),
     # sinhc overflows past a span loss of about 3086 dB.
     span_loss=st.one_of(st.floats(0.0, 100.0), st.floats(2500.0, 1e6), st.floats(),
                         st.sampled_from(_ODD_FLOATS)),
@@ -485,22 +489,55 @@ def test_rbs_past_the_sinh_overflow_is_a_value_error():
     ("sweep.loss_max", "sweep.loss_max=10.0"),
 ])
 def test_gn_psd_refuses_a_loss_that_underflows_its_denominator(name, shown):
-    """Constants far from the C band (a 1e-160 m wavelength) underflow |beta2|, and with
-    it pi*|beta2|/alpha, to 0 at a loss inside its row; the kernel's count-independent
-    checks name the loss (by default fiber.loss_db_per_km), even for no spans."""
-    far = PhysicalConstants(reference_frequency_hz=2.99792458e168, reference_wavelength_m=1e-160)
-    args = (10.0,) if name is None else (10.0, name)
-    for spans in ((), (1e-3, 200.0)):
-        with pytest.raises(ValueError, match=f"^{shown} puts the NLI's denominator"):
-            gn_nli_psds_per_span(FiberSpec(), 1e-14, spans, 5e12, far, *args)
-    assert all(map(math.isfinite, gn_nli_psds_per_span(FiberSpec(), 1e-14, (1e-3, 200.0),
-                                                       5e12, PhysicalConstants(), *args)))
+    """The 1e-160 m wavelength that underflowed |beta2|, and with it pi*|beta2|/alpha,
+    to 0 at a loss of 10 dB/km is refused when the constants are built. At the carrier
+    row's shortest wavelength and the least |D|, that loss keeps every PSD finite and
+    above 0, and the kernel refuses a loss past the row under the same name."""
+    with pytest.raises(ValueError, match=r"^reference_frequency_hz must lie in \[1e\+14, "
+                                         r"1e\+15\], got 2.99792458e\+168$"):
+        PhysicalConstants(reference_frequency_hz=2.99792458e168, reference_wavelength_m=1e-160)
+    shortest = PhysicalConstants(reference_frequency_hz=1e15, reference_wavelength_m=2.9979e-7)
+    fiber = FiberSpec(dispersion_ps_nm_km=1e-6)
+    named = () if name is None else (name,)
+    psds = gn_nli_psds_per_span(fiber, 1e-14, (1e-3, 200.0), 5e12, shortest, 10.0, *named)
+    assert all(0 < psd < math.inf for psd in psds)
+    with pytest.raises(ValueError, match=f"^{re.escape(shown.partition('=')[0])} must lie in"):
+        gn_nli_psds_per_span(fiber, 1e-14, (), 5e12, shortest, 10.5, *named)
 
 
 def test_gn_psd_refuses_constants_that_overflow_its_asinh_argument():
-    """A 1e150 m wavelength puts 0.5*pi^2*|beta2|*B^2/alpha beyond float range at a
-    loss and comb inside their rows; the kernel names the loss and the comb."""
-    far = PhysicalConstants(reference_frequency_hz=2.99792458e-142, reference_wavelength_m=1e150)
-    with pytest.raises(ValueError, match=r"^loss_db_per_km=0.06 puts the NLI's asinh argument .*"
-                                         r"link.band_hz=5e\+12$"):
-        gn_nli_psds_per_span(FiberSpec(), 1e-14, (), 5e12, far, 0.06, "loss_db_per_km")
+    """The wavelengths that put 0.5*pi^2*|beta2|*B^2/alpha beyond float range (1e150 m)
+    or |beta2|'s square beyond it (1e160 m), and a NaN carrier, are refused when the
+    constants are built. At the carrier row's longest wavelength, the greatest |D|, the
+    least loss and the widest comb, the argument and every PSD stay finite."""
+    for frequency_hz, wavelength_m in ((2.99792458e-142, 1e150), (2.99792458e-152, 1e160),
+                                       (math.nan, 1550e-9), (193.4e12, math.nan)):
+        with pytest.raises(ValueError, match="^reference_frequency_hz"):
+            PhysicalConstants(reference_frequency_hz=frequency_hz,
+                              reference_wavelength_m=wavelength_m)
+    longest = PhysicalConstants(reference_frequency_hz=1e14, reference_wavelength_m=3.0069e-6)
+    fiber = FiberSpec(dispersion_ps_nm_km=-1e3)
+    psds = gn_nli_psds_per_span(fiber, 1e-14, (1e-3, 1e4), 193.4e12, longest, 1e-4)
+    assert all(0 < psd < math.inf for psd in psds)
+
+
+def test_nli_terms_are_finite_and_positive_at_every_row_corner():
+    """The audit behind the kernel's missing asinh and denominator guards: at every
+    corner of the loss, |D|, comb and carrier rows (the wavelength 0.29% either side of
+    c/f), the asinh argument, its asinh, the denominator and each PSD are finite and
+    above 0, the argument at most 3.85e13 and the denominator at least 6.4e-32."""
+    c_m_s = PhysicalConstants.light_speed_km_s * 1e3
+    for loss, dispersion, comb_hz, frequency_hz, skew in itertools.product(
+            DOMAIN["fiber.loss_db_per_km"], (-1e3, -1e-6, 1e-6, 1e3), DOMAIN["link.band_hz"],
+            (1e14, 1e15), (1 - 2.9e-3, 1 + 2.9e-3)):
+        const = PhysicalConstants(frequency_hz, c_m_s / frequency_hz * skew)
+        fiber = FiberSpec(loss_db_per_km=loss, dispersion_ps_nm_km=dispersion)
+        l_eff_a = 1.0 / attenuation_db_to_per_km(loss)
+        beta2 = (abs(dispersion) * 1e-3 * const.reference_wavelength_m**2
+                 / (2.0 * math.pi * c_m_s))
+        asinh_arg = 0.5 * math.pi**2 * beta2 * l_eff_a * comb_hz**2
+        denominator = math.pi * beta2 * l_eff_a
+        assert 0 < asinh_arg <= 3.85e13 and 0 < math.asinh(asinh_arg) < math.inf
+        assert 6.4e-32 <= denominator < math.inf
+        psds = gn_nli_psds_per_span(fiber, 1e-14, DOMAIN["span.span_length_km"], comb_hz, const)
+        assert all(0 < psd < math.inf for psd in psds)

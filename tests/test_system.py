@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
 import warnings
@@ -24,6 +25,7 @@ from hcflink.impairments import (
     imi_inv_snr,
     nli_inv_snrs,
     rbs_brute_force,
+    rbs_inv_snr,
     rbs_power,
 )
 from hcflink.system import (
@@ -340,15 +342,17 @@ def test_rate_monotone_in_gsnr_both_variants():
         pytest.param(lambda: ShannonGapTransceiver(1.0, 0.0),
                      "max_rate_gbps must be > 0, got 0.0", id="shannon-cap"),
         pytest.param(lambda: per_channel_launch(20.0, 10, -1.0),
-                     "post_output_loss_db must be >= 0, got -1.0", id="per_channel_launch"),
+                     "post_output_loss_db must lie in [0, 50], got -1.0", id="per_channel_launch"),
         pytest.param(lambda: power_feed(PowerFeedSpec(), -1.0, 3),
-                     "total_length_km must be >= 0, got -1.0", id="power_feed-length"),
+                     "total_length_km must lie in [0.001, 100000], got -1.0",
+                     id="power_feed-length"),
         pytest.param(lambda: power_feed(PowerFeedSpec(), 100.0, -1),
-                     "n_repeaters must be >= 0, got -1", id="power_feed-repeaters"),
+                     "n_repeaters must lie in [0, 99999], got -1", id="power_feed-repeaters"),
         pytest.param(lambda: propagation_latency(-1.0, 1.0),
-                     "total_length_km must be >= 0, got -1.0", id="propagation_latency"),
+                     "total_length_km must lie in [0.001, 100000], got -1.0",
+                     id="propagation_latency"),
         pytest.param(lambda: imi_inv_snr(-30.0, -1.0),
-                     "total_length_km must be >= 0, got -1.0", id="imi_inv_snr"),
+                     "total_length_km must lie in [0.001, 100000], got -1.0", id="imi_inv_snr"),
         pytest.param(lambda: calibrate_trx_gap(LinkPlan(FiberSpec(), AmplifierSpec()),
                                                OperatingPoint(0.06, 20.3), 0.0),
                      "target_tbps must be > 0, got 0.0", id="calibrate_trx_gap"),
@@ -377,6 +381,72 @@ def test_library_argument_check_names_its_argument(call, message):
     """The argument checks no command reaches, each with its message."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Each raw library argument that a row holds: the call with that argument set to v,
+# the name its refusal gives, and the row (a count's as ints).
+_ROW_ARGUMENTS = {
+    "propagation_latency-length": (lambda v: propagation_latency(v, 1.0003), "total_length_km",
+                                   DOMAIN["link.total_length_km"]),
+    "propagation_latency-index": (lambda v: propagation_latency(6600.0, v), "group_index",
+                                  DOMAIN["fiber.group_index"]),
+    "propagation_latency-named-index": (
+        lambda v: propagation_latency(6600.0, v, "fiber.group_index"), "fiber.group_index",
+        DOMAIN["fiber.group_index"]),
+    "power_feed-length": (lambda v: power_feed(PowerFeedSpec(), v, 32), "total_length_km",
+                          DOMAIN["link.total_length_km"]),
+    "power_feed-repeaters": (lambda v: power_feed(PowerFeedSpec(), 6600.0, v), "n_repeaters",
+                             (0, MAX_SPANS - 1)),
+    "imi_inv_snr-ratio": (lambda v: imi_inv_snr(v, 6600.0), "imi_db_per_km",
+                          DOMAIN["fiber.imi_db_per_km"]),
+    "imi_inv_snr-length": (lambda v: imi_inv_snr(-65.0, v), "total_length_km",
+                           DOMAIN["link.total_length_km"]),
+    "rbs_power-ratio": (lambda v: rbs_power(1e-3, v, 6600.0, 12.0), "backscatter_db_per_km",
+                        DOMAIN["fiber.backscatter_db_per_km"]),
+    "rbs_power-length": (lambda v: rbs_power(1e-3, -70.0, v, 12.0), "total_length_km",
+                         DOMAIN["link.total_length_km"]),
+    "rbs_inv_snr-ratio": (lambda v: rbs_inv_snr(v, 6600.0, 12.0), "backscatter_db_per_km",
+                          DOMAIN["fiber.backscatter_db_per_km"]),
+    "rbs_inv_snr-length": (lambda v: rbs_inv_snr(-70.0, v, 12.0), "total_length_km",
+                           DOMAIN["link.total_length_km"]),
+    "per_channel_launch-power": (lambda v: per_channel_launch(v, 66, 2.0), "edfa_total_output_dbm",
+                                 DOMAIN["amplifier.total_output_power_dbm"]),
+    "per_channel_launch-channels": (lambda v: per_channel_launch(20.3, v, 2.0), "n_channels",
+                                    (1, MAX_CHANNELS)),
+    "per_channel_launch-loss": (lambda v: per_channel_launch(20.3, 66, v), "post_output_loss_db",
+                                DOMAIN["amplifier.post_output_loss_db"]),
+}
+
+
+@pytest.mark.parametrize("argument", list(_ROW_ARGUMENTS))
+def test_raw_library_value_outside_its_row_is_refused_by_name(argument):
+    """0 where the row leaves it out, the values just past either end, NaN and +-inf
+    are refused with the row's message under the argument's name; both ends give a
+    finite result."""
+    call, name, (low, high) = _ROW_ARGUMENTS[argument]
+    if isinstance(low, int):
+        below, above, zero = low - 1, high + 1, 0
+    else:
+        below, above, zero = math.nextafter(low, -math.inf), math.nextafter(high, math.inf), 0.0
+    for value in [zero] * (not low <= 0 <= high) + [below, above, math.nan, math.inf, -math.inf]:
+        message = f"{name} must lie in [{low:g}, {high:g}], got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+    for value in (low, high):
+        result = call(value)
+        assert 0 <= getattr(result, "total_w", result) < math.inf
+
+
+def test_latency_and_feed_budget_are_finite_at_their_rows_corners():
+    """The audit behind the missing overflow checks: at every corner of the length,
+    group-index, feed and repeater-count rows, the latency is at most 667.2 ms and
+    the feed budget at most 1.1e12 W."""
+    lengths, indices = DOMAIN["link.total_length_km"], DOMAIN["fiber.group_index"]
+    assert all(0 < propagation_latency(km, n) <= 667.2 for km in lengths for n in indices)
+    feed_rows = [DOMAIN[f"powerfeed.{field.name}"] for field in fields(PowerFeedSpec)]
+    for values in itertools.product(*feed_rows):
+        for km, n_repeaters in itertools.product(lengths, (0, MAX_SPANS - 1)):
+            assert 0 < power_feed(PowerFeedSpec(*values), km, n_repeaters).total_w <= 1.1e12
 
 
 def test_channel_net_rate_rejects_non_finite():
@@ -495,8 +565,8 @@ def test_power_feed_reference_numbers():
 
 
 def test_power_feed_zero():
-    result = power_feed(PowerFeedSpec(), 0.0, 0)
-    assert result.total_w == 0.0 and result.within_limit
+    result = power_feed(PowerFeedSpec(), 1e-3, 0)
+    assert result.cable_w == 1e-3 and result.repeaters_w == 0.0 and result.within_limit
 
 
 def test_power_feed_quadratic_in_current():
@@ -508,19 +578,25 @@ def test_power_feed_quadratic_in_current():
 def test_power_feed_linear_in_repeaters():
     feed = PowerFeedSpec()
     for n in (0, 1, 10, 32, 100):
-        assert power_feed(feed, 0.0, n).repeaters_w == n * 180.0
+        assert power_feed(feed, 1e-3, n).repeaters_w == n * 180.0
 
 
-@pytest.mark.parametrize("feed,total_km,n_repeaters", [
-    # The domain's feeds at their bounds overflow only with a raw length or count.
-    pytest.param(PowerFeedSpec(feed_current_a=100.0, cable_resistance_ohm_per_km=1e3), 1e303, 32,
-                 id="cable"),
-    pytest.param(PowerFeedSpec(repeater_power_w=1e6), 6600.0, 10**303, id="repeaters"),
-    (PowerFeedSpec(), math.inf, 0),
+_FEED_CORNER = PowerFeedSpec(feed_current_a=100.0, cable_resistance_ohm_per_km=1e3,
+                             repeater_power_w=1e6)
+
+
+@pytest.mark.parametrize("feed,total_km,n_repeaters,name", [
+    # The lengths and counts that overflowed the budget of feeds inside their rows.
+    pytest.param(_FEED_CORNER, 1e303, 32, "total_length_km", id="cable"),
+    pytest.param(_FEED_CORNER, 6600.0, 10**303, "n_repeaters", id="repeaters"),
+    pytest.param(PowerFeedSpec(), math.inf, 0, "total_length_km", id="feed2-inf-0"),
 ])
-def test_power_feed_refuses_an_overflowing_budget(feed, total_km, n_repeaters):
-    with pytest.raises(ValueError, match="powerfeed.cable_resistance_ohm_per_km"):
+def test_power_feed_refuses_an_overflowing_budget(feed, total_km, n_repeaters, name):
+    """A length or count that overflowed the budget is refused by its row; at the
+    corner of the feed, length and count rows the budget is finite, at most 1.1e12 W."""
+    with pytest.raises(ValueError, match=f"^{name} must lie in "):
         power_feed(feed, total_km, n_repeaters)
+    assert power_feed(feed, 1e5, MAX_SPANS - 1).total_w <= 1.1e12
 
 
 def test_power_feed_spec_validation():
@@ -531,7 +607,7 @@ def test_power_feed_spec_validation():
 def test_propagation_latency():
     assert propagation_latency(6600.0, 1.0003) == pytest.approx(22.02, abs=5e-3)
     assert propagation_latency(6600.0, 1.468) == pytest.approx(32.32, abs=5e-3)
-    assert propagation_latency(0.0, 1.5) == 0.0
+    assert propagation_latency(1e-3, 1.5) == pytest.approx(1.5e-3 / 299.792458, rel=1e-12)
     with pytest.raises(ValueError):
         propagation_latency(6600.0, 0.99)
 

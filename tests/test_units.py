@@ -110,6 +110,34 @@ def test_constants_reject_inconsistent_grid():
         PhysicalConstants(reference_frequency_hz=200e12, reference_wavelength_m=1600e-9)
 
 
+@pytest.mark.parametrize("frequency_hz,wavelength_m,message", [
+    (math.nan, 1550e-9, "reference_frequency_hz must lie in [1e+14, 1e+15], got nan"),
+    (math.inf, 0.0, "reference_frequency_hz must lie in [1e+14, 1e+15], got inf"),
+    (2.99792458e-152, 1e160,
+     "reference_frequency_hz must lie in [1e+14, 1e+15], got 2.99792458e-152"),
+    (math.nextafter(1e14, 0.0), 2.99792458e-6,
+     "reference_frequency_hz must lie in [1e+14, 1e+15], got 99999999999999.98"),
+    (math.nextafter(1e15, math.inf), 2.99792458e-7,
+     "reference_frequency_hz must lie in [1e+14, 1e+15], got 1000000000000000.1"),
+    (193.4e12, math.nan, "reference_frequency_hz * reference_wavelength_m deviates from the "
+                         "speed of light by more than 0.3%"),
+    (193.4e12, math.inf, "reference_frequency_hz * reference_wavelength_m deviates from the "
+                         "speed of light by more than 0.3%"),
+], ids=["nan", "inf", "1e160-m", "below", "above", "nan-wavelength", "inf-wavelength"])
+def test_constants_refuse_a_carrier_outside_the_optical_row(frequency_hz, wavelength_m, message):
+    """The carrier lies in [1e14, 1e15] Hz, with a wavelength within 0.3% of c/f;
+    NaN and far carriers are refused when the constants are built."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PhysicalConstants(reference_frequency_hz=frequency_hz, reference_wavelength_m=wavelength_m)
+
+
+def test_constants_hold_planck_and_c_as_class_constants():
+    const = PhysicalConstants(reference_frequency_hz=1e15, reference_wavelength_m=2.99792458e-7)
+    assert (const.planck_j_s, const.light_speed_km_s) == (6.62607015e-34, 299792.458)
+    with pytest.raises(TypeError, match="planck_j_s"):
+        PhysicalConstants(planck_j_s=6.6e-34)
+
+
 def test_sinhc_past_the_sinh_overflow_is_a_value_error():
     """sinh overflows near x = 710.5; past it sinhc refuses the argument by value,
     and a negative or non-finite one keeps its own message."""
