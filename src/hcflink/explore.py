@@ -2,10 +2,10 @@
 
 Full rectangular sweeps, one pure-Python loss row at a time, with contour
 extraction, required-power solves at fixed throughput targets, span-length
-trade-off curves, and sensitivity deltas between plans. Of the 1/GSNR law's
-closed forms, system holds all but extract_contour's falling root, its one
-caller's; sweep_rows' cells are system's row kernel. Only sweep_grid, which
-packs the rows into arrays, imports numpy.
+trade-off curves, and sensitivity deltas between plans. system holds the 1/GSNR
+law's closed forms: sweep_rows' cells are its row kernel, and the solves call its
+roots, window rule and reasons. Only sweep_grid, which packs the rows into arrays,
+imports numpy.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from .system import (
     LinkPlan,
     TransceiverModel,
     _cable_rows,
+    _falling_powers_dbm,
+    _infeasible_reason,
     _inv_db,
     _power_column,
     _solve_powers_dbm,
     _target_inv_gsnr,
-    _throughput_peak,
     gsnr_terms,
     repeater_count,
     span_count,
@@ -56,14 +57,17 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Admissible EDFA power window of the required-power solve, and the accuracy
-    (dB) its returned power guarantees; the closed form holds it above ~1e-12 dB."""
+    """Admissible EDFA power window of the required-power solve, low < high with each
+    end in the row of amplifier.total_output_power_dbm, and the accuracy (dB) its
+    returned power guarantees; the closed form holds it above ~1e-12 dB."""
 
     power_bracket_dbm: tuple[float, float] = (5.0, 30.0)
     tolerance_db: float = 0.01
 
     def __post_init__(self) -> None:
         low, high = self.power_bracket_dbm
+        check_value(low, "amplifier.total_output_power_dbm", "power_bracket_dbm")
+        check_value(high, "amplifier.total_output_power_dbm", "power_bracket_dbm")
         if not low < high:
             raise ValueError(f"power bracket must satisfy low < high, got {low}..{high}")
         if not self.tolerance_db > 0:
@@ -130,10 +134,8 @@ def extract_contour(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec, field
     power window, [] where none: (loss_db_per_km, edfa_power_dbm) on its loss rows.
 
     A row's 1/GSNR = A/p + B*p^2 + C meets the level at inv_gsnr: 10^(-level/10)
-    for dB, 1/g* for Tb/s with g* the least GSNR carrying it. The rising root is
-    _solve_powers_dbm's. The roots of B*p^3 - D*p + A, D = inv_gsnr - C, sum to 0
-    and their pairwise products to -D/B, so the falling root is
-    (sqrt(4D/B - 3*p_lo^2) - p_lo)/2: +inf without NLI, sqrt(D/B) at p_lo = 0.
+    for dB, 1/g* for Tb/s with g* the least GSNR carrying it, at the rising root
+    of system._solve_powers_dbm and the falling root of _falling_powers_dbm.
     Each run of rows with roots is walked out along the rising roots and back
     along the falling ones, joined within each end row inside the grid (a tip),
     and cut wherever a vertex leaves the window.
@@ -143,14 +145,10 @@ def extract_contour(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec, field
     inv_gsnr = _inv_db(level) if field == "gsnr" else _target_inv_gsnr(plan, trx, level)
     losses, terms = _row_terms(plan, grid, include_rbs)
     low, high = grid.power_min, grid.power_max
-    rows = []  # (loss, rising dBm, falling dBm), or None above the GSNR peak
-    for loss, (a, b, imi, rbs), p_lo in zip(losses, terms, _solve_powers_dbm(terms, inv_gsnr)):
-        p_hi = math.inf  # also where the rising root, so the falling one, is above the window
-        if b > 0 and p_lo <= high:
-            lo = 10.0 ** (p_lo / 10.0)
-            hi = (math.sqrt(4.0 * (inv_gsnr - (imi + rbs)) / b - 3.0 * lo * lo) - lo) / 2.0
-            p_hi = 10.0 * math.log10(hi) if hi > 0 else -math.inf
-        rows.append(None if math.isnan(p_lo) else (loss, p_lo, p_hi))
+    rising = _solve_powers_dbm(terms, inv_gsnr)
+    falling = _falling_powers_dbm(terms, inv_gsnr, rising, high)
+    rows = [None if math.isnan(p_lo) else (loss, p_lo, p_hi)  # None above the GSNR peak
+            for loss, p_lo, p_hi in zip(losses, rising, falling)]
     polylines: list[list[tuple[float, float]]] = []
     end = 0  # one past the run's last row
     for has_roots, group in groupby(rows, key=lambda row: row is not None):
@@ -205,21 +203,15 @@ def required_edfa_power(
     with the link cut into span_km spans (snapped to a whole count).
 
     A target is infeasible only above the throughput peak or outside the
-    window settings.power_bracket_dbm; see system._solve_powers_dbm.
+    window settings.power_bracket_dbm; system._infeasible_reason says which.
     """
     n = repeater_count(plan.total_length_km, span_km, ("plan.total_length_km", "span_km")) + 1
-    what = f"target {target_tbps:g} Tb/s at {loss_db_per_km:g} dB/km, {span_km:g} km spans"
     terms = gsnr_terms(plan, loss_db_per_km, n, include_rbs)
-    [power_dbm] = _solve_powers_dbm((terms,), _target_inv_gsnr(plan, trx, target_tbps))
+    inv_gsnr, window = _target_inv_gsnr(plan, trx, target_tbps), settings.power_bracket_dbm
+    [power_dbm] = _solve_powers_dbm((terms,), inv_gsnr, window)
     if math.isnan(power_dbm):
-        p_opt_dbm, peak_tbps = _throughput_peak(plan, trx, terms)
-        raise InfeasibleError(f"{what} is above the throughput peak {peak_tbps:.6g} Tb/s "
-                              f"(at {p_opt_dbm:.4g} dBm)")
-    low, high = settings.power_bracket_dbm
-    if not low <= power_dbm <= high:
-        raise InfeasibleError(
-            f"{what} needs {power_dbm:.6g} dBm, outside the window {low:g}..{high:g} dBm"
-        )
+        what = f"target {target_tbps:g} Tb/s at {loss_db_per_km:g} dB/km, {span_km:g} km spans"
+        raise InfeasibleError(f"{what} {_infeasible_reason(plan, trx, terms, inv_gsnr, window)}")
     return power_dbm
 
 
@@ -271,17 +263,16 @@ def span_length_curve(
     Samples snap to integer partitions of the link, so samples landing on
     the same span count collapse to one point. A point is feasible when its power lies inside the
     window settings.power_bracket_dbm; infeasible points are kept as
-    flagged gaps rather than aborting the curve.
+    flagged gaps (NaN) rather than aborting the curve.
     """
     total = plan.total_length_km
     counts = check_span_range(total, span_min_km, span_max_km, n_points,
                               ("plan.total_length_km", "span_min_km", "span_max_km", "n_points"))
     inv_gsnr = _target_inv_gsnr(plan, trx, target_tbps)
-    powers = _solve_powers_dbm(span_terms(plan, loss_db_per_km, counts, include_rbs), inv_gsnr)
-    low, high = settings.power_bracket_dbm
+    powers = _solve_powers_dbm(span_terms(plan, loss_db_per_km, counts, include_rbs), inv_gsnr,
+                               settings.power_bracket_dbm)
     new = tuple.__new__  # SpanCurvePoint._make without its length check
-    return [new(SpanCurvePoint, (total / n, p, True)) if low <= p <= high
-            else new(SpanCurvePoint, (total / n, math.nan, False)) for n, p in zip(counts, powers)]
+    return [new(SpanCurvePoint, (total / n, p, p == p)) for n, p in zip(counts, powers)]
 
 
 def sensitivity_delta(

@@ -4,7 +4,8 @@ Builds the channel grid, assembles the GSNR budget at an operating point,
 maps GSNR to net throughput through a transceiver model, and evaluates the
 electrical power feed and propagation latency. It owns the closed forms of
 1/GSNR = A/p + B*p^2 + C: terms, forward law (one row kernel, _cable_rows, whose
-bits link_gsnr's budget has), rising root, peak, target inverse. Each transceiver's
+bits link_gsnr's budget has), peak, target inverse, and the whole solve: rising
+root, power window, the reason a target misses it, falling root. Each transceiver's
 rate law has one sequence form in plain floats, net_rates_gbps, and net_rate_gbps
 is its one-element wrapper; nothing here needs numpy.
 """
@@ -361,10 +362,12 @@ def per_channel_launch(
 ) -> float:
     """Per-channel power (W) entering the fiber after the post-EDFA losses. Raises,
     naming the argument, for a power or loss outside its amplifier row or a channel
-    count outside 1..MAX_CHANNELS."""
+    count outside 1..MAX_CHANNELS or not whole."""
     check_value(edfa_total_output_dbm, "amplifier.total_output_power_dbm", "edfa_total_output_dbm")
     if not 1 <= n_channels <= MAX_CHANNELS:
         raise ValueError(f"n_channels must lie in [1, {MAX_CHANNELS:g}], got {n_channels}")
+    if n_channels != int(n_channels):
+        raise ValueError(f"n_channels must be a whole number, got {n_channels}")
     check_value(post_output_loss_db, "amplifier.post_output_loss_db", "post_output_loss_db")
     return dbm_to_watt(
         edfa_total_output_dbm - 10.0 * math.log10(n_channels) - post_output_loss_db
@@ -456,11 +459,11 @@ def _target_inv_gsnr(plan: LinkPlan, trx: TransceiverModel, target_tbps: float) 
     return _inv_db(trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz))
 
 
-def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]],
-                      inv_gsnr: float) -> list[float]:
+def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]], inv_gsnr: float,
+                      window: tuple[float, float] = (-math.inf, math.inf)) -> list[float]:
     """Least EDFA output power (dBm) at which 1/GSNR = A/p + B*p^2 + C falls to
     inv_gsnr, for A, B and C = IMI + RBS the gsnr_terms of each span count: NaN
-    above the GSNR peak, -inf when every power reaches it.
+    above the GSNR peak or outside the window (inclusive), -inf when all reach it.
 
     Closed form: A/p + B*p^2 = D = inv_gsnr - C becomes eps*x^3 - x + 1 = 0 for
     p = (A/D)*x, eps = B*A^2/D^3. It has a root iff eps <= 4/27, i.e.
@@ -468,7 +471,7 @@ def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]],
     is on the rising branch.
     """
     sqrt, cos, acos, log10 = math.sqrt, math.cos, math.acos, math.log10
-    scale, arg = _TRIG_SCALE, _TRIG_ARG
+    scale, arg, (low, high) = _TRIG_SCALE, _TRIG_ARG, window
     powers = []
     for a, b, imi, rbs in terms:
         d = inv_gsnr - (imi + rbs)
@@ -487,8 +490,36 @@ def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]],
             u = scale * cos(acos(x if x > -1.0 else -1.0) / 3.0)
             uu = u * u
             p = 10.0 * log10(2.0 * r / (uu + u * sqrt(uu + 4.0 * s / u)))
-        powers.append(p)
+        powers.append(p if low <= p <= high else math.nan)
     return powers
+
+
+def _falling_powers_dbm(terms: Iterable[tuple[float, float, float, float]], inv_gsnr: float,
+                        rising: Iterable[float], high: float) -> list[float]:
+    """Falling root (dBm) beside each rising root p_lo: the roots of B*p^3 - D*p + A sum
+    to 0 and pair to -D/B, so it is (sqrt(4D/B - 3*p_lo^2) - p_lo)/2; +inf without NLI
+    or where p_lo is NaN or above high (as the falling root then is), -inf where <= 0."""
+    falling = []
+    for (_, b, imi, rbs), p_lo in zip(terms, rising):
+        p_hi = math.inf
+        if b > 0 and p_lo <= high:
+            lo = 10.0 ** (p_lo / 10.0)
+            hi = (math.sqrt(4.0 * (inv_gsnr - (imi + rbs)) / b - 3.0 * lo * lo) - lo) / 2.0
+            p_hi = 10.0 * math.log10(hi) if hi > 0 else -math.inf
+        falling.append(p_hi)
+    return falling
+
+
+def _infeasible_reason(plan: LinkPlan, trx: TransceiverModel,
+                       terms: tuple[float, float, float, float], inv_gsnr: float,
+                       window: tuple[float, float]) -> str:
+    """Why no power in the window reaches inv_gsnr: the peak, or the root it misses."""
+    [power_dbm] = _solve_powers_dbm((terms,), inv_gsnr)
+    if math.isnan(power_dbm):
+        p_opt_dbm, peak_tbps = _throughput_peak(plan, trx, terms)
+        return f"is above the throughput peak {peak_tbps:.6g} Tb/s (at {p_opt_dbm:.4g} dBm)"
+    low, high = window
+    return f"needs {power_dbm:.6g} dBm, outside the window {low:g}..{high:g} dBm"
 
 
 def _throughput_peak(plan: LinkPlan, trx: TransceiverModel,
@@ -539,10 +570,12 @@ def power_feed(
 ) -> PowerFeedResult:
     """Electrical budget: I^2*R conductor dissipation plus repeater load. Raises,
     naming the argument, for a length outside the row of link.total_length_km or a
-    repeater count outside repeater_count's 0..MAX_SPANS - 1."""
+    repeater count outside repeater_count's 0..MAX_SPANS - 1 or not whole."""
     check_value(total_length_km, "link.total_length_km", "total_length_km")
     if not 0 <= n_repeaters <= MAX_SPANS - 1:
         raise ValueError(f"n_repeaters must lie in [0, {MAX_SPANS - 1:g}], got {n_repeaters}")
+    if n_repeaters != int(n_repeaters):
+        raise ValueError(f"n_repeaters must be a whole number, got {n_repeaters}")
     cable_w = feed.feed_current_a**2 * feed.cable_resistance_ohm_per_km * total_length_km
     repeaters_w = n_repeaters * feed.repeater_power_w
     total_w = cable_w + repeaters_w

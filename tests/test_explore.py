@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -67,6 +68,14 @@ def test_solver_settings_validation():
         SolverSettings(power_bracket_dbm=(30.0, 5.0))
     with pytest.raises(ValueError):
         SolverSettings(tolerance_db=0.0)
+    # Each end of the window lies in the row of amplifier.total_output_power_dbm:
+    # an infinite window would let a tiny target be met at -inf dBm.
+    for value in (math.nan, math.inf, -math.inf, -60.001, 60.001):
+        message = f"power_bracket_dbm must lie in [-60, 60], got {value}"
+        for window in ((value, 60.0), (-60.0, value)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SolverSettings(power_bracket_dbm=window)
+    assert SolverSettings(power_bracket_dbm=(-60.0, 60.0)).power_bracket_dbm == (-60.0, 60.0)
 
 
 def test_sweep_corner_points_near_one_pbps(reference_plan, calibrated_trx):
@@ -384,6 +393,16 @@ _STAIRCASE = TabulatedTransceiver(
 def test_required_power_infeasible_reasons(reference_plan, calibrated_trx):
     with pytest.raises(InfeasibleError, match="above the throughput peak"):
         required_edfa_power(reference_plan, calibrated_trx, 0.06, 200.0, 1e6)
+    # The whole text of each reason: above the peak, a root below the window, one above it.
+    for target, window, reason in [
+        (1e6, (5.0, 30.0), "is above the throughput peak 1791.27 Tb/s (at 39 dBm)"),
+        (100.0, (5.0, 30.0), "needs 3.25882 dBm, outside the window 5..30 dBm"),
+        (1000.0, (5.0, 18.0), "needs 20.3 dBm, outside the window 5..18 dBm"),
+    ]:
+        message = f"target {target:g} Tb/s at 0.06 dB/km, 200 km spans {reason}"
+        with pytest.raises(InfeasibleError, match=f"^{re.escape(message)}$"):
+            required_edfa_power(reference_plan, calibrated_trx, 0.06, 200.0, target,
+                                settings=SolverSettings(power_bracket_dbm=window))
     narrow = SolverSettings(power_bracket_dbm=(5.0, 18.0))
     with pytest.raises(InfeasibleError, match="needs 20.3.* outside the window 5..18 dBm"):
         required_edfa_power(reference_plan, calibrated_trx, 0.06, 200.0, 1000.0, settings=narrow)

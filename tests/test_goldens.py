@@ -4,7 +4,8 @@ Each case runs `hcflink.cli.main` in process from the tests/ directory and
 compares stdout with a file in tests/golden/, byte for byte, and stderr with the
 empty string. The contour cases run on golden/sweep_9x7.conf, a 9 x 7 sweep, so
 their files stay small; the variants read golden/trx_table.csv by that relative
-path, which their config echo holds. A golden changes only on purpose:
+path, which their config echo holds, and the high-gamma span curve reads
+golden/high_gamma.conf. A golden changes only on purpose:
 regenerate it from the tests/ directory with its case's arguments, e.g.
 
     cd tests
@@ -47,6 +48,13 @@ CASES = {
     "contour_sweep_9x7_rbs_table.csv": ["contour", *SWEEP, "--format", "csv", *RBS, *TABLE],
     "contour_sweep_9x7_rbs_table.svg": ["contour", *SWEEP, "--format", "svg", *RBS, *TABLE],
     "span_curve_rbs_table.csv": ["span-curve", "--format", "csv", *RBS, *TABLE],
+    # Infeasible points: above the throughput peak at a solid-core-like gamma (the
+    # 314, 367 and 388 km spans), and roots below the solver's window (150, 200 km).
+    "span_curve_high_gamma.json": ["span-curve", "--format", "json", "--config",
+                                   "golden/high_gamma.conf", "--span-min", "60", "--span-max",
+                                   "400", "--span-points", "9", "--target-tbps", "1100"],
+    "span_curve_low_target.csv": ["span-curve", "--format", "csv", "--target-tbps", "100",
+                                  "--span-points", "3"],
 }
 
 

@@ -421,11 +421,15 @@ _ROW_ARGUMENTS = {
 @pytest.mark.parametrize("argument", list(_ROW_ARGUMENTS))
 def test_raw_library_value_outside_its_row_is_refused_by_name(argument):
     """0 where the row leaves it out, the values just past either end, NaN and +-inf
-    are refused with the row's message under the argument's name; both ends give a
-    finite result."""
+    are refused with the row's message under the argument's name, and a count that is
+    not whole inside its row under its name; both ends give a finite result."""
     call, name, (low, high) = _ROW_ARGUMENTS[argument]
     if isinstance(low, int):
         below, above, zero = low - 1, high + 1, 0
+        for value in (low + 0.5, high - 0.5):
+            message = f"{name} must be a whole number, got {value}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(value)
     else:
         below, above, zero = math.nextafter(low, -math.inf), math.nextafter(high, math.inf), 0.0
     for value in [zero] * (not low <= 0 <= high) + [below, above, math.nan, math.inf, -math.inf]:
