@@ -106,6 +106,8 @@ def _run_contour(cfg: RunConfig, fh: IO[str], fmt: str, *, include_rbs: bool = F
         raise ConfigError(f"{flag} goes with contour --format json|svg, not csv")
     levels = (1000.0,) if levels is None else levels
     field = "throughput" if field is None else field
+    for level in levels if field == "throughput" else ():  # a Tb/s level lies in its row
+        check_value(level, "transceiver.calibration_target_tbps", "--levels")
     plan, spec = cfg.plan(), cfg.grid()
     trx, section = resolve_transceiver(cfg, plan, trx_table)
     grid = None if fmt == "svg" else explore.sweep_rows(plan, trx, spec, include_rbs)
@@ -138,6 +140,7 @@ def _run_span_curve(cfg: RunConfig, fh: IO[str], fmt: str, *, include_rbs: bool 
     explore.check_span_range(plan.total_length_km, span_min, span_max, span_points,
                              ("link.total_length_km", "--span-min", "--span-max",
                               "--span-points"))
+    check_value(target_tbps, "transceiver.calibration_target_tbps", "--target-tbps")
     trx, section = resolve_transceiver(cfg, plan, trx_table)
     points = explore.span_length_curve(
         plan, trx, loss, span_min, span_max, span_points, target_tbps, include_rbs
@@ -240,13 +243,6 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _positive(raw: str) -> float:
-    value = _finite(raw)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
 def _finite_list(raw: str) -> tuple[float, ...]:
     values = tuple(_finite(part) for part in raw.split(",") if part.strip())
     if not values:
@@ -285,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     contour.add_argument("--field", choices=("gsnr", "throughput"))
     span = sub.add_parser("span-curve", parents=[common, link],
                           help="required EDFA power vs span length at the configured loss")
-    span.add_argument("--target-tbps", type=_positive, help="throughput target of the solves")
+    span.add_argument("--target-tbps", type=_finite, help="throughput target of the solves")
     span.add_argument("--span-min", type=_finite)
     span.add_argument("--span-max", type=_finite)
     span.add_argument("--span-points", type=int)

@@ -18,11 +18,13 @@ from typing import Any
 from .domain import check_domain
 from .impairments import AmplifierSpec, FiberSpec
 from .system import (
+    InfeasibleError,
     LinkPlan,
     OperatingPoint,
     PowerFeedSpec,
     ShannonGapTransceiver,
     TransceiverModel,
+    _carrier_rate_gbps,
     calibrate_trx_gap,
     load_transceiver_table,
 )
@@ -199,7 +201,8 @@ def resolve_transceiver(
     curve, refused when its greatest rate on every carrier of the plan overflows.
     Else, without an explicit gap, the Shannon-gap model is pinned so the plan
     hits transceiver.calibration_target_tbps at the configured operating point
-    with backscatter off. Each choice reads the kept TransceiverSpec; the config's
+    with backscatter off (InfeasibleError if max_rate_gbps caps each carrier below
+    that target's rate). Each choice reads the kept TransceiverSpec; the config's
     transceiver section, with the table path or the calibrated gap filled in, is
     only written, and returned with the model for RunConfig.echo.
     """
@@ -214,11 +217,15 @@ def resolve_transceiver(
                               f"takes the cable throughput beyond float range")
         section.update(variant="tabulated", table_path=path)
         return model, section
-    gap_db = spec.gap_db
+    gap_db, cap = spec.gap_db, spec.max_rate_gbps or math.inf
     if gap_db is None:
-        section["gap_db"] = gap_db = calibrate_trx_gap(
-            plan, cfg.operating_point(), spec.calibration_target_tbps, include_rbs=False)
-    return ShannonGapTransceiver(gap_db, spec.max_rate_gbps or math.inf), section
+        target = spec.calibration_target_tbps
+        section["gap_db"] = gap_db = calibrate_trx_gap(plan, cfg.operating_point(), target)
+        if (rate := _carrier_rate_gbps(plan, target)) > cap:  # no gap then meets the target
+            raise InfeasibleError(f"transceiver.max_rate_gbps = {cap:g} is below the {rate:.6g} "
+                                  f"Gb/s on each of {plan.n_carriers} carriers that "
+                                  f"transceiver.calibration_target_tbps = {target:g} needs")
+    return ShannonGapTransceiver(gap_db, cap), section
 
 
 def _parse_json(text: str) -> dict[str, Any]:

@@ -134,7 +134,7 @@ def extract_contour(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec, field
     power window, [] where none: (loss_db_per_km, edfa_power_dbm) on its loss rows.
 
     A row's 1/GSNR = A/p + B*p^2 + C meets the level at inv_gsnr: 10^(-level/10)
-    for dB, 1/g* for Tb/s with g* the least GSNR carrying it, at the rising root
+    for dB, 1/g* for Tb/s (_target_inv_gsnr refuses a level outside its row), at the rising root
     of system._solve_powers_dbm and the falling root of _falling_powers_dbm.
     Each run of rows with roots is walked out along the rising roots and back
     along the falling ones, joined within each end row inside the grid (a tip),
@@ -142,7 +142,7 @@ def extract_contour(plan: LinkPlan, trx: TransceiverModel, grid: GridSpec, field
     """
     if field not in ("gsnr", "throughput"):
         raise ValueError(f"field must be one of ['gsnr', 'throughput'], got {field!r}")
-    inv_gsnr = _inv_db(level) if field == "gsnr" else _target_inv_gsnr(plan, trx, level)
+    inv_gsnr = _inv_db(level) if field == "gsnr" else _target_inv_gsnr(plan, trx, level, "level")
     losses, terms = _row_terms(plan, grid, include_rbs)
     low, high = grid.power_min, grid.power_max
     rising = _solve_powers_dbm(terms, inv_gsnr)
@@ -199,8 +199,8 @@ def required_edfa_power(
     include_rbs: bool = False,
     settings: SolverSettings = DEFAULT_SOLVER,
 ) -> float:
-    """Least EDFA output power (dBm) at which throughput reaches target_tbps,
-    with the link cut into span_km spans (snapped to a whole count).
+    """Least EDFA output power (dBm) at which throughput reaches target_tbps (in its
+    row, system._target_inv_gsnr), the link cut into span_km spans (a whole count).
 
     A target is infeasible only above the throughput peak or outside the
     window settings.power_bracket_dbm; system._infeasible_reason says which.
@@ -257,8 +257,8 @@ def span_length_curve(
     include_rbs: bool = False,
     settings: SolverSettings = DEFAULT_SOLVER,
 ) -> list[SpanCurvePoint]:
-    """Required EDFA power across span lengths: one span_terms call and one
-    _solve_powers_dbm call for all the span counts.
+    """Required EDFA power across span lengths at target_tbps (in its row, checked after
+    the span range): one span_terms and one _solve_powers_dbm call for all span counts.
 
     Samples snap to integer partitions of the link, so samples landing on
     the same span count collapse to one point. A point is feasible when its power lies inside the

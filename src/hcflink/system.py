@@ -450,13 +450,17 @@ def _inv_db(level_db: float) -> float:
         return math.inf
 
 
-def _target_inv_gsnr(plan: LinkPlan, trx: TransceiverModel, target_tbps: float) -> float:
-    """1/g* for g* the least GSNR carrying target_tbps: 0 when no GSNR carries it,
-    inf when every GSNR does."""
-    n_carriers = plan.n_carriers
-    # No fibers: the rate is x/0 as IEEE division gives it, +-inf or NaN.
-    rate_gbps = target_tbps * 1e3 / n_carriers if n_carriers else target_tbps * math.inf
-    return _inv_db(trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz))
+def _carrier_rate_gbps(plan: LinkPlan, target_tbps: float, name: str = "target_tbps") -> float:
+    """Gb/s per carrier (inf with no fibers), or ValueError naming `name` outside the row."""
+    check_value(target_tbps, "transceiver.calibration_target_tbps", name)
+    return target_tbps * 1e3 / plan.n_carriers if plan.n_carriers else math.inf
+
+
+def _target_inv_gsnr(plan: LinkPlan, trx: TransceiverModel, target_tbps: float,
+                     name: str = "target_tbps") -> float:
+    """1/g* for g* the least GSNR carrying _carrier_rate_gbps: 0 if none does, inf if all do."""
+    return _inv_db(trx.required_gsnr_db(_carrier_rate_gbps(plan, target_tbps, name),
+                                        plan.symbol_rate_hz))
 
 
 def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]], inv_gsnr: float,
@@ -477,7 +481,7 @@ def _solve_powers_dbm(terms: Iterable[tuple[float, float, float, float]], inv_gs
         d = inv_gsnr - (imi + rbs)
         if not d > 0:
             p = math.nan
-        elif (r := a / d) == 0:  # D = inf (a target rate <= 0): A > 0 in the domain
+        elif (r := a / d) == 0:  # D = inf (a target at or below a table's first rate)
             p = -math.inf
         elif not (eps := b * r * r * r / a) <= 4.0 / 27.0:
             p = math.nan
@@ -597,11 +601,10 @@ def calibrate_trx_gap(plan: LinkPlan, reference: OperatingPoint, target_tbps: fl
     """Shannon gap (dB) that pins the plan to target_tbps at the reference point.
 
     Closed form: gap = SNR / (2^(R/2Rs) - 1) at the reference GSNR, with R the
-    per-channel rate the target asks for. A target within 1e-6 of the zero-gap
-    throughput gives a gap of exactly 0.
+    per-channel rate the target asks for (_carrier_rate_gbps, which refuses a target
+    outside its row). A target within 1e-6 of the zero-gap throughput gives a gap of 0.
     """
-    if not target_tbps > 0:
-        raise ValueError(f"target_tbps must be > 0, got {target_tbps}")
+    rate_gbps = _carrier_rate_gbps(plan, target_tbps)
     terms = gsnr_terms(plan, reference.loss_db_per_km, plan.n_spans, include_rbs)
     zero_gap_trx = ShannonGapTransceiver(0.0)
     column = _power_column(reference.edfa_total_output_dbm)
@@ -613,7 +616,6 @@ def calibrate_trx_gap(plan: LinkPlan, reference: OperatingPoint, target_tbps: fl
         )
     if abs(zero_gap - target_tbps) <= 1e-6 * target_tbps:
         return 0.0
-    rate_gbps = target_tbps * 1e3 / plan.n_carriers
     gap_db = gsnr_db - zero_gap_trx.required_gsnr_db(rate_gbps, plan.symbol_rate_hz)
     if gap_db > 60.0:
         raise InfeasibleError(f"target {target_tbps:g} Tb/s would need a shaping gap above 60 dB")

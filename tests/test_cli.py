@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import io
 import json
@@ -259,6 +260,24 @@ def test_exit_code_infeasible(capsys, tmp_path):
     assert main(["budget", "--config", str(cfg)]) == EXIT_INFEASIBLE
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["code"] == "infeasible"
+
+
+@pytest.mark.parametrize("command", ["budget", "contour", "span-curve"])
+def test_calibration_refuses_a_cap_below_its_targets_rate(capsys, tmp_path, command):
+    """1000 Tb/s asks 582.751 Gb/s of each of 1716 carriers: no gap meets it under a 500
+    Gb/s cap. A pinned gap takes any cap, and a 600 Gb/s cap calibrates as before."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[transceiver]\nmax_rate_gbps = 500\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["message"] == (
+        "transceiver.max_rate_gbps = 500 is below the 582.751 Gb/s on each of 1716 carriers "
+        "that transceiver.calibration_target_tbps = 1000 needs")
+    for text in ("[transceiver]\nmax_rate_gbps = 500\ngap_db = 4.64\n",
+                 "[transceiver]\nmax_rate_gbps = 600\n"):
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
 
 
 def test_exit_code_io_error(capsys, tmp_path):
@@ -890,6 +909,50 @@ def test_tabulated_variant_without_a_table_is_refused_by_every_command(capsys, t
 def test_bad_flag_value_is_named(capsys, argv, flag):
     assert main(argv) == EXIT_CONFIG
     assert flag in _one_config_error(capsys)
+
+
+_PLAN = parse_config("").plan()
+_TRX = system.ShannonGapTransceiver(4.64)
+# Each way a Tb/s target enters the model: the call with the target set to v, and the
+# name its refusal gives (the flag's in the CLI, which returns the exit code).
+_TARGET_ENTRIES = {
+    "--target-tbps": lambda v: main(["span-curve", f"--target-tbps={v!r}"]),
+    "--levels": lambda v: main(["contour", "--format=json", "--field=throughput",
+                                f"--levels={v!r}"]),
+    "target_tbps-required_edfa_power": lambda v: explore.required_edfa_power(
+        _PLAN, _TRX, 0.06, 200.0, v),
+    "target_tbps-span_length_curve": lambda v: explore.span_length_curve(
+        _PLAN, _TRX, 0.06, 150.0, 250.0, 3, v),
+    "target_tbps-sensitivity_delta": lambda v: explore.sensitivity_delta(
+        _PLAN, _TRX, 0.06, _PLAN, v),
+    "level-extract_contour": lambda v: explore.extract_contour(
+        _PLAN, _TRX, explore.GridSpec(0.05, 0.07, 3, 14.0, 25.0, 3), "throughput", v),
+    "target_tbps-calibrate_trx_gap": lambda v: system.calibrate_trx_gap(
+        _PLAN, parse_config("").operating_point(), v),
+}
+
+
+@pytest.mark.parametrize("entry", _TARGET_ENTRIES)
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 0.0, -1.0, 9.99e-4, 1.001e9,
+                                    1e-3, 1e9])
+def test_target_outside_its_row_is_refused_by_name(capsys, entry, target):
+    """Every Tb/s target lies in the row of transceiver.calibration_target_tbps, 1e-3 to 1e9;
+    a target in the row may still be out of reach (exit 0 with no power, InfeasibleError)."""
+    call, refused = _TARGET_ENTRIES[entry], not 1e-3 <= target <= 1e9
+    if entry.startswith("--"):
+        assert call(target) == (EXIT_CONFIG if refused else EXIT_OK)
+        assert not refused or entry in _one_config_error(capsys)
+    elif refused:
+        name = entry.partition("-")[0]
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0.001, 1e\+09\], got "):
+            call(target)
+    else:
+        with contextlib.suppress(system.InfeasibleError):
+            call(target)
+
+
+def test_gsnr_levels_lie_in_no_row(capsys):
+    assert main(["contour", "--format=json", "--field=gsnr", "--levels=-5"]) == EXIT_OK
 
 
 @pytest.mark.parametrize(

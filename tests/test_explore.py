@@ -300,8 +300,13 @@ def test_contour_walk_closes_within_interior_rows(reference_plan, calibrated_trx
                             _FLAT_TABLE]),
        field_level=(st.tuples(st.just("gsnr"), st.floats(5.0, 25.0))
                     | st.tuples(st.just("throughput"), st.floats(500.0, 1500.0))
-                    | st.tuples(st.sampled_from(["gsnr", "throughput"]),
-                                st.floats(-1e308, 1e308) | st.sampled_from([-1e308, 0.0, 1e308]))),
+                    | st.tuples(st.just("gsnr"),
+                                st.floats(-1e308, 1e308) | st.sampled_from([-1e308, 0.0, 1e308]))
+                    | st.tuples(st.just("throughput"),
+                                st.floats(1e-3, 1e9) | st.sampled_from([1e-3, 1e9]))
+                    | st.tuples(st.just("throughput"),
+                                st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                                 9.99e-4, 1.001e9, -1e308, 1e308]))),
        loss_min=(st.floats(0.01, 0.2) | st.floats(1e-4, 5.0) | st.sampled_from([1e-4, 5.0])),
        loss_width=st.floats(1e-9, 0.2),
        powers=st.lists(st.floats(-60.0, 60.0) | st.floats(0.0, 40.0)
@@ -314,12 +319,17 @@ def test_contour_walk_closes_within_interior_rows(reference_plan, calibrated_trx
 def test_contour_never_crashes(reference_plan, gamma, n_fibers, trx, field_level, loss_min,
                                loss_width, powers, include_rbs):
     """Finite vertices on the loss rows inside the window of a grid in the domain, or
-    sweep_grid's ValueError (a span gain past MAX_SPAN_GAIN_DB)."""
+    sweep_grid's ValueError (a span gain past MAX_SPAN_GAIN_DB), or the level's
+    ValueError for a throughput level outside the row of calibration_target_tbps."""
     field, level = field_level
     plan = replace(reference_plan, fiber=replace(reference_plan.fiber, gamma_per_w_km=gamma),
                    n_fibers_per_direction=n_fibers)
     losses = (loss_min, loss_min + loss_width)
     spec = GridSpec(*losses, 4, powers[0], powers[1], 3)
+    if field == "throughput" and not 1e-3 <= level <= 1e9:
+        with pytest.raises(ValueError, match=r"^level must lie in \[0.001, 1e\+09\]"):
+            extract_contour(plan, trx, spec, field, level, include_rbs)
+        return
     try:
         lines = extract_contour(plan, trx, spec, field, level, include_rbs)
     except ValueError as exc:
@@ -411,9 +421,11 @@ def test_required_power_infeasible_reasons(reference_plan, calibrated_trx):
     no_fibers = replace(reference_plan, n_fibers_per_direction=0)
     with pytest.raises(InfeasibleError, match="above the throughput peak 0 Tb/s"):
         required_edfa_power(no_fibers, calibrated_trx, 0.06, 200.0, 1000.0)
+    # A target outside the row of transceiver.calibration_target_tbps is no infeasible
+    # one: the row refuses it, naming the argument.
     for trx in (calibrated_trx, _STAIRCASE):
         for target in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(InfeasibleError, match="Tb/s at"):
+            with pytest.raises(ValueError, match=r"^target_tbps must lie in \[0.001, 1e\+09\]"):
                 required_edfa_power(reference_plan, trx, 0.06, 200.0, target)
 
 
@@ -538,7 +550,8 @@ def test_memoised_span_counts_are_the_inline_rule(reference_plan, calibrated_trx
     gamma=st.floats(0.0, 1.0),
     loss=st.floats(0.03, 0.1),
     counts=st.lists(st.integers(1, 200), min_size=1, max_size=6),
-    target=st.one_of(st.floats(1.0, 1500.0), st.sampled_from([0.0, -1.0, 1e-310, 1e9])),
+    # 171.6 Tb/s is _STAIRCASE's first rate on 26 fibers: 1/g* = inf reaches the r == 0 branch.
+    target=st.one_of(st.floats(1.0, 1500.0), st.sampled_from([1e-3, 171.6, 1e9])),
     include_rbs=st.booleans(),
     tabulated=st.booleans(),
     fibers=st.sampled_from([26, 0]),
@@ -562,11 +575,13 @@ def test_scalar_solve_matches_the_numpy_reference(
             assert abs(got - want) <= 1e-12
 
 
-def test_target_below_any_gsnr_needs_no_power(reference_plan, calibrated_trx):
-    # 1e-310 Tb/s asks a GSNR near -3190 dB, whose 10**(-g/10) is past float range.
-    assert _target_inv_gsnr(reference_plan, calibrated_trx, 1e-310) == math.inf
-    with pytest.raises(InfeasibleError, match="needs -inf dBm, outside the window"):
-        required_edfa_power(reference_plan, calibrated_trx, 0.06, 200.0, 1e-310)
+def test_target_below_any_gsnr_needs_no_power(reference_plan):
+    # At or below a table's first rate every GSNR carries the target: 1/g* = inf.
+    first = _STAIRCASE.points[0][1] * reference_plan.n_carriers / 1e3  # 171.6 Tb/s
+    for target in (1e-3, first):
+        assert _target_inv_gsnr(reference_plan, _STAIRCASE, target) == math.inf
+        with pytest.raises(InfeasibleError, match="needs -inf dBm, outside the window"):
+            required_edfa_power(reference_plan, _STAIRCASE, 0.06, 200.0, target)
 
 
 def test_infeasible_message_peak_at_the_kernel_limits(reference_plan, calibrated_trx):

@@ -355,7 +355,7 @@ def test_rate_monotone_in_gsnr_both_variants():
                      "total_length_km must lie in [0.001, 100000], got -1.0", id="imi_inv_snr"),
         pytest.param(lambda: calibrate_trx_gap(LinkPlan(FiberSpec(), AmplifierSpec()),
                                                OperatingPoint(0.06, 20.3), 0.0),
-                     "target_tbps must be > 0, got 0.0", id="calibrate_trx_gap"),
+                     "target_tbps must lie in [0.001, 1e+09], got 0.0", id="calibrate_trx_gap"),
         pytest.param(lambda: nli_inv_snrs([(-1e-30, 3)], 73.5e9, 1e-3),
                      "psd_per_span_w_hz must be >= 0, got -1e-30", id="nli_inv_snrs"),
         pytest.param(lambda: rbs_power(-1.0, -70.0, 100.0, 12.0),
